@@ -75,6 +75,7 @@ from .classify import (
     empirical_phi_risk,
     featurize,
     knn_classify,
+    knn_predict,
     load_model,
     max_loss,
     predict,

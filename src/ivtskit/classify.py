@@ -29,7 +29,7 @@ from .errors import (
 )
 from .dgp import LabeledDataset
 from .imaging import RecurrenceImage
-from .intervals import Kernel2x2, MvIntervalSeries, series_dk_squared
+from .intervals import Kernel2x2, MvIntervalSeries, as_grid, pointwise_dk_squared
 
 AUX_KINDS = ("hinge", "squared_hinge", "exponential")
 
@@ -108,10 +108,13 @@ def featurize(img: RecurrenceImage, cfg: FeatureConfig) -> np.ndarray:
             raise BlockGridInvalid(
                 f"block grid {cfg.q} exceeds image size {img.n}"
             )
+        # Cell (r, c) of the q-by-q grid of near-equal cells; its pixel sum is
+        # an exact integer, so dividing it by the cell size equals .mean().
         cells = np.array_split(np.arange(img.n), cfg.q)
-        z = np.array(
-            [px[np.ix_(r, c)].mean() for r in cells for c in cells]
-        )
+        starts = [cell[0] for cell in cells]
+        sizes = np.array([len(cell) for cell in cells])
+        sums = np.add.reduceat(np.add.reduceat(px, starts, axis=0), starts, axis=1)
+        z = (sums / np.outer(sizes, sizes)).reshape(-1)
     norm = float(np.linalg.norm(z))
     if norm > cfg.normalize_cap:
         z = z * (cfg.normalize_cap / norm)
@@ -251,19 +254,14 @@ def train(
 
     w = np.zeros((n_classes, p))
     b = np.zeros(n_classes)
-
-    def risk(wm: np.ndarray, bv: np.ndarray) -> float:
-        scores = X @ wm.T + bv
-        margins, _ = _margins(scores, y)
-        return float(_aux_loss_vec(kind, margins).mean())
-
-    best_risk = risk(w, b)
+    # The margins that give an iterate's risk also give the next step's
+    # subgradient, so each step computes the scores once.
+    margins, best_other = _margins(X @ w.T + b, y)
+    best_risk = float(_aux_loss_vec(kind, margins).mean())
     best_w = w.copy()
     best_b = b.copy()
     rows = np.arange(n)
     for t in range(1, steps + 1):
-        scores = X @ w.T + b
-        margins, best_other = _margins(scores, y)
         g = _aux_subgradient_vec(kind, margins)
         coeff = np.zeros((n, n_classes))
         coeff[rows, y - 1] = g
@@ -275,7 +273,8 @@ def train(
         if over.any():
             w[over] *= (c_A / norms[over])[:, None]
         np.clip(b, -c_B, c_B, out=b)
-        r = risk(w, b)
+        margins, best_other = _margins(X @ w.T + b, y)
+        r = float(_aux_loss_vec(kind, margins).mean())
         if r < best_risk:
             best_risk = r
             best_w = w.copy()
@@ -283,19 +282,71 @@ def train(
     return LinearClassifier(best_w, best_b, c_A, c_B)
 
 
-def _pair_series_distance(query, item, kernel: Kernel2x2) -> float:
-    if isinstance(query, MvIntervalSeries) or isinstance(item, MvIntervalSeries):
-        if not (isinstance(query, MvIntervalSeries) and isinstance(item, MvIntervalSeries)):
-            raise DimensionMismatch("cannot mix univariate and multivariate series")
-        if query.d != item.d:
-            raise DimensionMismatch(
-                f"series dimensions differ: {query.d} vs {item.d}"
-            )
-        return sum(
-            series_dk_squared(query.dimension(j), item.dimension(j), kernel)
-            for j in range(query.d)
+# Float64 elements in one temporary of the k-NN scan (2 MiB).
+_KNN_BLOCK = 1 << 18
+
+
+def _query_grid(query, X: np.ndarray, multivariate: bool) -> np.ndarray:
+    # Shapes are checked here: the scan would broadcast T = 1 against any T.
+    if isinstance(query, MvIntervalSeries) != multivariate:
+        raise DimensionMismatch("cannot mix univariate and multivariate series")
+    grid = as_grid(query)
+    if grid.shape[0] != X.shape[1]:
+        raise DimensionMismatch(f"series dimensions differ: {grid.shape[0]} vs {X.shape[1]}")
+    if grid.shape[1] != X.shape[2]:
+        raise LengthMismatch(f"series lengths differ: {grid.shape[1]} vs {X.shape[2]}")
+    return grid
+
+
+def _scan(Q: np.ndarray, X: np.ndarray, kernel: Kernel2x2) -> np.ndarray:
+    """(m, n) summed squared distances from (m, d, T, 2) queries to (n, d, T, 2)
+    items: each dimension summed over T as series_dk_squared does, then the
+    dimensions added in index order starting from the first."""
+    per_dim = pointwise_dk_squared(Q[:, None], X[None], kernel).sum(axis=-1)
+    dists = per_dim[..., 0]
+    for j in range(1, per_dim.shape[-1]):
+        dists = dists + per_dim[..., j]
+    return dists
+
+
+def _vote(dists: np.ndarray, labels: list[int], k: int) -> int:
+    order = np.argsort(dists, kind="stable")[:k]
+    votes: dict[int, int] = {}
+    totals: dict[int, float] = {}
+    for idx in order:
+        label = labels[idx]
+        votes[label] = votes.get(label, 0) + 1
+        totals[label] = totals.get(label, 0.0) + float(dists[idx])
+    top = max(votes.values())
+    tied = [label for label, v in votes.items() if v == top]
+    return min(tied, key=lambda label: (totals[label], label))
+
+
+def knn_predict(train: LabeledDataset, queries, k: int, kernel: Kernel2x2) -> list[int]:
+    """:func:`knn_classify` for each query, in query order.
+
+    The training bounds are stacked once per dataset; queries are scanned in
+    blocks whose temporaries hold at most ``_KNN_BLOCK`` elements (or one
+    query against one training item, if that is larger).
+    """
+    n = len(train)
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    X = train.bounds
+    multivariate = isinstance(train.items[0][0], MvIntervalSeries)
+    labels = train.labels()
+    queries = list(queries)
+    per_item = X.shape[1] * X.shape[2]
+    rows = max(1, _KNN_BLOCK // per_item)
+    width = max(1, _KNN_BLOCK // (per_item * min(rows, n)))
+    preds: list[int] = []
+    for start in range(0, len(queries), width):
+        Q = np.stack([_query_grid(q, X, multivariate) for q in queries[start : start + width]])
+        dists = np.concatenate(
+            [_scan(Q, X[i : i + rows], kernel) for i in range(0, n, rows)], axis=1
         )
-    return series_dk_squared(query, item, kernel)
+        preds.extend(_vote(row, labels, k) for row in dists)
+    return preds
 
 
 def knn_classify(
@@ -307,22 +358,7 @@ def knn_classify(
     Vote ties break to the class with the smallest total distance among its
     voting neighbors, then to the lowest class id.
     """
-    n = len(train)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    dists = np.array(
-        [_pair_series_distance(query, item, kernel) for item, _ in train.items]
-    )
-    order = np.argsort(dists, kind="stable")[:k]
-    votes: dict[int, int] = {}
-    totals: dict[int, float] = {}
-    for idx in order:
-        label = train.items[idx][1]
-        votes[label] = votes.get(label, 0) + 1
-        totals[label] = totals.get(label, 0.0) + float(dists[idx])
-    top = max(votes.values())
-    tied = [label for label, v in votes.items() if v == top]
-    return min(tied, key=lambda label: (totals[label], label))
+    return knn_predict(train, [query], k, kernel)[0]
 
 
 def accuracy(predictions, labels) -> float:

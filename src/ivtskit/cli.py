@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -29,6 +28,7 @@ from . import theory as theory_mod
 from .errors import IvtsError, NegativeSquaredDistance, NonFinite
 from .imaging import TrajectoryConfig
 from .intervals import IntervalSeries, MvIntervalSeries, parse_kernel
+from .parallel import parallel_map
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -243,7 +243,10 @@ def _echo_config(outdir: Path, command: str, eff: dict) -> None:
 def _resolve_threads(value) -> int:
     if value is None:
         env = os.environ.get(THREADS_ENV)
-        value = int(env) if env else (os.cpu_count() or 1)
+        try:
+            value = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise UsageError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
     value = int(value)
     if value < 1:
         raise NumericError(f"threads must be >= 1, got {value}")
@@ -426,11 +429,7 @@ def _image_all(series_list, cfg, kernel, threads: int):
         except IvtsError as e:
             raise type(e)(f"item {i}: {e}") from e
 
-    indexed = list(enumerate(series_list))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, indexed))
-    return [one(p) for p in indexed]
+    return parallel_map(one, enumerate(series_list), threads)
 
 
 def cmd_image(eff: dict) -> None:
@@ -465,15 +464,28 @@ def cmd_image(eff: dict) -> None:
 # classify
 
 
-def _knn_predict_all(train, queries, k, kernel, threads: int):
-    # pure per-query distance scans; output order matches the query order
-    def one(q):
-        return clf_mod.knn_classify(train, q, k, kernel)
+def _feature_matrix(features: list) -> np.ndarray:
+    sizes = sorted({len(z) for z in features})
+    if len(sizes) > 1:
+        raise DataError(
+            f"items give features of different lengths {sizes}; "
+            "--feature-mode flatten needs images of one size"
+        )
+    return np.array(features)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, queries))
-    return [one(q) for q in queries]
+
+def _images_kernel(images_dir: Path) -> str:
+    """The kernel the image command recorded in the directory's run_config.txt,
+    or "" when the directory has none."""
+    try:
+        text = (images_dir / "run_config.txt").read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return ""
+    for line in text.splitlines():
+        key, sep, value = line.partition("=")
+        if sep and key.strip() == "kernel":
+            return value.strip()
+    return ""
 
 
 def _load_image_features(images_dir: Path, fc: clf_mod.FeatureConfig):
@@ -503,7 +515,7 @@ def _load_image_features(images_dir: Path, fc: clf_mod.FeatureConfig):
         labels.append(int(label))
     if not features:
         raise DataError(f"{index}: no images listed")
-    return np.array(features), np.array(labels)
+    return _feature_matrix(features), np.array(labels)
 
 
 def cmd_classify(eff: dict) -> None:
@@ -542,9 +554,7 @@ def cmd_classify(eff: dict) -> None:
                 except ValueError as e:
                     raise DataError(str(e)) from e
             try:
-                preds = _knn_predict_all(
-                    train, test.series(), eff["k"], kernel, threads
-                )
+                preds = clf_mod.knn_predict(train, test.series(), eff["k"], kernel)
             except ValueError as e:
                 raise NumericError(str(e)) from e
             acc = clf_mod.accuracy(preds, test.labels())
@@ -556,6 +566,8 @@ def cmd_classify(eff: dict) -> None:
         )
         if eff["images"] is not None:
             X, y = _load_image_features(Path(eff["images"]), fc)
+            # the images were rendered by the image command, not with --kernel
+            kernel_text = _images_kernel(Path(eff["images"]))
         else:
             try:
                 ds = dgp_mod.load_dataset_csv(eff["data"])
@@ -563,7 +575,7 @@ def cmd_classify(eff: dict) -> None:
                 raise DataError(str(e)) from e
             cfg = _trajectory_config(eff)
             images = _image_all(ds.series(), cfg, kernel, threads)
-            X = np.array([clf_mod.featurize(img, fc) for img in images])
+            X = _feature_matrix([clf_mod.featurize(img, fc) for img in images])
             y = np.array(ds.labels())
         for r in range(eff["runs"]):
             run_seed = seed + r
@@ -594,9 +606,10 @@ def cmd_classify(eff: dict) -> None:
             print(f"run {r} (seed {run_seed}): linear accuracy {acc!r} -> {model_path}")
 
     report = outdir / "report.csv"
-    lines = ["run,kernel,dgp,seed,accuracy"]
-    lines += [f"{r},{k},{d},{s},{a!r}" for r, k, d, s, a in report_rows]
-    report.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(report, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["run", "kernel", "dgp", "seed", "accuracy"])
+        writer.writerows((r, k, d, s, repr(a)) for r, k, d, s, a in report_rows)
     _echo_config(outdir, "classify", eff)
     print(f"wrote {report}")
 

@@ -18,16 +18,19 @@ and generation parallelizable.
 
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFinite
-from .intervals import IntervalSeries, MvIntervalSeries
+from .errors import DimensionMismatch, LengthMismatch, NonFinite
+from .intervals import IntervalSeries, MvIntervalSeries, as_grid
 
 AnySeries = Union[IntervalSeries, MvIntervalSeries]
 
@@ -229,6 +232,29 @@ class LabeledDataset:
         first = self.items[0][0]
         return first.d if isinstance(first, MvIntervalSeries) else 1
 
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """Every item's bounds as one read-only (n, d, T, 2) array, univariate
+        items having d = 1; built on first use.
+
+        Raises DimensionMismatch when the items mix univariate and
+        multivariate series or differ in d, and LengthMismatch when they
+        differ in T.
+        """
+        series = self.series()
+        if len({isinstance(s, MvIntervalSeries) for s in series}) > 1:
+            raise DimensionMismatch("cannot mix univariate and multivariate series")
+        grids = [as_grid(s) for s in series]
+        dims = sorted({g.shape[0] for g in grids})
+        if len(dims) > 1:
+            raise DimensionMismatch(f"series dimensions differ: {dims}")
+        lengths = sorted({g.shape[1] for g in grids})
+        if len(lengths) > 1:
+            raise LengthMismatch(f"series lengths differ: {lengths}")
+        arr = np.stack(grids)
+        arr.setflags(write=False)
+        return arr
+
 
 def _item_rng(seed: int, *key: int) -> np.random.Generator:
     # One independent stream per generated observation.
@@ -376,69 +402,126 @@ def train_test_split(
 
 
 DATASET_HEADER = "item,dim,t,lower,upper,label"
+_ROW_DTYPE = np.dtype(
+    [("item", np.int64), ("dim", np.int64), ("t", np.int64),
+     ("lower", np.float64), ("upper", np.float64), ("label", np.int64)]
+)
+_ROW_ARGS = dict(delimiter=",", dtype=_ROW_DTYPE, comments=None, ndmin=1)
 
 
 def save_dataset_csv(ds: LabeledDataset, path) -> None:
     """Write `item,dim,t,lower,upper,label` rows (0-based indices, 1-based labels)."""
     lines = [DATASET_HEADER]
     for item_idx, (series, label) in enumerate(ds.items):
-        dims = (
-            series.dimensions()
-            if isinstance(series, MvIntervalSeries)
-            else (series,)
-        )
-        for dim_idx, s in enumerate(dims):
-            b = s.bounds
-            for t in range(len(s)):
-                lines.append(
-                    f"{item_idx},{dim_idx},{t},{float(b[t, 0])!r},{float(b[t, 1])!r},{label}"
-                )
+        for dim_idx, steps in enumerate(as_grid(series).tolist()):
+            lines.extend(
+                f"{item_idx},{dim_idx},{t},{lower!r},{upper!r},{label}"
+                for t, (lower, upper) in enumerate(steps)
+            )
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def load_dataset_csv(path) -> LabeledDataset:
-    """Read a dataset written by :func:`save_dataset_csv`."""
-    text = Path(path).read_text(encoding="ascii")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != DATASET_HEADER:
-        raise ValueError(f"{path}: expected header {DATASET_HEADER!r}")
-    per_item: dict[int, dict[int, dict[int, tuple[float, float]]]] = defaultdict(
-        lambda: defaultdict(dict)
-    )
-    item_labels: dict[int, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+def _data_lines(fh, skip: int):
+    """(line number, line) of each non-blank line after the first `skip`."""
+    for lineno, line in enumerate(fh, start=1):
+        if lineno > skip and line.strip():
+            yield lineno, line
+
+
+def _line_of_row(path, skip: int, row: int) -> int:
+    with open(path, encoding="ascii") as fh:
+        return next(itertools.islice(_data_lines(fh, skip), row, None))[0]
+
+
+def _read_rows(path, skip: int) -> np.ndarray:
+    """The data rows after the first `skip` lines, parsed in one C-level pass."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            item, dim, t = int(parts[0]), int(parts[1]), int(parts[2])
-            lower, upper = float(parts[3]), float(parts[4])
-            label = int(parts[5])
+            return np.loadtxt(path, skiprows=skip, encoding="ascii", **_ROW_ARGS)
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
-        if item in item_labels and item_labels[item] != label:
-            raise ValueError(f"{path}:{lineno}: item {item} has conflicting labels")
-        item_labels[item] = label
-        per_item[item][dim][t] = (lower, upper)
-    if not per_item:
+            pass
+        # Either a bad row, or a whitespace-only line, which the C parser does
+        # not skip: name the first bad row, or else parse the non-blank lines.
+        with open(path, encoding="ascii") as fh:
+            for lineno, line in _data_lines(fh, skip):
+                line = line.rstrip("\n")
+                parts = line.split(",")
+                if len(parts) != 6:
+                    raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+                try:
+                    np.loadtxt([line], **_ROW_ARGS)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
+            fh.seek(0)
+            return np.loadtxt((line for _, line in _data_lines(fh, skip)), **_ROW_ARGS)
+
+
+def load_dataset_csv(path) -> LabeledDataset:
+    """Read a dataset written by :func:`save_dataset_csv`.
+
+    Blank lines are skipped.  Rows may come in any order; a repeated
+    (item, dim, t) keeps its last row.  Raises ValueError, naming the file
+    and, for a single bad row, its line, on a bad header, a malformed row, a
+    non-finite bound, an item with two labels, a gap in t, or items that
+    disagree on their dimension count.
+    """
+    skip, header = 0, ""
+    with open(path, encoding="ascii") as fh:
+        for skip, header in _data_lines(fh, 0):
+            break
+    if header.rstrip("\n") != DATASET_HEADER:
+        raise ValueError(f"{path}: expected header {DATASET_HEADER!r}")
+    rows = _read_rows(path, skip)
+    if rows.size == 0:
         raise ValueError(f"{path}: no data rows")
-    items: list[tuple[AnySeries, int]] = []
-    dims_seen = set()
-    for item in sorted(per_item):
-        dims = per_item[item]
-        dims_seen.add(len(dims))
-        rows = []
-        for dim in sorted(dims):
-            steps = dims[dim]
-            if sorted(steps) != list(range(len(steps))):
-                raise ValueError(f"{path}: item {item} dim {dim} has gaps in t")
-            arr = np.array([steps[t] for t in range(len(steps))])
-            rows.append(IntervalSeries(arr))
-        if len(rows) == 1:
-            items.append((rows[0], item_labels[item]))
-        else:
-            items.append((MvIntervalSeries(rows), item_labels[item]))
+
+    bounds = np.stack([rows["lower"], rows["upper"]], axis=-1)
+    nonfinite = ~np.isfinite(bounds).all(axis=1)
+    if nonfinite.any():
+        lineno = _line_of_row(path, skip, int(nonfinite.argmax()))
+        raise ValueError(f"{path}:{lineno}: non-finite bound")
+    item, dim, t, label = rows["item"], rows["dim"], rows["t"], rows["label"]
+    _, first, inverse = np.unique(item, return_index=True, return_inverse=True)
+    conflict = label != label[first][inverse]
+    if conflict.any():
+        row = int(conflict.argmax())
+        lineno = _line_of_row(path, skip, row)
+        raise ValueError(f"{path}:{lineno}: item {item[row]} has conflicting labels")
+
+    # Sort by (item, dim, t); the sort is stable, so of repeated keys the
+    # last in file order ends each run and is the one kept.
+    order = np.lexsort((t, dim, item))
+    item, dim, t, label, bounds = item[order], dim[order], t[order], label[order], bounds[order]
+    keep = np.ones(len(item), dtype=bool)
+    keep[:-1] = (item[1:] != item[:-1]) | (dim[1:] != dim[:-1]) | (t[1:] != t[:-1])
+    item, dim, t, label, bounds = item[keep], dim[keep], t[keep], label[keep], bounds[keep]
+
+    # One group per (item, dim); its t values must run 0, 1, ..., length - 1.
+    new_group = np.ones(len(item), dtype=bool)
+    new_group[1:] = (item[1:] != item[:-1]) | (dim[1:] != dim[:-1])
+    group_start = np.flatnonzero(new_group)
+    position = np.arange(len(item)) - group_start[np.cumsum(new_group) - 1]
+    gap = t != position
+    if gap.any():
+        row = int(gap.argmax())
+        raise ValueError(f"{path}: item {item[row]} dim {dim[row]} has gaps in t")
+    group_end = np.append(group_start[1:], len(item))
+    _, item_first_group, item_dims = np.unique(
+        item[group_start], return_index=True, return_counts=True
+    )
+    dims_seen = sorted(set(item_dims.tolist()))
     if len(dims_seen) != 1:
-        raise ValueError(f"{path}: items disagree on dimension count: {sorted(dims_seen)}")
-    n_classes = max(item_labels.values())
-    return LabeledDataset(tuple(items), n_classes=n_classes)
+        raise ValueError(f"{path}: items disagree on dimension count: {dims_seen}")
+
+    d = dims_seen[0]
+    items: list[tuple[AnySeries, int]] = []
+    for g in item_first_group.tolist():
+        lengths = (group_end[g : g + d] - group_start[g : g + d]).tolist()
+        if len(set(lengths)) != 1:
+            raise LengthMismatch(f"all dimensions must share one length, got {sorted(set(lengths))}")
+        a = int(group_start[g])
+        grid = bounds[a : a + d * lengths[0]].reshape(d, lengths[0], 2)
+        series = IntervalSeries(grid[0]) if d == 1 else MvIntervalSeries(grid)
+        items.append((series, int(label[a])))
+    return LabeledDataset(tuple(items), n_classes=int(label.max()))

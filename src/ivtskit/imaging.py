@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -40,6 +39,7 @@ from .intervals import (
     distance_from_squared,
     pointwise_dk_squared,
 )
+from .parallel import parallel_map
 
 #: Default recurrence threshold.
 DEFAULT_EPSILON = math.pi / 18.0
@@ -217,10 +217,7 @@ def image_dataset(
     Imaging is pure and embarrassingly parallel across observations; output
     order always matches input order regardless of thread count.
     """
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda s: image_series(s, cfg, kernel), series_list))
-    return [image_series(s, cfg, kernel) for s in series_list]
+    return parallel_map(lambda s: image_series(s, cfg, kernel), series_list, threads)
 
 
 def export_pgm(img: RecurrenceImage, path) -> None:

@@ -296,6 +296,13 @@ class MvIntervalSeries:
         return f"MvIntervalSeries(d={self.d}, T={len(self)})"
 
 
+def as_grid(series: IntervalSeries | MvIntervalSeries) -> np.ndarray:
+    """The (d, T, 2) bounds of a series; a univariate series has d = 1."""
+    if isinstance(series, MvIntervalSeries):
+        return series.grid
+    return series.bounds[None]
+
+
 def series_dk_squared(x1: IntervalSeries, x2: IntervalSeries, k: Kernel2x2) -> float:
     """Summed per-step squared kernel distance between equal-length series."""
     if len(x1) != len(x2):

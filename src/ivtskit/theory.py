@@ -21,10 +21,11 @@ projected gradient ascent and averages the per-draw suprema.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+from .parallel import parallel_map
 
 LIPSCHITZ_CONSTANTS = {"hinge": 1.0, "squared_hinge": 2.0, "exponential": 1.0}
 
@@ -146,16 +147,20 @@ def _one_draw(
     b = 0.0
     step = 1.0 / (2.0 * varrho + 1.0)
     best = 0.0  # objective of the zero function
+    # f is the current iterate's fit; the one computed after each update
+    # scores that update and drives the next step.  The norm and the means
+    # are spelled out as the arithmetic np.linalg.norm and .mean() do
+    # (sqrt of a.dot(a); sum / n), without their per-call overhead.
+    f = X @ a + b
     for _ in range(inner_steps):
-        f = X @ a + b
         resid = tau - 2.0 * varrho * f
         a = a + step * (X.T @ resid) / n
-        norm = float(np.linalg.norm(a))
+        norm = math.sqrt(a.dot(a))
         if norm > c_A:
             a *= c_A / norm
-        b = float(np.clip(b + step * resid.mean(), -c_B, c_B))
+        b = float(np.clip(b + step * (resid.sum() / n), -c_B, c_B))
         f = X @ a + b
-        obj = float(np.mean(tau * f - varrho * f * f))
+        obj = float((tau * f - varrho * f * f).sum() / n)
         if obj > best:
             best = obj
     return best
@@ -192,11 +197,7 @@ def empirical_offset_rademacher(
     def run(i: int) -> float:
         return _one_draw(X, c_A, c_B, varrho, inner_steps, seed, i)
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(run, range(mc_draws)))
-    else:
-        values = [run(i) for i in range(mc_draws)]
+    values = parallel_map(run, range(mc_draws), threads)
     return RademacherEstimate(
         value=float(np.mean(values)), mc_draws=mc_draws, inner_steps=inner_steps
     )

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
 import math
 import os
 import shutil
@@ -245,6 +246,13 @@ class TestImage:
         )
         assert out.returncode == 0, out.stderr
 
+    def test_bad_env_var_threads_is_usage_error(self, mix_csv, tmp_path):
+        out = run_cli("image", "--data", mix_csv, "--outdir", tmp_path / "o",
+                      "--kernel", "K4", env={"IVTS_THREADS": "abc"})
+        assert out.returncode == 2
+        assert len(out.stderr.strip().splitlines()) == 1
+        assert "IVTS_THREADS" in out.stderr
+
     def test_csv_format(self, mix_csv, tmp_path):
         outdir = tmp_path / "csvimgs"
         out = run_cli(
@@ -355,6 +363,55 @@ class TestClassify:
             assert out.returncode == 0, out.stderr
             outs.append((outdir / "report.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_report_names_the_kernel_the_images_were_rendered_with(self, mix_csv, tmp_path):
+        imgdir = tmp_path / "imgs"
+        assert run_cli(
+            "image", "--data", mix_csv, "--outdir", imgdir, "--kernel", "K1"
+        ).returncode == 0
+        out = run_cli("classify", "--images", imgdir, "--mode", "linear",
+                      "--steps", "5", "--outdir", tmp_path / "lin")
+        assert out.returncode == 0, out.stderr
+        assert read_report(tmp_path / "lin" / "report.csv")[0][1] == "K1"
+        (imgdir / "run_config.txt").unlink()
+        out = run_cli("classify", "--images", imgdir, "--mode", "linear",
+                      "--steps", "5", "--outdir", tmp_path / "lin2")
+        assert out.returncode == 0, out.stderr
+        assert read_report(tmp_path / "lin2" / "report.csv")[0][1] == ""
+
+    def test_report_quotes_fields_with_commas(self, mix_csv, tmp_path):
+        outdir = tmp_path / "knn"
+        out = run_cli(
+            "classify", "--data", mix_csv, "--mode", "knn", "--kernel", "1,0,1",
+            "--tag", "a,b", "--outdir", outdir,
+        )
+        assert out.returncode == 0, out.stderr
+        with open(outdir / "report.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["run", "kernel", "dgp", "seed", "accuracy"]
+        assert len(rows[1]) == 5
+        assert rows[1][1:3] == ["1,0,1", "a,b"]
+
+    def test_flatten_on_unequal_lengths_is_data_error(self, tmp_path):
+        data = tmp_path / "ragged.csv"
+        rng = np.random.default_rng(0)
+        items = [(iv.IntervalSeries(rng.standard_normal((T, 2))), label)
+                 for T, label in ((6, 1), (6, 1), (7, 2), (6, 2))]
+        iv.save_dataset_csv(iv.LabeledDataset(tuple(items), 2), data)
+        out = run_cli("classify", "--data", data, "--mode", "linear",
+                      "--feature-mode", "flatten", "--outdir", tmp_path / "o")
+        assert out.returncode == 3
+        assert len(out.stderr.strip().splitlines()) == 1
+        assert "Traceback" not in out.stderr
+
+    def test_non_finite_bound_is_data_error(self, mix_csv, tmp_path):
+        lines = mix_csv.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:3] + ["inf", "1.0"] + lines[3].split(",")[5:])
+        mix_csv.write_text("\n".join(lines) + "\n")
+        out = run_cli("classify", "--data", mix_csv, "--mode", "knn",
+                      "--outdir", tmp_path / "o")
+        assert out.returncode == 3
+        assert f"{mix_csv}:4:" in out.stderr
 
     def test_requires_exactly_one_input(self, tmp_path):
         assert run_cli(

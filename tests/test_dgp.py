@@ -296,6 +296,15 @@ class TestCsvRoundTrip:
             iv.load_dataset_csv(path)
 
 
+    def test_non_finite_bound_names_its_line(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text(
+            "item,dim,t,lower,upper,label\n0,0,0,0.0,1.0,1\n\n0,0,1,nan,1.0,1\n"
+        )
+        with pytest.raises(ValueError, match=r"nan\.csv:4: non-finite bound"):
+            iv.load_dataset_csv(path)
+
+
 class TestLabeledDataset:
     def test_label_range_enforced(self):
         s = iv.IntervalSeries([iv.Interval(0, 1)])

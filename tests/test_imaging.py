@@ -297,6 +297,14 @@ class TestBatchImaging:
         threaded = iv.image_dataset(batch, cfg, K5, threads=4)
         assert all(a == b for a, b in zip(sequential, threaded))
 
+    def test_worker_count_capped_by_work_units(self):
+        from ivtskit.parallel import worker_count
+
+        assert worker_count(10**6, 8) == 8
+        assert worker_count(4, 8) == 4
+        assert worker_count(None, 8) == 1
+        assert worker_count(4, 0) == 1
+
     def test_image_series_dispatch(self):
         rng = np.random.default_rng(15)
         x = random_series(rng, 9)
