@@ -31,49 +31,40 @@ from .dgp import LabeledDataset
 from .imaging import RecurrenceImage
 from .intervals import Kernel2x2, MvIntervalSeries, as_grid, pointwise_dk_squared
 
-AUX_KINDS = ("hinge", "squared_hinge", "exponential")
+# kind -> (loss, subgradient), elementwise on margins; the hinge kink uses
+# the subgradient 0.
+_AUX = {
+    "hinge": (lambda a: np.maximum(0.0, 1.0 - a), lambda a: np.where(a < 1.0, -1.0, 0.0)),
+    "squared_hinge": (lambda a: np.maximum(0.0, 1.0 - a) ** 2,
+                      lambda a: -2.0 * np.maximum(0.0, 1.0 - a)),
+    "exponential": (lambda a: np.exp(-a), lambda a: -np.exp(-a)),
+}
+AUX_KINDS = tuple(_AUX)
+
+
+def _aux(kind: str):
+    try:
+        return _AUX[kind]
+    except KeyError:
+        raise ValueError(f"unknown auxiliary loss {kind!r}; expected one of {AUX_KINDS}") from None
+
+
+def _aux_loss_vec(kind: str, a: np.ndarray) -> np.ndarray:
+    return _aux(kind)[0](a)
+
+
+def _aux_subgradient_vec(kind: str, a: np.ndarray) -> np.ndarray:
+    return _aux(kind)[1](a)
 
 
 def aux_loss(kind: str, a: float) -> float:
     """Non-increasing auxiliary loss evaluated at margin a."""
-    if kind == "hinge":
-        return max(0.0, 1.0 - a)
-    if kind == "squared_hinge":
-        return max(0.0, 1.0 - a) ** 2
-    if kind == "exponential":
-        return math.exp(-a)
-    raise ValueError(f"unknown auxiliary loss {kind!r}; expected one of {AUX_KINDS}")
+    return float(_aux_loss_vec(kind, a))
 
 
 def aux_subgradient(kind: str, a: float) -> float:
     """A valid subgradient of the auxiliary loss; the hinge kink uses 0."""
-    if kind == "hinge":
-        return -1.0 if a < 1.0 else 0.0
-    if kind == "squared_hinge":
-        return -2.0 * max(0.0, 1.0 - a)
-    if kind == "exponential":
-        return -math.exp(-a)
-    raise ValueError(f"unknown auxiliary loss {kind!r}; expected one of {AUX_KINDS}")
-
-
-def _aux_loss_vec(kind: str, a: np.ndarray) -> np.ndarray:
-    if kind == "hinge":
-        return np.maximum(0.0, 1.0 - a)
-    if kind == "squared_hinge":
-        return np.maximum(0.0, 1.0 - a) ** 2
-    if kind == "exponential":
-        return np.exp(-a)
-    raise ValueError(f"unknown auxiliary loss {kind!r}; expected one of {AUX_KINDS}")
-
-
-def _aux_subgradient_vec(kind: str, a: np.ndarray) -> np.ndarray:
-    if kind == "hinge":
-        return np.where(a < 1.0, -1.0, 0.0)
-    if kind == "squared_hinge":
-        return -2.0 * np.maximum(0.0, 1.0 - a)
-    if kind == "exponential":
-        return -np.exp(-a)
-    raise ValueError(f"unknown auxiliary loss {kind!r}; expected one of {AUX_KINDS}")
+    return float(_aux_subgradient_vec(kind, a))
 
 
 @dataclass(frozen=True)
@@ -226,17 +217,14 @@ def train(
     step_size: float = 0.5,
     c_A: float = 1.0,
     c_B: float = 1.0,
-    seed: int = 0,
 ) -> LinearClassifier:
     """Projected full-batch subgradient descent on the empirical max-loss risk.
 
     Starts from the zero classifier, uses the step schedule
     ``step_size / sqrt(t)``, and returns the iterate with the lowest recorded
     empirical risk (so the step-0 zero model is returned when nothing
-    improves on it).  The optimizer is deterministic; ``seed`` is accepted
-    for interface stability but unused by the full-batch updates.
+    improves on it).  The optimizer is deterministic.
     """
-    del seed
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -251,6 +239,8 @@ def train(
         raise ValueError("labels must be 1-based class ids")
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if not (c_A > 0.0 and c_B > 0.0):
+        raise ValueError("norm caps c_A and c_B must be positive")
 
     w = np.zeros((n_classes, p))
     b = np.zeros(n_classes)
@@ -333,7 +323,6 @@ def knn_predict(train: LabeledDataset, queries, k: int, kernel: Kernel2x2) -> li
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     X = train.bounds
-    multivariate = isinstance(train.items[0][0], MvIntervalSeries)
     labels = train.labels()
     queries = list(queries)
     per_item = X.shape[1] * X.shape[2]
@@ -341,7 +330,8 @@ def knn_predict(train: LabeledDataset, queries, k: int, kernel: Kernel2x2) -> li
     width = max(1, _KNN_BLOCK // (per_item * min(rows, n)))
     preds: list[int] = []
     for start in range(0, len(queries), width):
-        Q = np.stack([_query_grid(q, X, multivariate) for q in queries[start : start + width]])
+        block = queries[start : start + width]
+        Q = np.stack([_query_grid(q, X, train.multivariate) for q in block])
         dists = np.concatenate(
             [_scan(Q, X[i : i + rows], kernel) for i in range(0, n, rows)], axis=1
         )

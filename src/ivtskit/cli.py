@@ -27,8 +27,7 @@ from . import imaging as img_mod
 from . import theory as theory_mod
 from .errors import IvtsError, NegativeSquaredDistance, NonFinite
 from .imaging import TrajectoryConfig
-from .intervals import IntervalSeries, MvIntervalSeries, parse_kernel
-from .parallel import parallel_map
+from .intervals import parse_kernel
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -282,6 +281,13 @@ def _trajectory_config(eff: dict) -> TrajectoryConfig:
         raise UsageError(str(e)) from e
 
 
+def _load_dataset(path):
+    try:
+        return dgp_mod.load_dataset_csv(path)
+    except (OSError, ValueError) as e:
+        raise DataError(str(e)) from e
+
+
 def _parse_kernel_opt(text: str):
     try:
         return parse_kernel(text)
@@ -318,8 +324,7 @@ def cmd_generate(eff: dict) -> None:
     out = Path(eff["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     dgp_mod.save_dataset_csv(ds, out)
-    first = ds.items[0][0]
-    print(f"wrote {out}: n={len(ds)} C={ds.n_classes} d={ds.dim()} T={len(first)}")
+    print(f"wrote {out}: n={len(ds)} C={ds.n_classes} d={ds.dim()} T={ds.bounds.shape[2]}")
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +382,7 @@ def cmd_ingest(eff: dict) -> None:
         raise DataError(f"{eff['input']}: no data rows")
 
     label_map = {raw: i for i, raw in enumerate(sorted(set(labels.values())), start=1)}
-    items = []
+    grids, window_labels = [], []
     dropped_days = 0
     dims_per_sid = set()
     for sid in sorted(readings):
@@ -392,24 +397,21 @@ def cmd_ingest(eff: dict) -> None:
                 f"warning: series {sid!r}: dropped {dropped} day(s) with missing dimensions",
                 file=sys.stderr,
             )
+        # (d, days, 2) daily [min, max]; each window is a slice of it
+        daily = np.array(
+            [[(min(days[day][dim]), max(days[day][dim])) for day in full_days] for dim in all_dims]
+        ).reshape(len(all_dims), len(full_days), 2)
         for start in range(0, len(full_days) - window + 1, stride):
-            chunk = full_days[start : start + window]
-            grid = np.empty((len(all_dims), window, 2))
-            for j, dim in enumerate(all_dims):
-                for t, day in enumerate(chunk):
-                    values = days[day][dim]
-                    grid[j, t] = (min(values), max(values))
-            if len(all_dims) == 1:
-                series = IntervalSeries(grid[0])
-            else:
-                series = MvIntervalSeries(grid)
-            items.append((series, label_map[labels[sid]]))
+            grids.append(daily[:, start : start + window])
+            window_labels.append(label_map[labels[sid]])
     if len(dims_per_sid) > 1:
         raise DataError(f"series disagree on dimension count: {sorted(dims_per_sid)}")
-    if not items:
+    if not grids:
         raise DataError("no complete windows; input too short for the window length")
 
-    ds = dgp_mod.LabeledDataset(tuple(items), n_classes=len(label_map))
+    ds = dgp_mod.LabeledDataset.from_arrays(
+        np.stack(grids), window_labels, len(label_map), multivariate=grids[0].shape[0] > 1
+    )
     out = Path(eff["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     dgp_mod.save_dataset_csv(ds, out)
@@ -421,33 +423,19 @@ def cmd_ingest(eff: dict) -> None:
 # image
 
 
-def _image_all(series_list, cfg, kernel, threads: int):
-    def one(pair):
-        i, s = pair
-        try:
-            return img_mod.image_series(s, cfg, kernel)
-        except IvtsError as e:
-            raise type(e)(f"item {i}: {e}") from e
-
-    return parallel_map(one, enumerate(series_list), threads)
-
-
 def cmd_image(eff: dict) -> None:
     _require(eff, "data", "outdir", "kernel")
     kernel = _parse_kernel_opt(eff["kernel"])
     cfg = _trajectory_config(eff)
     threads = _resolve_threads(eff["threads"])
-    try:
-        ds = dgp_mod.load_dataset_csv(eff["data"])
-    except (OSError, ValueError) as e:
-        raise DataError(str(e)) from e
-    images = _image_all(ds.series(), cfg, kernel, threads)
+    ds = _load_dataset(eff["data"])
+    images = img_mod.image_dataset(ds.series(), cfg, kernel, threads)
     outdir = Path(eff["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
     stem = eff["stem"] or Path(eff["data"]).stem
     formats = ("pgm", "csv") if eff["format"] == "both" else (eff["format"],)
     index_lines = ["file,item,label"]
-    for i, (img, (_, label)) in enumerate(zip(images, ds.items)):
+    for i, (img, label) in enumerate(zip(images, ds.labels())):
         names = []
         for fmt in formats:
             name = f"{stem}_{i}.{fmt}"
@@ -464,14 +452,20 @@ def cmd_image(eff: dict) -> None:
 # classify
 
 
-def _feature_matrix(features: list) -> np.ndarray:
-    sizes = sorted({len(z) for z in features})
-    if len(sizes) > 1:
-        raise DataError(
-            f"items give features of different lengths {sizes}; "
-            "--feature-mode flatten needs images of one size"
-        )
-    return np.array(features)
+def _feature_matrix(features, n: int) -> np.ndarray:
+    """The n feature vectors as the rows of one matrix, filled row by row so
+    that the vectors need not all be held beside it."""
+    X = None
+    for i, z in enumerate(features):
+        if X is None:
+            X = np.empty((n, len(z)))
+        elif len(z) != X.shape[1]:
+            raise DataError(
+                f"items give features of different lengths {sorted({len(z), X.shape[1]})}; "
+                "--feature-mode flatten needs images of one size"
+            )
+        X[i] = z
+    return X
 
 
 def _images_kernel(images_dir: Path) -> str:
@@ -488,11 +482,24 @@ def _images_kernel(images_dir: Path) -> str:
     return ""
 
 
+def _check_labels(labels: list[int], where, linear: bool) -> None:
+    """The labels must be the class ids 1..C, each one used, and C >= 2 for a
+    linear model; the library accepts other label sets."""
+    present = set(labels)
+    if min(present) < 1:
+        raise DataError(f"{where}: label {min(present)} is not a class id (1, 2, ...)")
+    for c in range(1, max(present)):
+        if c not in present:
+            raise DataError(f"{where}: no item has class id {c}; labels must be 1..{max(present)}")
+    if linear and len(present) < 2:
+        raise DataError(f"{where}: every item has label 1; the linear model needs two classes")
+
+
 def _load_image_features(images_dir: Path, fc: clf_mod.FeatureConfig):
     index = images_dir / "index.csv"
     try:
         lines = index.read_text(encoding="ascii").splitlines()
-    except OSError as e:
+    except (OSError, ValueError) as e:
         raise DataError(f"cannot read {index}: {e}") from e
     if not lines or lines[0] != "file,item,label":
         raise DataError(f"{index}: expected header file,item,label")
@@ -502,6 +509,10 @@ def _load_image_features(images_dir: Path, fc: clf_mod.FeatureConfig):
         if len(parts) != 3:
             raise DataError(f"{index}:{lineno}: expected 3 fields")
         name, _, label = parts
+        try:
+            labels.append(int(label))
+        except ValueError:
+            raise DataError(f"{index}:{lineno}: bad label {label!r}") from None
         path = images_dir / name
         try:
             img = (
@@ -512,10 +523,10 @@ def _load_image_features(images_dir: Path, fc: clf_mod.FeatureConfig):
         except (OSError, ValueError) as e:
             raise DataError(f"{path}: {e}") from e
         features.append(clf_mod.featurize(img, fc))
-        labels.append(int(label))
     if not features:
         raise DataError(f"{index}: no images listed")
-    return _feature_matrix(features), np.array(labels)
+    _check_labels(labels, index, linear=True)
+    return _feature_matrix(features, len(features)), np.array(labels)
 
 
 def cmd_classify(eff: dict) -> None:
@@ -536,12 +547,17 @@ def cmd_classify(eff: dict) -> None:
     outdir = Path(eff["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
 
+    if eff["mode"] != "knn":
+        try:
+            fc = clf_mod.FeatureConfig(eff["feature_mode"], eff["blocks"], eff["cap"])
+        except ValueError as e:
+            raise NumericError(str(e)) from e
+    if eff["data"] is not None:
+        ds = _load_dataset(eff["data"])
+        _check_labels(ds.labels(), eff["data"], linear=eff["mode"] != "knn")
+
     report_rows = []
     if eff["mode"] == "knn":
-        try:
-            ds = dgp_mod.load_dataset_csv(eff["data"])
-        except (OSError, ValueError) as e:
-            raise DataError(str(e)) from e
         for r in range(eff["runs"]):
             run_seed = seed + r
             if eff["self_test"]:
@@ -561,22 +577,15 @@ def cmd_classify(eff: dict) -> None:
             report_rows.append((r, kernel_text, tag, run_seed, acc))
             print(f"run {r} (seed {run_seed}): knn accuracy {acc!r}")
     else:
-        fc = clf_mod.FeatureConfig(
-            mode=eff["feature_mode"], q=eff["blocks"], normalize_cap=eff["cap"]
-        )
         if eff["images"] is not None:
             X, y = _load_image_features(Path(eff["images"]), fc)
             # the images were rendered by the image command, not with --kernel
             kernel_text = _images_kernel(Path(eff["images"]))
         else:
-            try:
-                ds = dgp_mod.load_dataset_csv(eff["data"])
-            except (OSError, ValueError) as e:
-                raise DataError(str(e)) from e
             cfg = _trajectory_config(eff)
-            images = _image_all(ds.series(), cfg, kernel, threads)
-            X = _feature_matrix([clf_mod.featurize(img, fc) for img in images])
-            y = np.array(ds.labels())
+            images = img_mod.image_dataset(ds.series(), cfg, kernel, threads)
+            X = _feature_matrix((clf_mod.featurize(img, fc) for img in images), len(images))
+            y = ds.label_ids
         for r in range(eff["runs"]):
             run_seed = seed + r
             if eff["self_test"]:
@@ -588,16 +597,12 @@ def cmd_classify(eff: dict) -> None:
                     )
                 except ValueError as e:
                     raise DataError(str(e)) from e
-            model = clf_mod.train(
-                X[train_idx],
-                y[train_idx],
-                kind=eff["loss"],
-                steps=eff["steps"],
-                step_size=eff["step_size"],
-                c_A=eff["c_a"],
-                c_B=eff["c_b"],
-                seed=run_seed,
-            )
+            try:
+                model = clf_mod.train(X[train_idx], y[train_idx], kind=eff["loss"],
+                                      steps=eff["steps"], step_size=eff["step_size"],
+                                      c_A=eff["c_a"], c_B=eff["c_b"])
+            except ValueError as e:
+                raise NumericError(str(e)) from e
             preds = [clf_mod.predict(model, X[i]) for i in test_idx]
             acc = clf_mod.accuracy(preds, [int(y[i]) for i in test_idx])
             model_path = outdir / f"model_run{r}.txt"

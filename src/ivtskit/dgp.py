@@ -23,14 +23,12 @@ import math
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
-from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .errors import DimensionMismatch, LengthMismatch, NonFinite
-from .intervals import IntervalSeries, MvIntervalSeries, as_grid
+from .intervals import IntervalSeries, MvIntervalSeries, as_grid, from_grid
 
 AnySeries = Union[IntervalSeries, MvIntervalSeries]
 
@@ -194,71 +192,119 @@ def to_interval_series(cr: np.ndarray) -> IntervalSeries:
 _GENERATORS: dict[int, Callable[..., np.ndarray]] = {1: gen_dgp1, 2: gen_dgp2, 3: gen_dgp3}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class LabeledDataset:
-    """Observations paired with 1-based class labels."""
+    """n series of one dimension count d and one length T with 1-based class
+    labels: ``bounds``, a read-only float64 (n, d, T, 2) array, and
+    ``label_ids``, a read-only int64 (n,) vector.  ``multivariate`` says whether
+    the items are MvIntervalSeries or, with d = 1, IntervalSeries."""
 
-    items: tuple[tuple[AnySeries, int], ...]
+    bounds: np.ndarray
+    label_ids: np.ndarray
     n_classes: int
+    multivariate: bool
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple(self.items))
-        if not self.items:
+    def __init__(self, items, n_classes: int) -> None:
+        """Stack (series, label) pairs.  Raises DimensionMismatch when the
+        items mix univariate and multivariate series or differ in d, and
+        LengthMismatch when they differ in T."""
+        items = tuple(items)
+        if not items:
             raise ValueError("a labeled dataset must be nonempty")
-        if self.n_classes < 1:
-            raise ValueError("a labeled dataset needs at least one class")
-        for _, label in self.items:
-            if not 1 <= label <= self.n_classes:
-                raise ValueError(
-                    f"label {label} outside the valid range 1..{self.n_classes}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def labels(self) -> list[int]:
-        return [label for _, label in self.items]
-
-    def series(self) -> list[AnySeries]:
-        return [s for s, _ in self.items]
-
-    def class_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = defaultdict(int)
-        for _, label in self.items:
-            counts[label] += 1
-        return dict(counts)
-
-    def dim(self) -> int:
-        first = self.items[0][0]
-        return first.d if isinstance(first, MvIntervalSeries) else 1
-
-    @cached_property
-    def bounds(self) -> np.ndarray:
-        """Every item's bounds as one read-only (n, d, T, 2) array, univariate
-        items having d = 1; built on first use.
-
-        Raises DimensionMismatch when the items mix univariate and
-        multivariate series or differ in d, and LengthMismatch when they
-        differ in T.
-        """
-        series = self.series()
-        if len({isinstance(s, MvIntervalSeries) for s in series}) > 1:
+        kinds = {isinstance(s, MvIntervalSeries) for s, _ in items}
+        if len(kinds) > 1:
             raise DimensionMismatch("cannot mix univariate and multivariate series")
-        grids = [as_grid(s) for s in series]
+        grids = [as_grid(s) for s, _ in items]
         dims = sorted({g.shape[0] for g in grids})
         if len(dims) > 1:
             raise DimensionMismatch(f"series dimensions differ: {dims}")
         lengths = sorted({g.shape[1] for g in grids})
         if len(lengths) > 1:
             raise LengthMismatch(f"series lengths differ: {lengths}")
-        arr = np.stack(grids)
-        arr.setflags(write=False)
-        return arr
+        self._set(np.stack(grids), [label for _, label in items], n_classes, kinds.pop())
+
+    @classmethod
+    def from_arrays(cls, bounds, label_ids, n_classes: int, multivariate: bool) -> "LabeledDataset":
+        """A dataset over (n, d, T, 2) `bounds`, which it keeps without a copy
+        when they are float64 (treat them as handed over), and (n,) labels."""
+        ds = cls.__new__(cls)
+        ds._set(bounds, label_ids, n_classes, multivariate)
+        return ds
+
+    def _set(self, bounds, label_ids, n_classes: int, multivariate: bool) -> None:
+        bounds = np.asarray(bounds, dtype=np.float64).view()
+        label_ids = np.array(label_ids, dtype=np.int64)
+        if bounds.ndim != 4 or bounds.shape[3] != 2 or 0 in bounds.shape:
+            raise ValueError(f"bounds must be (n, d, T, 2) with n, d, T >= 1, got {bounds.shape}")
+        if not multivariate and bounds.shape[1] != 1:
+            raise DimensionMismatch(f"univariate items need d = 1, got d = {bounds.shape[1]}")
+        if label_ids.shape != bounds.shape[:1]:
+            raise LengthMismatch(f"{label_ids.shape} labels for {bounds.shape[0]} items")
+        if n_classes < 1:
+            raise ValueError("a labeled dataset needs at least one class")
+        outside = label_ids[(label_ids < 1) | (label_ids > n_classes)]
+        if outside.size:
+            raise ValueError(f"label {outside[0]} outside the valid range 1..{n_classes}")
+        if not np.isfinite(bounds).all():
+            raise NonFinite("interval series bounds must be finite")
+        bounds.setflags(write=False)
+        label_ids.setflags(write=False)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "label_ids", label_ids)
+        object.__setattr__(self, "n_classes", int(n_classes))
+        object.__setattr__(self, "multivariate", bool(multivariate))
+
+    def __len__(self) -> int:
+        return self.bounds.shape[0]
+
+    def labels(self) -> list[int]:
+        return self.label_ids.tolist()
+
+    def series(self) -> list[AnySeries]:
+        """One series per item, each a view of ``bounds``."""
+        return [from_grid(g, self.multivariate) for g in self.bounds]
+
+    @property
+    def items(self) -> tuple[tuple[AnySeries, int], ...]:
+        return tuple(zip(self.series(), self.labels()))
+
+    def class_counts(self) -> dict[int, int]:
+        values, counts = np.unique(self.label_ids, return_counts=True)
+        return dict(zip(values.tolist(), counts.tolist()))
+
+    def dim(self) -> int:
+        return self.bounds.shape[1]
 
 
 def _item_rng(seed: int, *key: int) -> np.random.Generator:
     # One independent stream per generated observation.
     return np.random.default_rng([int(seed), *map(int, key)])
+
+
+def _build(classes: Sequence[Sequence[tuple[int, float]]], per_class_n: int, T: int, seed: int,
+           truncation_L: int, burn_in: int, multivariate: bool) -> LabeledDataset:
+    """`per_class_n` items for each class; class c (1-based) lists in
+    ``classes[c - 1]`` the (process id, rho) of every dimension.  Item i's
+    dimension j draws from the stream (seed, i, j) if `multivariate`, else
+    (seed, i)."""
+    if not classes or not classes[0]:
+        raise ValueError("rho_grid must be nonempty")
+    if per_class_n < 1:
+        raise ValueError("per_class_n must be >= 1")
+    gens = [
+        [(_GENERATORS[dgp_id], DgpConfig(rho=rho, T=T, truncation_L=truncation_L,
+                                         burn_in=burn_in, seed=seed)) for dgp_id, rho in dims]
+        for dims in classes
+    ]
+    bounds = np.empty((len(classes) * per_class_n, len(classes[0]), T, 2))
+    for c, dims in enumerate(gens):
+        for i in range(c * per_class_n, (c + 1) * per_class_n):
+            for j, (gen, cfg) in enumerate(dims):
+                cr = gen(cfg, _item_rng(seed, i, j) if multivariate else _item_rng(seed, i))
+                bounds[i, j, :, 0] = cr[:, 0] - cr[:, 1]
+                bounds[i, j, :, 1] = cr[:, 0] + cr[:, 1]
+    labels = np.repeat(np.arange(1, len(classes) + 1), per_class_n)
+    return LabeledDataset.from_arrays(bounds, labels, len(classes), multivariate)
 
 
 def build_univariate_dataset(
@@ -273,20 +319,8 @@ def build_univariate_dataset(
     """One class per correlation value, all generated by the same process."""
     if dgp_id not in _GENERATORS:
         raise ValueError(f"dgp_id must be one of {sorted(_GENERATORS)}, got {dgp_id}")
-    if not rho_grid:
-        raise ValueError("rho_grid must be nonempty")
-    if per_class_n < 1:
-        raise ValueError("per_class_n must be >= 1")
-    gen = _GENERATORS[dgp_id]
-    items: list[tuple[AnySeries, int]] = []
-    item_index = 0
-    for label, rho in enumerate(rho_grid, start=1):
-        cfg = DgpConfig(rho=rho, T=T, truncation_L=truncation_L, burn_in=burn_in, seed=seed)
-        for _ in range(per_class_n):
-            cr = gen(cfg, _item_rng(seed, item_index))
-            items.append((to_interval_series(cr), label))
-            item_index += 1
-    return LabeledDataset(tuple(items), n_classes=len(rho_grid))
+    classes = [[(dgp_id, rho)] for rho in rho_grid]
+    return _build(classes, per_class_n, T, seed, truncation_L, burn_in, multivariate=False)
 
 
 def build_multivariate_c1(
@@ -298,20 +332,8 @@ def build_multivariate_c1(
     burn_in: int = 100,
 ) -> LabeledDataset:
     """Scenario C1: one class per process, one dimension per correlation."""
-    if per_class_n < 1:
-        raise ValueError("per_class_n must be >= 1")
-    items: list[tuple[AnySeries, int]] = []
-    item_index = 0
-    for label, dgp_id in enumerate(sorted(_GENERATORS), start=1):
-        gen = _GENERATORS[dgp_id]
-        for _ in range(per_class_n):
-            rows = []
-            for dim, rho in enumerate(rho_grid):
-                cfg = DgpConfig(rho=rho, T=T, truncation_L=truncation_L, burn_in=burn_in, seed=seed)
-                rows.append(to_interval_series(gen(cfg, _item_rng(seed, item_index, dim))))
-            items.append((MvIntervalSeries(rows), label))
-            item_index += 1
-    return LabeledDataset(tuple(items), n_classes=len(_GENERATORS))
+    classes = [[(dgp_id, rho) for rho in rho_grid] for dgp_id in _GENERATORS]
+    return _build(classes, per_class_n, T, seed, truncation_L, burn_in, multivariate=True)
 
 
 def build_multivariate_c2(
@@ -323,22 +345,8 @@ def build_multivariate_c2(
     burn_in: int = 100,
 ) -> LabeledDataset:
     """Scenario C2: one class per correlation, one dimension per process."""
-    if not rho_grid:
-        raise ValueError("rho_grid must be nonempty")
-    if per_class_n < 1:
-        raise ValueError("per_class_n must be >= 1")
-    items: list[tuple[AnySeries, int]] = []
-    item_index = 0
-    for label, rho in enumerate(rho_grid, start=1):
-        cfg = DgpConfig(rho=rho, T=T, truncation_L=truncation_L, burn_in=burn_in, seed=seed)
-        for _ in range(per_class_n):
-            rows = []
-            for dim, dgp_id in enumerate(sorted(_GENERATORS)):
-                gen = _GENERATORS[dgp_id]
-                rows.append(to_interval_series(gen(cfg, _item_rng(seed, item_index, dim))))
-            items.append((MvIntervalSeries(rows), label))
-            item_index += 1
-    return LabeledDataset(tuple(items), n_classes=len(rho_grid))
+    classes = [[(dgp_id, rho) for dgp_id in _GENERATORS] for rho in rho_grid]
+    return _build(classes, per_class_n, T, seed, truncation_L, burn_in, multivariate=True)
 
 
 def build_dgp_mix_dataset(
@@ -350,18 +358,8 @@ def build_dgp_mix_dataset(
     burn_in: int = 100,
 ) -> LabeledDataset:
     """Univariate dataset whose classes are the three processes at a fixed rho."""
-    if per_class_n < 1:
-        raise ValueError("per_class_n must be >= 1")
-    items: list[tuple[AnySeries, int]] = []
-    item_index = 0
-    for label, dgp_id in enumerate(sorted(_GENERATORS), start=1):
-        gen = _GENERATORS[dgp_id]
-        cfg = DgpConfig(rho=rho, T=T, truncation_L=truncation_L, burn_in=burn_in, seed=seed)
-        for _ in range(per_class_n):
-            cr = gen(cfg, _item_rng(seed, item_index))
-            items.append((to_interval_series(cr), label))
-            item_index += 1
-    return LabeledDataset(tuple(items), n_classes=len(_GENERATORS))
+    classes = [[(dgp_id, rho)] for dgp_id in _GENERATORS]
+    return _build(classes, per_class_n, T, seed, truncation_L, burn_in, multivariate=False)
 
 
 def split_indices(
@@ -396,9 +394,10 @@ def train_test_split(
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Stratified random split into an exact (disjoint, exhaustive) partition."""
     train_idx, test_idx = split_indices(ds.labels(), train_fraction, seed)
-    train = LabeledDataset(tuple(ds.items[i] for i in train_idx), ds.n_classes)
-    test = LabeledDataset(tuple(ds.items[i] for i in test_idx), ds.n_classes)
-    return train, test
+    return tuple(
+        LabeledDataset.from_arrays(ds.bounds[idx], ds.label_ids[idx], ds.n_classes, ds.multivariate)
+        for idx in (train_idx, test_idx)
+    )
 
 
 DATASET_HEADER = "item,dim,t,lower,upper,label"
@@ -411,14 +410,16 @@ _ROW_ARGS = dict(delimiter=",", dtype=_ROW_DTYPE, comments=None, ndmin=1)
 
 def save_dataset_csv(ds: LabeledDataset, path) -> None:
     """Write `item,dim,t,lower,upper,label` rows (0-based indices, 1-based labels)."""
-    lines = [DATASET_HEADER]
-    for item_idx, (series, label) in enumerate(ds.items):
-        for dim_idx, steps in enumerate(as_grid(series).tolist()):
-            lines.extend(
-                f"{item_idx},{dim_idx},{t},{lower!r},{upper!r},{label}"
+    # One item at a time, written as it is formatted: every bound as a Python
+    # float, or the whole text, at once would set the run's peak memory.
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(DATASET_HEADER + "\n")
+        for item_idx, (grid, label) in enumerate(zip(ds.bounds, ds.labels())):
+            fh.writelines(
+                f"{item_idx},{dim_idx},{t},{lower!r},{upper!r},{label}\n"
+                for dim_idx, steps in enumerate(grid.tolist())
                 for t, (lower, upper) in enumerate(steps)
             )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def _data_lines(fh, skip: int):
@@ -464,7 +465,7 @@ def load_dataset_csv(path) -> LabeledDataset:
     (item, dim, t) keeps its last row.  Raises ValueError, naming the file
     and, for a single bad row, its line, on a bad header, a malformed row, a
     non-finite bound, an item with two labels, a gap in t, or items that
-    disagree on their dimension count.
+    disagree on their dimension count or on their length T.
     """
     skip, header = 0, ""
     with open(path, encoding="ascii") as fh:
@@ -490,12 +491,15 @@ def load_dataset_csv(path) -> LabeledDataset:
         raise ValueError(f"{path}:{lineno}: item {item[row]} has conflicting labels")
 
     # Sort by (item, dim, t); the sort is stable, so of repeated keys the
-    # last in file order ends each run and is the one kept.
+    # last in file order ends each run and is the one kept.  Files written by
+    # save_dataset_csv are sorted and unique, so neither step copies them.
     order = np.lexsort((t, dim, item))
-    item, dim, t, label, bounds = item[order], dim[order], t[order], label[order], bounds[order]
+    if not np.array_equal(order, np.arange(len(order))):
+        item, dim, t, label, bounds = item[order], dim[order], t[order], label[order], bounds[order]
     keep = np.ones(len(item), dtype=bool)
     keep[:-1] = (item[1:] != item[:-1]) | (dim[1:] != dim[:-1]) | (t[1:] != t[:-1])
-    item, dim, t, label, bounds = item[keep], dim[keep], t[keep], label[keep], bounds[keep]
+    if not keep.all():
+        item, dim, t, label, bounds = item[keep], dim[keep], t[keep], label[keep], bounds[keep]
 
     # One group per (item, dim); its t values must run 0, 1, ..., length - 1.
     new_group = np.ones(len(item), dtype=bool)
@@ -506,22 +510,15 @@ def load_dataset_csv(path) -> LabeledDataset:
     if gap.any():
         row = int(gap.argmax())
         raise ValueError(f"{path}: item {item[row]} dim {dim[row]} has gaps in t")
-    group_end = np.append(group_start[1:], len(item))
-    _, item_first_group, item_dims = np.unique(
-        item[group_start], return_index=True, return_counts=True
-    )
+    _, item_dims = np.unique(item[group_start], return_counts=True)
     dims_seen = sorted(set(item_dims.tolist()))
     if len(dims_seen) != 1:
         raise ValueError(f"{path}: items disagree on dimension count: {dims_seen}")
+    lengths_seen = np.unique(np.diff(group_start, append=len(item))).tolist()
+    if len(lengths_seen) != 1:
+        raise ValueError(f"{path}: items disagree on series length T: {lengths_seen}")
 
-    d = dims_seen[0]
-    items: list[tuple[AnySeries, int]] = []
-    for g in item_first_group.tolist():
-        lengths = (group_end[g : g + d] - group_start[g : g + d]).tolist()
-        if len(set(lengths)) != 1:
-            raise LengthMismatch(f"all dimensions must share one length, got {sorted(set(lengths))}")
-        a = int(group_start[g])
-        grid = bounds[a : a + d * lengths[0]].reshape(d, lengths[0], 2)
-        series = IntervalSeries(grid[0]) if d == 1 else MvIntervalSeries(grid)
-        items.append((series, int(label[a])))
-    return LabeledDataset(tuple(items), n_classes=int(label.max()))
+    n, d, T = len(item_dims), dims_seen[0], lengths_seen[0]
+    return LabeledDataset.from_arrays(
+        bounds.reshape(n, d, T, 2), label[:: d * T], int(label.max()), multivariate=d > 1
+    )

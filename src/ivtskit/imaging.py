@@ -15,7 +15,6 @@ logical AND.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +24,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    IvtsError,
     LengthMismatch,
     NegativeSquaredDistance,
     SeriesTooShort,
@@ -35,6 +35,7 @@ from .intervals import (
     IntervalSeries,
     Kernel2x2,
     MvIntervalSeries,
+    as_grid,
     dk_squared,
     distance_from_squared,
     pointwise_dk_squared,
@@ -156,57 +157,38 @@ def heaviside(x: float) -> int:
     return 1 if x >= 0 else 0
 
 
-def _trajectory_dk2_grid(
-    bounds: np.ndarray, cfg: TrajectoryConfig, kernel: Kernel2x2
-) -> np.ndarray:
-    """(N, N) matrix of summed quadratic forms between all trajectory pairs."""
-    n = cfg.num_trajectories(bounds.shape[0])
-    point = pointwise_dk_squared(bounds[:, None, :], bounds[None, :, :], kernel)
-    grid = point[:n, :n].copy()
-    for s in range(1, cfg.m):
-        o = s * cfg.kappa
-        grid += point[o : o + n, o : o + n]
-    return grid
-
-
-def _scalar_epsilon(cfg: TrajectoryConfig) -> float:
-    eps = cfg.epsilon_for(1)
-    return eps[0]
-
-
 def irp(x: IntervalSeries, cfg: TrajectoryConfig, kernel: Kernel2x2) -> RecurrenceImage:
     """Image a univariate series: pixel (j, k) = H(epsilon - d(traj_j, traj_k))."""
-    eps = _scalar_epsilon(cfg)
-    grid = _trajectory_dk2_grid(x.bounds, cfg, kernel)
-    low = float(grid.min())
-    if low < -NEGATIVE_TOLERANCE:
-        raise NegativeSquaredDistance(
-            f"squared trajectory distance {low} is negative beyond tolerance; "
-            "the kernel is indefinite on this series"
-        )
-    dist = np.sqrt(np.maximum(grid, 0.0))
-    return RecurrenceImage(dist <= eps)
+    return image_series(x, cfg, kernel)
 
 
-def ijrp(
-    w: MvIntervalSeries, cfg: TrajectoryConfig, kernel: Kernel2x2
-) -> RecurrenceImage:
+def ijrp(w: MvIntervalSeries, cfg: TrajectoryConfig, kernel: Kernel2x2) -> RecurrenceImage:
     """Image a multivariate series: AND of the per-dimension recurrence images."""
-    eps = cfg.epsilon_for(w.d)
-    out: np.ndarray | None = None
-    for j in range(w.d):
-        dim_cfg = dataclasses.replace(cfg, epsilon=eps[j])
-        img = irp(w.dimension(j), dim_cfg, kernel).pixels
-        out = img if out is None else out & img
-    assert out is not None
-    return RecurrenceImage(out)
+    return image_series(w, cfg, kernel)
 
 
 def image_series(series, cfg: TrajectoryConfig, kernel: Kernel2x2) -> RecurrenceImage:
-    """Dispatch to irp or ijrp based on the series type."""
-    if isinstance(series, MvIntervalSeries):
-        return ijrp(series, cfg, kernel)
-    return irp(series, cfg, kernel)
+    """Image a series of d >= 1 dimensions: the AND over dimensions i of
+    H(epsilon_i - d(traj_j, traj_k)) at pixel (j, k)."""
+    grids = as_grid(series)
+    out = None
+    for bounds, eps in zip(grids, cfg.epsilon_for(grids.shape[0])):
+        # (N, N) summed quadratic forms between all trajectory pairs
+        n = cfg.num_trajectories(len(bounds))
+        point = pointwise_dk_squared(bounds[:, None, :], bounds[None, :, :], kernel)
+        dk2 = point[:n, :n].copy()
+        for s in range(1, cfg.m):
+            o = s * cfg.kappa
+            dk2 += point[o : o + n, o : o + n]
+        low = float(dk2.min())
+        if low < -NEGATIVE_TOLERANCE:
+            raise NegativeSquaredDistance(
+                f"squared trajectory distance {low} is negative beyond tolerance; "
+                "the kernel is indefinite on this series"
+            )
+        img = np.sqrt(np.maximum(dk2, 0.0)) <= eps
+        out = img if out is None else out & img
+    return RecurrenceImage(out)
 
 
 def image_dataset(
@@ -215,9 +197,18 @@ def image_dataset(
     """Image a batch of observations.
 
     Imaging is pure and embarrassingly parallel across observations; output
-    order always matches input order regardless of thread count.
+    order always matches input order regardless of thread count.  A failure
+    is re-raised as the same error type tagged with the item's index.
     """
-    return parallel_map(lambda s: image_series(s, cfg, kernel), series_list, threads)
+
+    def one(pair):
+        i, series = pair
+        try:
+            return image_series(series, cfg, kernel)
+        except IvtsError as e:
+            raise type(e)(f"item {i}: {e}") from e
+
+    return parallel_map(one, enumerate(series_list), threads)
 
 
 def export_pgm(img: RecurrenceImage, path) -> None:

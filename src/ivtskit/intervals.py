@@ -303,6 +303,19 @@ def as_grid(series: IntervalSeries | MvIntervalSeries) -> np.ndarray:
     return series.bounds[None]
 
 
+def from_grid(grid: np.ndarray, multivariate: bool) -> IntervalSeries | MvIntervalSeries:
+    """The series whose :func:`as_grid` is `grid`, sharing it without a copy or
+    a check: `grid` must be read-only, finite and (d, T, 2), d = 1 unless
+    `multivariate`."""
+    if multivariate:
+        series = MvIntervalSeries.__new__(MvIntervalSeries)
+        series._grid = grid
+    else:
+        series = IntervalSeries.__new__(IntervalSeries)
+        series._bounds = grid[0]
+    return series
+
+
 def series_dk_squared(x1: IntervalSeries, x2: IntervalSeries, k: Kernel2x2) -> float:
     """Summed per-step squared kernel distance between equal-length series."""
     if len(x1) != len(x2):

@@ -33,6 +33,16 @@ def read_report(path):
     return [(int(r[0]), r[1], r[2], int(r[3]), float(r[4])) for r in rows]
 
 
+def write_ragged_csv(path):
+    """A dataset CSV whose third item has T = 7 and the others T = 6."""
+    rng = np.random.default_rng(0)
+    rows = ["item,dim,t,lower,upper,label"]
+    for item, (T, label) in enumerate(((6, 1), (6, 1), (7, 2), (6, 2))):
+        rows += [f"{item},0,{t},{lo!r},{up!r},{label}"
+                 for t, (lo, up) in enumerate(rng.standard_normal((T, 2)).tolist())]
+    path.write_text("\n".join(rows) + "\n")
+
+
 @pytest.fixture()
 def mix_csv(tmp_path):
     path = tmp_path / "mix.csv"
@@ -279,6 +289,15 @@ class TestImage:
         assert out.returncode == 4
         assert "item" in out.stderr  # failure is tagged with the item index
 
+    def test_ragged_lengths_are_data_error(self, tmp_path):
+        data = tmp_path / "ragged.csv"
+        write_ragged_csv(data)
+        out = run_cli("image", "--data", data, "--outdir", tmp_path / "o", "--kernel", "K4")
+        assert out.returncode == 3
+        assert len(out.stderr.strip().splitlines()) == 1
+        assert "Traceback" not in out.stderr
+        assert f"{data}: items disagree on series length T: [6, 7]" in out.stderr
+
 
 def _write_separable_dataset(path):
     """Two classes whose recurrence images differ in block structure."""
@@ -294,6 +313,32 @@ def _write_separable_dataset(path):
         )
         items.append((jumpy, 2))
     iv.save_dataset_csv(iv.LabeledDataset(tuple(items), 2), path)
+
+
+def assert_one_line_error(out, code, text):
+    assert out.returncode == code, out.stderr
+    assert len(out.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in out.stderr
+    assert text in out.stderr
+
+
+@pytest.fixture()
+def sep_images(tmp_path):
+    """The separable dataset imaged; tests rewrite the labels of its index.csv."""
+    data, imgdir = tmp_path / "sep.csv", tmp_path / "imgs"
+    _write_separable_dataset(data)
+    out = run_cli("image", "--data", data, "--outdir", imgdir, "--kernel", "K4")
+    assert out.returncode == 0, out.stderr
+    return imgdir
+
+
+def relabel_index(imgdir, relabel):
+    index = imgdir / "index.csv"
+    lines = index.read_text().splitlines()
+    rows = [line.rsplit(",", 1) for line in lines[1:]]
+    index.write_text("\n".join(
+        [lines[0]] + [f"{head},{relabel(i, label)}" for i, (head, label) in enumerate(rows)]
+    ) + "\n")
 
 
 class TestClassify:
@@ -394,15 +439,64 @@ class TestClassify:
 
     def test_flatten_on_unequal_lengths_is_data_error(self, tmp_path):
         data = tmp_path / "ragged.csv"
-        rng = np.random.default_rng(0)
-        items = [(iv.IntervalSeries(rng.standard_normal((T, 2))), label)
-                 for T, label in ((6, 1), (6, 1), (7, 2), (6, 2))]
-        iv.save_dataset_csv(iv.LabeledDataset(tuple(items), 2), data)
+        write_ragged_csv(data)
         out = run_cli("classify", "--data", data, "--mode", "linear",
                       "--feature-mode", "flatten", "--outdir", tmp_path / "o")
         assert out.returncode == 3
         assert len(out.stderr.strip().splitlines()) == 1
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize(
+        "option", [("--cap", "0"), ("--steps", "-1"), ("--c-a", "0"), ("--c-b", "0")]
+    )
+    def test_bad_linear_option_is_numeric_error(self, tmp_path, option):
+        data = tmp_path / "sep.csv"
+        _write_separable_dataset(data)
+        out = run_cli("classify", "--data", data, "--mode", "linear", "--steps", "5",
+                      *option, "--outdir", tmp_path / "o")
+        assert_one_line_error(out, 4, "numeric error: ")
+
+    @pytest.mark.parametrize(
+        "relabel,text",
+        [
+            (lambda i, label: "abc" if i == 1 else label, "index.csv:3: bad label 'abc'"),
+            (lambda i, label: "1", "every item has label 1"),
+            (lambda i, label: "0" if i == 0 else label, "label 0 is not a class id"),
+            (lambda i, label: "3" if label == "2" else label, "no item has class id 2"),
+        ],
+        ids=["not-a-number", "one-class", "zero", "skips-a-class"],
+    )
+    def test_bad_index_labels_are_data_error(self, sep_images, tmp_path, relabel, text):
+        relabel_index(sep_images, relabel)
+        out = run_cli("classify", "--images", sep_images, "--mode", "linear",
+                      "--steps", "5", "--outdir", tmp_path / "o")
+        assert_one_line_error(out, 3, text)
+
+    def test_non_ascii_index_is_data_error(self, sep_images, tmp_path):
+        relabel_index(sep_images, lambda i, label: "\u00b2" if i == 0 else label)
+        out = run_cli("classify", "--images", sep_images, "--mode", "linear",
+                      "--steps", "5", "--outdir", tmp_path / "o")
+        assert_one_line_error(out, 3, "index.csv")
+
+    @pytest.mark.parametrize(
+        "mode,labels,text",
+        [
+            ("knn", ("1", "3"), "no item has class id 2"),
+            ("linear", ("1", "3"), "no item has class id 2"),
+            ("linear", ("1", "1"), "every item has label 1"),
+        ],
+    )
+    def test_data_labels_must_be_every_class_id(self, tmp_path, mode, labels, text):
+        data = tmp_path / "sep.csv"
+        _write_separable_dataset(data)
+        rows = data.read_text().splitlines()
+        data.write_text("\n".join(
+            [rows[0]] + [row.rsplit(",", 1)[0] + "," + labels[row.endswith(",2")]
+                         for row in rows[1:]]
+        ) + "\n")
+        out = run_cli("classify", "--data", data, "--mode", mode, "--steps", "5",
+                      "--outdir", tmp_path / "o")
+        assert_one_line_error(out, 3, text)
 
     def test_non_finite_bound_is_data_error(self, mix_csv, tmp_path):
         lines = mix_csv.read_text().splitlines()

@@ -14,6 +14,7 @@ from ivtskit.dgp import (
     build_dgp_mix_dataset,
     split_indices,
 )
+from ivtskit.errors import DimensionMismatch, LengthMismatch
 
 
 class TestResiduals:
@@ -287,6 +288,17 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             iv.load_dataset_csv(path)
 
+    @pytest.mark.parametrize("last_row", ["1,0,0,0.0,1.0,2", "0,1,0,0.0,1.0,1"],
+                             ids=["items", "dimensions"])
+    def test_rejects_ragged_lengths(self, tmp_path, last_row):
+        # item 0 dim 0 has T = 2; the last row starts a group with T = 1
+        path = tmp_path / "ragged.csv"
+        rows = ["item,dim,t,lower,upper,label", "0,0,0,0.0,1.0,1", "0,0,1,0.0,1.0,1", last_row]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError) as err:
+            iv.load_dataset_csv(path)
+        assert str(err.value) == f"{path}: items disagree on series length T: [1, 2]"
+
     def test_rejects_conflicting_labels(self, tmp_path):
         path = tmp_path / "conflict.csv"
         path.write_text(
@@ -312,3 +324,34 @@ class TestLabeledDataset:
             iv.LabeledDataset(((s, 3),), n_classes=2)
         with pytest.raises(ValueError):
             iv.LabeledDataset((), n_classes=1)
+
+    def test_shape_errors_raise_at_construction(self):
+        def uni(T):
+            return iv.IntervalSeries(np.zeros((T, 2)))
+
+        def mv(d, T):
+            return iv.MvIntervalSeries(np.zeros((d, T, 2)))
+
+        with pytest.raises(LengthMismatch):
+            iv.LabeledDataset(((uni(3), 1), (uni(4), 1)), n_classes=1)
+        with pytest.raises(DimensionMismatch):
+            iv.LabeledDataset(((uni(3), 1), (mv(1, 3), 1)), n_classes=1)
+        with pytest.raises(DimensionMismatch):
+            iv.LabeledDataset(((mv(2, 3), 1), (mv(3, 3), 1)), n_classes=1)
+
+    def test_series_are_views_of_one_array(self, tmp_path):
+        bounds = np.arange(2 * 3 * 4 * 2, dtype=np.float64).reshape(2, 3, 4, 2)
+        ds = iv.LabeledDataset.from_arrays(bounds, [1, 2], 2, multivariate=True)
+        assert np.shares_memory(ds.bounds, bounds)
+        assert not ds.bounds.flags.writeable
+        for s, grid in zip(ds.series(), ds.bounds):
+            assert np.shares_memory(s.grid, grid)
+        uni = iv.LabeledDataset.from_arrays(bounds[:, :1], [1, 2], 2, multivariate=False)
+        for s, grid in zip(uni.series(), uni.bounds):
+            assert isinstance(s, iv.IntervalSeries)
+            assert np.shares_memory(s.bounds, grid)
+        path = tmp_path / "ds.csv"
+        iv.save_dataset_csv(ds, path)
+        loaded = iv.load_dataset_csv(path)
+        assert np.shares_memory(loaded.series()[1].grid, loaded.bounds)
+        assert np.array_equal(loaded.bounds, bounds)

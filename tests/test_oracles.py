@@ -155,6 +155,65 @@ def ref_one_draw(X, c_A, c_B, varrho, inner_steps, seed, draw):
     return best
 
 
+def _ref_cfg(rho, T, seed, truncation_L, burn_in):
+    return iv.DgpConfig(rho=rho, T=T, truncation_L=truncation_L, burn_in=burn_in, seed=seed)
+
+
+def ref_build_univariate(dgp_id, per_class_n, T, rho_grid, seed=0, truncation_L=100,
+                         burn_in=100):
+    gen = iv.dgp._GENERATORS[dgp_id]
+    items, item_index = [], 0
+    for label, rho in enumerate(rho_grid, start=1):
+        cfg = _ref_cfg(rho, T, seed, truncation_L, burn_in)
+        for _ in range(per_class_n):
+            cr = gen(cfg, iv.dgp._item_rng(seed, item_index))
+            items.append((iv.to_interval_series(cr), label))
+            item_index += 1
+    return iv.LabeledDataset(tuple(items), n_classes=len(rho_grid))
+
+
+def ref_build_c1(per_class_n, T, rho_grid, seed=0, truncation_L=100, burn_in=100):
+    items, item_index = [], 0
+    for label, dgp_id in enumerate(sorted(iv.dgp._GENERATORS), start=1):
+        gen = iv.dgp._GENERATORS[dgp_id]
+        for _ in range(per_class_n):
+            rows = []
+            for dim, rho in enumerate(rho_grid):
+                cfg = _ref_cfg(rho, T, seed, truncation_L, burn_in)
+                cr = gen(cfg, iv.dgp._item_rng(seed, item_index, dim))
+                rows.append(iv.to_interval_series(cr))
+            items.append((iv.MvIntervalSeries(rows), label))
+            item_index += 1
+    return iv.LabeledDataset(tuple(items), n_classes=len(iv.dgp._GENERATORS))
+
+
+def ref_build_c2(per_class_n, T, rho_grid, seed=0, truncation_L=100, burn_in=100):
+    items, item_index = [], 0
+    for label, rho in enumerate(rho_grid, start=1):
+        cfg = _ref_cfg(rho, T, seed, truncation_L, burn_in)
+        for _ in range(per_class_n):
+            rows = []
+            for dim, dgp_id in enumerate(sorted(iv.dgp._GENERATORS)):
+                gen = iv.dgp._GENERATORS[dgp_id]
+                cr = gen(cfg, iv.dgp._item_rng(seed, item_index, dim))
+                rows.append(iv.to_interval_series(cr))
+            items.append((iv.MvIntervalSeries(rows), label))
+            item_index += 1
+    return iv.LabeledDataset(tuple(items), n_classes=len(rho_grid))
+
+
+def ref_build_mix(per_class_n, T, rho, seed=0, truncation_L=100, burn_in=100):
+    items, item_index = [], 0
+    for label, dgp_id in enumerate(sorted(iv.dgp._GENERATORS), start=1):
+        gen = iv.dgp._GENERATORS[dgp_id]
+        cfg = _ref_cfg(rho, T, seed, truncation_L, burn_in)
+        for _ in range(per_class_n):
+            cr = gen(cfg, iv.dgp._item_rng(seed, item_index))
+            items.append((iv.to_interval_series(cr), label))
+            item_index += 1
+    return iv.LabeledDataset(tuple(items), n_classes=len(iv.dgp._GENERATORS))
+
+
 # ---------------------------------------------------------------------------
 # fixtures at the benchmark's shapes
 
@@ -174,6 +233,46 @@ def assert_same_dataset(a, b):
         assert type(sa) is type(sb)
         assert sa == sb
         assert la == lb
+
+
+# ---------------------------------------------------------------------------
+# dataset builders
+
+
+GRID = iv.dgp.DEFAULT_RHO_GRID
+
+
+class TestBuilders:
+    @pytest.mark.parametrize(
+        "build,ref",
+        [
+            *[(lambda g=g: iv.build_univariate_dataset(g, 3, 20, GRID, seed=4),
+               lambda g=g: ref_build_univariate(g, 3, 20, GRID, seed=4)) for g in (1, 2, 3)],
+            (lambda: iv.build_univariate_dataset(1, 2, 9, (0.5,), 1, truncation_L=3),
+             lambda: ref_build_univariate(1, 2, 9, (0.5,), 1, truncation_L=3)),
+            (lambda: iv.build_multivariate_c1(3, 20, GRID, seed=4),
+             lambda: ref_build_c1(3, 20, GRID, seed=4)),
+            (lambda: iv.build_multivariate_c1(2, 20, (0.3,), seed=5, burn_in=7),
+             lambda: ref_build_c1(2, 20, (0.3,), seed=5, burn_in=7)),
+            (lambda: iv.build_multivariate_c2(3, 20, GRID, seed=4),
+             lambda: ref_build_c2(3, 20, GRID, seed=4)),
+            (lambda: iv.build_multivariate_c2(2, 20, (0.3,), seed=5),
+             lambda: ref_build_c2(2, 20, (0.3,), seed=5)),
+            (lambda: iv.build_dgp_mix_dataset(3, 20, 0.7, seed=4),
+             lambda: ref_build_mix(3, 20, 0.7, seed=4)),
+        ],
+    )
+    def test_same_dataset(self, build, ref):
+        got, want = build(), ref()
+        assert np.array_equal(got.bounds, want.bounds)
+        assert got.labels() == want.labels()
+        assert got.multivariate == want.multivariate
+        assert_same_dataset(got, want)
+
+    def test_one_dimension_c1_items_stay_multivariate(self):
+        ds = iv.build_multivariate_c1(1, 8, (0.3,))
+        assert ds.dim() == 1
+        assert all(isinstance(s, iv.MvIntervalSeries) and s.d == 1 for s in ds.series())
 
 
 # ---------------------------------------------------------------------------
