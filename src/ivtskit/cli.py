@@ -208,6 +208,11 @@ def _read_config(path: str, opts: tuple[Opt, ...]) -> dict:
             out[key] = _parse_bool(value) if o.conv is bool else o.conv(value)
         except ValueError as e:
             raise DataError(f"{path}:{lineno}: bad value for {key}: {e}") from e
+        if o.choices is not None and out[key] not in o.choices:
+            raise UsageError(
+                f"{path}:{lineno}: invalid choice for {key}: {value!r} "
+                f"(choose from {', '.join(map(str, o.choices))})"
+            )
     return out
 
 
@@ -665,7 +670,11 @@ def cmd_bound(eff: dict) -> None:
     }
     if eff["mc"]:
         seed = _check_seed(eff["seed"])
-        threads = _resolve_threads(eff["threads"])
+        _resolve_threads(eff["threads"])  # validated; the draws run unthreaded
+        if eff["mc_n"] < 1 or eff["mc_p"] < 0:
+            raise NumericError(
+                f"--mc-n must be >= 1 and --mc-p >= 0, got {eff['mc_n']} and {eff['mc_p']}"
+            )
         rng = np.random.default_rng([seed, 4242])
         X = rng.standard_normal((eff["mc_n"], eff["mc_p"]))
         norms = np.linalg.norm(X, axis=1)
@@ -680,7 +689,6 @@ def cmd_bound(eff: dict) -> None:
                 mc_draws=eff["mc_draws"],
                 inner_steps=eff["inner_steps"],
                 seed=seed,
-                threads=threads,
             )
         except ValueError as e:
             raise NumericError(str(e)) from e

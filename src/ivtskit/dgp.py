@@ -126,6 +126,28 @@ def gen_dgp1(cfg: DgpConfig, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+def _varma11(eps: np.ndarray) -> np.ndarray:
+    """The VARMA(1, 1) paths X_t = PHI X_{t-1} + eps_t - GAMMA eps_{t-1} of an
+    (m, steps, 2) stack of residual paths, started from X_0 = 0, eps_0 = 0;
+    returns an (m, steps, 2) array.
+
+    The products are stacked matrix-vector products (np.matmul against a
+    trailing axis of length 1), which numpy sends to the gemv kernel of the
+    one-path ``PHI @ x``, so each path gets the bytes it would get alone;
+    ``x @ PHI.T`` and einsum round differently.
+    """
+    m, steps, _ = eps.shape
+    out = np.empty((m, steps, 2))
+    x = np.zeros((m, 2, 1))
+    e_prev = np.zeros((m, 2, 1))
+    for t in range(steps):
+        e = eps[:, t, :, None]
+        x = np.matmul(PHI[None], x) + e - np.matmul(GAMMA[None], e_prev)
+        out[:, t] = x[:, :, 0]
+        e_prev = e
+    return out
+
+
 def gen_dgp2(
     cfg: DgpConfig,
     rng: np.random.Generator,
@@ -146,15 +168,7 @@ def gen_dgp2(
             raise LengthMismatch(
                 f"injected residuals must have shape ({total}, 2), got {eps.shape}"
             )
-    out = np.empty((total, 2))
-    prev_x = np.zeros(2)
-    prev_e = np.zeros(2)
-    for t in range(total):
-        x = PHI @ prev_x + eps[t] - GAMMA @ prev_e
-        out[t] = x
-        prev_x = x
-        prev_e = eps[t]
-    return out[cfg.burn_in :]
+    return _varma11(eps[None])[0, cfg.burn_in :]
 
 
 def gen_dgp3(
@@ -281,6 +295,16 @@ def _item_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), *map(int, key)])
 
 
+def _generate(dgp_id: int, cfg: DgpConfig, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """One (T, 2) (center, range) path of process `dgp_id` per generator in
+    `rngs`, as an (m, T, 2) array; path i is the one the process's generator
+    function draws from ``rngs[i]``."""
+    if dgp_id == 2:
+        eps = np.stack([sample_residuals(cfg.rho, rng, cfg.burn_in + cfg.T) for rng in rngs])
+        return _varma11(eps)[:, cfg.burn_in :]
+    return np.stack([_GENERATORS[dgp_id](cfg, rng) for rng in rngs])
+
+
 def _build(classes: Sequence[Sequence[tuple[int, float]]], per_class_n: int, T: int, seed: int,
            truncation_L: int, burn_in: int, multivariate: bool) -> LabeledDataset:
     """`per_class_n` items for each class; class c (1-based) lists in
@@ -292,17 +316,19 @@ def _build(classes: Sequence[Sequence[tuple[int, float]]], per_class_n: int, T: 
     if per_class_n < 1:
         raise ValueError("per_class_n must be >= 1")
     gens = [
-        [(_GENERATORS[dgp_id], DgpConfig(rho=rho, T=T, truncation_L=truncation_L,
-                                         burn_in=burn_in, seed=seed)) for dgp_id, rho in dims]
+        [(dgp_id, DgpConfig(rho=rho, T=T, truncation_L=truncation_L, burn_in=burn_in,
+                            seed=seed)) for dgp_id, rho in dims]
         for dims in classes
     ]
     bounds = np.empty((len(classes) * per_class_n, len(classes[0]), T, 2))
     for c, dims in enumerate(gens):
-        for i in range(c * per_class_n, (c + 1) * per_class_n):
-            for j, (gen, cfg) in enumerate(dims):
-                cr = gen(cfg, _item_rng(seed, i, j) if multivariate else _item_rng(seed, i))
-                bounds[i, j, :, 0] = cr[:, 0] - cr[:, 1]
-                bounds[i, j, :, 1] = cr[:, 0] + cr[:, 1]
+        items = range(c * per_class_n, (c + 1) * per_class_n)
+        for j, (dgp_id, cfg) in enumerate(dims):
+            rngs = [_item_rng(seed, i, j) if multivariate else _item_rng(seed, i) for i in items]
+            cr = _generate(dgp_id, cfg, rngs)
+            block = bounds[items.start : items.stop, j]
+            block[..., 0] = cr[..., 0] - cr[..., 1]
+            block[..., 1] = cr[..., 0] + cr[..., 1]
     labels = np.repeat(np.arange(1, len(classes) + 1), per_class_n)
     return LabeledDataset.from_arrays(bounds, labels, len(classes), multivariate)
 

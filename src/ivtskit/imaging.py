@@ -109,7 +109,7 @@ class RecurrenceImage:
         arr = np.asarray(pixels)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError("a recurrence image must be square and nonempty")
-        if not np.isin(arr, (0, 1)).all():
+        if arr.dtype != bool and not ((arr == 0) | (arr == 1)).all():
             raise ValueError("recurrence image entries must be 0 or 1")
         arr = arr.astype(np.uint8)
         arr.setflags(write=False)
@@ -237,15 +237,37 @@ def load_pgm(path) -> RecurrenceImage:
 
 def export_csv(img: RecurrenceImage, path) -> None:
     """Write the image as N rows of comma-separated 0/1 entries."""
-    lines = "\n".join(",".join(str(int(v)) for v in row) for row in img.pixels)
-    Path(path).write_text(lines + "\n", encoding="ascii")
+    # Row j is the 2N bytes "v,v,...,v\n": the entries at even offsets, a
+    # comma or the newline at odd ones.
+    text = np.full((img.n, 2 * img.n), ord(","), dtype=np.uint8)
+    text[:, ::2] = img.pixels + ord("0")
+    text[:, -1] = ord("\n")
+    Path(path).write_bytes(text.tobytes())
 
 
 def load_csv_image(path) -> RecurrenceImage:
     """Read an image previously written by :func:`export_csv`."""
+    raw = Path(path).read_bytes()
+    n_lines = raw.count(b"\n")
+    if n_lines and len(raw) % n_lines == 0 and len(raw) // n_lines % 2 == 0:
+        # The layout export_csv writes, read in one pass: rows of equal width
+        # with a 0/1 at even offsets and commas, then a newline, at odd ones.
+        text = np.frombuffer(raw, dtype=np.uint8).reshape(n_lines, -1)
+        pixels = text[:, ::2] - np.uint8(ord("0"))  # wraps bytes below "0" to >= 208
+        if (
+            (pixels <= 1).all()
+            and (text[:, 1:-1:2] == ord(",")).all()
+            and (text[:, -1] == ord("\n")).all()
+        ):
+            return RecurrenceImage(pixels)
+    # Any other text: blank lines, spaces, CRLF, a missing last newline, or
+    # an error to report.
     rows = [
         [int(v) for v in line.split(",")]
-        for line in Path(path).read_text(encoding="ascii").splitlines()
+        for line in raw.decode("ascii").splitlines()
         if line
     ]
-    return RecurrenceImage(np.array(rows, dtype=np.uint8))
+    try:
+        return RecurrenceImage(np.array(rows, dtype=np.uint8))
+    except OverflowError:
+        raise ValueError("recurrence image entries must be 0 or 1") from None

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parallel import parallel_map
-
 LIPSCHITZ_CONSTANTS = {"hinge": 1.0, "squared_hinge": 2.0, "exponential": 1.0}
 
 
@@ -120,15 +118,69 @@ def heuristic_log_covering(
 
 @dataclass(frozen=True)
 class RademacherEstimate:
-    """Monte-Carlo estimate of an offset Rademacher complexity."""
+    """Monte-Carlo estimate of an offset Rademacher complexity.
+
+    ``stderr`` is the standard error of ``value``: the sample standard
+    deviation (ddof = 1) of the per-draw values over sqrt(mc_draws), and NaN
+    for a single draw.
+    """
 
     value: float
     mc_draws: int
     inner_steps: int
+    stderr: float = math.nan
 
     def __post_init__(self) -> None:
         if self.mc_draws < 1:
             raise ValueError("mc_draws must be >= 1")
+
+
+# Floats in one (draws, max(n, p)) temporary of the batched ascent, the
+# budget of classify._KNN_BLOCK.
+_MC_BLOCK = 1 << 18
+
+
+def _draws(
+    X: np.ndarray,
+    c_A: float,
+    c_B: float,
+    varrho: float,
+    inner_steps: int,
+    seed: int,
+    draws: range,
+) -> np.ndarray:
+    """The per-draw suprema of the draws in `draws`, one ascent over all of
+    them at once.
+
+    Each product is written in stacked matrix-vector form (np.matmul against
+    a trailing axis of length 1), which numpy sends to the gemv kernel of the
+    one-draw products ``X @ a``, ``X.T @ resid`` and ``a.dot(a)``; the means
+    are row sums over n.  Every draw therefore gets the bytes it would get
+    alone.
+    """
+    n, p = X.shape
+    tau = np.stack(
+        [np.random.default_rng([seed, d]).integers(0, 2, size=n) * 2.0 - 1.0 for d in draws]
+    )
+    A = np.zeros((len(draws), p))
+    B = np.zeros(len(draws))
+    step = 1.0 / (2.0 * varrho + 1.0)
+    best = np.zeros(len(draws))  # objective of the zero function
+    # F holds each draw's current fit; the one computed after each update
+    # scores that update and drives the next step.
+    F = np.matmul(X, A[:, :, None])[:, :, 0] + B[:, None]
+    for _ in range(inner_steps):
+        R = tau - 2.0 * varrho * F
+        A = A + step * np.matmul(X.T, R[:, :, None])[:, :, 0] / n
+        norm = np.sqrt(np.matmul(A[:, None, :], A[:, :, None])[:, 0, 0])
+        over = norm > c_A
+        if over.any():
+            A[over] *= (c_A / norm[over])[:, None]
+        B = np.clip(B + step * (R.sum(axis=1) / n), -c_B, c_B)
+        F = np.matmul(X, A[:, :, None])[:, :, 0] + B[:, None]
+        obj = (tau * F - varrho * F * F).sum(axis=1) / n
+        np.maximum(best, obj, out=best, where=obj > best)
+    return best
 
 
 def _one_draw(
@@ -140,30 +192,8 @@ def _one_draw(
     seed: int,
     draw: int,
 ) -> float:
-    n, p = X.shape
-    rng = np.random.default_rng([seed, draw])
-    tau = rng.integers(0, 2, size=n) * 2.0 - 1.0
-    a = np.zeros(p)
-    b = 0.0
-    step = 1.0 / (2.0 * varrho + 1.0)
-    best = 0.0  # objective of the zero function
-    # f is the current iterate's fit; the one computed after each update
-    # scores that update and drives the next step.  The norm and the means
-    # are spelled out as the arithmetic np.linalg.norm and .mean() do
-    # (sqrt of a.dot(a); sum / n), without their per-call overhead.
-    f = X @ a + b
-    for _ in range(inner_steps):
-        resid = tau - 2.0 * varrho * f
-        a = a + step * (X.T @ resid) / n
-        norm = math.sqrt(a.dot(a))
-        if norm > c_A:
-            a *= c_A / norm
-        b = float(np.clip(b + step * (resid.sum() / n), -c_B, c_B))
-        f = X @ a + b
-        obj = float((tau * f - varrho * f * f).sum() / n)
-        if obj > best:
-            best = obj
-    return best
+    """The supremum of draw `draw` alone."""
+    return float(_draws(X, c_A, c_B, varrho, inner_steps, seed, range(draw, draw + 1))[0])
 
 
 def empirical_offset_rademacher(
@@ -182,8 +212,9 @@ def empirical_offset_rademacher(
     The inner supremum is approximated by projected gradient ascent from the
     zero function with step 1/(2 varrho + 1), keeping the best iterate, so
     every per-draw value is >= 0.  Draws use seeds derived from
-    (seed, draw index) and are averaged in index order, making the result
-    independent of the thread count.
+    (seed, draw index) and are averaged in index order.  The draws run as
+    one array computation in blocks of bounded size; `threads` is accepted
+    for compatibility and ignored, so the result never depends on it.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -194,10 +225,12 @@ def empirical_offset_rademacher(
     if mc_draws < 1 or inner_steps < 0:
         raise ValueError("mc_draws must be >= 1 and inner_steps >= 0")
 
-    def run(i: int) -> float:
-        return _one_draw(X, c_A, c_B, varrho, inner_steps, seed, i)
-
-    values = parallel_map(run, range(mc_draws), threads)
+    block = max(1, _MC_BLOCK // max(X.shape))
+    values = np.concatenate([
+        _draws(X, c_A, c_B, varrho, inner_steps, seed, range(start, min(start + block, mc_draws)))
+        for start in range(0, mc_draws, block)
+    ])
+    stderr = math.nan if mc_draws == 1 else float(np.std(values, ddof=1) / math.sqrt(mc_draws))
     return RademacherEstimate(
-        value=float(np.mean(values)), mc_draws=mc_draws, inner_steps=inner_steps
+        value=float(np.mean(values)), mc_draws=mc_draws, inner_steps=inner_steps, stderr=stderr
     )

@@ -507,6 +507,17 @@ class TestClassify:
         assert out.returncode == 3
         assert f"{mix_csv}:4:" in out.stderr
 
+    @pytest.mark.parametrize("entry", ["-1", "256", "2", "x"])
+    def test_bad_csv_image_entry_is_data_error(self, mix_csv, tmp_path, entry):
+        imgdir = tmp_path / "imgs"
+        out = run_cli("image", "--data", mix_csv, "--outdir", imgdir, "--kernel", "K4",
+                      "--format", "csv")
+        assert out.returncode == 0, out.stderr
+        path = imgdir / "mix_0.csv"
+        path.write_text(path.read_text().replace("1", entry, 1))
+        out = run_cli("classify", "--images", imgdir, "--outdir", tmp_path / "o")
+        assert_one_line_error(out, 3, "mix_0.csv")
+
     def test_requires_exactly_one_input(self, tmp_path):
         assert run_cli(
             "classify", "--mode", "knn", "--outdir", tmp_path / "o"
@@ -550,6 +561,23 @@ class TestBound:
         out = run_cli("bound", "--n", "0", "--log-covering", "1")
         assert out.returncode == 4
 
+    @pytest.mark.parametrize("flag", ["--mc-n", "--mc-p"])
+    def test_negative_mc_shape_is_numeric_error(self, flag):
+        out = run_cli("bound", "--n", "50", "--log-covering", "3", "--mc", flag, "-1")
+        assert_one_line_error(out, 4, flag)
+
+    def test_mc_biases_only_class(self):
+        out = run_cli(
+            "bound", "--n", "50", "--log-covering", "3", "--mc", "--mc-p", "0",
+            "--mc-draws", "16", "--inner-steps", "50",
+        )
+        assert out.returncode == 0, out.stderr
+        varrho = iv.optimal_varrho(1.0, 1.0, 1.0, 1.0)
+        est = iv.empirical_offset_rademacher(np.zeros((50, 0)), 1.0, 1.0, varrho,
+                                             mc_draws=16, inner_steps=50, seed=0)
+        assert f"mc_offset_rademacher = {est.value!r}" in out.stdout
+        assert "stderr" not in out.stdout
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_cli_overrides(self, tmp_path):
@@ -587,6 +615,23 @@ class TestConfigFile:
             if path.name == "run_config.txt":
                 continue  # differs in the overridden outdir
             assert path.read_bytes() == (second / path.name).read_bytes()
+
+    def test_config_value_outside_choices_is_usage_error(self, mix_csv, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# run\nformat=bogus\n")
+        outdir = tmp_path / "o"
+        out = run_cli("image", "--data", mix_csv, "--outdir", outdir, "--kernel", "K4",
+                      "--config", cfg)
+        assert_one_line_error(out, 2, f"{cfg}:2")
+        assert not list(outdir.glob("*.bogus"))
+
+    def test_config_mode_outside_choices_is_usage_error(self, mix_csv, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("mode=bogus\n")
+        outdir = tmp_path / "o"
+        out = run_cli("classify", "--data", mix_csv, "--outdir", outdir, "--config", cfg)
+        assert_one_line_error(out, 2, f"{cfg}:1")
+        assert not (outdir / "report.csv").exists()
 
     def test_unknown_config_key_is_usage_error(self, mix_csv, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -155,6 +155,20 @@ def ref_one_draw(X, c_A, c_B, varrho, inner_steps, seed, draw):
     return best
 
 
+def ref_gen_dgp2(cfg, eps):
+    """The per-item VARMA(1, 1) loop over one (burn_in + T, 2) residual path."""
+    total = cfg.burn_in + cfg.T
+    out = np.empty((total, 2))
+    prev_x = np.zeros(2)
+    prev_e = np.zeros(2)
+    for t in range(total):
+        x = iv.dgp.PHI @ prev_x + eps[t] - iv.dgp.GAMMA @ prev_e
+        out[t] = x
+        prev_x = x
+        prev_e = eps[t]
+    return out[cfg.burn_in :]
+
+
 def _ref_cfg(rho, T, seed, truncation_L, burn_in):
     return iv.DgpConfig(rho=rho, T=T, truncation_L=truncation_L, burn_in=burn_in, seed=seed)
 
@@ -497,3 +511,149 @@ class TestMcOracle:
                                              inner_steps=200, seed=3)
         assert est.value == float(np.mean(want))
         assert theory._one_draw(X, c_A, c_B, varrho, 0, 3, 0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the VARMA(1, 1) recursion over a stack of items
+
+
+def _residual_stack(m, cfg, seed=0):
+    total = cfg.burn_in + cfg.T
+    return np.stack([iv.dgp.sample_residuals(cfg.rho, iv.dgp._item_rng(seed, i), total)
+                     for i in range(m)])
+
+
+class TestVarmaOracle:
+    @pytest.mark.parametrize(
+        "m,burn_in,T", [(1, 100, 150), (500, 100, 150), (9, 0, 150), (9, 100, 1), (4, 0, 1)]
+    )
+    def test_stack_matches_item_loop(self, m, burn_in, T):
+        cfg = iv.DgpConfig(rho=0.7, T=T, burn_in=burn_in)
+        eps = _residual_stack(m, cfg, seed=m)
+        got = iv.dgp._varma11(eps)[:, burn_in:]
+        want = np.stack([ref_gen_dgp2(cfg, e) for e in eps])
+        assert got.shape == (m, T, 2)
+        assert np.array_equal(got, want)
+
+    def test_gen_dgp2_is_the_one_item_stack(self):
+        cfg = iv.DgpConfig(rho=-0.5, T=40, burn_in=25)
+        injected = np.random.default_rng(3).standard_normal((65, 2)) * 10.0
+        assert np.array_equal(iv.gen_dgp2(cfg, None, residuals=injected),
+                              ref_gen_dgp2(cfg, injected))
+        eps = iv.dgp.sample_residuals(cfg.rho, iv.dgp._item_rng(4, 2), 65)
+        assert np.array_equal(iv.gen_dgp2(cfg, iv.dgp._item_rng(4, 2)), ref_gen_dgp2(cfg, eps))
+
+    def test_builder_matches_item_loop(self):
+        ds = iv.build_univariate_dataset(2, per_class_n=500, T=150, rho_grid=(0.3,), seed=1)
+        cfg = iv.DgpConfig(rho=0.3, T=150, burn_in=100)
+        cr = np.stack([ref_gen_dgp2(cfg, e) for e in _residual_stack(500, cfg, seed=1)])
+        assert np.array_equal(ds.bounds[:, 0, :, 0], cr[..., 0] - cr[..., 1])
+        assert np.array_equal(ds.bounds[:, 0, :, 1], cr[..., 0] + cr[..., 1])
+
+
+# ---------------------------------------------------------------------------
+# the Monte-Carlo ascent over blocks of draws
+
+
+def _mc_features(n, p):
+    X = np.random.default_rng([n, p]).standard_normal((n, p))
+    norms = np.linalg.norm(X, axis=1)
+    X[norms > 1.0] /= norms[norms > 1.0][:, None]
+    return X
+
+
+class TestMcBlocks:
+    VARRHO = 0.125
+
+    def _check(self, X, mc_draws, inner_steps, threads=1, c_A=1.0, c_B=1.0):
+        want = [ref_one_draw(X, c_A, c_B, self.VARRHO, inner_steps, 5, i)
+                for i in range(mc_draws)]
+        est = iv.empirical_offset_rademacher(X, c_A, c_B, self.VARRHO, mc_draws=mc_draws,
+                                             inner_steps=inner_steps, seed=5, threads=threads)
+        assert est.value == float(np.mean(want))
+        return est, want
+
+    def test_draws_not_a_multiple_of_the_block(self, monkeypatch):
+        X = _mc_features(50, 8)
+        monkeypatch.setattr(theory, "_MC_BLOCK", 8 * 50)  # blocks of 8 draws
+        self._check(X, 21, 40)
+
+    def test_wide_features_split_the_draws(self):
+        X = _mc_features(30, 40000)
+        assert theory._MC_BLOCK // 40000 < 10
+        self._check(X, 10, 3, c_A=0.05)
+
+    def test_biases_only_class(self):
+        self._check(np.zeros((6, 0)), 12, 30, c_B=0.3)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_thread_count_is_ignored(self, threads):
+        self._check(_mc_features(50, 8), 32, 100, threads=threads)
+
+    def test_stderr(self):
+        est, values = self._check(_mc_features(20, 5), 40, 50)
+        assert est.stderr == np.std(values, ddof=1) / math.sqrt(40)
+        one = iv.empirical_offset_rademacher(_mc_features(20, 5), 1.0, 1.0, self.VARRHO,
+                                             mc_draws=1)
+        assert math.isnan(one.stderr)
+        assert math.isnan(iv.RademacherEstimate(0.5, 3, 10).stderr)
+
+
+# ---------------------------------------------------------------------------
+# CSV images
+
+
+def ref_export_csv(img):
+    return "\n".join(",".join(str(int(v)) for v in row) for row in img.pixels) + "\n"
+
+
+def ref_load_csv_image(path):
+    rows = [
+        [int(v) for v in line.split(",")]
+        for line in Path(path).read_text(encoding="ascii").splitlines()
+        if line
+    ]
+    return iv.RecurrenceImage(np.array(rows, dtype=np.uint8))
+
+
+class TestCsvImageOracle:
+    @pytest.mark.parametrize("N", [1, 2, 30, 150])
+    def test_export_bytes(self, tmp_path, N):
+        img = iv.RecurrenceImage(np.random.default_rng(N).integers(0, 2, size=(N, N)))
+        iv.export_csv(img, tmp_path / "a.csv")
+        assert (tmp_path / "a.csv").read_bytes() == ref_export_csv(img).encode("ascii")
+        assert iv.load_csv_image(tmp_path / "a.csv") == ref_load_csv_image(tmp_path / "a.csv")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0,1\r\n1,0\r\n",
+            "\n0,1\n\n1,0\n",
+            "0,1\n1,0",
+            " 0,1\n1, 0\n",
+            "1\n",
+            "0,1\n1,0\n1,1\n",
+            "01,1\n1,0\n",
+        ],
+    )
+    def test_other_layouts(self, tmp_path, text):
+        path = tmp_path / "a.csv"
+        path.write_bytes(text.encode("ascii"))
+        try:
+            want = ref_load_csv_image(path)
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                iv.load_csv_image(path)
+            assert str(got.value) == str(e)
+        else:
+            assert iv.load_csv_image(path) == want
+
+    @pytest.mark.parametrize("text", ["0,1\n1,x\n", "0,2\n1,0\n", "0,1\n1\n", ""])
+    def test_same_errors(self, tmp_path, text):
+        path = tmp_path / "a.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as want:
+            ref_load_csv_image(path)
+        with pytest.raises(ValueError) as got:
+            iv.load_csv_image(path)
+        assert str(got.value) == str(want.value)
