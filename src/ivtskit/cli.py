@@ -14,9 +14,7 @@ import csv
 import json
 import os
 import sys
-from collections import defaultdict
 from dataclasses import dataclass
-from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -335,80 +333,34 @@ def cmd_generate(eff: dict) -> None:
 # ---------------------------------------------------------------------------
 # ingest
 
-RAW_HEADER = ["series_id", "dim", "timestamp", "value", "label"]
-
-
-def _parse_day(text: str, where: str):
-    try:
-        return datetime.fromisoformat(text).date()
-    except ValueError:
-        raise DataError(f"{where}: bad ISO timestamp {text!r}") from None
-
-
 def cmd_ingest(eff: dict) -> None:
+    from . import ingest as ingest_mod  # only this command compiles and loads it
+
     _require(eff, "input", "out")
     window = eff["window"]
     stride = eff["stride"] if eff["stride"] is not None else window
     if window < 1 or stride < 1:
         raise NumericError("window and stride must be >= 1")
 
-    readings: dict = defaultdict(lambda: defaultdict(lambda: defaultdict(list)))
-    labels: dict = {}
     try:
-        with open(eff["input"], newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != RAW_HEADER:
-                raise DataError(
-                    f"{eff['input']}: expected header {','.join(RAW_HEADER)}"
-                )
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 5:
-                    raise DataError(f"{eff['input']}:{lineno}: expected 5 fields")
-                sid, dim, ts, value, label = (f.strip() for f in row)
-                day = _parse_day(ts, f"{eff['input']}:{lineno}")
-                try:
-                    v = float(value)
-                except ValueError:
-                    raise DataError(
-                        f"{eff['input']}:{lineno}: bad value {value!r}"
-                    ) from None
-                if sid in labels and labels[sid] != label:
-                    raise DataError(
-                        f"{eff['input']}:{lineno}: series {sid!r} has conflicting labels"
-                    )
-                labels[sid] = label
-                readings[sid][day][dim].append(v)
+        series = ingest_mod.daily_intervals(eff["input"])
     except OSError as e:
         raise DataError(f"cannot read {eff['input']}: {e}") from e
-    if not readings:
-        raise DataError(f"{eff['input']}: no data rows")
+    except ValueError as e:
+        raise DataError(str(e)) from e
 
-    label_map = {raw: i for i, raw in enumerate(sorted(set(labels.values())), start=1)}
+    label_map = {raw: i for i, raw in enumerate(sorted({s.label for s in series}), start=1)}
     grids, window_labels = [], []
-    dropped_days = 0
-    dims_per_sid = set()
-    for sid in sorted(readings):
-        days = readings[sid]
-        all_dims = sorted({d for day in days.values() for d in day})
-        dims_per_sid.add(len(all_dims))
-        full_days = sorted(d for d, per_dim in days.items() if len(per_dim) == len(all_dims))
-        dropped = len(days) - len(full_days)
-        if dropped:
-            dropped_days += dropped
+    for s in series:
+        if s.dropped:
             print(
-                f"warning: series {sid!r}: dropped {dropped} day(s) with missing dimensions",
+                f"warning: series {s.name!r}: dropped {s.dropped} day(s) with missing dimensions",
                 file=sys.stderr,
             )
-        # (d, days, 2) daily [min, max]; each window is a slice of it
-        daily = np.array(
-            [[(min(days[day][dim]), max(days[day][dim])) for day in full_days] for dim in all_dims]
-        ).reshape(len(all_dims), len(full_days), 2)
-        for start in range(0, len(full_days) - window + 1, stride):
-            grids.append(daily[:, start : start + window])
-            window_labels.append(label_map[labels[sid]])
+        for start in range(0, s.daily.shape[1] - window + 1, stride):
+            grids.append(s.daily[:, start : start + window])
+            window_labels.append(label_map[s.label])
+    dims_per_sid = {s.daily.shape[0] for s in series}
     if len(dims_per_sid) > 1:
         raise DataError(f"series disagree on dimension count: {sorted(dims_per_sid)}")
     if not grids:
@@ -420,7 +372,7 @@ def cmd_ingest(eff: dict) -> None:
     out = Path(eff["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     dgp_mod.save_dataset_csv(ds, out)
-    mapping = ", ".join(f"{raw!r}->{i}" for raw, i in sorted(label_map.items(), key=lambda kv: kv[1]))
+    mapping = ", ".join(f"{raw!r}->{i}" for raw, i in label_map.items())
     print(f"wrote {out}: n={len(ds)} C={ds.n_classes} d={ds.dim()} T={window} labels: {mapping}")
 
 
@@ -608,6 +560,9 @@ def cmd_classify(eff: dict) -> None:
                                       c_A=eff["c_a"], c_B=eff["c_b"])
             except ValueError as e:
                 raise NumericError(str(e)) from e
+            if not (model.weights.any() or model.biases.any()):
+                print(f"warning: run {r}: no training step beat the zero model's risk, so the "
+                      "model is all zeros and predicts class 1 for every item", file=sys.stderr)
             preds = [clf_mod.predict(model, X[i]) for i in test_idx]
             acc = clf_mod.accuracy(preds, [int(y[i]) for i in test_idx])
             model_path = outdir / f"model_run{r}.txt"

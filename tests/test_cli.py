@@ -208,6 +208,72 @@ class TestIngest:
         assert out.returncode == 3
 
 
+    @staticmethod
+    def _two_series(path, cell_value="0.5"):
+        """Series a and b over three days with readings at 00:00 and 12:00;
+        the 12:00 reading of day 2 of series a is `cell_value`."""
+        rows = ["series_id,dim,timestamp,value,label"]
+        for sid in ("a", "b"):
+            for day in (1, 2, 3):
+                for hour in ("00", "12"):
+                    v = cell_value if (sid, day, hour) == ("a", 2, "12") else str((day - 1) * 0.5)
+                    rows.append(f"{sid},x,2021-01-0{day}T{hour}:00:00,{v},{sid.upper()}")
+        path.write_text("\n".join(rows) + "\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_reading_is_data_error(self, tmp_path, value):
+        raw, out_csv = tmp_path / "raw.csv", tmp_path / "ds.csv"
+        self._two_series(raw, value)
+        out = run_cli("ingest", "--input", raw, "--out", out_csv, "--window", "2")
+        assert out.returncode == 3
+        assert out.stderr == f"data error: {raw}:5: non-finite value {value!r}\n"
+        assert not out_csv.exists()
+
+    def test_non_finite_first_reading_is_data_error(self, tmp_path):
+        raw, out_csv = tmp_path / "raw.csv", tmp_path / "ds.csv"
+        raw.write_text("series_id,dim,timestamp,value,label\ns,x,2021-01-01, nan ,L\n")
+        out = run_cli("ingest", "--input", raw, "--out", out_csv, "--window", "1")
+        assert out.returncode == 3
+        assert out.stderr == f"data error: {raw}:2: non-finite value 'nan'\n"
+
+    def test_finite_fixture_ingests(self, tmp_path):
+        raw, out_csv = tmp_path / "raw.csv", tmp_path / "ds.csv"
+        self._two_series(raw)
+        out = run_cli("ingest", "--input", raw, "--out", out_csv, "--window", "2")
+        assert out.returncode == 0, out.stderr
+        ds = iv.load_dataset_csv(out_csv)
+        assert ds.items[0][0][1] == iv.Interval(0.5, 0.5)
+
+    def test_non_utf8_input_is_one_line_data_error(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_bytes(b"series_id,dim,timestamp,value,label\ns\xe9,x,2021-01-01,1,L\n")
+        out = run_cli("ingest", "--input", raw, "--out", tmp_path / "o.csv", "--window", "1")
+        assert out.returncode == 3
+        assert out.stderr.startswith(f"data error: {raw}: not UTF-8 text")
+        assert len(out.stderr.splitlines()) == 1 and "Traceback" not in out.stderr
+
+    def test_dropped_days_warning_text_and_order(self, tmp_path):
+        # perfbench/run.py counts dropped days from this exact text
+        raw, out_csv = tmp_path / "raw.csv", tmp_path / "ds.csv"
+        rows = ["series_id,dim,timestamp,value,label"]
+        lacking = {"zeta": (2,), "alpha": (1, 3), "mid": ()}  # days lacking dimension b
+        for sid, missing in lacking.items():
+            for day in range(1, 6):
+                rows.append(f"{sid},a,2022-05-0{day},{day},L")
+                if day not in missing:
+                    rows.append(f"{sid},b,2022-05-0{day},{-day},L")
+        raw.write_text("\n".join(rows) + "\n")
+        out = run_cli("ingest", "--input", raw, "--out", out_csv, "--window", "2")
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == (
+            "warning: series 'alpha': dropped 2 day(s) with missing dimensions\n"
+            "warning: series 'zeta': dropped 1 day(s) with missing dimensions\n"
+        )
+        dropped = sum(int(line.split("dropped ")[1].split()[0])
+                      for line in out.stderr.splitlines() if "dropped " in line)
+        assert dropped == 3
+
+
 class TestImage:
     def test_outputs_and_index(self, mix_csv, tmp_path):
         outdir = tmp_path / "imgs"
@@ -368,6 +434,37 @@ class TestClassify:
         model, kind = iv.load_model(outdir / "model_run0.txt")
         assert kind == "hinge"
         assert model.n_classes == 2
+
+    def test_zero_model_warns_once_per_run(self, tmp_path):
+        # on this dgp 2 fixture no training step of run 0 beats the zero
+        # model; run 1 (another split) learns
+        data = tmp_path / "dgp2.csv"
+        assert run_cli("generate", "--dgp", "2", "--per-class", "40", "--T", "60",
+                       "--seed", "0", "--out", data).returncode == 0
+        outdir = tmp_path / "lin"
+        out = run_cli("classify", "--data", data, "--mode", "linear", "--runs", "2",
+                      "--outdir", outdir)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == (
+            "warning: run 0: no training step beat the zero model's risk, so the model "
+            "is all zeros and predicts class 1 for every item\n"
+        )
+        assert "dropped " not in out.stderr
+        zero, _ = iv.load_model(outdir / "model_run0.txt")
+        assert not zero.weights.any() and not zero.biases.any()
+        learned, _ = iv.load_model(outdir / "model_run1.txt")
+        assert learned.weights.any()
+        assert read_report(outdir / "report.csv")[0][4] == 0.2
+        assert out.stdout.splitlines()[0] == (
+            f"run 0 (seed 0): linear accuracy 0.2 -> {outdir / 'model_run0.txt'}"
+        )
+
+    def test_learning_model_does_not_warn(self, tmp_path):
+        data = tmp_path / "sep.csv"
+        _write_separable_dataset(data)
+        out = run_cli("classify", "--data", data, "--mode", "linear", "--blocks", "2",
+                      "--train-fraction", "0.5", "--outdir", tmp_path / "lin")
+        assert out.returncode == 0 and out.stderr == ""
 
     def test_linear_from_image_directory(self, tmp_path):
         data = tmp_path / "sep.csv"

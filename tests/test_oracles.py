@@ -5,16 +5,21 @@ the same float operations in the same order, so results must be equal, not
 merely close: `np.array_equal` or `==` throughout.
 """
 
+import contextlib
+import csv
+import io
 import math
 import random
+import sys
 from collections import defaultdict
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ivtskit as iv
-from ivtskit import classify, theory
+from ivtskit import classify, cli, ingest, theory
 from ivtskit.classify import _aux_loss_vec, _aux_subgradient_vec, _margins
 from ivtskit.intervals import series_dk_squared
 
@@ -657,3 +662,344 @@ class TestCsvImageOracle:
         with pytest.raises(ValueError) as got:
             iv.load_csv_image(path)
         assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# ingest
+
+
+REF_RAW_HEADER = ["series_id", "dim", "timestamp", "value", "label"]
+
+
+def ref_ingest(eff):
+    """`ingest` as a loop over csv records into nested dicts of Python lists,
+    the form `cli.cmd_ingest` had before it went columnar, with the input
+    rules added since: the file is read as UTF-8 and a non-finite value is a
+    data error."""
+    cli._require(eff, "input", "out")
+    window = eff["window"]
+    stride = eff["stride"] if eff["stride"] is not None else window
+    if window < 1 or stride < 1:
+        raise cli.NumericError("window and stride must be >= 1")
+
+    readings = defaultdict(lambda: defaultdict(lambda: defaultdict(list)))
+    labels = {}
+    try:
+        with open(eff["input"], newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != REF_RAW_HEADER:
+                raise cli.DataError(
+                    f"{eff['input']}: expected header {','.join(REF_RAW_HEADER)}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 5:
+                    raise cli.DataError(f"{eff['input']}:{lineno}: expected 5 fields")
+                sid, dim, ts, value, label = (f.strip() for f in row)
+                try:
+                    day = datetime.fromisoformat(ts).date()
+                except ValueError:
+                    raise cli.DataError(
+                        f"{eff['input']}:{lineno}: bad ISO timestamp {ts!r}"
+                    ) from None
+                try:
+                    v = float(value)
+                except ValueError:
+                    raise cli.DataError(
+                        f"{eff['input']}:{lineno}: bad value {value!r}"
+                    ) from None
+                if not math.isfinite(v):
+                    raise cli.DataError(f"{eff['input']}:{lineno}: non-finite value {value!r}")
+                if sid in labels and labels[sid] != label:
+                    raise cli.DataError(
+                        f"{eff['input']}:{lineno}: series {sid!r} has conflicting labels"
+                    )
+                labels[sid] = label
+                readings[sid][day][dim].append(v)
+    except OSError as e:
+        raise cli.DataError(f"cannot read {eff['input']}: {e}") from e
+    if not readings:
+        raise cli.DataError(f"{eff['input']}: no data rows")
+
+    label_map = {raw: i for i, raw in enumerate(sorted(set(labels.values())), start=1)}
+    grids, window_labels = [], []
+    dims_per_sid = set()
+    for sid in sorted(readings):
+        days = readings[sid]
+        all_dims = sorted({d for day in days.values() for d in day})
+        dims_per_sid.add(len(all_dims))
+        full_days = sorted(d for d, per_dim in days.items() if len(per_dim) == len(all_dims))
+        dropped = len(days) - len(full_days)
+        if dropped:
+            print(
+                f"warning: series {sid!r}: dropped {dropped} day(s) with missing dimensions",
+                file=sys.stderr,
+            )
+        daily = np.array(
+            [[(min(days[day][dim]), max(days[day][dim])) for day in full_days] for dim in all_dims]
+        ).reshape(len(all_dims), len(full_days), 2)
+        for start in range(0, len(full_days) - window + 1, stride):
+            grids.append(daily[:, start : start + window])
+            window_labels.append(label_map[labels[sid]])
+    if len(dims_per_sid) > 1:
+        raise cli.DataError(f"series disagree on dimension count: {sorted(dims_per_sid)}")
+    if not grids:
+        raise cli.DataError("no complete windows; input too short for the window length")
+
+    ds = iv.LabeledDataset.from_arrays(
+        np.stack(grids), window_labels, len(label_map), multivariate=grids[0].shape[0] > 1
+    )
+    out = Path(eff["out"])
+    out.parent.mkdir(parents=True, exist_ok=True)
+    iv.save_dataset_csv(ds, out)
+    mapping = ", ".join(f"{raw!r}->{i}" for raw, i in sorted(label_map.items(), key=lambda kv: kv[1]))
+    print(f"wrote {out}: n={len(ds)} C={ds.n_classes} d={ds.dim()} T={window} labels: {mapping}")
+
+
+def _run_ingest(command, raw, out, opts):
+    """(exit code, stdout, stderr, dataset bytes or None) of `cli.main` on
+    an ingest argv, with `command` as the ingest command."""
+    saved = cli.COMMANDS["ingest"]
+    cli.COMMANDS["ingest"] = (saved[0], command, saved[2])
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = cli.main(["ingest", "--input", str(raw), "--out", str(out), *map(str, opts)])
+    finally:
+        cli.COMMANDS["ingest"] = saved
+    data = out.read_bytes() if out.exists() else None
+    if data is not None:
+        out.unlink()
+    return rc, stdout.getvalue(), stderr.getvalue(), data
+
+
+def check_ingest(tmp, text, opts=("--window", "2")):
+    """Run the reference and `cmd_ingest` on the same raw text (str, or bytes
+    written as they are) and require the same exit code, stdout, stderr and
+    dataset bytes; returns that common result."""
+    raw, out = Path(tmp) / "raw.csv", Path(tmp) / "ds.csv"
+    raw.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    want = _run_ingest(ref_ingest, raw, out, opts)
+    got = _run_ingest(cli.cmd_ingest, raw, out, opts)
+    assert got == want
+    rc, _, err, _ = got
+    if rc != 0:
+        assert rc in (3, 4)
+        assert len(err.splitlines()) == 1 + err.count("warning: ")
+        assert "Traceback" not in err
+    return got
+
+
+RAW_HEAD = "series_id,dim,timestamp,value,label\n"
+
+
+def _raw_rows(sids=("s1", "s2"), dims=("x",), days=4, per_day=2, labels=None, start=(2021, 3, 1)):
+    labels = labels or {sid: f"L{i % 2}" for i, sid in enumerate(sids)}
+    rows = []
+    for s, sid in enumerate(sids):
+        for d in range(days):
+            day = date(*start) + timedelta(days=d)
+            for j, dim in enumerate(dims):
+                for r in range(per_day):
+                    v = round(math.sin(1 + 7 * s + 3 * d + 5 * j + r), 4)
+                    rows.append(f"{sid},{dim},{day.isoformat()}T{6 * r:02d}:00:00,{v},{labels[sid]}")
+    return rows
+
+
+class TestIngestOracle:
+    @pytest.mark.parametrize(
+        "text, opts",
+        [
+            (RAW_HEAD + "\n".join(_raw_rows()) + "\n", ("--window", "2")),
+            (RAW_HEAD + "\n".join(_raw_rows(dims=("x", "y", "z"), days=9)), ("--window", "3")),
+            # --stride other than --window
+            (RAW_HEAD + "\n".join(_raw_rows(days=7)) + "\n", ("--window", "3", "--stride", "2")),
+            (RAW_HEAD + "\n".join(_raw_rows(days=7)) + "\n", ("--window", "2", "--stride", "5")),
+            # unsorted rows, repeated readings
+            (RAW_HEAD + "\n".join(sorted(_raw_rows(dims=("b", "a")) * 2, reverse=True)) + "\n",
+             ("--window", "2")),
+            # CRLF line endings
+            (RAW_HEAD.replace("\n", "\r\n") + "\r\n".join(_raw_rows()) + "\r\n", ("--window", "2")),
+            # blank and whitespace-only lines, padded fields and header
+            ("series_id , dim,timestamp ,value, label\n\n"
+             + "\n  \n".join(" , ".join(r.split(",")) for r in _raw_rows()) + "\n\n",
+             ("--window", "2")),
+            # quoted fields holding commas and a line break
+            (RAW_HEAD + "\n".join('"{},q",{},"{}\nx"'.format(sid, *rest.rsplit(",", 1))
+                                  for sid, rest in (r.split(",", 1) for r in _raw_rows())),
+             ("--window", "2")),
+            # dims named differently per series, with the same count
+            (RAW_HEAD + "\n".join(_raw_rows(sids=("s1",), dims=("a", "b"))
+                                  + _raw_rows(sids=("s2",), dims=("c", "d"))) + "\n",
+             ("--window", "2")),
+            # offsets and date-only stamps on one local day; -0.0 and 0.0 tied
+            (RAW_HEAD + "s,x,2020-01-01T23:30:00-05:00,0.0,a\ns,x,2020-01-01,-0.0,a\n"
+             "s,x,2020-01-01T01:00:00+09:00,0.5,a\ns,x,2020-01-02,-0.0,a\n"
+             "s,x,2020-01-02T12:00:00Z,0.0,a\ns,x,2020-01-02T13:00,-2,a\n"
+             "s,x,2020-01-03,2,a\ns,x,2020-01-03,-0.0,a\ns,x,2020-01-03,0.0,a\n",
+             ("--window", "1")),
+            # dropped days with the warning, in sorted series order
+            (RAW_HEAD + "\n".join(r for r in _raw_rows(sids=("zz", "aa", "mm"), dims=("x", "y"),
+                                                       days=5)
+                                  if not (r.startswith(("zz,y,2021-03-02", "mm,x,2021-03-0"))
+                                          and "T06" in r)) + "\n",
+             ("--window", "2")),
+            # non-ASCII names, \x1c that str.strip() drops and float() keeps
+            (RAW_HEAD + "é,x,2020-01-01,\x1c1.5,ü\né,x,2020-01-02,2,ü\n", ("--window", "2")),
+        ],
+    )
+    def test_same_output(self, tmp_path, text, opts):
+        rc, _, _, data = check_ingest(tmp_path, text, opts)
+        assert rc == 0 and data
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "series_id,dim,timestamp,value\n",
+            RAW_HEAD,
+            RAW_HEAD + "\n \n",
+            RAW_HEAD + "s,x,2020-01-01,1\n",
+            RAW_HEAD + "s,x,2020-01-01,1,a,extra\n",
+            RAW_HEAD + "s,x,notadate,1,a\n",
+            RAW_HEAD + "s,x,2020-01-01,abc,a\n",
+            RAW_HEAD + "s,x,2020-01-01,nan,a\n",
+            RAW_HEAD + "s,x,2020-01-01,1,a\ns,x,2020-01-01T12:00:00, -inf ,a\n",
+            RAW_HEAD + "s,x,2020-01-01,1,a\ns,x,2020-01-02,1,b\n",
+            RAW_HEAD + "\n".join(_raw_rows(sids=("s1",), dims=("a",))
+                                 + _raw_rows(sids=("s2",), dims=("a", "b"))) + "\n",
+            RAW_HEAD + "s,x,2020-01-01,1,a\n",
+            # the first faulty record wins, and within one the check order
+            RAW_HEAD + "s,x,2020-01-01,1,a\ns,x,2020-01-01,zz,b\ns,x,bad,1,a\n",
+            RAW_HEAD + "s,x,2020-01-01,1,a\ns,x,bad,zz,b\n",
+            RAW_HEAD + "s,x,2020-01-01,1,a\ns,x,2020-01-01,zz,b\n",
+            RAW_HEAD + "s,x,2020-01-01,1,a\ns,x,2020-01-01,1,b\ns,x\n",
+            RAW_HEAD + "s,x,bad,1,a\ns,x,2020-01-01,1\n",
+            # four fields and six: five on average
+            RAW_HEAD + "s,x,2020-01-01,1,a\ns,x,2020-01-01,1\ns,x,2020-01-01,1,a,\n",
+            RAW_HEAD + "\ns,x,2020-01-01,1,a,s,x,2020-01-01,1,a\n",
+            # a quoted record over two lines counts as one
+            RAW_HEAD + 's,x,2020-01-01,1,"a\nb"\ns,x,2020-01-01,1,a\n',
+        ],
+    )
+    def test_same_errors(self, tmp_path, text):
+        rc, _, _, data = check_ingest(tmp_path, text)
+        assert rc in (3, 4) and data is None
+
+    @pytest.mark.parametrize("opts", [("--window", "0"), ("--window", "2", "--stride", "0")])
+    def test_numeric_errors(self, tmp_path, opts):
+        rc, _, err, _ = check_ingest(tmp_path, RAW_HEAD + "\n".join(_raw_rows()) + "\n", opts)
+        assert rc == 4 and err == "numeric error: window and stride must be >= 1\n"
+
+    def test_missing_input(self, tmp_path):
+        want = _run_ingest(ref_ingest, tmp_path / "none.csv", tmp_path / "o.csv", ())
+        got = _run_ingest(cli.cmd_ingest, tmp_path / "none.csv", tmp_path / "o.csv", ())
+        assert got == want and got[0] == 3 and got[2].startswith("data error: cannot read ")
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000])
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            "",
+            's2,x,2021-03-01,1,"L1"\n',  # a quote, so csv.reader reads the rest
+            's2,"x\ny",2021-03-01,1,L1\n',  # a record over two lines
+            "s2,x,2021-03-01,1,L1\r\n",
+            "\n\n s2 ,x,2021-03-02,1,L1\n",
+            "s2,x,2021-03-02,1,L0\n",  # conflicting labels
+            "s2,x,2021-03-02\n",
+            "s2,x,2021-03-02,1e999,L1\n",
+        ],
+    )
+    def test_block_boundaries(self, tmp_path, monkeypatch, block, tail):
+        monkeypatch.setattr(ingest, "BLOCK_CHARS", block)
+        rows = _raw_rows(days=6)
+        text = RAW_HEAD + "\n".join(rows[:9]) + "\n" + tail + "\n".join(rows[9:]) + "\n"
+        check_ingest(tmp_path, text)
+
+    def test_signed_zeros_in_shuffled_rows(self, tmp_path):
+        # min and max keep the first of -0.0 and 0.0 in file order, so the
+        # sort that groups the cells must be stable
+        rng = random.Random(5)
+        rows = [f"s,{dim},2020-01-0{day}T{r % 24:02d}:00:00,{rng.choice(['0.0', '-0.0'])},a"
+                for dim in "abc" for day in (1, 2, 3) for r in range(60)]
+        rng.shuffle(rows)
+        rc, _, _, data = check_ingest(tmp_path, RAW_HEAD + "\n".join(rows) + "\n",
+                                      ("--window", "3"))
+        assert rc == 0 and b"-0.0" in data and b",0.0" in data
+
+    def test_benchmark_raw_file(self, tmp_path):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        try:
+            import rawgen
+        finally:
+            sys.path.pop(0)
+        rows = rawgen.write_raw_readings(tmp_path / "gen.csv", 3, series=8, dims=3, days=40,
+                                         per_day=4)
+        rc, out, err, data = check_ingest(tmp_path, (tmp_path / "gen.csv").read_bytes(),
+                                          ("--window", "10"))
+        assert rows > 3000 and rc == 0 and err.count("warning: ") == 8 and data
+
+    def test_wide_key_groups_the_same(self, tmp_path, monkeypatch):
+        # more (series, day, dim) combinations than an int64 key can number
+        # switch to dense (series, day) ranks; a limit of 1 forces that
+        text = RAW_HEAD + "\n".join(sorted(_raw_rows(sids=("c", "a", "b"), dims=("y", "x"),
+                                                     days=5))) + "\n"
+        want = check_ingest(tmp_path, text)
+
+        monkeypatch.setattr(ingest, "_KEY_MAX", 1)
+        assert _run_ingest(cli.cmd_ingest, tmp_path / "raw.csv", tmp_path / "ds.csv",
+                           ("--window", "2")) == want
+
+    def test_property(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        label_of = {"s1": "a", " s1": " a", "s2": "b", "s,3": "a", "s\n4": "c", "é": "b"}
+        reading = st.tuples(
+            st.sampled_from(sorted(label_of)),
+            st.sampled_from(["x", " x "]),
+            st.sampled_from(["2020-01-01", "2020-01-01T06:00:00", "2020-01-02T23:30:00-05:00",
+                             "2020-01-02", "2020-01-03", "2020-01-03T01:00:00+09:00",
+                             "2020-01-04"]),
+            st.sampled_from(["1.5", "-0.0", "0.0", "0", " 2 ", "-1e3", "3", "1_0"]),
+        ).map(lambda r: [*r, label_of[r[0]]])
+        faults = {
+            "short": lambda r: r[:4],
+            "long": lambda r: r + [""],
+            "blank": lambda r: [],
+            "spaces": lambda r: ["  "],
+            "stamp": lambda r: r[:2] + ["2020-13-01"] + r[3:],
+            "nan": lambda r: r[:3] + ["nan"] + r[4:],
+            "inf": lambda r: r[:3] + ["-inf"] + r[4:],
+            "value": lambda r: r[:3] + ["1.5.1"] + r[4:],
+            "label": lambda r: r[:4] + ["z"],
+            "dim": lambda r: r[:1] + ["y"] + r[2:],
+        }
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(
+            records=st.lists(reading, max_size=40),
+            hits=st.lists(st.tuples(st.integers(0, 39), st.sampled_from(sorted(faults))),
+                          max_size=1),
+            quote=st.booleans(),
+            eol=st.sampled_from(["\n", "\r\n"]),
+            window=st.integers(1, 3),
+            stride=st.sampled_from([None, 1, 2]),
+            block=st.sampled_from([1, 16, 1 << 16]),
+        )
+        def check(records, hits, quote, eol, window, stride, block):
+            for at, fault in hits:
+                if records:
+                    records[at % len(records)] = faults[fault](records[at % len(records)])
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator=eol,
+                                quoting=csv.QUOTE_ALL if quote else csv.QUOTE_MINIMAL)
+            writer.writerow(REF_RAW_HEADER)
+            writer.writerows(records)
+            opts = ("--window", window) + (() if stride is None else ("--stride", stride))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingest, "BLOCK_CHARS", block)
+                check_ingest(tmp_path, buf.getvalue(), opts)
+
+        check()
