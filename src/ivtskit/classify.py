@@ -88,28 +88,54 @@ class FeatureConfig:
         if not self.normalize_cap > 0.0:
             raise ValueError(f"normalize_cap must be positive, got {self.normalize_cap}")
 
+    def length(self, n: int) -> int:
+        """Length of the feature vector of an N-by-N image: N^2 or q^2."""
+        if self.mode == "flatten":
+            return n * n
+        if self.q > n:
+            raise BlockGridInvalid(f"block grid {self.q} exceeds image size {n}")
+        return self.q * self.q
+
+
+def featurize_stack(stack, cfg: FeatureConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """The feature vectors of a (b, N, N) stack of images as the rows of a
+    (b, p) float64 matrix, written into `out` when it is given.
+
+    Row i equals ``featurize`` of image i: block sums are exact integers, and
+    each row's norm is the same dot product that ``np.linalg.norm`` takes of
+    one vector (``norm(axis=1)`` sums in another order).
+    """
+    stack = np.asarray(stack)
+    b, n = stack.shape[:2]
+    p = cfg.length(n)
+    if out is None:
+        out = np.empty((b, p))
+    if cfg.mode == "flatten":
+        out[...] = stack.reshape(b, p)
+    else:
+        # Cell (r, c) of the q-by-q grid of near-equal cells; its pixel sum is
+        # an exact integer, so dividing it by the cell size equals .mean().
+        # The rows of each cell are summed by np.add.reduce, which casts the
+        # uint8 pixels to float64 in small buffers; a reduceat over the stack
+        # would first cast all of it (8 bytes a pixel).
+        cells = np.array_split(np.arange(n), cfg.q)
+        sizes = np.array([len(cell) for cell in cells])
+        row_sums = np.empty((b, cfg.q, n))
+        for k, cell in enumerate(cells):
+            np.add.reduce(stack[:, cell[0] : cell[-1] + 1], axis=1, dtype=np.float64,
+                          out=row_sums[:, k])
+        sums = np.add.reduceat(row_sums, [cell[0] for cell in cells], axis=2)
+        out[...] = (sums / np.outer(sizes, sizes)).reshape(b, p)
+    for z in out:
+        norm = float(np.linalg.norm(z))
+        if norm > cfg.normalize_cap:
+            z *= cfg.normalize_cap / norm
+    return out
+
 
 def featurize(img: RecurrenceImage, cfg: FeatureConfig) -> np.ndarray:
     """Turn an image into a norm-capped feature vector of dim N^2 or q^2."""
-    px = img.pixels.astype(np.float64)
-    if cfg.mode == "flatten":
-        z = px.reshape(-1)
-    else:
-        if cfg.q > img.n:
-            raise BlockGridInvalid(
-                f"block grid {cfg.q} exceeds image size {img.n}"
-            )
-        # Cell (r, c) of the q-by-q grid of near-equal cells; its pixel sum is
-        # an exact integer, so dividing it by the cell size equals .mean().
-        cells = np.array_split(np.arange(img.n), cfg.q)
-        starts = [cell[0] for cell in cells]
-        sizes = np.array([len(cell) for cell in cells])
-        sums = np.add.reduceat(np.add.reduceat(px, starts, axis=0), starts, axis=1)
-        z = (sums / np.outer(sizes, sizes)).reshape(-1)
-    norm = float(np.linalg.norm(z))
-    if norm > cfg.normalize_cap:
-        z = z * (cfg.normalize_cap / norm)
-    return z
+    return featurize_stack(img.pixels[None], cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -169,6 +195,17 @@ def predict(clf: LinearClassifier, z) -> int:
     return int(np.argmax(score(clf, z))) + 1
 
 
+def predict_rows(clf: LinearClassifier, features: np.ndarray) -> np.ndarray:
+    """:func:`predict` of every row of an (m, p) matrix, with the same scores:
+    one stacked matrix-vector product runs the kernel of ``W @ z`` per row."""
+    if features.ndim != 2 or features.shape[1] != clf.dim:
+        raise DimMismatch(
+            f"features have shape {features.shape}, classifier expects (*, {clf.dim})"
+        )
+    scores = np.matmul(clf.weights[None], features[..., None])[..., 0] + clf.biases
+    return scores.argmax(axis=1) + 1
+
+
 def _score_matrix(clf: LinearClassifier, features: np.ndarray) -> np.ndarray:
     if features.ndim != 2 or features.shape[1] != clf.dim:
         raise DimMismatch(
@@ -223,7 +260,9 @@ def train(
     Starts from the zero classifier, uses the step schedule
     ``step_size / sqrt(t)``, and returns the iterate with the lowest recorded
     empirical risk (so the step-0 zero model is returned when nothing
-    improves on it).  The optimizer is deterministic.
+    improves on it).  The optimizer is deterministic.  A step size that is
+    not finite and positive, a cap that is not finite, and an iterate whose
+    risk is not finite are ValueErrors.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -239,8 +278,12 @@ def train(
         raise ValueError("labels must be 1-based class ids")
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if not (math.isfinite(step_size) and step_size > 0.0):
+        raise ValueError(f"step size must be finite and positive, got {step_size}")
     if not (c_A > 0.0 and c_B > 0.0):
         raise ValueError("norm caps c_A and c_B must be positive")
+    if not (math.isfinite(c_A) and math.isfinite(c_B)):
+        raise ValueError(f"norm caps c_A and c_B must be finite, got {c_A} and {c_B}")
 
     w = np.zeros((n_classes, p))
     b = np.zeros(n_classes)
@@ -251,24 +294,31 @@ def train(
     best_w = w.copy()
     best_b = b.copy()
     rows = np.arange(n)
-    for t in range(1, steps + 1):
-        g = _aux_subgradient_vec(kind, margins)
-        coeff = np.zeros((n, n_classes))
-        coeff[rows, y - 1] = g
-        coeff[rows, best_other] -= g
-        w -= (step_size / math.sqrt(t)) * (coeff.T @ X) / n
-        b -= (step_size / math.sqrt(t)) * coeff.sum(axis=0) / n
-        norms = np.linalg.norm(w, axis=1)
-        over = norms > c_A
-        if over.any():
-            w[over] *= (c_A / norms[over])[:, None]
-        np.clip(b, -c_B, c_B, out=b)
-        margins, best_other = _margins(X @ w.T + b, y)
-        r = float(_aux_loss_vec(kind, margins).mean())
-        if r < best_risk:
-            best_risk = r
-            best_w = w.copy()
-            best_b = b.copy()
+    # An overflowing step is reported by the risk check below, not by numpy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, steps + 1):
+            g = _aux_subgradient_vec(kind, margins)
+            coeff = np.zeros((n, n_classes))
+            coeff[rows, y - 1] = g
+            coeff[rows, best_other] -= g
+            w -= (step_size / math.sqrt(t)) * (coeff.T @ X) / n
+            b -= (step_size / math.sqrt(t)) * coeff.sum(axis=0) / n
+            norms = np.linalg.norm(w, axis=1)
+            over = norms > c_A
+            if over.any():
+                w[over] *= (c_A / norms[over])[:, None]
+            np.clip(b, -c_B, c_B, out=b)
+            margins, best_other = _margins(X @ w.T + b, y)
+            r = float(_aux_loss_vec(kind, margins).mean())
+            if not math.isfinite(r):
+                raise ValueError(
+                    f"training risk is {r} at step {t}; a smaller step size or smaller "
+                    "caps keep it finite"
+                )
+            if r < best_risk:
+                best_risk = r
+                best_w = w.copy()
+                best_b = b.copy()
     return LinearClassifier(best_w, best_b, c_A, c_B)
 
 

@@ -23,7 +23,7 @@ from . import classify as clf_mod
 from . import dgp as dgp_mod
 from . import imaging as img_mod
 from . import theory as theory_mod
-from .errors import IvtsError, NegativeSquaredDistance, NonFinite
+from .errors import BlockGridInvalid, IvtsError, NegativeSquaredDistance, NonFinite
 from .imaging import TrajectoryConfig
 from .intervals import parse_kernel
 
@@ -409,20 +409,81 @@ def cmd_image(eff: dict) -> None:
 # classify
 
 
-def _feature_matrix(features, n: int) -> np.ndarray:
-    """The n feature vectors as the rows of one matrix, filled row by row so
-    that the vectors need not all be held beside it."""
-    X = None
-    for i, z in enumerate(features):
-        if X is None:
-            X = np.empty((n, len(z)))
-        elif len(z) != X.shape[1]:
+# Pixel bytes of the images `classify` holds at once while it featurizes
+# them (2 MiB); a block holds at least one image.
+IMAGE_BLOCK_BYTES = 1 << 21
+
+
+class _FeatureRows:
+    """The (n, p) feature matrix of n images given one at a time in item order.
+
+    The images are kept in a uint8 block of one image size and at most
+    IMAGE_BLOCK_BYTES, which is featurized straight into its rows of the
+    matrix when it is full, when the image size changes, and at the end.
+    """
+
+    def __init__(self, n: int, fc: clf_mod.FeatureConfig) -> None:
+        self.n, self.fc = n, fc
+        self.X = None
+        self.block = None
+        self.held = 0  # images in the block
+        self.done = 0  # rows of X written
+        self.lengths = None  # the first two feature lengths found to differ
+
+    def add(self, pixels: np.ndarray) -> None:
+        size = len(pixels)
+        p = self.fc.length(size)  # a bad block grid is raised at its item
+        if self.X is None:
+            self.X = np.empty((self.n, p))
+        if p != self.X.shape[1]:
+            self.lengths = self.lengths or sorted({p, self.X.shape[1]})
+        if self.lengths:
+            return
+        if self.block is None or self.block.shape[1] != size:
+            self._flush()
+            rows = max(1, IMAGE_BLOCK_BYTES // (size * size))
+            self.block = np.empty((rows, size, size), dtype=np.uint8)
+        elif self.held == len(self.block):
+            self._flush()
+        self.block[self.held] = pixels
+        self.held += 1
+
+    def _flush(self) -> None:
+        if self.held:
+            rows = self.X[self.done : self.done + self.held]
+            clf_mod.featurize_stack(self.block[: self.held], self.fc, out=rows)
+            self.done += self.held
+            self.held = 0
+
+    def matrix(self) -> np.ndarray:
+        """The filled matrix; features of different lengths are a data error,
+        reported only here so that errors in reading come first."""
+        if self.lengths:
             raise DataError(
-                f"items give features of different lengths {sorted({len(z), X.shape[1]})}; "
+                f"items give features of different lengths {self.lengths}; "
                 "--feature-mode flatten needs images of one size"
             )
-        X[i] = z
-    return X
+        self._flush()
+        return self.X
+
+
+def _permute_rows(X: np.ndarray, src: np.ndarray) -> None:
+    """Set X[j] = X[src[j]] for every row j at once, in place: each cycle of
+    the permutation is followed with one row buffer."""
+    src = src.tolist()
+    buf = np.empty(X.shape[1])
+    done = [False] * len(src)
+    for j in range(len(src)):
+        if done[j] or src[j] == j:
+            continue
+        buf[...] = X[j]
+        k = j
+        while src[k] != j:
+            X[k] = X[src[k]]
+            done[k] = True
+            k = src[k]
+        X[k] = buf
+        done[k] = True
 
 
 def _images_kernel(images_dir: Path) -> str:
@@ -460,7 +521,7 @@ def _load_image_features(images_dir: Path, fc: clf_mod.FeatureConfig):
         raise DataError(f"cannot read {index}: {e}") from e
     if not lines or lines[0] != "file,item,label":
         raise DataError(f"{index}: expected header file,item,label")
-    features, labels = [], []
+    rows, labels = _FeatureRows(len(lines) - 1, fc), []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 3:
@@ -479,11 +540,30 @@ def _load_image_features(images_dir: Path, fc: clf_mod.FeatureConfig):
             )
         except (OSError, ValueError) as e:
             raise DataError(f"{path}: {e}") from e
-        features.append(clf_mod.featurize(img, fc))
-    if not features:
+        rows.add(img.pixels)
+    if not labels:
         raise DataError(f"{index}: no images listed")
     _check_labels(labels, index, linear=True)
-    return _feature_matrix(features, len(features)), np.array(labels)
+    return rows.matrix(), np.array(labels)
+
+
+def _data_features(ds, cfg: TrajectoryConfig, kernel, threads: int, fc) -> np.ndarray:
+    """The feature matrix of a dataset, imaged a block of items at a time."""
+    series = ds.series()
+    rows = _FeatureRows(len(series), fc)
+    step = max(1, IMAGE_BLOCK_BYTES // ds.bounds.shape[2] ** 2)  # N <= T
+    grid_error = None
+    for start in range(0, len(series), step):
+        images = img_mod.image_dataset(series[start : start + step], cfg, kernel, threads, start)
+        try:
+            for img in images:
+                rows.add(img.pixels)
+        except BlockGridInvalid as e:
+            # raised once every item is imaged, as when imaging came first
+            grid_error = grid_error or e
+    if grid_error is not None:
+        raise grid_error
+    return rows.matrix()
 
 
 def cmd_classify(eff: dict) -> None:
@@ -539,14 +619,15 @@ def cmd_classify(eff: dict) -> None:
             # the images were rendered by the image command, not with --kernel
             kernel_text = _images_kernel(Path(eff["images"]))
         else:
-            cfg = _trajectory_config(eff)
-            images = img_mod.image_dataset(ds.series(), cfg, kernel, threads)
-            X = _feature_matrix((clf_mod.featurize(img, fc) for img in images), len(images))
+            X = _data_features(ds, _trajectory_config(eff), kernel, threads, fc)
             y = ds.label_ids
+        # Each run moves its training rows, in split order, to the front of X
+        # and its test rows after them; order[i] is the item in row i.
+        order = np.arange(len(y))
         for r in range(eff["runs"]):
             run_seed = seed + r
             if eff["self_test"]:
-                train_idx = test_idx = list(range(len(y)))
+                want, n_train, test = order, len(y), slice(None)
             else:
                 try:
                     train_idx, test_idx = dgp_mod.split_indices(
@@ -554,8 +635,12 @@ def cmd_classify(eff: dict) -> None:
                     )
                 except ValueError as e:
                     raise DataError(str(e)) from e
+                want, n_train = np.array(train_idx + test_idx), len(train_idx)
+                test = slice(n_train, None)
+            _permute_rows(X, np.argsort(order)[want])
+            order = want
             try:
-                model = clf_mod.train(X[train_idx], y[train_idx], kind=eff["loss"],
+                model = clf_mod.train(X[:n_train], y[order[:n_train]], kind=eff["loss"],
                                       steps=eff["steps"], step_size=eff["step_size"],
                                       c_A=eff["c_a"], c_B=eff["c_b"])
             except ValueError as e:
@@ -563,8 +648,7 @@ def cmd_classify(eff: dict) -> None:
             if not (model.weights.any() or model.biases.any()):
                 print(f"warning: run {r}: no training step beat the zero model's risk, so the "
                       "model is all zeros and predicts class 1 for every item", file=sys.stderr)
-            preds = [clf_mod.predict(model, X[i]) for i in test_idx]
-            acc = clf_mod.accuracy(preds, [int(y[i]) for i in test_idx])
+            acc = clf_mod.accuracy(clf_mod.predict_rows(model, X[test]), y[order[test]])
             model_path = outdir / f"model_run{r}.txt"
             clf_mod.save_model(model, eff["loss"], model_path)
             report_rows.append((r, kernel_text, tag, run_seed, acc))

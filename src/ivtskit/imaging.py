@@ -192,13 +192,14 @@ def image_series(series, cfg: TrajectoryConfig, kernel: Kernel2x2) -> Recurrence
 
 
 def image_dataset(
-    series_list, cfg: TrajectoryConfig, kernel: Kernel2x2, threads: int = 1
+    series_list, cfg: TrajectoryConfig, kernel: Kernel2x2, threads: int = 1, first: int = 0
 ) -> list[RecurrenceImage]:
     """Image a batch of observations.
 
     Imaging is pure and embarrassingly parallel across observations; output
     order always matches input order regardless of thread count.  A failure
-    is re-raised as the same error type tagged with the item's index.
+    is re-raised as the same error type tagged with the item's index, counted
+    from `first`.
     """
 
     def one(pair):
@@ -208,7 +209,7 @@ def image_dataset(
         except IvtsError as e:
             raise type(e)(f"item {i}: {e}") from e
 
-    return parallel_map(one, enumerate(series_list), threads)
+    return parallel_map(one, enumerate(series_list, first), threads)
 
 
 def export_pgm(img: RecurrenceImage, path) -> None:

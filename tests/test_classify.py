@@ -1,5 +1,7 @@
 """Tests for featurization, the max-loss trainer, and the knn baseline."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,31 @@ class TestTrain:
         b = iv.train(X, y, steps=50)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
+
+    @pytest.mark.parametrize(
+        "kwargs,text",
+        [
+            ({"step_size": float("nan")}, "step size must be finite and positive, got nan"),
+            ({"step_size": 0.0}, "step size must be finite and positive, got 0.0"),
+            ({"step_size": -1.0}, "step size must be finite and positive, got -1.0"),
+            ({"step_size": float("inf")}, "step size must be finite and positive, got inf"),
+            ({"c_A": float("inf")}, "norm caps c_A and c_B must be finite, got inf and 1.0"),
+            ({"c_B": float("nan")}, "norm caps c_A and c_B must be positive"),
+            ({"kind": "exponential", "step_size": 1e300, "c_A": 1e300, "c_B": 1e300},
+             "training risk is inf at step 1;"),
+            ({"kind": "squared_hinge", "step_size": 1e200, "c_A": 1e300, "c_B": 1e300},
+             "training risk is inf at step 1;"),
+            ({"step_size": 1e308, "c_A": 1e308, "c_B": 1e308}, "training risk is nan at step 1;"),
+        ],
+    )
+    def test_bad_values_are_value_errors_without_warnings(self, kwargs, text):
+        # three classes, so the first step moves the biases off zero
+        X = np.random.default_rng(0).random((30, 4))
+        y = np.arange(30) % 3 + 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=text.replace("(", r"\(")):
+                iv.train(X, y, steps=5, **kwargs)
 
     def test_exponential_loss_trains(self):
         X, y = separable_two_class_features()

@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import csv
+import io
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -544,7 +547,12 @@ class TestClassify:
         assert "Traceback" not in out.stderr
 
     @pytest.mark.parametrize(
-        "option", [("--cap", "0"), ("--steps", "-1"), ("--c-a", "0"), ("--c-b", "0")]
+        "option",
+        [
+            ("--cap", "0"), ("--steps", "-1"), ("--c-a", "0"), ("--c-b", "0"),
+            ("--step-size", "nan"), ("--step-size", "0"), ("--step-size", "-1"),
+            ("--step-size", "inf"), ("--c-a", "inf"), ("--c-b", "inf"),
+        ],
     )
     def test_bad_linear_option_is_numeric_error(self, tmp_path, option):
         data = tmp_path / "sep.csv"
@@ -552,6 +560,13 @@ class TestClassify:
         out = run_cli("classify", "--data", data, "--mode", "linear", "--steps", "5",
                       *option, "--outdir", tmp_path / "o")
         assert_one_line_error(out, 4, "numeric error: ")
+
+    def test_overflowing_step_is_one_line_numeric_error(self, mix_csv, tmp_path):
+        out = run_cli("classify", "--data", mix_csv, "--mode", "linear", "--steps", "5",
+                      "--loss", "exponential", "--step-size", "1e300", "--c-a", "1e300",
+                      "--c-b", "1e300", "--outdir", tmp_path / "o")
+        assert_one_line_error(out, 4, "numeric error: training risk is inf at step 1;")
+        assert "Warning" not in out.stderr
 
     @pytest.mark.parametrize(
         "relabel,text",
@@ -737,3 +752,35 @@ class TestConfigFile:
             "image", "--data", mix_csv, "--outdir", tmp_path / "o", "--config", cfg
         )
         assert out.returncode == 2
+
+
+class TestClassifyMemory:
+    """`classify` holds one n x p feature matrix and nothing of its size beside it."""
+
+    @pytest.mark.parametrize("source", ["--data", "--images"])
+    def test_traced_peak_below_one_and_a_half_matrices(self, tmp_path, source):
+        from ivtskit import cli
+
+        data, imgdir = tmp_path / "ds.csv", tmp_path / "img"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["generate", "--dgp", "1", "--per-class", "20", "--T", "160",
+                             "--out", str(data)]) == 0
+            assert cli.main(["image", "--data", str(data), "--outdir", str(imgdir),
+                             "--kernel", "K4", "--threads", "1"]) == 0
+        n = len((imgdir / "index.csv").read_text().splitlines()) - 1
+        matrix_bytes = n * 160 * 160 * 8  # float64 at p = N^2
+        argv = ["classify", source, str(data if source == "--data" else imgdir),
+                "--feature-mode", "flatten", "--steps", "20", "--runs", "2", "--threads", "1",
+                "--outdir", str(tmp_path / "lin")]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                rc = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert matrix_bytes < peak < 1.5 * matrix_bytes

@@ -10,7 +10,9 @@ import csv
 import io
 import math
 import random
+import shutil
 import sys
+import tempfile
 from collections import defaultdict
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -21,6 +23,7 @@ import pytest
 import ivtskit as iv
 from ivtskit import classify, cli, ingest, theory
 from ivtskit.classify import _aux_loss_vec, _aux_subgradient_vec, _margins
+from ivtskit.errors import BlockGridInvalid
 from ivtskit.intervals import series_dk_squared
 
 KERNELS = ("K1", "K4", "K5")
@@ -758,21 +761,30 @@ def ref_ingest(eff):
     print(f"wrote {out}: n={len(ds)} C={ds.n_classes} d={ds.dim()} T={window} labels: {mapping}")
 
 
-def _run_ingest(command, raw, out, opts):
-    """(exit code, stdout, stderr, dataset bytes or None) of `cli.main` on
-    an ingest argv, with `command` as the ingest command."""
-    saved = cli.COMMANDS["ingest"]
-    cli.COMMANDS["ingest"] = (saved[0], command, saved[2])
+def _run(name, command, argv):
+    """(exit code, stdout, stderr) of `cli.main(argv)` with `command` as the
+    `name` command."""
+    saved = cli.COMMANDS[name]
+    cli.COMMANDS[name] = (saved[0], command, saved[2])
     stdout, stderr = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            rc = cli.main(["ingest", "--input", str(raw), "--out", str(out), *map(str, opts)])
+            rc = cli.main(argv)
     finally:
-        cli.COMMANDS["ingest"] = saved
+        cli.COMMANDS[name] = saved
+    return rc, stdout.getvalue(), stderr.getvalue()
+
+
+def _run_ingest(command, raw, out, opts):
+    """(exit code, stdout, stderr, dataset bytes or None) of `cli.main` on
+    an ingest argv, with `command` as the ingest command."""
+    rc, stdout, stderr = _run(
+        "ingest", command, ["ingest", "--input", str(raw), "--out", str(out), *map(str, opts)]
+    )
     data = out.read_bytes() if out.exists() else None
     if data is not None:
         out.unlink()
-    return rc, stdout.getvalue(), stderr.getvalue(), data
+    return rc, stdout, stderr, data
 
 
 def check_ingest(tmp, text, opts=("--window", "2")):
@@ -1003,3 +1015,419 @@ class TestIngestOracle:
                 check_ingest(tmp_path, buf.getvalue(), opts)
 
         check()
+
+
+# ---------------------------------------------------------------------------
+# classify --mode linear
+
+
+def ref_featurize(img, fc):
+    """`featurize` of one image, as it was before it wrapped `featurize_stack`."""
+    px = img.pixels.astype(np.float64)
+    if fc.mode == "flatten":
+        z = px.reshape(-1)
+    else:
+        if fc.q > img.n:
+            raise BlockGridInvalid(f"block grid {fc.q} exceeds image size {img.n}")
+        cells = np.array_split(np.arange(img.n), fc.q)
+        starts = [cell[0] for cell in cells]
+        sizes = np.array([len(cell) for cell in cells])
+        sums = np.add.reduceat(np.add.reduceat(px, starts, axis=0), starts, axis=1)
+        z = (sums / np.outer(sizes, sizes)).reshape(-1)
+    norm = float(np.linalg.norm(z))
+    if norm > fc.normalize_cap:
+        z = z * (fc.normalize_cap / norm)
+    return z
+
+
+def ref_feature_matrix(features, n):
+    X = None
+    for i, z in enumerate(features):
+        if X is None:
+            X = np.empty((n, len(z)))
+        elif len(z) != X.shape[1]:
+            raise cli.DataError(
+                f"items give features of different lengths {sorted({len(z), X.shape[1]})}; "
+                "--feature-mode flatten needs images of one size"
+            )
+        X[i] = z
+    return X
+
+
+def ref_load_image_features(images_dir, fc):
+    index = images_dir / "index.csv"
+    try:
+        lines = index.read_text(encoding="ascii").splitlines()
+    except (OSError, ValueError) as e:
+        raise cli.DataError(f"cannot read {index}: {e}") from e
+    if not lines or lines[0] != "file,item,label":
+        raise cli.DataError(f"{index}: expected header file,item,label")
+    features, labels = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise cli.DataError(f"{index}:{lineno}: expected 3 fields")
+        name, _, label = parts
+        try:
+            labels.append(int(label))
+        except ValueError:
+            raise cli.DataError(f"{index}:{lineno}: bad label {label!r}") from None
+        path = images_dir / name
+        try:
+            img = iv.load_pgm(path) if path.suffix == ".pgm" else iv.load_csv_image(path)
+        except (OSError, ValueError) as e:
+            raise cli.DataError(f"{path}: {e}") from e
+        features.append(ref_featurize(img, fc))
+    if not features:
+        raise cli.DataError(f"{index}: no images listed")
+    cli._check_labels(labels, index, linear=True)
+    return ref_feature_matrix(features, len(features)), np.array(labels)
+
+
+def ref_classify(eff):
+    """`classify --mode linear` as a per-item path: every image imaged or read
+    first, one feature vector per image in a list, a copy of the training rows
+    per run and one `predict` per test row."""
+    assert eff["mode"] == "linear"
+    if (eff["data"] is None) == (eff["images"] is None):
+        raise cli.UsageError("pass exactly one of --data or --images")
+    cli._require(eff, "outdir")
+    seed = cli._check_seed(eff["seed"])
+    if eff["runs"] < 1:
+        raise cli.NumericError("runs must be >= 1")
+    if not 0.0 < eff["train_fraction"] < 1.0:
+        raise cli.NumericError("train-fraction must lie in (0, 1)")
+    threads = cli._resolve_threads(eff["threads"])
+    kernel_text = str(eff["kernel"])
+    kernel = cli._parse_kernel_opt(kernel_text)
+    tag = eff["tag"] or Path(eff["data"] or eff["images"]).stem
+    outdir = Path(eff["outdir"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        fc = classify.FeatureConfig(eff["feature_mode"], eff["blocks"], eff["cap"])
+    except ValueError as e:
+        raise cli.NumericError(str(e)) from e
+    if eff["data"] is not None:
+        ds = cli._load_dataset(eff["data"])
+        cli._check_labels(ds.labels(), eff["data"], linear=True)
+        images = iv.image_dataset(ds.series(), cli._trajectory_config(eff), kernel, threads)
+        X = ref_feature_matrix((ref_featurize(img, fc) for img in images), len(images))
+        y = ds.label_ids
+    else:
+        X, y = ref_load_image_features(Path(eff["images"]), fc)
+        kernel_text = cli._images_kernel(Path(eff["images"]))
+    report_rows = []
+    for r in range(eff["runs"]):
+        run_seed = seed + r
+        if eff["self_test"]:
+            train_idx = test_idx = list(range(len(y)))
+        else:
+            try:
+                train_idx, test_idx = iv.dgp.split_indices(y.tolist(), eff["train_fraction"],
+                                                           run_seed)
+            except ValueError as e:
+                raise cli.DataError(str(e)) from e
+        try:
+            model = classify.train(X[train_idx], y[train_idx], kind=eff["loss"],
+                                   steps=eff["steps"], step_size=eff["step_size"],
+                                   c_A=eff["c_a"], c_B=eff["c_b"])
+        except ValueError as e:
+            raise cli.NumericError(str(e)) from e
+        if not (model.weights.any() or model.biases.any()):
+            print(f"warning: run {r}: no training step beat the zero model's risk, so the "
+                  "model is all zeros and predicts class 1 for every item", file=sys.stderr)
+        preds = [classify.predict(model, X[i]) for i in test_idx]
+        acc = classify.accuracy(preds, [int(y[i]) for i in test_idx])
+        model_path = outdir / f"model_run{r}.txt"
+        classify.save_model(model, eff["loss"], model_path)
+        report_rows.append((r, kernel_text, tag, run_seed, acc))
+        print(f"run {r} (seed {run_seed}): linear accuracy {acc!r} -> {model_path}")
+    report = outdir / "report.csv"
+    with open(report, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["run", "kernel", "dgp", "seed", "accuracy"])
+        writer.writerows((r, k, d, s, repr(a)) for r, k, d, s, a in report_rows)
+    cli._echo_config(outdir, "classify", eff)
+    print(f"wrote {report}")
+
+
+def _run_classify(command, argv, outdir):
+    """(exit code, stdout, stderr, {name: bytes} of the outdir) of `cli.main`
+    on a classify argv, with `command` as the classify command."""
+    rc, out, err = _run(
+        "classify", command, ["classify", *map(str, argv), "--outdir", str(outdir)]
+    )
+    files = {}
+    if outdir.exists():
+        files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+        shutil.rmtree(outdir)
+    return rc, out, err, files
+
+
+def check_classify(tmp, argv):
+    """Run the reference and `cmd_classify` on one argv and require the same
+    exit code, stdout, stderr and output files; returns that common result."""
+    out = Path(tmp) / "out"
+    want = _run_classify(ref_classify, argv, out)
+    got = _run_classify(cli.cmd_classify, argv, out)
+    assert got == want
+    rc, _, err, _ = got
+    assert rc in (0, 2, 3, 4) and "Traceback" not in err
+    if rc:
+        assert len(err.splitlines()) == 1
+    return got
+
+
+def _write_image_dir(path, sizes, labels, suffixes, seed=0):
+    """An image directory of random images, image i of size sizes[i]."""
+    path.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(seed)
+    lines = ["file,item,label"]
+    for i, (N, label, suffix) in enumerate(zip(sizes, labels, suffixes)):
+        density = 0.2 + 0.6 * (label % 2)
+        export = iv.export_pgm if suffix == ".pgm" else iv.export_csv
+        export(iv.RecurrenceImage(rng.random((N, N)) < density), path / f"x_{i}{suffix}")
+        lines.append(f"x_{i}{suffix},{i},{label}")
+    (path / "index.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    return path
+
+
+@pytest.fixture(scope="module")
+def classify_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("classify")
+    for argv in (
+        ["generate", "--scenario", "mix", "--per-class", "8", "--T", "24", "--seed", "3",
+         "--out", root / "mix.csv"],
+        ["generate", "--scenario", "c1", "--per-class", "6", "--T", "20", "--seed", "2",
+         "--out", root / "c1.csv"],
+        ["image", "--data", root / "mix.csv", "--outdir", root / "pgm", "--kernel", "K4",
+         "--epsilon", "0.5"],
+        ["image", "--data", root / "mix.csv", "--outdir", root / "csv", "--kernel", "K1",
+         "--epsilon", "0.5", "--format", "csv"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(list(map(str, argv))) == 0
+    # under the kernel 1,2,1 only the last item's squared distances are
+    # negative: fixed lower bounds, then intervals shifted whole
+    rng = np.random.default_rng(4)
+    upper = rng.random((12, 1, 10, 1)) + 0.1
+    bounds = np.concatenate([np.zeros_like(upper), upper], axis=-1)
+    bounds[-1, ..., 0] = upper[-1, ..., 0] - 0.1
+    iv.save_dataset_csv(iv.LabeledDataset.from_arrays(bounds, np.arange(12) % 2 + 1, 2, False),
+                        root / "tail.csv")
+    n = 21
+    _write_image_dir(root / "mixed", [9 + i % 5 for i in range(n)], [1 + i % 3 for i in range(n)],
+                     [(".pgm", ".csv")[i % 2] for i in range(n)])
+    return root
+
+
+def _inputs(root, argv):
+    """argv with the names of the `classify_inputs` files made paths."""
+    return [root / a if a in ("mix.csv", "c1.csv", "tail.csv", "pgm", "csv", "mixed") else a for a in argv]
+
+
+# 24 images of N = 24 in `mix`: blocks of one image, blocks of 7 (3 of 7 and
+# one of 3), and the default of 2 MiB
+BLOCK_BYTES = (1, 7 * 24 * 24, cli.IMAGE_BLOCK_BYTES)
+
+
+class TestClassifyOracle:
+    @pytest.mark.parametrize("block", BLOCK_BYTES)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--data", "mix.csv", "--feature-mode", "flatten", "--epsilon", "0.5", "--runs", "3"),
+            # q = 7 does not divide N = 24, and p = 49 is odd
+            ("--data", "mix.csv", "--blocks", "7", "--epsilon", "1.0", "--runs", "3"),
+            ("--data", "mix.csv", "--blocks", "5", "--epsilon", "0.5", "--self-test",
+             "--runs", "2", "--loss", "exponential"),
+            ("--data", "c1.csv", "--kernel", "K5", "--feature-mode", "flatten", "--epsilon",
+             "1.0", "--runs", "3", "--threads", "2", "--loss", "squared_hinge"),
+            ("--data", "c1.csv", "--kernel", "K5", "--feature-mode", "flatten", "--epsilon",
+             "1.0", "--self-test"),
+            ("--images", "pgm", "--blocks", "7", "--runs", "3"),
+            ("--images", "pgm", "--feature-mode", "flatten", "--self-test"),
+            ("--images", "csv", "--feature-mode", "flatten", "--runs", "1", "--cap", "30"),
+            ("--images", "csv", "--blocks", "10", "--runs", "3", "--train-fraction", "0.6"),
+            # N from 9 to 13 in PGM and CSV images, q = 4 and p = 16
+            ("--images", "mixed", "--blocks", "4", "--runs", "3"),
+            ("--images", "mixed", "--blocks", "9", "--self-test"),
+        ],
+    )
+    def test_same_output(self, classify_inputs, tmp_path, monkeypatch, argv, block):
+        monkeypatch.setattr(cli, "IMAGE_BLOCK_BYTES", block)
+        rc, out, err, files = check_classify(tmp_path, _inputs(classify_inputs, argv))
+        assert rc == 0 and "report.csv" in files
+        # some run learns: the reordered rows reach train and the scoring
+        assert err.count("warning: ") < out.count("linear accuracy")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # flatten on mixed N; a block grid finer than the smallest image
+            ("--images", "mixed", "--feature-mode", "flatten"),
+            ("--images", "mixed", "--blocks", "11"),
+            ("--data", "mix.csv", "--blocks", "25"),
+            # imaging fails at the last item, in the last block of one; a bad
+            # grid is reported only when every item images
+            ("--data", "tail.csv", "--kernel", "1,2,1"),
+            ("--data", "tail.csv", "--blocks", "11", "--kernel", "1,2,1"),
+            ("--data", "tail.csv", "--blocks", "11"),
+            # the first training step overflows
+            ("--data", "mix.csv", "--loss", "exponential", "--step-size", "1e300",
+             "--c-a", "1e300", "--c-b", "1e300", "--epsilon", "0.5"),
+        ],
+    )
+    @pytest.mark.parametrize("block", BLOCK_BYTES[:2])
+    def test_same_errors(self, classify_inputs, tmp_path, monkeypatch, argv, block):
+        monkeypatch.setattr(cli, "IMAGE_BLOCK_BYTES", block)
+        rc, _, err, _ = check_classify(tmp_path, _inputs(classify_inputs, argv))
+        assert rc in (3, 4) and "warning" not in err
+
+    def test_property(self, tmp_path):
+        """Image directories with at most one fault give the reference's exit
+        code, stdout, stderr and outputs, and at most one stderr line."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        def truncate(path):
+            path.write_bytes(path.read_bytes()[:-3])
+
+        def header(text):
+            def edit(path):
+                raw = path.read_bytes()
+                if path.suffix == ".pgm":
+                    n = int(raw.split(b"\n")[1].split()[0])
+                    path.write_bytes(text.format(n=n).encode("ascii") + raw.split(b"\n", 3)[3])
+                else:
+                    path.write_bytes(b"P5\n" + raw)
+            return edit
+
+        def entry(value):
+            def edit(path):
+                if path.suffix == ".csv":
+                    path.write_bytes(path.read_bytes().replace(b"1", value, 1))
+                else:
+                    truncate(path)
+            return edit
+
+        def ragged(path):
+            if path.suffix == ".csv":
+                lines = path.read_bytes().split(b"\n")
+                path.write_bytes(b"\n".join([lines[0] + b",1"] + lines[1:]))
+            else:
+                path.write_bytes(path.read_bytes() + b"\x00")
+
+        def index_line(new):
+            def edit(imgdir, i):
+                index = imgdir / "index.csv"
+                lines = index.read_text().splitlines()
+                lines[1 + i] = new(lines[1 + i])
+                index.write_text("\n".join(lines) + "\n")
+            return edit
+
+        file_faults = {
+            "truncated": truncate,
+            "p6": header("P6\n{n} {n}\n255\n"),
+            "maxval": header("P5\n{n} {n}\n1\n"),
+            "dims": header("P5\n{n}\n255\n"),
+            "text-dims": header("P5\nn {n}\n255\n"),
+            "entry2": entry(b"2"),
+            "entry-1": entry(b"-1"),
+            "entryx": entry(b"x"),
+            "ragged": ragged,
+            "missing": lambda path: path.unlink(),
+        }
+        index_faults = {
+            "fields": index_line(lambda line: line + ",1"),
+            "label": index_line(lambda line: line.rsplit(",", 1)[0] + ",one"),
+            "class0": index_line(lambda line: line.rsplit(",", 1)[0] + ",0"),
+            "name": index_line(lambda line: "nope.pgm," + line.split(",", 1)[1]),
+        }
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(
+            n=st.integers(4, 9),
+            sizes=st.lists(st.integers(2, 7), min_size=1, max_size=3),
+            suffixes=st.lists(st.sampled_from([".pgm", ".csv"]), min_size=1, max_size=3),
+            mode=st.sampled_from(["flatten", "block_mean"]),
+            blocks=st.integers(1, 4),
+            fault=st.sampled_from([None, *sorted(file_faults), *sorted(index_faults)]),
+            at=st.integers(0, 8),
+            block=st.sampled_from([1, 2 * 7 * 7, 1 << 21]),
+            runs=st.sampled_from(["1", "--self-test"]),
+        )
+        def check(n, sizes, suffixes, mode, blocks, fault, at, block, runs):
+            imgdir = Path(tempfile.mkdtemp(dir=tmp_path))
+            _write_image_dir(imgdir, [sizes[i % len(sizes)] for i in range(n)],
+                             [1 + i % 2 for i in range(n)],
+                             [suffixes[i % len(suffixes)] for i in range(n)], seed=n)
+            at %= n
+            if fault in file_faults:
+                file_faults[fault](imgdir / f"x_{at}{suffixes[at % len(suffixes)]}")
+            elif fault in index_faults:
+                index_faults[fault](imgdir, at)
+            argv = ["--images", imgdir, "--feature-mode", mode, "--blocks", blocks,
+                    "--steps", "5", "--train-fraction", "0.5"]
+            argv += ["--self-test"] if runs == "--self-test" else ["--runs", runs]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "IMAGE_BLOCK_BYTES", block)
+                rc, _, err, _ = check_classify(imgdir, argv)
+            assert len(err.splitlines()) <= 1
+
+        check()
+
+
+class TestFeaturizeStack:
+    @pytest.mark.parametrize("N", [1, 7, 30, 150])
+    @pytest.mark.parametrize("mode,q", [("flatten", 1), ("block_mean", 1), ("block_mean", 7),
+                                        ("block_mean", 10)])
+    def test_rows_equal_featurize(self, N, mode, q):
+        q = min(q, N)
+        rng = np.random.default_rng(N * q)
+        density = rng.random((40, 1, 1))
+        stack = (rng.random((40, N, N)) < density).astype(np.uint8)
+        for cap in (1.0, 0.3, 1e6):
+            fc = iv.FeatureConfig(mode=mode, q=q, normalize_cap=cap)
+            Z = classify.featurize_stack(stack, fc)
+            assert Z.shape == (40, fc.length(N)) and Z.dtype == np.float64
+            for pixels, z in zip(stack, Z):
+                img = iv.RecurrenceImage(pixels)
+                assert np.array_equal(z, ref_featurize(img, fc))
+                assert np.array_equal(z, iv.featurize(img, fc))
+            out = np.full((45, fc.length(N)), np.nan)
+            assert classify.featurize_stack(stack, fc, out=out[3:43]) is not None
+            assert np.array_equal(out[3:43], Z) and np.isnan(out[:3]).all()
+
+    def test_recurrence_images(self):
+        ds = _uni(8, 150)
+        images = iv.image_dataset(ds.series(), CFG, iv.kernel_preset("K4"))
+        stack = np.stack([img.pixels for img in images])
+        for fc in (iv.FeatureConfig("block_mean", 10), iv.FeatureConfig("block_mean", 7),
+                   iv.FeatureConfig("flatten", normalize_cap=50.0)):
+            Z = classify.featurize_stack(stack, fc)
+            assert all(np.array_equal(z, ref_featurize(img, fc)) for img, z in zip(images, Z))
+
+    def test_grid_finer_than_image(self):
+        with pytest.raises(BlockGridInvalid, match="block grid 5 exceeds image size 4"):
+            classify.featurize_stack(np.zeros((2, 4, 4), np.uint8), iv.FeatureConfig("block_mean", 5))
+
+
+class TestPredictRows:
+    @pytest.mark.parametrize("p", [1, 49, 22500])
+    def test_rows_equal_predict(self, p):
+        rng = np.random.default_rng(p)
+        X = rng.random((60, p))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        W = rng.standard_normal((3, p))
+        model = classify.LinearClassifier(W / np.linalg.norm(W, axis=1, keepdims=True),
+                                          rng.uniform(-0.1, 0.1, 3))
+        want = [classify.predict(model, z) for z in X]
+        assert classify.predict_rows(model, X).tolist() == want
+        assert classify.predict_rows(model, X[17:40]).tolist() == want[17:40]
+
+    def test_ties_go_to_the_lowest_class(self):
+        model = classify.LinearClassifier(np.array([[0.5, 0.0], [0.5, 0.0], [0.0, 0.5]]),
+                                          np.zeros(3))
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+        assert classify.predict_rows(model, X).tolist() == [1, 3, 1, 1]
