@@ -341,11 +341,13 @@ def _query_grid(query, X: np.ndarray, multivariate: bool) -> np.ndarray:
 def _scan(Q: np.ndarray, X: np.ndarray, kernel: Kernel2x2) -> np.ndarray:
     """(m, n) summed squared distances from (m, d, T, 2) queries to (n, d, T, 2)
     items: each dimension summed over T as series_dk_squared does, then the
-    dimensions added in index order starting from the first."""
-    per_dim = pointwise_dk_squared(Q[:, None], X[None], kernel).sum(axis=-1)
-    dists = per_dim[..., 0]
-    for j in range(1, per_dim.shape[-1]):
-        dists = dists + per_dim[..., j]
+    dimensions added in index order starting from the first.  An overflow
+    gives inf or NaN, no warning; the stable sort puts either last."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_dim = pointwise_dk_squared(Q[:, None], X[None], kernel).sum(axis=-1)
+        dists = per_dim[..., 0]
+        for j in range(1, per_dim.shape[-1]):
+            dists = dists + per_dim[..., j]
     return dists
 
 
@@ -417,10 +419,10 @@ def accuracy(predictions, labels) -> float:
 
 def save_model(clf: LinearClassifier, kind: str, path) -> None:
     """Plain-text model file: `C p c_A c_B kind` header, then one row per class."""
-    lines = [f"{clf.n_classes} {clf.dim} {clf.c_A!r} {clf.c_B!r} {kind}"]
-    for row, bias in zip(clf.weights, clf.biases):
-        lines.append(" ".join(repr(float(v)) for v in row) + " " + repr(float(bias)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{clf.n_classes} {clf.dim} {clf.c_A!r} {clf.c_B!r} {kind}\n")
+        for row, bias in zip(clf.weights, clf.biases):
+            fh.write(" ".join(repr(float(v)) for v in row) + f" {float(bias)!r}\n")
 
 
 def load_model(path) -> tuple[LinearClassifier, str]:

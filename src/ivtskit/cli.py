@@ -95,7 +95,7 @@ IMAGE_OPTS = (
     Opt("--kappa", "kappa", int, 1, "time delay"),
     Opt("--format", "format", str, "pgm", "image file format", ("pgm", "csv", "both")),
     Opt("--stem", "stem", str, None, "output file stem (default: dataset stem)"),
-    Opt("--threads", "threads", int, None, f"worker threads (also {THREADS_ENV})"),
+    Opt("--threads", "threads", int, None, f"checked, then ignored (also {THREADS_ENV})"),
 )
 
 CLASSIFY_OPTS = (
@@ -123,7 +123,7 @@ CLASSIFY_OPTS = (
     Opt("--kappa", "kappa", int, 1, "time delay for in-memory imaging"),
     Opt("--tag", "tag", str, None, "dataset tag for the report (default: input stem)"),
     Opt("--outdir", "outdir", str, None, "output directory for report and models"),
-    Opt("--threads", "threads", int, None, f"worker threads (also {THREADS_ENV})"),
+    Opt("--threads", "threads", int, None, f"checked, then ignored (also {THREADS_ENV})"),
 )
 
 BOUND_OPTS = (
@@ -144,7 +144,7 @@ BOUND_OPTS = (
     Opt("--mc-p", "mc_p", int, 8, "synthetic feature dimension for --mc"),
     Opt("--seed", "seed", int, 0, "RNG seed for --mc"),
     Opt("--json", "json", bool, False, "emit the report as JSON"),
-    Opt("--threads", "threads", int, None, f"worker threads (also {THREADS_ENV})"),
+    Opt("--threads", "threads", int, None, f"checked, then ignored (also {THREADS_ENV})"),
 )
 
 
@@ -162,8 +162,15 @@ def _add_opts(sub: argparse.ArgumentParser, opts: tuple[Opt, ...]) -> None:
             sub.add_argument(o.flag, **kwargs)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose errors are one `usage error:` line, like every other error."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ivtskit",
         description="Generate, ingest, image, classify, and bound "
                     "interval-valued time series.",
@@ -187,9 +194,11 @@ def _read_config(path: str, opts: tuple[Opt, ...]) -> dict:
     known = {o.key: o for o in opts}
     out: dict = {}
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise DataError(f"cannot read config file {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -242,17 +251,18 @@ def _echo_config(outdir: Path, command: str, eff: dict) -> None:
     (outdir / "run_config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _resolve_threads(value) -> int:
+def _check_threads(value) -> None:
+    """Validate --threads, or IVTS_THREADS when it is unset; no command runs threads."""
     if value is None:
         env = os.environ.get(THREADS_ENV)
+        if not env:
+            return
         try:
-            value = int(env) if env else (os.cpu_count() or 1)
+            value = int(env)
         except ValueError:
             raise UsageError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    value = int(value)
     if value < 1:
         raise NumericError(f"threads must be >= 1, got {value}")
-    return value
 
 
 def _require(eff: dict, *keys: str) -> None:
@@ -384,9 +394,9 @@ def cmd_image(eff: dict) -> None:
     _require(eff, "data", "outdir", "kernel")
     kernel = _parse_kernel_opt(eff["kernel"])
     cfg = _trajectory_config(eff)
-    threads = _resolve_threads(eff["threads"])
+    _check_threads(eff["threads"])
     ds = _load_dataset(eff["data"])
-    images = img_mod.image_dataset(ds.series(), cfg, kernel, threads)
+    images = img_mod.image_dataset(ds.series(), cfg, kernel)
     outdir = Path(eff["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
     stem = eff["stem"] or Path(eff["data"]).stem
@@ -547,20 +557,16 @@ def _load_image_features(images_dir: Path, fc: clf_mod.FeatureConfig):
     return rows.matrix(), np.array(labels)
 
 
-def _data_features(ds, cfg: TrajectoryConfig, kernel, threads: int, fc) -> np.ndarray:
-    """The feature matrix of a dataset, imaged a block of items at a time."""
-    series = ds.series()
-    rows = _FeatureRows(len(series), fc)
-    step = max(1, IMAGE_BLOCK_BYTES // ds.bounds.shape[2] ** 2)  # N <= T
+def _data_features(ds, cfg: TrajectoryConfig, kernel, fc) -> np.ndarray:
+    """The feature matrix of a dataset, each item imaged straight into it."""
+    rows = _FeatureRows(len(ds), fc)
     grid_error = None
-    for start in range(0, len(series), step):
-        images = img_mod.image_dataset(series[start : start + step], cfg, kernel, threads, start)
+    for pixels in img_mod.image_grids(ds.bounds, cfg, kernel):
         try:
-            for img in images:
-                rows.add(img.pixels)
+            if grid_error is None:
+                rows.add(pixels)
         except BlockGridInvalid as e:
-            # raised once every item is imaged, as when imaging came first
-            grid_error = grid_error or e
+            grid_error = e  # raised once every item is imaged, as when imaging came first
     if grid_error is not None:
         raise grid_error
     return rows.matrix()
@@ -577,7 +583,7 @@ def cmd_classify(eff: dict) -> None:
         raise NumericError("runs must be >= 1")
     if not 0.0 < eff["train_fraction"] < 1.0:
         raise NumericError("train-fraction must lie in (0, 1)")
-    threads = _resolve_threads(eff["threads"])
+    _check_threads(eff["threads"])
     kernel_text = str(eff["kernel"])
     kernel = _parse_kernel_opt(kernel_text)
     tag = eff["tag"] or Path(eff["data"] or eff["images"]).stem
@@ -619,7 +625,7 @@ def cmd_classify(eff: dict) -> None:
             # the images were rendered by the image command, not with --kernel
             kernel_text = _images_kernel(Path(eff["images"]))
         else:
-            X = _data_features(ds, _trajectory_config(eff), kernel, threads, fc)
+            X = _data_features(ds, _trajectory_config(eff), kernel, fc)
             y = ds.label_ids
         # Each run moves its training rows, in split order, to the front of X
         # and its test rows after them; order[i] is the item in row i.
@@ -709,7 +715,7 @@ def cmd_bound(eff: dict) -> None:
     }
     if eff["mc"]:
         seed = _check_seed(eff["seed"])
-        _resolve_threads(eff["threads"])  # validated; the draws run unthreaded
+        _check_threads(eff["threads"])
         if eff["mc_n"] < 1 or eff["mc_p"] < 0:
             raise NumericError(
                 f"--mc-n must be >= 1 and --mc-p >= 0, got {eff['mc_n']} and {eff['mc_p']}"

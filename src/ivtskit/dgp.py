@@ -98,9 +98,6 @@ class DgpConfig:
         if self.burn_in < 0:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
 
-    def make_rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
 
 def gen_dgp1(cfg: DgpConfig, rng: np.random.Generator) -> np.ndarray:
     """Truncated-series process, returned as a (T, 2) (center, range) array.

@@ -16,6 +16,7 @@ logical AND.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -38,9 +39,7 @@ from .intervals import (
     as_grid,
     dk_squared,
     distance_from_squared,
-    pointwise_dk_squared,
 )
-from .parallel import parallel_map
 
 #: Default recurrence threshold.
 DEFAULT_EPSILON = math.pi / 18.0
@@ -167,49 +166,79 @@ def ijrp(w: MvIntervalSeries, cfg: TrajectoryConfig, kernel: Kernel2x2) -> Recur
     return image_series(w, cfg, kernel)
 
 
+def squared_threshold(epsilon: float) -> float:
+    """The largest float64 t with sqrt(t) <= epsilon, for a finite epsilon >= 0.
+    sqrt is correctly rounded and monotone, so ``q <= t`` is
+    ``sqrt(max(q, 0)) <= epsilon`` for every float64 q, NaN and infinities too."""
+    t = min(epsilon * epsilon, sys.float_info.max)
+    while math.sqrt(t) > epsilon:
+        t = math.nextafter(t, 0.0)
+    while (up := math.nextafter(t, math.inf)) < math.inf and math.sqrt(up) <= epsilon:
+        t = up
+    return t
+
+
+def image_grids(grids, cfg: TrajectoryConfig, kernel: Kernel2x2, tag: bool = True):
+    """Yield the (N, N) bool image of each (d, T, 2) bound grid in order: the
+    AND over dimensions i of H(epsilon_i - d(traj_j, traj_k)) at pixel (j, k).
+    The work buffers are made once per T, so each image is overwritten by the
+    next.  With `tag`, a failure names the item's index."""
+    k, T = kernel, None
+    for item, grid in enumerate(grids):
+        try:
+            for i, eps in enumerate(cfg.epsilon_for(grid.shape[0])):
+                bounds = grid[i]
+                if len(bounds) != T:
+                    n = cfg.num_trajectories(len(bounds))
+                    T = len(bounds)
+                    du, dl, term, point = np.empty((4, T, T))
+                    dk2 = point if cfg.m == 1 else np.empty((n, n))
+                    image, hit = np.empty((2, n, n), dtype=bool)
+                # k_pp*du*du + k_mm*dl*dl - 2*k_pm*dl*du over all pairs of time
+                # steps, in that order; an overflow to inf or NaN is no error
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.subtract(bounds[:, None, 1], bounds[None, :, 1], out=du)
+                    np.subtract(bounds[:, None, 0], bounds[None, :, 0], out=dl)
+                    np.multiply(k.k_pp, du, out=point)
+                    point *= du
+                    np.multiply(k.k_mm, dl, out=term)
+                    term *= dl
+                    point += term
+                    np.multiply(2.0 * k.k_pm, dl, out=term)
+                    term *= du
+                    point -= term
+                    if cfg.m > 1:  # summed over the m slots of each trajectory pair
+                        dk2[...] = point[:n, :n]
+                        for s in range(1, cfg.m):
+                            o = s * cfg.kappa
+                            dk2 += point[o : o + n, o : o + n]
+                low = float(dk2.min())
+                if low < -NEGATIVE_TOLERANCE:
+                    raise NegativeSquaredDistance(
+                        f"squared trajectory distance {low} is negative beyond tolerance; "
+                        "the kernel is indefinite on this series"
+                    )
+                np.less_equal(dk2, squared_threshold(eps), out=hit if i else image)
+                if i:
+                    image &= hit
+        except IvtsError as e:
+            if not tag:
+                raise
+            raise type(e)(f"item {item}: {e}") from e
+        yield image
+
+
 def image_series(series, cfg: TrajectoryConfig, kernel: Kernel2x2) -> RecurrenceImage:
-    """Image a series of d >= 1 dimensions: the AND over dimensions i of
-    H(epsilon_i - d(traj_j, traj_k)) at pixel (j, k)."""
-    grids = as_grid(series)
-    out = None
-    for bounds, eps in zip(grids, cfg.epsilon_for(grids.shape[0])):
-        # (N, N) summed quadratic forms between all trajectory pairs
-        n = cfg.num_trajectories(len(bounds))
-        point = pointwise_dk_squared(bounds[:, None, :], bounds[None, :, :], kernel)
-        dk2 = point[:n, :n].copy()
-        for s in range(1, cfg.m):
-            o = s * cfg.kappa
-            dk2 += point[o : o + n, o : o + n]
-        low = float(dk2.min())
-        if low < -NEGATIVE_TOLERANCE:
-            raise NegativeSquaredDistance(
-                f"squared trajectory distance {low} is negative beyond tolerance; "
-                "the kernel is indefinite on this series"
-            )
-        img = np.sqrt(np.maximum(dk2, 0.0)) <= eps
-        out = img if out is None else out & img
-    return RecurrenceImage(out)
+    """Image a series of d >= 1 dimensions (see :func:`image_grids`)."""
+    return RecurrenceImage(next(image_grids([as_grid(series)], cfg, kernel, tag=False)))
 
 
 def image_dataset(
-    series_list, cfg: TrajectoryConfig, kernel: Kernel2x2, threads: int = 1, first: int = 0
+    series_list, cfg: TrajectoryConfig, kernel: Kernel2x2, threads: int = 1
 ) -> list[RecurrenceImage]:
-    """Image a batch of observations.
-
-    Imaging is pure and embarrassingly parallel across observations; output
-    order always matches input order regardless of thread count.  A failure
-    is re-raised as the same error type tagged with the item's index, counted
-    from `first`.
-    """
-
-    def one(pair):
-        i, series = pair
-        try:
-            return image_series(series, cfg, kernel)
-        except IvtsError as e:
-            raise type(e)(f"item {i}: {e}") from e
-
-    return parallel_map(one, enumerate(series_list, first), threads)
+    """Image a batch of observations in input order; a failure is tagged with
+    the item's index.  `threads` is accepted for compatibility and ignored."""
+    return [RecurrenceImage(img) for img in image_grids(map(as_grid, series_list), cfg, kernel)]
 
 
 def export_pgm(img: RecurrenceImage, path) -> None:

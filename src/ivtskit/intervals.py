@@ -189,14 +189,6 @@ class IntervalSeries:
         self._bounds = arr
 
     @classmethod
-    def from_bounds(cls, lower, upper) -> "IntervalSeries":
-        lower = np.asarray(lower, dtype=np.float64)
-        upper = np.asarray(upper, dtype=np.float64)
-        if lower.shape != upper.shape:
-            raise LengthMismatch("lower and upper bound arrays differ in shape")
-        return cls(np.stack([lower, upper], axis=-1))
-
-    @classmethod
     def from_center_range(cls, centers, ranges) -> "IntervalSeries":
         centers = np.asarray(centers, dtype=np.float64)
         ranges = np.asarray(ranges, dtype=np.float64)

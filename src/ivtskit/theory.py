@@ -41,8 +41,8 @@ def lipschitz_constant(kind: str) -> float:
 
 def _require_positive(**values: float) -> None:
     for name, v in values.items():
-        if not v > 0.0:
-            raise ValueError(f"{name} must be positive, got {v}")
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {v}")
 
 
 def g_bounds(ell: float, c_A: float, c_Z: float, c_B: float) -> tuple[float, float]:
@@ -74,8 +74,8 @@ class RiskBoundInputs:
         )
         if self.n < 1:
             raise ValueError(f"sample count n must be >= 1, got {self.n}")
-        if self.log_covering < 0.0:
-            raise ValueError(f"log_covering must be >= 0, got {self.log_covering}")
+        if not 0.0 <= self.log_covering < math.inf:
+            raise ValueError(f"log_covering must be finite and >= 0, got {self.log_covering}")
 
 
 def offset_rademacher_bound(inputs: RiskBoundInputs) -> float:
@@ -219,8 +219,8 @@ def empirical_offset_rademacher(
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("features must be a nonempty (n, p) array")
-    if c_A < 0.0 or c_B < 0.0:
-        raise ValueError("caps must be nonnegative")
+    if not (0.0 <= c_A < math.inf and 0.0 <= c_B < math.inf):
+        raise ValueError(f"caps must be finite and nonnegative, got c_A={c_A}, c_B={c_B}")
     _require_positive(varrho=varrho)
     if mc_draws < 1 or inner_steps < 0:
         raise ValueError("mc_draws must be >= 1 and inner_steps >= 0")

@@ -8,8 +8,11 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -691,6 +694,30 @@ class TestBound:
         assert "stderr" not in out.stdout
 
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (("--log-covering", "nan"), "log_covering"),
+            (("--log-covering", "inf"), "log_covering"),
+            (("--log-covering", "10", "--c-z", "inf"), "c_Z"),
+            (("--log-covering", "10", "--c-a", "nan"), "c_A"),
+            (("--log-covering", "10", "--c-b", "inf"), "c_B"),
+            (("--log-covering", "10", "--ell", "nan"), "ell"),
+            (("--log-covering", "10", "--ell", "inf"), "ell"),
+            (("--log-covering", "10", "--varrho", "inf"), "varrho"),
+            (("--log-covering", "10", "--varrho", "nan"), "varrho"),
+        ],
+    )
+    def test_non_finite_input_is_numeric_error(self, flags, name):
+        out = run_cli("bound", "--n", "10", *flags)
+        assert_one_line_error(out, 4, f"numeric error: {name} must be finite")
+        assert out.stdout == ""
+
+
+# An ASCII locale with neither UTF-8 mode nor locale coercion
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_cli_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -745,6 +772,21 @@ class TestConfigFile:
         assert_one_line_error(out, 2, f"{cfg}:1")
         assert not (outdir / "report.csv").exists()
 
+    def test_config_not_utf8_is_data_error(self, mix_csv, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"\xff\xfe=1")
+        out = run_cli("image", "--data", mix_csv, "--outdir", tmp_path / "o", "--kernel", "K4",
+                      "--config", cfg, env=C_LOCALE)
+        assert_one_line_error(out, 3, f"data error: {cfg}: not UTF-8 text")
+        assert not (tmp_path / "o").exists()
+
+    def test_config_read_as_utf8_whatever_the_locale(self, mix_csv, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("# r\u00e9glages\nkernel=K4\n", encoding="utf-8")
+        out = run_cli("image", "--data", mix_csv, "--outdir", tmp_path / "o", "--config", cfg,
+                      env=C_LOCALE)
+        assert out.returncode == 0, out.stderr
+
     def test_unknown_config_key_is_usage_error(self, mix_csv, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus=1\n")
@@ -784,3 +826,214 @@ class TestClassifyMemory:
             tracemalloc.stop()
         assert rc == 0
         assert matrix_bytes < peak < 1.5 * matrix_bytes
+
+
+def _set_field(at, value):
+    return lambda fields: fields[:at] + [value] + fields[at + 1:]
+
+
+class TestFuzz:
+    """Malformed dataset CSVs, config files and option values through
+    in-process `cli.main`: every case ends in a documented exit code with at
+    most one stderr line, no traceback and no warning."""
+
+    # per option: values that pass its checks, then values that are malformed
+    # or out of range; "" leaves the option unset (for the image kernel, a
+    # missing required option)
+    IMAGE_VALUES = {
+        "kernel": (["K4", "K1", "K5", "1,2,1", "0,0,0"], ["K9", "1,2", "1,x,2", "nan,0,1", ""]),
+        "epsilon": (["0.5", "0", "5e-324", "1e300", "0.5,1.0", ""], ["nan", "-1", "inf", "x"]),
+        "m": (["1", "2", "3", ""], ["0", "-1", "40", "x"]),
+        "kappa": (["1", "2", ""], ["0", "x"]),
+        "threads": (["1", "3", ""], ["0", "-2", "x"]),
+        "format": (["pgm", "csv", "both", ""], ["bogus"]),
+        "stem": (["img", ""], ["a/b"]),
+    }
+    CLASSIFY_VALUES = {
+        "kernel": (["K4", "K5", "1,2,1", ""], ["K9"]),
+        "epsilon": (["0.5", "1e300", "0.5,1.0", ""], ["nan"]),
+        "m": (["1", "2", ""], ["0", "40"]),
+        "threads": (["1", ""], ["0", "x"]),
+        "mode": (["linear", "knn", ""], ["bogus"]),
+        "k": (["1", "3", ""], ["0", "-1", "100"]),
+        "feature_mode": (["flatten", "block_mean", ""], ["x"]),
+        "blocks": (["1", "3", ""], ["0", "-1", "50"]),
+        "cap": (["1.0", ""], ["0", "-1", "nan", "inf"]),
+        "loss": (["hinge", "exponential", "squared_hinge", ""], ["x"]),
+        "steps": (["5", "0"], ["-1", "x"]),
+        "step_size": (["0.5", "1e300", ""], ["0", "nan", "inf"]),
+        "c_a": (["1.0", "1e300", ""], ["0", "inf"]),
+        "c_b": (["1.0", "1e300", ""], ["-1", "nan"]),
+        "train_fraction": (["0.5", ""], ["0", "1.5", "nan"]),
+        "runs": (["1", "2", ""], ["0"]),
+        "seed": (["0", ""], ["-1", "x"]),
+        "self_test": (["true", "false", ""], ["maybe"]),
+    }
+
+    @staticmethod
+    def _dataset_lines(n, d, T, seed):
+        rng = np.random.default_rng(seed)
+        bounds = rng.standard_normal((n, d, T, 2))
+        lines = ["item,dim,t,lower,upper,label"]
+        for i in range(n):
+            for j in range(d):
+                lines += [f"{i},{j},{t},{lo!r},{up!r},{1 + i % 2}"
+                          for t, (lo, up) in enumerate(bounds[i, j].tolist())]
+        return lines
+
+    # edits of one data row's fields, and faults of the whole file
+    ROW_FAULTS = {
+        "short": lambda f: f[:5],
+        "long": lambda f: f + ["1"],
+        "no-fields": lambda f: [""] * 6,
+        "nan": _set_field(3, "nan"),
+        "inf": _set_field(4, "-inf"),
+        "huge": _set_field(4, "1e400"),
+        "big": _set_field(3, "1e200"),
+        "text": _set_field(4, "x"),
+        "label0": _set_field(5, "0"),
+        "label3": _set_field(5, "3"),
+        "labelx": _set_field(5, "a"),
+        "item": _set_field(0, "99"),
+        "neg-item": _set_field(0, "-1"),
+        "dim": _set_field(1, "7"),
+        "t": _set_field(2, "1000"),
+        "neg-t": _set_field(2, "-1"),
+        "float-t": _set_field(2, "1.5"),
+    }
+    FILE_FAULTS = ("header", "empty", "header-only", "drop", "duplicate", "blank", "crlf",
+                   "bytes", "bom", "nul")
+
+    def _write_dataset(self, path, lines, fault, at):
+        rows = lines[1:]
+        at %= len(rows)
+        if fault == "header":
+            lines = ["item,dim,t,lower,upper"] + rows
+        elif fault == "empty":
+            lines = []
+        elif fault == "header-only":
+            lines = lines[:1]
+        elif fault == "drop":
+            lines = lines[:1] + rows[:at] + rows[at + 1:]
+        elif fault == "duplicate":
+            lines = lines[:1] + rows[: at + 1] + rows[at:]
+        elif fault == "blank":
+            lines = lines[:1] + rows[:at] + [""] + rows[at:]
+        elif fault in self.ROW_FAULTS:
+            fields = self.ROW_FAULTS[fault](rows[at].split(","))
+            lines = lines[:1] + rows[:at] + [",".join(fields)] + rows[at + 1:]
+        text = ("\r\n" if fault == "crlf" else "\n").join(lines) + "\n"
+        data = text.encode("ascii")
+        if fault == "bytes":
+            data = data[:40] + b"\xff" + data[40:]
+        elif fault == "bom":
+            data = b"\xef\xbb\xbf" + data
+        elif fault == "nul":
+            data = data.replace(b",", b"\x00", 1)
+        path.write_bytes(data)
+
+    @staticmethod
+    def _write_config(path, values, fault):
+        lines = [f"{k}={v}" for k, v in values.items() if v != ""]
+        if fault == "no-equals":
+            lines.append("kernel")
+        elif fault == "unknown":
+            lines.append("bogus=1")
+        elif fault == "comment":
+            lines = ["# a comment", ""] + lines
+        data = "\n".join(lines).encode("utf-8")
+        if fault == "bytes":
+            data = b"\xff\xfe=1\n" + data
+        path.write_bytes(data)
+
+    @staticmethod
+    def _main(argv):
+        from ivtskit import cli
+
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            try:
+                rc = cli.main([str(a) for a in argv])
+            except SystemExit as e:  # argparse: a flag value of the wrong type
+                rc = e.code
+        return rc, stderr.getvalue(), [str(w.message) for w in caught]
+
+    def _check(self, tmp_path, command, n, d, T, seed, data_fault, at, values, in_config,
+               config_fault):
+        hypothesis = pytest.importorskip("hypothesis")
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        data = work / "ds.csv"
+        self._write_dataset(data, self._dataset_lines(n, d, T, seed), data_fault, at)
+        argv = [command, "--data", data, "--outdir", work / "out"]
+        config = {}
+        for key, value in values.items():
+            if value == "":
+                continue
+            if key in in_config:
+                config[key] = value
+            elif key == "self_test":
+                argv += ["--self-test"] if value == "true" else []
+            else:
+                argv += [f"--{key.replace('_', '-')}={value}"]
+        if config or config_fault:
+            self._write_config(work / "run.cfg", config, config_fault)
+            argv += ["--config", work / "run.cfg"]
+        rc, err, caught = self._main(argv)
+        hypothesis.note(f"argv={argv} rc={rc} err={err!r} warnings={caught}")
+        hypothesis.event(f"exit {rc}")
+        assert rc in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        assert caught == []
+        assert len(err.splitlines()) <= 1 + err.count("warning: run ")
+        if rc == 0 and command == "image":
+            assert (work / "out" / "index.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["knn", "linear"])
+    @pytest.mark.parametrize("kernel", ["K4", "K2"])
+    def test_overflowing_distances_warn_nothing(self, tmp_path, mode, kernel):
+        # du * du overflows to inf, and under K2 inf - inf is NaN
+        lines = self._dataset_lines(8, 1, 6, 0)
+        self._write_dataset(tmp_path / "ds.csv", lines, "big", 3)
+        for argv in (["image", "--kernel", kernel],
+                     ["classify", "--kernel", kernel, "--mode", mode, "--steps", "5",
+                      "--blocks", "3"]):
+            rc, err, caught = self._main(argv + ["--data", tmp_path / "ds.csv",
+                                                 "--outdir", tmp_path / argv[0]])
+            assert (rc, caught) == (0, [])
+            assert "error" not in err
+
+    @pytest.mark.parametrize("command", ["image", "classify"])
+    def test_property(self, tmp_path, command):
+        """At most one fault each in the dataset, one option's value and the
+        config file, with each option given as a flag or in the config."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        table = self.IMAGE_VALUES if command == "image" else self.CLASSIFY_VALUES
+        faults = [*self.FILE_FAULTS, *self.ROW_FAULTS]
+        bad_value = st.sampled_from(sorted(table)).flatmap(
+            lambda key: st.tuples(st.just(key), st.sampled_from(table[key][1])))
+
+        @hypothesis.settings(max_examples=200, deadline=None,
+                             suppress_health_check=list(hypothesis.HealthCheck))
+        @hypothesis.given(
+            n=st.integers(1, 8),
+            d=st.integers(1, 2),
+            T=st.integers(1, 9),
+            seed=st.integers(0, 3),
+            data_fault=st.one_of(st.none(), st.sampled_from(faults)),
+            at=st.integers(0, 100),
+            values=st.fixed_dictionaries({k: st.sampled_from(v[0]) for k, v in table.items()}),
+            value_fault=st.one_of(st.none(), bad_value),
+            in_config=st.sets(st.sampled_from(sorted(table))),
+            config_fault=st.sampled_from([None, None, "no-equals", "unknown", "comment",
+                                          "bytes"]),
+        )
+        def check(n, d, T, seed, data_fault, at, values, value_fault, in_config, config_fault):
+            if value_fault is not None:
+                values = {**values, value_fault[0]: value_fault[1]}
+            self._check(tmp_path, command, n, d, T, seed, data_fault, at, values, in_config,
+                        config_fault)
+
+        check()

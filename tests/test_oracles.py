@@ -13,6 +13,7 @@ import random
 import shutil
 import sys
 import tempfile
+import tracemalloc
 from collections import defaultdict
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -23,8 +24,9 @@ import pytest
 import ivtskit as iv
 from ivtskit import classify, cli, ingest, theory
 from ivtskit.classify import _aux_loss_vec, _aux_subgradient_vec, _margins
-from ivtskit.errors import BlockGridInvalid
-from ivtskit.intervals import series_dk_squared
+from ivtskit.errors import BlockGridInvalid, NegativeSquaredDistance
+from ivtskit.imaging import squared_threshold
+from ivtskit.intervals import NEGATIVE_TOLERANCE, as_grid, series_dk_squared
 
 KERNELS = ("K1", "K4", "K5")
 CFG = iv.TrajectoryConfig(m=1, kappa=1, epsilon=0.5)
@@ -608,6 +610,197 @@ class TestMcBlocks:
 
 
 # ---------------------------------------------------------------------------
+# recurrence imaging
+
+
+def ref_image_series(series, cfg, kernel):
+    """`image_series` as a fresh broadcast quadratic form per dimension, the
+    shifted-block sum, then ``sqrt(max(q, 0)) <= epsilon``."""
+    grids = as_grid(series)
+    out = None
+    for bounds, eps in zip(grids, cfg.epsilon_for(grids.shape[0])):
+        n = cfg.num_trajectories(len(bounds))
+        b1, b2 = bounds[:, None, :], bounds[None, :, :]
+        dl = b1[..., 0] - b2[..., 0]
+        du = b1[..., 1] - b2[..., 1]
+        point = kernel.k_pp * du * du + kernel.k_mm * dl * dl - 2.0 * kernel.k_pm * dl * du
+        dk2 = point[:n, :n].copy()
+        for s in range(1, cfg.m):
+            o = s * cfg.kappa
+            dk2 += point[o : o + n, o : o + n]
+        low = float(dk2.min())
+        if low < -NEGATIVE_TOLERANCE:
+            raise NegativeSquaredDistance(
+                f"squared trajectory distance {low} is negative beyond tolerance; "
+                "the kernel is indefinite on this series"
+            )
+        img = np.sqrt(np.maximum(dk2, 0.0)) <= eps
+        out = img if out is None else out & img
+    return iv.RecurrenceImage(out)
+
+
+def ref_image_dataset(series_list, cfg, kernel):
+    """One `ref_image_series` per item, a failure tagged with the item's index."""
+    images = []
+    for i, series in enumerate(series_list):
+        try:
+            images.append(ref_image_series(series, cfg, kernel))
+        except iv.IvtsError as e:
+            raise type(e)(f"item {i}: {e}") from e
+    return images
+
+
+def _imaged(fn, *args):
+    """(shape, pixel bytes) of each image `fn` returns, or (type, message) of
+    the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(*args)
+    except iv.IvtsError as e:
+        return type(e), str(e)
+    images = out if isinstance(out, list) else [out]
+    return [(img.pixels.shape, img.pixels.tobytes()) for img in images]
+
+
+def check_imaging(series, cfg, kernel):
+    """`image_series` gives the reference's pixels or error; returns it."""
+    want = _imaged(ref_image_series, series, cfg, kernel)
+    assert _imaged(iv.image_series, series, cfg, kernel) == want
+    return want
+
+
+def _series(rng, d, T, scale=1.0):
+    grid = rng.standard_normal((d, T, 2)) * scale
+    return iv.IntervalSeries(grid[0]) if d == 1 else iv.MvIntervalSeries(grid)
+
+
+IMAGING_KERNELS = ("K1", "K2", "K3", "K4", "K5", "1,2,1")
+IMAGING_EPSILONS = (0.0, 5e-324, math.pi / 18, 0.5, 1e300)
+# t is eps * eps itself, one step above it (1.34...), one step below it (the
+# square of 9.42...e-160 rounds up in the subnormals), or the largest float
+THRESHOLD_EPSILONS = (0.0, 5e-324, 1e-320, 1e-160, 9.422263843986697e-160, math.pi / 18, 0.5,
+                      1.3436424411240122, 3.0, 5.0, 1e150, 1e154, 1.3407807929942596e154, 1e300)
+
+
+class TestImagingOracle:
+    @pytest.mark.parametrize("kernel", IMAGING_KERNELS)
+    @pytest.mark.parametrize("eps", IMAGING_EPSILONS)
+    @pytest.mark.parametrize("d, T", [(1, 1), (1, 30), (1, 150), (5, 30), (5, 150)])
+    def test_kernels_and_thresholds(self, kernel, eps, d, T):
+        rng = np.random.default_rng(T + d)
+        check_imaging(_series(rng, d, T), iv.TrajectoryConfig(epsilon=eps),
+                      iv.parse_kernel(kernel))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("kappa", [1, 2, 3])
+    @pytest.mark.parametrize("d, T", [(1, 1), (1, 30), (5, 30), (5, 150)])
+    def test_embeddings(self, m, kappa, d, T):
+        rng = np.random.default_rng(7 * m + kappa)
+        # 1,2,1 fails on these with the same message, or images T = 1
+        series = _series(rng, d, T)
+        for kernel in ("K4", "K5", "1,2,1"):
+            check_imaging(series, iv.TrajectoryConfig(m=m, kappa=kappa, epsilon=1.0),
+                          iv.parse_kernel(kernel))
+
+    @pytest.mark.parametrize("kernel", IMAGING_KERNELS)
+    def test_indefinite_kernel_within_tolerance(self, kernel):
+        # fixed lower bounds: every form is k_pp * du * du >= 0
+        upper = np.random.default_rng(3).random((40, 1))
+        series = iv.IntervalSeries(np.concatenate([np.zeros_like(upper), upper], axis=1))
+        for eps in IMAGING_EPSILONS:
+            check_imaging(series, iv.TrajectoryConfig(m=2, kappa=3, epsilon=eps),
+                          iv.parse_kernel(kernel))
+
+    @pytest.mark.parametrize("eps", [(0.5, 1.0, 0.0, 1e300, math.pi / 18), (0.7,), (0.5, 1.0)])
+    def test_per_dimension_thresholds(self, eps):
+        series = _series(np.random.default_rng(5), 5, 30)
+        got = check_imaging(series, iv.TrajectoryConfig(epsilon=eps), iv.kernel_preset("K5"))
+        assert (got[0] is iv.DimensionMismatch) == (len(eps) == 2)
+
+    @pytest.mark.parametrize("kernel", IMAGING_KERNELS)
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+    def test_overflow_to_inf_and_nan(self, kernel, scale):
+        rng = np.random.default_rng(11)
+        for d in (1, 5):
+            for eps in IMAGING_EPSILONS:
+                for m in (1, 2):
+                    check_imaging(_series(rng, d, 30, scale),
+                                  iv.TrajectoryConfig(m=m, epsilon=eps), iv.parse_kernel(kernel))
+
+    @pytest.mark.parametrize("eps", THRESHOLD_EPSILONS)
+    def test_distance_exactly_at_the_threshold(self, eps):
+        # under K4 with equal lower bounds the squared distance is du * du:
+        # the pairs straddle eps and eps squared to the last bit
+        steps = [eps, math.nextafter(eps, 0.0), math.nextafter(eps, math.inf),
+                 math.sqrt(min(eps * eps, sys.float_info.max)), 0.0, 3.0 * eps / 5.0]
+        upper = np.array([0.0] + steps + [4.0 * eps / 5.0])
+        series = iv.IntervalSeries(np.stack([np.zeros_like(upper), upper], axis=1))
+        for kernel in ("K4", "K2", "K5"):
+            check_imaging(series, iv.TrajectoryConfig(epsilon=eps), iv.parse_kernel(kernel))
+
+    def test_errors_tagged_with_the_item(self):
+        rng = np.random.default_rng(9)
+        fixed = np.zeros((2, 12, 2))
+        fixed[..., 1] = rng.random((2, 12))
+        batch = [iv.MvIntervalSeries(fixed), _series(rng, 2, 12), _series(rng, 2, 4)]
+        cfg = iv.TrajectoryConfig(m=3, kappa=2, epsilon=0.5)
+        for kernel in ("K4", "1,2,1"):
+            want = _imaged(ref_image_dataset, batch, cfg, iv.parse_kernel(kernel))
+            assert _imaged(iv.image_dataset, batch, cfg, iv.parse_kernel(kernel)) == want
+            assert want[0] in (iv.SeriesTooShort, iv.NegativeSquaredDistance)
+            assert want[1].startswith(("item 1: ", "item 2: "))
+
+    def test_series_of_several_lengths(self):
+        rng = np.random.default_rng(10)
+        batch = [_series(rng, 1, T) for T in (9, 9, 4, 9, 1, 6)]
+        for cfg in (iv.TrajectoryConfig(epsilon=0.8), iv.TrajectoryConfig(m=2, epsilon=0.8)):
+            want = _imaged(ref_image_dataset, batch, cfg, iv.kernel_preset("K5"))
+            assert _imaged(iv.image_dataset, batch, cfg, iv.kernel_preset("K5")) == want
+
+    @pytest.mark.parametrize("eps", THRESHOLD_EPSILONS)
+    def test_squared_threshold(self, eps):
+        t = squared_threshold(eps)
+        assert math.sqrt(t) <= eps and t < math.inf
+        up = math.nextafter(t, math.inf)
+        assert up == math.inf or math.sqrt(up) > eps
+        probes = [t, up, math.nextafter(t, 0.0), 0.0, -0.0, -1e-300, -1.0, -math.inf,
+                  math.inf, math.nan, eps * eps, sys.float_info.max]
+        q = np.array(probes)
+        with np.errstate(invalid="ignore"):
+            assert ((q <= t) == (np.sqrt(np.maximum(q, 0.0)) <= eps)).all()
+
+    def test_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        extra_np = pytest.importorskip("hypothesis.extra.numpy")
+
+        bound = st.one_of(
+            st.floats(-4.0, 4.0),
+            st.sampled_from([0.0, -0.0, 0.5, 1e-160, 1e200, -1e200, 1e308, -1e308]),
+        )
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(
+            grid=extra_np.arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 12),
+                                                       st.just(2)), elements=bound),
+            m=st.integers(1, 3),
+            kappa=st.integers(1, 3),
+            eps=st.lists(st.one_of(st.floats(0.0, 10.0), st.sampled_from(IMAGING_EPSILONS)),
+                         min_size=1, max_size=3),
+            kernel=st.one_of(
+                st.sampled_from(IMAGING_KERNELS).map(iv.parse_kernel),
+                st.tuples(*[st.floats(-3.0, 3.0)] * 3).map(lambda k: iv.Kernel2x2(*k)),
+            ),
+        )
+        def check(grid, m, kappa, eps, kernel):
+            series = iv.MvIntervalSeries(grid) if len(grid) > 1 else iv.IntervalSeries(grid[0])
+            check_imaging(series, iv.TrajectoryConfig(m=m, kappa=kappa, epsilon=tuple(eps)),
+                          kernel)
+
+        check()
+
+
+# ---------------------------------------------------------------------------
 # CSV images
 
 
@@ -1097,7 +1290,7 @@ def ref_classify(eff):
         raise cli.NumericError("runs must be >= 1")
     if not 0.0 < eff["train_fraction"] < 1.0:
         raise cli.NumericError("train-fraction must lie in (0, 1)")
-    threads = cli._resolve_threads(eff["threads"])
+    cli._check_threads(eff["threads"])
     kernel_text = str(eff["kernel"])
     kernel = cli._parse_kernel_opt(kernel_text)
     tag = eff["tag"] or Path(eff["data"] or eff["images"]).stem
@@ -1110,7 +1303,7 @@ def ref_classify(eff):
     if eff["data"] is not None:
         ds = cli._load_dataset(eff["data"])
         cli._check_labels(ds.labels(), eff["data"], linear=True)
-        images = iv.image_dataset(ds.series(), cli._trajectory_config(eff), kernel, threads)
+        images = ref_image_dataset(ds.series(), cli._trajectory_config(eff), kernel)
         X = ref_feature_matrix((ref_featurize(img, fc) for img in images), len(images))
         y = ds.label_ids
     else:
@@ -1431,3 +1624,48 @@ class TestPredictRows:
                                           np.zeros(3))
         X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
         assert classify.predict_rows(model, X).tolist() == [1, 3, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# save_model
+
+
+def ref_save_model(clf, kind, path):
+    """`save_model` joining every row's text before one write."""
+    lines = [f"{clf.n_classes} {clf.dim} {clf.c_A!r} {clf.c_B!r} {kind}"]
+    for row, bias in zip(clf.weights, clf.biases):
+        lines.append(" ".join(repr(float(v)) for v in row) + " " + repr(float(bias)))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+class TestSaveModel:
+    @pytest.mark.parametrize("C, p", [(1, 0), (2, 1), (3, 7), (5, 400)])
+    def test_same_bytes(self, tmp_path, C, p):
+        rng = np.random.default_rng(C * 100 + p)
+        weights = rng.standard_normal((C, p)) * 10.0 ** rng.integers(-320, 2, size=(C, p))
+        weights.flat[:3] = [-0.0, 5e-324, 0.1][: weights.size]
+        weights /= max(1.0, np.linalg.norm(weights, axis=1).max())
+        biases = rng.uniform(-0.5, 0.5, C)
+        biases[0] = -0.0
+        clf = iv.LinearClassifier(weights, biases, c_A=1.0, c_B=0.5)
+        for kind in ("hinge", "exponential"):
+            ref_save_model(clf, kind, tmp_path / "want.txt")
+            iv.save_model(clf, kind, tmp_path / "got.txt")
+            assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+            assert iv.load_model(tmp_path / "got.txt")[1] == kind
+
+    def test_traced_peak_below_the_file_size(self, tmp_path):
+        """One row's text at a time: at C = 10 the file holds ten rows."""
+        rng = np.random.default_rng(1)
+        clf = iv.LinearClassifier(rng.standard_normal((10, 10_000)) * 1e-3,
+                                  rng.uniform(-1.0, 1.0, 10))
+        path = tmp_path / "model.txt"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            iv.save_model(clf, "hinge", path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * path.stat().st_size

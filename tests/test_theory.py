@@ -88,6 +88,23 @@ class TestOffsetBound:
         with pytest.raises(ValueError):
             make_inputs(varrho=0.0)
 
+    @pytest.mark.parametrize("name", ["ell", "c_A", "c_B", "c_Z", "varrho", "log_covering"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make_inputs(**{name: value})
+
+    @pytest.mark.parametrize("name", ["ell", "c_A", "c_B", "c_Z"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_caps_named_before_varrho(self, name, value):
+        args = {"ell": 1.0, "c_A": 1.0, "c_B": 1.0, "c_Z": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            iv.optimal_varrho(**args)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            iv.g_bounds(**args)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            iv.excess_risk_bound(n=10, log_covering=1.0, **args)
+
 
 class TestExcessRiskBound:
     def test_hand_value(self):
@@ -184,6 +201,11 @@ class TestEmpiricalOffsetRademacher:
             iv.empirical_offset_rademacher(np.zeros((0, 2)), 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             iv.empirical_offset_rademacher(np.zeros((2, 2)), -1.0, 1.0, 1.0)
+        for caps in ((math.inf, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                iv.empirical_offset_rademacher(np.zeros((2, 2)), *caps, 1.0)
+        with pytest.raises(ValueError, match="^varrho must be finite"):
+            iv.empirical_offset_rademacher(np.zeros((2, 2)), 1.0, 1.0, math.inf)
 
 
 class TestBoundConsistencyWithClassifier:
