@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,40 +32,48 @@ from .dgp import LabeledDataset
 from .imaging import RecurrenceImage
 from .intervals import Kernel2x2, MvIntervalSeries, as_grid, pointwise_dk_squared
 
-# kind -> (loss, subgradient), elementwise on margins; the hinge kink uses
-# the subgradient 0.
-_AUX = {
-    "hinge": (lambda a: np.maximum(0.0, 1.0 - a), lambda a: np.where(a < 1.0, -1.0, 0.0)),
-    "squared_hinge": (lambda a: np.maximum(0.0, 1.0 - a) ** 2,
-                      lambda a: -2.0 * np.maximum(0.0, 1.0 - a)),
-    "exponential": (lambda a: np.exp(-a), lambda a: -np.exp(-a)),
+# Bytes in one block of temporaries (2 MiB), read at call time by the k-NN
+# scan, the draws of theory.empirical_offset_rademacher and the classify
+# command's image blocks; a block holds at least one item.
+BLOCK_BYTES = 1 << 21
+
+
+class Loss(NamedTuple):
+    """An auxiliary loss, elementwise on margins: its value, a subgradient
+    (0 at the hinge kink) and the Lipschitz constant ell of the bounds (the
+    exponential's holds on nonnegative margins)."""
+
+    value: Callable[[np.ndarray], np.ndarray]
+    subgradient: Callable[[np.ndarray], np.ndarray]
+    lipschitz: float
+
+
+LOSSES = {
+    "hinge": Loss(lambda a: np.maximum(0.0, 1.0 - a), lambda a: np.where(a < 1.0, -1.0, 0.0), 1.0),
+    "squared_hinge": Loss(lambda a: np.maximum(0.0, 1.0 - a) ** 2,
+                          lambda a: -2.0 * np.maximum(0.0, 1.0 - a), 2.0),
+    "exponential": Loss(lambda a: np.exp(-a), lambda a: -np.exp(-a), 1.0),
 }
-AUX_KINDS = tuple(_AUX)
 
 
-def _aux(kind: str):
+def loss_entry(kind: str) -> Loss:
+    """The LOSSES entry of `kind`; an unknown kind is a ValueError."""
     try:
-        return _AUX[kind]
+        return LOSSES[kind]
     except KeyError:
-        raise ValueError(f"unknown auxiliary loss {kind!r}; expected one of {AUX_KINDS}") from None
-
-
-def _aux_loss_vec(kind: str, a: np.ndarray) -> np.ndarray:
-    return _aux(kind)[0](a)
-
-
-def _aux_subgradient_vec(kind: str, a: np.ndarray) -> np.ndarray:
-    return _aux(kind)[1](a)
+        raise ValueError(
+            f"unknown auxiliary loss {kind!r}; expected one of {tuple(LOSSES)}"
+        ) from None
 
 
 def aux_loss(kind: str, a: float) -> float:
     """Non-increasing auxiliary loss evaluated at margin a."""
-    return float(_aux_loss_vec(kind, a))
+    return float(loss_entry(kind).value(a))
 
 
 def aux_subgradient(kind: str, a: float) -> float:
     """A valid subgradient of the auxiliary loss; the hinge kink uses 0."""
-    return float(_aux_subgradient_vec(kind, a))
+    return float(loss_entry(kind).subgradient(a))
 
 
 @dataclass(frozen=True)
@@ -195,23 +204,19 @@ def predict(clf: LinearClassifier, z) -> int:
     return int(np.argmax(score(clf, z))) + 1
 
 
+def _rows(clf: LinearClassifier, features: np.ndarray) -> np.ndarray:
+    if features.ndim != 2 or features.shape[1] != clf.dim:
+        raise DimMismatch(
+            f"features have shape {features.shape}, classifier expects (*, {clf.dim})"
+        )
+    return features
+
+
 def predict_rows(clf: LinearClassifier, features: np.ndarray) -> np.ndarray:
     """:func:`predict` of every row of an (m, p) matrix, with the same scores:
     one stacked matrix-vector product runs the kernel of ``W @ z`` per row."""
-    if features.ndim != 2 or features.shape[1] != clf.dim:
-        raise DimMismatch(
-            f"features have shape {features.shape}, classifier expects (*, {clf.dim})"
-        )
-    scores = np.matmul(clf.weights[None], features[..., None])[..., 0] + clf.biases
+    scores = np.matmul(clf.weights[None], _rows(clf, features)[..., None])[..., 0] + clf.biases
     return scores.argmax(axis=1) + 1
-
-
-def _score_matrix(clf: LinearClassifier, features: np.ndarray) -> np.ndarray:
-    if features.ndim != 2 or features.shape[1] != clf.dim:
-        raise DimMismatch(
-            f"features have shape {features.shape}, classifier expects (*, {clf.dim})"
-        )
-    return features @ clf.weights.T + clf.biases
 
 
 def _margins(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,8 +247,8 @@ def empirical_phi_risk(clf: LinearClassifier, features, labels, kind: str) -> fl
         raise EmptyInput("empirical risk of an empty set is undefined")
     if clf.n_classes < 2:
         raise ValueError("the max loss needs at least two classes")
-    margins, _ = _margins(_score_matrix(clf, X), y)
-    return float(_aux_loss_vec(kind, margins).mean())
+    margins, _ = _margins(_rows(clf, X) @ clf.weights.T + clf.biases, y)
+    return float(loss_entry(kind).value(margins).mean())
 
 
 def train(
@@ -285,19 +290,20 @@ def train(
     if not (math.isfinite(c_A) and math.isfinite(c_B)):
         raise ValueError(f"norm caps c_A and c_B must be finite, got {c_A} and {c_B}")
 
+    aux = loss_entry(kind)
     w = np.zeros((n_classes, p))
     b = np.zeros(n_classes)
     # The margins that give an iterate's risk also give the next step's
     # subgradient, so each step computes the scores once.
     margins, best_other = _margins(X @ w.T + b, y)
-    best_risk = float(_aux_loss_vec(kind, margins).mean())
+    best_risk = float(aux.value(margins).mean())
     best_w = w.copy()
     best_b = b.copy()
     rows = np.arange(n)
     # An overflowing step is reported by the risk check below, not by numpy.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, steps + 1):
-            g = _aux_subgradient_vec(kind, margins)
+            g = aux.subgradient(margins)
             coeff = np.zeros((n, n_classes))
             coeff[rows, y - 1] = g
             coeff[rows, best_other] -= g
@@ -309,7 +315,7 @@ def train(
                 w[over] *= (c_A / norms[over])[:, None]
             np.clip(b, -c_B, c_B, out=b)
             margins, best_other = _margins(X @ w.T + b, y)
-            r = float(_aux_loss_vec(kind, margins).mean())
+            r = float(aux.value(margins).mean())
             if not math.isfinite(r):
                 raise ValueError(
                     f"training risk is {r} at step {t}; a smaller step size or smaller "
@@ -320,10 +326,6 @@ def train(
                 best_w = w.copy()
                 best_b = b.copy()
     return LinearClassifier(best_w, best_b, c_A, c_B)
-
-
-# Float64 elements in one temporary of the k-NN scan (2 MiB).
-_KNN_BLOCK = 1 << 18
 
 
 def _query_grid(query, X: np.ndarray, multivariate: bool) -> np.ndarray:
@@ -364,31 +366,35 @@ def _vote(dists: np.ndarray, labels: list[int], k: int) -> int:
     return min(tied, key=lambda label: (totals[label], label))
 
 
-def knn_predict(train: LabeledDataset, queries, k: int, kernel: Kernel2x2) -> list[int]:
-    """:func:`knn_classify` for each query, in query order.
+def knn_rows(X: np.ndarray, labels: list[int], Q, k: int, kernel: Kernel2x2) -> list[int]:
+    """:func:`knn_classify` of each (d, T, 2) query in `Q` (an array or a
+    list) among the (n, d, T, 2) items `X` with class ids `labels`.
 
-    The training bounds are stacked once per dataset; queries are scanned in
-    blocks whose temporaries hold at most ``_KNN_BLOCK`` elements (or one
-    query against one training item, if that is larger).
+    The queries are scanned in blocks whose temporaries hold at most
+    ``BLOCK_BYTES`` of float64 (or one query against one item, if that is
+    larger).
     """
-    n = len(train)
+    n = len(X)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    X = train.bounds
-    labels = train.labels()
-    queries = list(queries)
     per_item = X.shape[1] * X.shape[2]
-    rows = max(1, _KNN_BLOCK // per_item)
-    width = max(1, _KNN_BLOCK // (per_item * min(rows, n)))
+    rows = max(1, BLOCK_BYTES // 8 // per_item)
+    width = max(1, BLOCK_BYTES // 8 // (per_item * min(rows, n)))
     preds: list[int] = []
-    for start in range(0, len(queries), width):
-        block = queries[start : start + width]
-        Q = np.stack([_query_grid(q, X, train.multivariate) for q in block])
+    for start in range(0, len(Q), width):
+        block = np.asarray(Q[start : start + width])
         dists = np.concatenate(
-            [_scan(Q, X[i : i + rows], kernel) for i in range(0, n, rows)], axis=1
+            [_scan(block, X[i : i + rows], kernel) for i in range(0, n, rows)], axis=1
         )
         preds.extend(_vote(row, labels, k) for row in dists)
     return preds
+
+
+def knn_predict(train: LabeledDataset, queries, k: int, kernel: Kernel2x2) -> list[int]:
+    """:func:`knn_classify` for each query series, in query order."""
+    X = train.bounds
+    grids = [_query_grid(q, X, train.multivariate) for q in queries]
+    return knn_rows(X, train.labels(), grids, k, kernel)
 
 
 def knn_classify(

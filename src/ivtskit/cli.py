@@ -112,8 +112,7 @@ CLASSIFY_OPTS = (
         ("flatten", "block_mean")),
     Opt("--blocks", "blocks", int, 10, "block grid size for block_mean"),
     Opt("--cap", "cap", float, 1.0, "feature norm cap c_Z"),
-    Opt("--loss", "loss", str, "hinge", "auxiliary loss",
-        ("hinge", "squared_hinge", "exponential")),
+    Opt("--loss", "loss", str, "hinge", "auxiliary loss", tuple(clf_mod.LOSSES)),
     Opt("--steps", "steps", int, 500, "subgradient steps"),
     Opt("--step-size", "step_size", float, 0.5, "base step size (eta_t = eta0/sqrt(t))"),
     Opt("--c-a", "c_a", float, 1.0, "weight row norm cap"),
@@ -127,8 +126,7 @@ CLASSIFY_OPTS = (
 )
 
 BOUND_OPTS = (
-    Opt("--loss", "loss", str, "hinge", "auxiliary loss fixing ell",
-        ("hinge", "squared_hinge", "exponential")),
+    Opt("--loss", "loss", str, "hinge", "auxiliary loss fixing ell", tuple(clf_mod.LOSSES)),
     Opt("--ell", "ell", float, None, "explicit Lipschitz constant (overrides --loss)"),
     Opt("--c-a", "c_a", float, 1.0, "weight row norm cap"),
     Opt("--c-b", "c_b", float, 1.0, "bias magnitude cap"),
@@ -277,21 +275,17 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-def _parse_epsilon(text) -> float | tuple[float, ...]:
-    parts = str(text).split(",")
+def _trajectory_config(eff: dict) -> TrajectoryConfig:
+    text = eff["epsilon"]
     try:
-        values = [float(p) for p in parts]
+        eps = [float(p) for p in str(text).split(",")]
     except ValueError:
         raise NumericError(f"epsilon {text!r} is not a number or comma list") from None
-    return values[0] if len(values) == 1 else tuple(values)
-
-
-def _trajectory_config(eff: dict) -> TrajectoryConfig:
     try:
         return TrajectoryConfig(m=eff["m"], kappa=eff["kappa"],
-                                epsilon=_parse_epsilon(eff["epsilon"]))
+                                epsilon=eps[0] if len(eps) == 1 else tuple(eps))
     except ValueError as e:
-        raise UsageError(str(e)) from e
+        raise NumericError(str(e)) from e
 
 
 def _load_dataset(path):
@@ -396,7 +390,7 @@ def cmd_image(eff: dict) -> None:
     cfg = _trajectory_config(eff)
     _check_threads(eff["threads"])
     ds = _load_dataset(eff["data"])
-    images = img_mod.image_dataset(ds.series(), cfg, kernel)
+    images = [img_mod.RecurrenceImage(px) for px in img_mod.image_grids(ds.bounds, cfg, kernel)]
     outdir = Path(eff["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
     stem = eff["stem"] or Path(eff["data"]).stem
@@ -419,16 +413,11 @@ def cmd_image(eff: dict) -> None:
 # classify
 
 
-# Pixel bytes of the images `classify` holds at once while it featurizes
-# them (2 MiB); a block holds at least one image.
-IMAGE_BLOCK_BYTES = 1 << 21
-
-
 class _FeatureRows:
     """The (n, p) feature matrix of n images given one at a time in item order.
 
     The images are kept in a uint8 block of one image size and at most
-    IMAGE_BLOCK_BYTES, which is featurized straight into its rows of the
+    classify.BLOCK_BYTES, which is featurized straight into its rows of the
     matrix when it is full, when the image size changes, and at the end.
     """
 
@@ -451,7 +440,7 @@ class _FeatureRows:
             return
         if self.block is None or self.block.shape[1] != size:
             self._flush()
-            rows = max(1, IMAGE_BLOCK_BYTES // (size * size))
+            rows = max(1, clf_mod.BLOCK_BYTES // (size * size))
             self.block = np.empty((rows, size, size), dtype=np.uint8)
         elif self.held == len(self.block):
             self._flush()
@@ -576,7 +565,8 @@ def cmd_classify(eff: dict) -> None:
     if (eff["data"] is None) == (eff["images"] is None):
         raise UsageError("pass exactly one of --data or --images")
     _require(eff, "outdir")
-    if eff["mode"] == "knn" and eff["data"] is None:
+    knn = eff["mode"] == "knn"
+    if knn and eff["data"] is None:
         raise UsageError("--mode knn needs --data (series-level distances)")
     seed = _check_seed(eff["seed"])
     if eff["runs"] < 1:
@@ -590,63 +580,50 @@ def cmd_classify(eff: dict) -> None:
     outdir = Path(eff["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
 
-    if eff["mode"] != "knn":
+    if not knn:
         try:
             fc = clf_mod.FeatureConfig(eff["feature_mode"], eff["blocks"], eff["cap"])
-        except ValueError as e:
+        except (ValueError, BlockGridInvalid) as e:
             raise NumericError(str(e)) from e
-    if eff["data"] is not None:
+    if eff["images"] is not None:
+        X, y = _load_image_features(Path(eff["images"]), fc)
+        # the images were rendered by the image command, not with --kernel
+        kernel_text = _images_kernel(Path(eff["images"]))
+    else:
         ds = _load_dataset(eff["data"])
-        _check_labels(ds.labels(), eff["data"], linear=eff["mode"] != "knn")
+        _check_labels(ds.labels(), eff["data"], linear=not knn)
+        y = ds.label_ids
+        if not knn:
+            X = _data_features(ds, _trajectory_config(eff), kernel, fc)
 
     report_rows = []
-    if eff["mode"] == "knn":
-        for r in range(eff["runs"]):
-            run_seed = seed + r
-            if eff["self_test"]:
-                train = test = ds
-            else:
-                try:
-                    train, test = dgp_mod.train_test_split(
-                        ds, eff["train_fraction"], run_seed
-                    )
-                except ValueError as e:
-                    raise DataError(str(e)) from e
+    order = np.arange(len(y))  # order[i] is the item in row i of X
+    for r in range(eff["runs"]):
+        run_seed = seed + r
+        if eff["self_test"]:  # every item is trained on and scored
+            train_idx = test_idx = slice(None)
+        else:
             try:
-                preds = clf_mod.knn_predict(train, test.series(), eff["k"], kernel)
+                train_idx, test_idx = dgp_mod.split_indices(
+                    y.tolist(), eff["train_fraction"], run_seed
+                )
+            except ValueError as e:
+                raise DataError(str(e)) from e
+        if knn:
+            try:
+                preds = clf_mod.knn_rows(ds.bounds[train_idx], y[train_idx].tolist(),
+                                         ds.bounds[test_idx], eff["k"], kernel)
             except ValueError as e:
                 raise NumericError(str(e)) from e
-            acc = clf_mod.accuracy(preds, test.labels())
-            report_rows.append((r, kernel_text, tag, run_seed, acc))
-            print(f"run {r} (seed {run_seed}): knn accuracy {acc!r}")
-    else:
-        if eff["images"] is not None:
-            X, y = _load_image_features(Path(eff["images"]), fc)
-            # the images were rendered by the image command, not with --kernel
-            kernel_text = _images_kernel(Path(eff["images"]))
+            truth, model_note = y[test_idx], ""
         else:
-            X = _data_features(ds, _trajectory_config(eff), kernel, fc)
-            y = ds.label_ids
-        # Each run moves its training rows, in split order, to the front of X
-        # and its test rows after them; order[i] is the item in row i.
-        order = np.arange(len(y))
-        for r in range(eff["runs"]):
-            run_seed = seed + r
-            if eff["self_test"]:
-                want, n_train, test = order, len(y), slice(None)
-            else:
-                try:
-                    train_idx, test_idx = dgp_mod.split_indices(
-                        y.tolist(), eff["train_fraction"], run_seed
-                    )
-                except ValueError as e:
-                    raise DataError(str(e)) from e
-                want, n_train = np.array(train_idx + test_idx), len(train_idx)
-                test = slice(n_train, None)
-            _permute_rows(X, np.argsort(order)[want])
-            order = want
+            if not eff["self_test"]:  # the training rows to the front of X, in split order
+                want = np.array(train_idx + test_idx)
+                _permute_rows(X, np.argsort(order)[want])
+                order = want
+                train_idx, test_idx = slice(len(train_idx)), slice(len(train_idx), None)
             try:
-                model = clf_mod.train(X[:n_train], y[order[:n_train]], kind=eff["loss"],
+                model = clf_mod.train(X[train_idx], y[order[train_idx]], kind=eff["loss"],
                                       steps=eff["steps"], step_size=eff["step_size"],
                                       c_A=eff["c_a"], c_B=eff["c_b"])
             except ValueError as e:
@@ -654,11 +631,13 @@ def cmd_classify(eff: dict) -> None:
             if not (model.weights.any() or model.biases.any()):
                 print(f"warning: run {r}: no training step beat the zero model's risk, so the "
                       "model is all zeros and predicts class 1 for every item", file=sys.stderr)
-            acc = clf_mod.accuracy(clf_mod.predict_rows(model, X[test]), y[order[test]])
+            preds, truth = clf_mod.predict_rows(model, X[test_idx]), y[order[test_idx]]
             model_path = outdir / f"model_run{r}.txt"
             clf_mod.save_model(model, eff["loss"], model_path)
-            report_rows.append((r, kernel_text, tag, run_seed, acc))
-            print(f"run {r} (seed {run_seed}): linear accuracy {acc!r} -> {model_path}")
+            model_note = f" -> {model_path}"
+        acc = clf_mod.accuracy(preds, truth)
+        report_rows.append((r, kernel_text, tag, run_seed, acc))
+        print(f"run {r} (seed {run_seed}): {eff['mode']} accuracy {acc!r}{model_note}")
 
     report = outdir / "report.csv"
     with open(report, "w", newline="", encoding="utf-8") as fh:
@@ -721,7 +700,10 @@ def cmd_bound(eff: dict) -> None:
                 f"--mc-n must be >= 1 and --mc-p >= 0, got {eff['mc_n']} and {eff['mc_p']}"
             )
         rng = np.random.default_rng([seed, 4242])
-        X = rng.standard_normal((eff["mc_n"], eff["mc_p"]))
+        try:
+            X = rng.standard_normal((eff["mc_n"], eff["mc_p"]))
+        except ValueError as e:  # a shape beyond numpy's index range
+            raise NumericError(f"--mc-n and --mc-p: {e}") from e
         norms = np.linalg.norm(X, axis=1)
         over = norms > eff["c_z"]
         X[over] *= (eff["c_z"] / norms[over])[:, None]
@@ -769,6 +751,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (NumericError, NegativeSquaredDistance, NonFinite) as e:
         print(f"numeric error: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as e:  # a size option asked for more memory than there is
+        print(f"numeric error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_NUMERIC
     except (DataError, IvtsError, OSError, csv.Error) as e:
         print(f"data error: {e}", file=sys.stderr)

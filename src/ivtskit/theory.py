@@ -25,18 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-LIPSCHITZ_CONSTANTS = {"hinge": 1.0, "squared_hinge": 2.0, "exponential": 1.0}
+from . import classify
 
 
 def lipschitz_constant(kind: str) -> float:
-    """Lipschitz constant of an auxiliary loss: hinge 1, squared hinge 2,
-    exponential 1 (the exponential value assumes nonnegative margins)."""
-    try:
-        return LIPSCHITZ_CONSTANTS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown auxiliary loss {kind!r}; expected one of {sorted(LIPSCHITZ_CONSTANTS)}"
-        ) from None
+    """Lipschitz constant ell of an auxiliary loss (classify.LOSSES)."""
+    return classify.loss_entry(kind).lipschitz
 
 
 def _require_positive(**values: float) -> None:
@@ -135,11 +129,6 @@ class RademacherEstimate:
             raise ValueError("mc_draws must be >= 1")
 
 
-# Floats in one (draws, max(n, p)) temporary of the batched ascent, the
-# budget of classify._KNN_BLOCK.
-_MC_BLOCK = 1 << 18
-
-
 def _draws(
     X: np.ndarray,
     c_A: float,
@@ -183,19 +172,6 @@ def _draws(
     return best
 
 
-def _one_draw(
-    X: np.ndarray,
-    c_A: float,
-    c_B: float,
-    varrho: float,
-    inner_steps: int,
-    seed: int,
-    draw: int,
-) -> float:
-    """The supremum of draw `draw` alone."""
-    return float(_draws(X, c_A, c_B, varrho, inner_steps, seed, range(draw, draw + 1))[0])
-
-
 def empirical_offset_rademacher(
     features,
     c_A: float,
@@ -225,7 +201,8 @@ def empirical_offset_rademacher(
     if mc_draws < 1 or inner_steps < 0:
         raise ValueError("mc_draws must be >= 1 and inner_steps >= 0")
 
-    block = max(1, _MC_BLOCK // max(X.shape))
+    # each (draws, max(n, p)) float64 temporary within classify.BLOCK_BYTES
+    block = max(1, classify.BLOCK_BYTES // 8 // max(X.shape))
     values = np.concatenate([
         _draws(X, c_A, c_B, varrho, inner_steps, seed, range(start, min(start + block, mc_draws)))
         for start in range(0, mc_draws, block)

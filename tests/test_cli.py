@@ -646,6 +646,31 @@ class TestClassify:
         assert out.returncode == 4
 
 
+class TestOutOfDomainOptions:
+    """Option values outside their numeric domain are numeric errors (exit 4);
+    a block grid larger than the images depends on the data (exit 3)."""
+
+    @pytest.mark.parametrize("command", ["image", "classify"])
+    @pytest.mark.parametrize(
+        "option", [("--epsilon", "-1"), ("--epsilon", "nan"), ("--m", "0"), ("--kappa", "0")]
+    )
+    def test_trajectory_option(self, mix_csv, tmp_path, command, option):
+        out = run_cli(command, "--data", mix_csv, "--kernel", "K4", *option,
+                      "--outdir", tmp_path / "o")
+        assert_one_line_error(out, 4, "numeric error: ")
+
+    @pytest.mark.parametrize("blocks", ["0", "-1"])
+    def test_block_grid_below_one(self, mix_csv, tmp_path, blocks):
+        out = run_cli("classify", "--data", mix_csv, "--blocks", blocks,
+                      "--outdir", tmp_path / "o")
+        assert_one_line_error(out, 4, "numeric error: block grid size must be >= 1")
+
+    def test_block_grid_larger_than_the_images(self, mix_csv, tmp_path):
+        out = run_cli("classify", "--data", mix_csv, "--blocks", "31",
+                      "--outdir", tmp_path / "o")  # T = 30, so N = 30
+        assert_one_line_error(out, 3, "data error: ")
+
+
 class TestBound:
     def test_prints_hand_value(self):
         out = run_cli("bound", "--n", "100", "--log-covering", "10")
@@ -680,6 +705,12 @@ class TestBound:
     def test_negative_mc_shape_is_numeric_error(self, flag):
         out = run_cli("bound", "--n", "50", "--log-covering", "3", "--mc", flag, "-1")
         assert_one_line_error(out, 4, flag)
+
+    @pytest.mark.parametrize("flag", ["--mc-n", "--mc-p"])
+    def test_mc_shape_beyond_the_index_range_is_numeric_error(self, flag):
+        # numpy rejects the shape before it allocates anything
+        out = run_cli("bound", "--n", "50", "--log-covering", "3", "--mc", flag, str(2**63))
+        assert_one_line_error(out, 4, "numeric error: --mc-n and --mc-p: ")
 
     def test_mc_biases_only_class(self):
         out = run_cli(
@@ -1037,3 +1068,146 @@ class TestFuzz:
                         config_fault)
 
         check()
+
+    # Slice 4: the commands that read no dataset.  Sizes stay small (per class
+    # <= 5, T <= 40, --mc-n <= 50, --mc-draws <= 8), so no size option is ever
+    # left at its default.  Path values name files in the case's directory.
+    PATHS = {"new": "out/new.csv", "under-file": "file/new.csv", "dir": ".",
+             "raw": "raw.csv", "missing": "nope.csv"}
+    GENERATE_VALUES = {
+        "dgp": (["1", "2", "3"], ["0", "4", "x", ""]),  # one of these two is unset
+        "scenario": (["c1", "c2", "mix"], ["c3", ""]),
+        "per_class": (["1", "2", "5"], ["0", "-1", "x"]),
+        "T": (["1", "2", "40"], ["0", "-1", "x"]),
+        "rhos": (["0.5", "-0.9,0,0.7", ""], ["nan", "1", "-1.5", "inf", "0.5,", "x"]),
+        "rho": (["0.7", "-0.3", ""], ["nan", "1", "-2", "inf"]),
+        "truncation_L": (["1", "100", ""], ["0", "-1"]),
+        "burn_in": (["0", "100", ""], ["-1", "x"]),
+        "seed": (["0", "7", ""], ["-1", "x"]),
+        "out": (["new"], ["under-file", "dir", ""]),
+    }
+    INGEST_VALUES = {
+        "input": (["raw"], ["missing", "dir", ""]),
+        "out": (["new"], ["under-file", "dir", ""]),
+        "window": (["1", "7", "30", ""], ["0", "-1", "1000", "x"]),
+        "stride": (["1", "7", ""], ["0", "-3", "x"]),
+    }
+    BOUND_VALUES = {
+        "loss": (["hinge", "squared_hinge", "exponential", ""], ["x"]),
+        "ell": (["1", "0.5", "1e300", ""], ["0", "-1", "nan", "inf"]),
+        "c_a": (["1.0", "0.5", "1e300", ""], ["0", "-1", "nan", "inf"]),
+        "c_b": (["1.0", "0.5", "1e300", ""], ["0", "-1", "nan", "inf"]),
+        "c_z": (["1.0", "0.5", "1e300", ""], ["0", "-1", "nan", "inf"]),
+        "n": (["1", "100"], ["0", "-1", "x", ""]),
+        "log_covering": (["0", "10", "1e300"], ["-1", "nan", "inf", "x", ""]),
+        "varrho": (["0.125", "1e-300", ""], ["0", "-1", "nan", "inf"]),
+        "mc": (["true", "false", ""], ["maybe"]),
+        "mc_draws": (["1", "8"], ["0", "-1", "x"]),
+        "inner_steps": (["0", "20"], ["-1", "x"]),
+        "mc_n": (["1", "50"], ["0", "-1", "x"]),
+        "mc_p": (["0", "8", ""], ["-1", "x"]),
+        "seed": (["0", "3", ""], ["-1", "x"]),
+        "json": (["true", "false", ""], ["maybe"]),
+        "threads": (["1", "2", ""], ["0", "x"]),
+    }
+
+    @staticmethod
+    def _write_raw(path, n_series, dims, days, seed):
+        rng = np.random.default_rng(seed)
+        rows = ["series_id,dim,timestamp,value,label"]
+        for s in range(n_series):
+            for i in range(days):
+                day = (date(2020, 1, 1) + timedelta(days=i)).isoformat()
+                rows += [f"s{s},d{j},{day}T{h:02d}:00:00,{v!r},{'ab'[s % 2]}"
+                         for j in range(dims)
+                         for h, v in enumerate(rng.standard_normal(2).tolist())]
+        path.write_text("\n".join(rows) + "\n")
+
+    def _check_no_dataset(self, tmp_path, command, values, in_config, config_fault, raw):
+        hypothesis = pytest.importorskip("hypothesis")
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        (work / "file").write_text("not a directory\n")
+        self._write_raw(work / "raw.csv", *raw)
+        argv, config = [command], {}
+        for key, value in values.items():
+            if key in ("input", "out") and value:
+                value = str(work / self.PATHS[value])
+            if value == "":
+                continue
+            if key in in_config:
+                config[key] = value
+            elif key in ("mc", "json"):
+                argv += [f"--{key}"] if value == "true" else []
+            else:
+                argv += [f"--{key.replace('_', '-')}={value}"]
+        if config or config_fault:
+            self._write_config(work / "run.cfg", config, config_fault)
+            argv += ["--config", work / "run.cfg"]
+        rc, err, caught = self._main(argv)
+        hypothesis.note(f"argv={argv} rc={rc} err={err!r} warnings={caught}")
+        hypothesis.event(f"exit {rc}")
+        assert rc in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        assert caught == []
+        assert len(err.splitlines()) <= 1
+
+    @pytest.mark.parametrize("command", ["generate", "ingest", "bound"])
+    def test_property_no_dataset(self, tmp_path, command):
+        """At most one malformed option value and one config-file fault for the
+        commands that read no dataset, each option a flag or a config line."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        table = {"generate": self.GENERATE_VALUES, "ingest": self.INGEST_VALUES,
+                 "bound": self.BOUND_VALUES}[command]
+        bad_value = st.sampled_from(sorted(table)).flatmap(
+            lambda key: st.tuples(st.just(key), st.sampled_from(table[key][1])))
+
+        @hypothesis.settings(max_examples=200, deadline=None,
+                             suppress_health_check=list(hypothesis.HealthCheck))
+        @hypothesis.given(
+            values=st.fixed_dictionaries({k: st.sampled_from(v[0]) for k, v in table.items()}),
+            value_fault=st.one_of(st.none(), bad_value),
+            in_config=st.sets(st.sampled_from(sorted(table))),
+            config_fault=st.sampled_from([None, None, "no-equals", "unknown", "comment",
+                                          "bytes"]),
+            raw=st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 40),
+                          st.integers(0, 3)),
+            unset=st.sampled_from(["dgp", "scenario"]),
+        )
+        def check(values, value_fault, in_config, config_fault, raw, unset):
+            if unset in values:
+                values = {**values, unset: ""}
+            if value_fault is not None:
+                values = {**values, value_fault[0]: value_fault[1]}
+            self._check_no_dataset(tmp_path, command, values, in_config, config_fault, raw)
+
+        check()
+
+
+class TestRefusedAllocation:
+    """A MemoryError is one `numeric error:` line (exit 4).  The builders are
+    patched to raise it: a real huge allocation can succeed on a host that
+    overcommits memory and then exhaust it."""
+
+    MESSAGE = ("Unable to allocate 745. GiB for an array with shape "
+               "(100000000000, 1, 2) and data type float64")
+
+    @pytest.mark.parametrize("message,line", [(MESSAGE, MESSAGE), ("", "out of memory")],
+                             ids=["numpy", "bare"])
+    def test_generate(self, monkeypatch, tmp_path, message, line):
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(iv.dgp, "build_univariate_dataset", refuse)
+        rc, err, caught = TestFuzz._main(["generate", "--dgp", "1", "--per-class", "2",
+                                          "--T", "5", "--out", tmp_path / "x.csv"])
+        assert (rc, err, caught) == (4, f"numeric error: {line}\n", [])
+
+    def test_bound_mc(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError(self.MESSAGE)
+
+        monkeypatch.setattr(iv.theory, "empirical_offset_rademacher", refuse)
+        rc, err, caught = TestFuzz._main(["bound", "--n", "10", "--log-covering", "1", "--mc",
+                                          "--mc-n", "10"])
+        assert (rc, err, caught) == (4, f"numeric error: {self.MESSAGE}\n", [])

@@ -23,7 +23,7 @@ import pytest
 
 import ivtskit as iv
 from ivtskit import classify, cli, ingest, theory
-from ivtskit.classify import _aux_loss_vec, _aux_subgradient_vec, _margins
+from ivtskit.classify import LOSSES, _margins
 from ivtskit.errors import BlockGridInvalid, NegativeSquaredDistance
 from ivtskit.imaging import squared_threshold
 from ivtskit.intervals import NEGATIVE_TOLERANCE, as_grid, series_dk_squared
@@ -119,13 +119,13 @@ def ref_train(features, labels, kind, steps, step_size=0.5, c_A=1.0, c_B=1.0):
 
     def risk(wm, bv):
         margins, _ = _margins(X @ wm.T + bv, y)
-        return float(_aux_loss_vec(kind, margins).mean())
+        return float(LOSSES[kind].value(margins).mean())
 
     best_risk, best_w, best_b = risk(w, b), w.copy(), b.copy()
     rows = np.arange(n)
     for t in range(1, steps + 1):
         margins, best_other = _margins(X @ w.T + b, y)
-        g = _aux_subgradient_vec(kind, margins)
+        g = LOSSES[kind].subgradient(margins)
         coeff = np.zeros((n, n_classes))
         coeff[rows, y - 1] = g
         coeff[rows, best_other] -= g
@@ -377,7 +377,7 @@ class TestKnnScan:
         queries = test.series()
         kernel = iv.kernel_preset("K5")
         want = [ref_knn(train, q, 3, kernel)[0] for q in queries]
-        monkeypatch.setattr(classify, "_KNN_BLOCK", block)
+        monkeypatch.setattr(classify, "BLOCK_BYTES", 8 * block)  # block floats
         assert classify.knn_predict(train, queries, 3, kernel) == want
 
     def test_property(self):
@@ -404,6 +404,27 @@ class TestKnnScan:
             _check_knn(train, series[n:], k, iv.Kernel2x2(*entries))
 
         check()
+
+    @pytest.mark.parametrize("make", [_uni, _c1])
+    @pytest.mark.parametrize("self_test,k,fraction,seed,runs",
+                             [(False, 1, 0.8, 0, 3), (True, 3, 0.8, 0, 2), (False, 2, 0.6, 4, 2)])
+    def test_cli_matches_split_datasets(self, tmp_path, make, self_test, k, fraction, seed,
+                                        runs):
+        """`classify --mode knn` scans the split's rows of the dataset array;
+        each run reports the accuracy of `knn_predict` on the series of the
+        datasets `train_test_split` makes (the whole dataset under --self-test)."""
+        ds = make(6, 20)
+        iv.save_dataset_csv(ds, tmp_path / "ds.csv")
+        argv = ["classify", "--data", tmp_path / "ds.csv", "--mode", "knn", "--kernel", "K5",
+                "--k", k, "--train-fraction", fraction, "--seed", seed, "--runs", runs,
+                *(["--self-test"] if self_test else []), "--outdir", tmp_path / "out"]
+        assert _run("classify", cli.cmd_classify, list(map(str, argv)))[::2] == (0, "")
+        want = ["run,kernel,dgp,seed,accuracy"]
+        for r in range(runs):
+            train, test = (ds, ds) if self_test else iv.train_test_split(ds, fraction, seed + r)
+            preds = classify.knn_predict(train, test.series(), k, iv.kernel_preset("K5"))
+            want.append(f"{r},K5,ds,{seed + r},{classify.accuracy(preds, test.labels())!r}")
+        assert (tmp_path / "out" / "report.csv").read_text().splitlines() == want
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +536,13 @@ class TestMcOracle:
         X[norms > 1.0] /= norms[norms > 1.0][:, None]
         varrho = iv.optimal_varrho(1.0, 1.0, 1.0, 1.0)
         want = [ref_one_draw(X, c_A, c_B, varrho, 200, 3, i) for i in range(16)]
-        got = [theory._one_draw(X, c_A, c_B, varrho, 200, 3, i) for i in range(16)]
+        got = [theory._draws(X, c_A, c_B, varrho, 200, 3, range(i, i + 1))[0]
+               for i in range(16)]
         assert got == want
         est = iv.empirical_offset_rademacher(X, c_A, c_B, varrho, mc_draws=16,
                                              inner_steps=200, seed=3)
         assert est.value == float(np.mean(want))
-        assert theory._one_draw(X, c_A, c_B, varrho, 0, 3, 0) == 0.0
+        assert theory._draws(X, c_A, c_B, varrho, 0, 3, range(0, 1))[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -585,12 +607,12 @@ class TestMcBlocks:
 
     def test_draws_not_a_multiple_of_the_block(self, monkeypatch):
         X = _mc_features(50, 8)
-        monkeypatch.setattr(theory, "_MC_BLOCK", 8 * 50)  # blocks of 8 draws
+        monkeypatch.setattr(classify, "BLOCK_BYTES", 8 * 8 * 50)  # blocks of 8 draws
         self._check(X, 21, 40)
 
     def test_wide_features_split_the_draws(self):
         X = _mc_features(30, 40000)
-        assert theory._MC_BLOCK // 40000 < 10
+        assert classify.BLOCK_BYTES // 8 // 40000 < 10
         self._check(X, 10, 3, c_A=0.05)
 
     def test_biases_only_class(self):
@@ -1298,7 +1320,7 @@ def ref_classify(eff):
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         fc = classify.FeatureConfig(eff["feature_mode"], eff["blocks"], eff["cap"])
-    except ValueError as e:
+    except (ValueError, BlockGridInvalid) as e:
         raise cli.NumericError(str(e)) from e
     if eff["data"] is not None:
         ds = cli._load_dataset(eff["data"])
@@ -1421,7 +1443,7 @@ def _inputs(root, argv):
 
 # 24 images of N = 24 in `mix`: blocks of one image, blocks of 7 (3 of 7 and
 # one of 3), and the default of 2 MiB
-BLOCK_BYTES = (1, 7 * 24 * 24, cli.IMAGE_BLOCK_BYTES)
+BLOCK_BYTES = (1, 7 * 24 * 24, classify.BLOCK_BYTES)
 
 
 class TestClassifyOracle:
@@ -1448,7 +1470,7 @@ class TestClassifyOracle:
         ],
     )
     def test_same_output(self, classify_inputs, tmp_path, monkeypatch, argv, block):
-        monkeypatch.setattr(cli, "IMAGE_BLOCK_BYTES", block)
+        monkeypatch.setattr(classify, "BLOCK_BYTES", block)
         rc, out, err, files = check_classify(tmp_path, _inputs(classify_inputs, argv))
         assert rc == 0 and "report.csv" in files
         # some run learns: the reordered rows reach train and the scoring
@@ -1473,7 +1495,7 @@ class TestClassifyOracle:
     )
     @pytest.mark.parametrize("block", BLOCK_BYTES[:2])
     def test_same_errors(self, classify_inputs, tmp_path, monkeypatch, argv, block):
-        monkeypatch.setattr(cli, "IMAGE_BLOCK_BYTES", block)
+        monkeypatch.setattr(classify, "BLOCK_BYTES", block)
         rc, _, err, _ = check_classify(tmp_path, _inputs(classify_inputs, argv))
         assert rc in (3, 4) and "warning" not in err
 
@@ -1564,7 +1586,7 @@ class TestClassifyOracle:
                     "--steps", "5", "--train-fraction", "0.5"]
             argv += ["--self-test"] if runs == "--self-test" else ["--runs", runs]
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(cli, "IMAGE_BLOCK_BYTES", block)
+                mp.setattr(classify, "BLOCK_BYTES", block)
                 rc, _, err, _ = check_classify(imgdir, argv)
             assert len(err.splitlines()) <= 1
 
