@@ -23,8 +23,6 @@ from .intervals import (
     Kernel2x2,
     KERNEL_PRESETS,
     MvIntervalSeries,
-    compose,
-    decompose,
     distance_from_squared,
     dk_distance,
     dk_squared,
@@ -38,15 +36,9 @@ from .imaging import (
     TrajectoryConfig,
     export_csv,
     export_pgm,
-    extract_trajectories,
-    heaviside,
-    ijrp,
-    image_dataset,
     image_series,
-    irp,
     load_csv_image,
     load_pgm,
-    trajectory_dk,
 )
 from .dgp import (
     DgpConfig,
@@ -60,24 +52,19 @@ from .dgp import (
     gen_dgp3,
     load_dataset_csv,
     residual_covariance,
-    sample_residual,
     sample_residuals,
     save_dataset_csv,
-    to_interval_series,
     train_test_split,
 )
 from .classify import (
     FeatureConfig,
     LinearClassifier,
     accuracy,
-    aux_loss,
-    aux_subgradient,
     empirical_phi_risk,
     featurize,
     knn_classify,
     knn_predict,
     load_model,
-    max_loss,
     predict,
     save_model,
     score,

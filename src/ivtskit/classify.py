@@ -66,16 +66,6 @@ def loss_entry(kind: str) -> Loss:
         ) from None
 
 
-def aux_loss(kind: str, a: float) -> float:
-    """Non-increasing auxiliary loss evaluated at margin a."""
-    return float(loss_entry(kind).value(a))
-
-
-def aux_subgradient(kind: str, a: float) -> float:
-    """A valid subgradient of the auxiliary loss; the hinge kink uses 0."""
-    return float(loss_entry(kind).subgradient(a))
-
-
 @dataclass(frozen=True)
 class FeatureConfig:
     """How a recurrence image becomes a feature vector.
@@ -228,15 +218,6 @@ def _margins(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.nda
     masked[idx, labels - 1] = -np.inf
     best_other = masked.argmax(axis=1)
     return true - masked[idx, best_other], best_other
-
-
-def max_loss(clf: LinearClassifier, z, y: int, kind: str) -> float:
-    """Auxiliary loss of the margin of (z, y) under the classifier."""
-    if clf.n_classes < 2:
-        raise ValueError("the max loss needs at least two classes")
-    s = score(clf, z)
-    others = np.delete(s, y - 1)
-    return aux_loss(kind, float(s[y - 1] - others.max()))
 
 
 def empirical_phi_risk(clf: LinearClassifier, features, labels, kind: str) -> float:

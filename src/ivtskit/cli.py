@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,8 +30,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-THREADS_ENV = "IVTS_THREADS"
 
 
 class UsageError(Exception):
@@ -95,7 +92,7 @@ IMAGE_OPTS = (
     Opt("--kappa", "kappa", int, 1, "time delay"),
     Opt("--format", "format", str, "pgm", "image file format", ("pgm", "csv", "both")),
     Opt("--stem", "stem", str, None, "output file stem (default: dataset stem)"),
-    Opt("--threads", "threads", int, None, f"checked, then ignored (also {THREADS_ENV})"),
+    Opt("--threads", "threads", int, None, "checked, then ignored"),
 )
 
 CLASSIFY_OPTS = (
@@ -122,7 +119,7 @@ CLASSIFY_OPTS = (
     Opt("--kappa", "kappa", int, 1, "time delay for in-memory imaging"),
     Opt("--tag", "tag", str, None, "dataset tag for the report (default: input stem)"),
     Opt("--outdir", "outdir", str, None, "output directory for report and models"),
-    Opt("--threads", "threads", int, None, f"checked, then ignored (also {THREADS_ENV})"),
+    Opt("--threads", "threads", int, None, "checked, then ignored"),
 )
 
 BOUND_OPTS = (
@@ -142,7 +139,7 @@ BOUND_OPTS = (
     Opt("--mc-p", "mc_p", int, 8, "synthetic feature dimension for --mc"),
     Opt("--seed", "seed", int, 0, "RNG seed for --mc"),
     Opt("--json", "json", bool, False, "emit the report as JSON"),
-    Opt("--threads", "threads", int, None, f"checked, then ignored (also {THREADS_ENV})"),
+    Opt("--threads", "threads", int, None, "checked, then ignored"),
 )
 
 
@@ -250,16 +247,8 @@ def _echo_config(outdir: Path, command: str, eff: dict) -> None:
 
 
 def _check_threads(value) -> None:
-    """Validate --threads, or IVTS_THREADS when it is unset; no command runs threads."""
-    if value is None:
-        env = os.environ.get(THREADS_ENV)
-        if not env:
-            return
-        try:
-            value = int(env)
-        except ValueError:
-            raise UsageError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    if value < 1:
+    """Validate --threads when it is given; no command runs threads."""
+    if value is not None and value < 1:
         raise NumericError(f"threads must be >= 1, got {value}")
 
 
@@ -492,6 +481,8 @@ def _images_kernel(images_dir: Path) -> str:
         text = (images_dir / "run_config.txt").read_text(encoding="utf-8")
     except FileNotFoundError:
         return ""
+    except UnicodeDecodeError as e:
+        raise DataError(f"{images_dir / 'run_config.txt'}: not UTF-8 text ({e.reason})") from None
     for line in text.splitlines():
         key, sep, value = line.partition("=")
         if sep and key.strip() == "kernel":
@@ -654,6 +645,7 @@ def cmd_classify(eff: dict) -> None:
 
 def cmd_bound(eff: dict) -> None:
     _require(eff, "n", "log_covering")
+    _check_threads(eff["threads"])
     try:
         ell = eff["ell"] if eff["ell"] is not None else theory_mod.lipschitz_constant(eff["loss"])
         varrho = (
@@ -694,7 +686,6 @@ def cmd_bound(eff: dict) -> None:
     }
     if eff["mc"]:
         seed = _check_seed(eff["seed"])
-        _check_threads(eff["threads"])
         if eff["mc_n"] < 1 or eff["mc_p"] < 0:
             raise NumericError(
                 f"--mc-n must be >= 1 and --mc-p >= 0, got {eff['mc_n']} and {eff['mc_p']}"

@@ -47,10 +47,15 @@ _DGP1_CHUNK = 16384
 _SPLIT_STREAM = 24301
 
 
+def _check_rho(rho: float) -> None:
+    # written so that a NaN fails too
+    if not abs(rho) <= 1.0:
+        raise ValueError(f"correlation must satisfy |rho| <= 1, got {rho}")
+
+
 def residual_covariance(rho: float) -> np.ndarray:
     """Covariance of one (center, range) residual pair."""
-    if abs(rho) > 1.0:
-        raise ValueError(f"correlation must satisfy |rho| <= 1, got {rho}")
+    _check_rho(rho)
     return np.array([[1.0, rho / 2.0], [rho / 2.0, 0.25]])
 
 
@@ -61,16 +66,9 @@ def _residual_cholesky(rho: float) -> np.ndarray:
 
 def sample_residuals(rho: float, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw n residual pairs as an (n, 2) array."""
-    if abs(rho) > 1.0:
-        raise ValueError(f"correlation must satisfy |rho| <= 1, got {rho}")
+    _check_rho(rho)
     z = rng.standard_normal((n, 2))
     return z @ _residual_cholesky(rho).T
-
-
-def sample_residual(rho: float, rng: np.random.Generator) -> tuple[float, float]:
-    """Draw one (eps_c, eps_r) residual pair."""
-    e = sample_residuals(rho, rng, 1)[0]
-    return float(e[0]), float(e[1])
 
 
 @dataclass(frozen=True)
@@ -89,8 +87,7 @@ class DgpConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if abs(self.rho) > 1.0:
-            raise ValueError(f"correlation must satisfy |rho| <= 1, got {self.rho}")
+        _check_rho(self.rho)
         if self.T < 1:
             raise ValueError(f"series length T must be >= 1, got {self.T}")
         if self.truncation_L < 1:
@@ -145,59 +142,21 @@ def _varma11(eps: np.ndarray) -> np.ndarray:
     return out
 
 
-def gen_dgp2(
-    cfg: DgpConfig,
-    rng: np.random.Generator,
-    residuals: np.ndarray | None = None,
-) -> np.ndarray:
+def gen_dgp2(cfg: DgpConfig, rng: np.random.Generator) -> np.ndarray:
     """VARMA(1, 1) recursion X_t = PHI X_{t-1} + eps_t - GAMMA eps_{t-1}.
 
     Starts from X_0 = 0, eps_0 = 0; the first ``burn_in`` steps are
-    discarded.  ``residuals`` replaces the Gaussian draws with a fixed
-    (burn_in + T, 2) array (test hook).
+    discarded.
     """
-    total = cfg.burn_in + cfg.T
-    if residuals is None:
-        eps = sample_residuals(cfg.rho, rng, total)
-    else:
-        eps = np.asarray(residuals, dtype=np.float64)
-        if eps.shape != (total, 2):
-            raise LengthMismatch(
-                f"injected residuals must have shape ({total}, 2), got {eps.shape}"
-            )
+    eps = sample_residuals(cfg.rho, rng, cfg.burn_in + cfg.T)
     return _varma11(eps[None])[0, cfg.burn_in :]
 
 
-def gen_dgp3(
-    cfg: DgpConfig,
-    rng: np.random.Generator,
-    residuals: np.ndarray | None = None,
-    gamma: np.ndarray | None = None,
-) -> np.ndarray:
-    """MA(1) process X_t = eps_t - GAMMA eps_{t-1} with eps_0 = 0.
-
-    ``residuals`` injects a fixed (T, 2) residual stream and ``gamma``
-    overrides the MA matrix (test hooks).
-    """
-    g = GAMMA if gamma is None else np.asarray(gamma, dtype=np.float64)
-    if residuals is None:
-        eps = sample_residuals(cfg.rho, rng, cfg.T)
-    else:
-        eps = np.asarray(residuals, dtype=np.float64)
-        if eps.shape != (cfg.T, 2):
-            raise LengthMismatch(
-                f"injected residuals must have shape ({cfg.T}, 2), got {eps.shape}"
-            )
+def gen_dgp3(cfg: DgpConfig, rng: np.random.Generator) -> np.ndarray:
+    """MA(1) process X_t = eps_t - GAMMA eps_{t-1} with eps_0 = 0."""
+    eps = sample_residuals(cfg.rho, rng, cfg.T)
     lagged = np.vstack([np.zeros((1, 2)), eps[:-1]])
-    return eps - lagged @ g.T
-
-
-def to_interval_series(cr: np.ndarray) -> IntervalSeries:
-    """Reconstruct a (T, 2) (center, range) path into an interval series."""
-    cr = np.asarray(cr, dtype=np.float64)
-    if not np.all(np.isfinite(cr)):
-        raise NonFinite("center/range path must be finite")
-    return IntervalSeries.from_center_range(cr[:, 0], cr[:, 1])
+    return eps - lagged @ GAMMA.T
 
 
 _GENERATORS: dict[int, Callable[..., np.ndarray]] = {1: gen_dgp1, 2: gen_dgp2, 3: gen_dgp3}

@@ -19,27 +19,11 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IvtsError,
-    LengthMismatch,
-    NegativeSquaredDistance,
-    SeriesTooShort,
-)
-from .intervals import (
-    NEGATIVE_TOLERANCE,
-    Interval,
-    IntervalSeries,
-    Kernel2x2,
-    MvIntervalSeries,
-    as_grid,
-    dk_squared,
-    distance_from_squared,
-)
+from .errors import DimensionMismatch, IvtsError, NegativeSquaredDistance, SeriesTooShort
+from .intervals import NEGATIVE_TOLERANCE, Kernel2x2, as_grid
 
 #: Default recurrence threshold.
 DEFAULT_EPSILON = math.pi / 18.0
@@ -131,41 +115,6 @@ class RecurrenceImage:
         return f"RecurrenceImage(n={self.n})"
 
 
-def extract_trajectories(
-    x: IntervalSeries, cfg: TrajectoryConfig
-) -> list[tuple[Interval, ...]]:
-    """All delay trajectories of x: trajectory j is (x[j], x[j+kappa], ...)."""
-    n = cfg.num_trajectories(len(x))
-    return [
-        tuple(x[j + s * cfg.kappa] for s in range(cfg.m)) for j in range(n)
-    ]
-
-
-def trajectory_dk(
-    ta: Sequence[Interval], tb: Sequence[Interval], k: Kernel2x2
-) -> float:
-    """Distance between equal-length trajectories: sqrt of summed per-slot forms."""
-    if len(ta) != len(tb):
-        raise LengthMismatch(f"trajectory lengths differ: {len(ta)} vs {len(tb)}")
-    q = sum(dk_squared(a, b, k) for a, b in zip(ta, tb))
-    return distance_from_squared(q)
-
-
-def heaviside(x: float) -> int:
-    """Step function with H(0) = 1."""
-    return 1 if x >= 0 else 0
-
-
-def irp(x: IntervalSeries, cfg: TrajectoryConfig, kernel: Kernel2x2) -> RecurrenceImage:
-    """Image a univariate series: pixel (j, k) = H(epsilon - d(traj_j, traj_k))."""
-    return image_series(x, cfg, kernel)
-
-
-def ijrp(w: MvIntervalSeries, cfg: TrajectoryConfig, kernel: Kernel2x2) -> RecurrenceImage:
-    """Image a multivariate series: AND of the per-dimension recurrence images."""
-    return image_series(w, cfg, kernel)
-
-
 def squared_threshold(epsilon: float) -> float:
     """The largest float64 t with sqrt(t) <= epsilon, for a finite epsilon >= 0.
     sqrt is correctly rounded and monotone, so ``q <= t`` is
@@ -229,16 +178,9 @@ def image_grids(grids, cfg: TrajectoryConfig, kernel: Kernel2x2, tag: bool = Tru
 
 
 def image_series(series, cfg: TrajectoryConfig, kernel: Kernel2x2) -> RecurrenceImage:
-    """Image a series of d >= 1 dimensions (see :func:`image_grids`)."""
+    """The IRP of an IntervalSeries, or the IJRP (the AND of the per-dimension
+    images) of an MvIntervalSeries; see :func:`image_grids`."""
     return RecurrenceImage(next(image_grids([as_grid(series)], cfg, kernel, tag=False)))
-
-
-def image_dataset(
-    series_list, cfg: TrajectoryConfig, kernel: Kernel2x2, threads: int = 1
-) -> list[RecurrenceImage]:
-    """Image a batch of observations in input order; a failure is tagged with
-    the item's index.  `threads` is accepted for compatibility and ignored."""
-    return [RecurrenceImage(img) for img in image_grids(map(as_grid, series_list), cfg, kernel)]
 
 
 def export_pgm(img: RecurrenceImage, path) -> None:

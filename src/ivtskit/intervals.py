@@ -60,22 +60,6 @@ class Interval:
         return (self.upper - self.lower) / 2.0
 
 
-def decompose(a: Interval) -> tuple[float, float]:
-    """Return the (center, range) representation of an interval."""
-    return a.center(), a.range()
-
-
-def compose(center: float, range_: float) -> Interval:
-    """Build the interval [center - range, center + range].
-
-    A negative range yields an improper interval, which is permitted.
-    """
-    center = float(center)
-    range_ = float(range_)
-    _require_finite("center/range", center, range_)
-    return Interval(center - range_, center + range_)
-
-
 @dataclass(frozen=True)
 class Kernel2x2:
     """Symmetric 2x2 kernel: symmetry is structural, one off-diagonal stored."""
@@ -187,14 +171,6 @@ class IntervalSeries:
             raise NonFinite("interval series bounds must be finite")
         arr.setflags(write=False)
         self._bounds = arr
-
-    @classmethod
-    def from_center_range(cls, centers, ranges) -> "IntervalSeries":
-        centers = np.asarray(centers, dtype=np.float64)
-        ranges = np.asarray(ranges, dtype=np.float64)
-        if centers.shape != ranges.shape:
-            raise LengthMismatch("center and range arrays differ in shape")
-        return cls(np.stack([centers - ranges, centers + ranges], axis=-1))
 
     @property
     def bounds(self) -> np.ndarray:

@@ -83,8 +83,8 @@ def test_criterion_03_irp_invariants():
         if t - (m - 1) * kappa < 1:
             m, kappa = 1, 1
         lo, hi = sorted(rng.uniform(0, 2.5, size=2))
-        img_lo = iv.irp(x, iv.TrajectoryConfig(m=m, kappa=kappa, epsilon=lo), k5).pixels
-        img_hi = iv.irp(x, iv.TrajectoryConfig(m=m, kappa=kappa, epsilon=hi), k5).pixels
+        img_lo = iv.image_series(x, iv.TrajectoryConfig(m=m, kappa=kappa, epsilon=lo), k5).pixels
+        img_hi = iv.image_series(x, iv.TrajectoryConfig(m=m, kappa=kappa, epsilon=hi), k5).pixels
         ok &= np.array_equal(img_lo, img_lo.T) and np.array_equal(img_hi, img_hi.T)
         ok &= bool(np.isin(img_lo, (0, 1)).all())
         ok &= np.array_equal(np.diag(img_lo), np.ones(len(img_lo), dtype=np.uint8))
@@ -94,7 +94,7 @@ def test_criterion_03_irp_invariants():
         for j in range(t):
             for kk in range(t):
                 naive[j, kk] = 1 if hi - iv.dk_distance(x[j], x[kk], k5) >= 0 else 0
-        plain = iv.irp(x, iv.TrajectoryConfig(epsilon=hi), k5).pixels
+        plain = iv.image_series(x, iv.TrajectoryConfig(epsilon=hi), k5).pixels
         ok &= np.array_equal(plain, naive)
     assert report(3, ok, "100 random series: symmetry, binarity, diagonal, "
                          "epsilon monotonicity, double-loop oracle")
@@ -109,10 +109,10 @@ def test_criterion_04_ijrp_is_elementwise_and():
         t = int(rng.integers(3, 30))
         dims = [iv.IntervalSeries(rng.uniform(-2, 2, size=(t, 2))) for _ in range(d)]
         eps = tuple(float(e) for e in rng.uniform(0.2, 2.0, size=d))
-        joint = iv.ijrp(iv.MvIntervalSeries(dims), iv.TrajectoryConfig(epsilon=eps), k4)
+        joint = iv.image_series(iv.MvIntervalSeries(dims), iv.TrajectoryConfig(epsilon=eps), k4)
         product = np.ones((t, t), dtype=np.uint8)
         for j, s in enumerate(dims):
-            product = product * iv.irp(s, iv.TrajectoryConfig(epsilon=eps[j]), k4).pixels
+            product = product * iv.image_series(s, iv.TrajectoryConfig(epsilon=eps[j]), k4).pixels
         ok &= np.array_equal(joint.pixels, product)
     assert report(4, ok, "50 random multivariate series (d <= 4): joint image == "
                          "product of per-dimension images")
@@ -309,7 +309,8 @@ def test_criterion_09_pointwise_surrogate_bound():
         z = rng.standard_normal(4)
         z *= rng.uniform(0, 1) / np.linalg.norm(z)
         y = int(rng.integers(1, 4))
-        gap = abs(iv.max_loss(f1, z, y, "hinge") - iv.max_loss(f2, z, y, "hinge"))
+        gap = abs(iv.empirical_phi_risk(f1, [z], [y], "hinge")
+                  - iv.empirical_phi_risk(f2, [z], [y], "hinge"))
         worst = max(worst, gap)
         violations += gap > bound
     ok = violations == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ivtskit as iv
-from ivtskit.classify import FeatureConfig, LinearClassifier
+from ivtskit.classify import LOSSES, FeatureConfig, LinearClassifier, loss_entry
 from ivtskit.errors import (
     BlockGridInvalid,
     DimMismatch,
@@ -123,34 +123,34 @@ class TestScorePredict:
 
 class TestAuxLoss:
     def test_values(self):
-        assert iv.aux_loss("hinge", 0.0) == 1.0
-        assert iv.aux_loss("squared_hinge", -1.0) == 4.0
-        assert iv.aux_loss("exponential", 0.0) == 1.0
-        assert iv.aux_loss("hinge", 2.0) == 0.0
+        assert LOSSES["hinge"].value(0.0) == 1.0
+        assert LOSSES["squared_hinge"].value(-1.0) == 4.0
+        assert LOSSES["exponential"].value(0.0) == 1.0
+        assert LOSSES["hinge"].value(2.0) == 0.0
 
     def test_subgradients(self):
-        assert iv.aux_subgradient("hinge", 0.5) == -1.0
-        assert iv.aux_subgradient("hinge", 1.0) == 0.0  # kink uses 0
-        assert iv.aux_subgradient("hinge", 2.0) == 0.0
-        assert iv.aux_subgradient("squared_hinge", 0.0) == -2.0
-        assert iv.aux_subgradient("squared_hinge", 1.5) == 0.0
-        assert iv.aux_subgradient("exponential", 0.0) == -1.0
+        assert LOSSES["hinge"].subgradient(0.5) == -1.0
+        assert LOSSES["hinge"].subgradient(1.0) == 0.0  # kink uses 0
+        assert LOSSES["hinge"].subgradient(2.0) == 0.0
+        assert LOSSES["squared_hinge"].subgradient(0.0) == -2.0
+        assert LOSSES["squared_hinge"].subgradient(1.5) == 0.0
+        assert LOSSES["exponential"].subgradient(0.0) == -1.0
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            iv.aux_loss("logistic", 0.0)
+            loss_entry("logistic")
 
 
 class TestMaxLoss:
     def test_equal_scores_give_unit_hinge(self):
         clf = LinearClassifier.zeros(3, 2)
-        assert iv.max_loss(clf, np.zeros(2), 2, "hinge") == 1.0
+        assert iv.empirical_phi_risk(clf, [np.zeros(2)], [2], "hinge") == 1.0
 
     def test_large_margin_gives_zero_hinge(self):
         clf = LinearClassifier(
             np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, -1.0]), 1.0, 1.0
         )
-        assert iv.max_loss(clf, np.array([1.0, 0.0]), 1, "hinge") == 0.0
+        assert iv.empirical_phi_risk(clf, [[1.0, 0.0]], [1], "hinge") == 0.0
 
     def test_brute_force_over_other_classes(self):
         rng = np.random.default_rng(22)
@@ -160,11 +160,11 @@ class TestMaxLoss:
             y = int(rng.integers(1, 4))
             s = iv.score(clf, z)
             want = max(
-                iv.aux_loss("hinge", float(s[y - 1] - s[other - 1]))
+                LOSSES["hinge"].value(float(s[y - 1] - s[other - 1]))
                 for other in range(1, 4)
                 if other != y
             )
-            assert iv.max_loss(clf, z, y, "hinge") == pytest.approx(want, abs=1e-12)
+            assert iv.empirical_phi_risk(clf, [z], [y], "hinge") == pytest.approx(want, abs=1e-12)
 
 
 class TestEmpiricalRisk:
@@ -188,7 +188,8 @@ class TestEmpiricalRisk:
         clf = random_in_cap_classifier(rng, 3, 4)
         X = np.stack([random_capped_feature(rng, 4) for _ in range(3)])
         y = [1, 3, 2]
-        want = sum(iv.max_loss(clf, X[i], y[i], "squared_hinge") for i in range(3)) / 3
+        want = sum(iv.empirical_phi_risk(clf, X[i : i + 1], y[i : i + 1], "squared_hinge")
+                   for i in range(3)) / 3
         got = iv.empirical_phi_risk(clf, X, y, "squared_hinge")
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -283,7 +284,8 @@ class TestLipschitzAndBoundedness:
             z = random_capped_feature(rng, 4)
             y = int(rng.integers(1, 4))
             gap = abs(
-                iv.max_loss(f1, z, y, "hinge") - iv.max_loss(f2, z, y, "hinge")
+                iv.empirical_phi_risk(f1, [z], [y], "hinge")
+                - iv.empirical_phi_risk(f2, [z], [y], "hinge")
             )
             assert gap <= bound + 1e-12
 
@@ -293,7 +295,7 @@ class TestLipschitzAndBoundedness:
             ell = iv.lipschitz_constant(kind)
             for _ in range(500):
                 a1, a2 = rng.uniform(0.0, 4.0, size=2)
-                gap = abs(iv.aux_loss(kind, a1) - iv.aux_loss(kind, a2))
+                gap = abs(LOSSES[kind].value(a1) - LOSSES[kind].value(a2))
                 assert gap <= ell * abs(a1 - a2) + 1e-12
 
     def test_score_boundedness(self):

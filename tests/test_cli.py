@@ -129,6 +129,15 @@ class TestGenerate:
         )
         assert out.returncode == 4
 
+    @pytest.mark.parametrize("flags", [("--dgp", "1", "--rhos=nan"),
+                                       ("--dgp", "2", "--rhos=0.3,nan"),
+                                       ("--scenario", "mix", "--rho", "nan")])
+    def test_nan_rho_is_a_correlation_error(self, tmp_path, flags):
+        out = run_cli("generate", *flags, "--per-class", "1", "--T", "5",
+                      "--out", tmp_path / "x.csv")
+        assert_one_line_error(out, 4, "numeric error: correlation must satisfy |rho| <= 1")
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestIngest:
     def _write_raw(self, path, n_days=60, dims=("temp",), sid="s1", label="north"):
@@ -320,20 +329,6 @@ class TestImage:
             if path.name == "run_config.txt":
                 continue  # records the differing --threads value
             assert path.read_bytes() == (d4 / path.name).read_bytes()
-
-    def test_env_var_threads(self, mix_csv, tmp_path):
-        out = run_cli(
-            "image", "--data", mix_csv, "--outdir", tmp_path / "env", "--kernel", "K4",
-            env={"IVTS_THREADS": "2"},
-        )
-        assert out.returncode == 0, out.stderr
-
-    def test_bad_env_var_threads_is_usage_error(self, mix_csv, tmp_path):
-        out = run_cli("image", "--data", mix_csv, "--outdir", tmp_path / "o",
-                      "--kernel", "K4", env={"IVTS_THREADS": "abc"})
-        assert out.returncode == 2
-        assert len(out.stderr.strip().splitlines()) == 1
-        assert "IVTS_THREADS" in out.stderr
 
     def test_csv_format(self, mix_csv, tmp_path):
         outdir = tmp_path / "csvimgs"
@@ -593,6 +588,12 @@ class TestClassify:
                       "--steps", "5", "--outdir", tmp_path / "o")
         assert_one_line_error(out, 3, "index.csv")
 
+    def test_non_utf8_run_config_is_data_error(self, sep_images, tmp_path):
+        (sep_images / "run_config.txt").write_bytes(b"kernel=\xff\n")
+        out = run_cli("classify", "--images", sep_images, "--mode", "linear",
+                      "--steps", "5", "--outdir", tmp_path / "o")
+        assert_one_line_error(out, 3, f"{sep_images / 'run_config.txt'}: not UTF-8 text")
+
     @pytest.mark.parametrize(
         "mode,labels,text",
         [
@@ -700,6 +701,12 @@ class TestBound:
     def test_bad_numerics(self):
         out = run_cli("bound", "--n", "0", "--log-covering", "1")
         assert out.returncode == 4
+
+    @pytest.mark.parametrize("mc", [(), ("--mc",)])
+    def test_bad_threads_is_numeric_error(self, mc):
+        out = run_cli("bound", "--n", "100", "--log-covering", "10", "--threads", "0", *mc)
+        assert_one_line_error(out, 4, "numeric error: threads must be >= 1, got 0")
+        assert out.stdout == ""
 
     @pytest.mark.parametrize("flag", ["--mc-n", "--mc-p"])
     def test_negative_mc_shape_is_numeric_error(self, flag):

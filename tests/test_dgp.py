@@ -48,14 +48,14 @@ class TestResiduals:
         a = iv.sample_residuals(0.5, np.random.default_rng(42), 100)
         b = iv.sample_residuals(0.5, np.random.default_rng(42), 100)
         assert np.array_equal(a, b)
-        pair = iv.sample_residual(0.5, np.random.default_rng(42))
-        assert pair == (a[0, 0], a[0, 1])
 
 
 class TestDgpConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             DgpConfig(rho=1.2)
+        with pytest.raises(ValueError, match="correlation"):
+            DgpConfig(rho=float("nan"))
         with pytest.raises(ValueError):
             DgpConfig(T=0)
         with pytest.raises(ValueError):
@@ -96,25 +96,22 @@ class TestDgp1:
 class TestDgp2:
     def test_zero_residuals_give_zero_series(self):
         cfg = DgpConfig(T=10, burn_in=5)
-        out = iv.gen_dgp2(cfg, np.random.default_rng(0), residuals=np.zeros((15, 2)))
+        out = iv.dgp._varma11(np.zeros((1, cfg.burn_in + cfg.T, 2)))[0, cfg.burn_in :]
         assert np.array_equal(out, np.zeros((10, 2)))
 
     def test_hand_unrolled_recursion(self):
         e1 = np.array([0.4, -0.2])
         e2 = np.array([-1.0, 0.5])
-        cfg = DgpConfig(T=2, burn_in=0)
-        out = iv.gen_dgp2(cfg, np.random.default_rng(0), residuals=np.stack([e1, e2]))
+        out = iv.dgp._varma11(np.stack([e1, e2])[None])[0]
         x1 = e1
         x2 = PHI @ x1 + e2 - GAMMA @ e1
         assert np.allclose(out[0], x1, atol=1e-15)
         assert np.allclose(out[1], x2, atol=1e-15)
 
     def test_burn_in_discards_prefix(self):
-        eps = np.random.default_rng(1).standard_normal((12, 2))
-        cfg_full = DgpConfig(T=12, burn_in=0)
-        cfg_cut = DgpConfig(T=8, burn_in=4)
-        full = iv.gen_dgp2(cfg_full, np.random.default_rng(0), residuals=eps)
-        cut = iv.gen_dgp2(cfg_cut, np.random.default_rng(0), residuals=eps)
+        # both draw the same 12 residual pairs from the same stream
+        full = iv.gen_dgp2(DgpConfig(rho=0.3, T=12, burn_in=0), np.random.default_rng(1))
+        cut = iv.gen_dgp2(DgpConfig(rho=0.3, T=8, burn_in=4), np.random.default_rng(1))
         assert np.allclose(full[4:], cut, atol=0)
 
     def test_autoregressive_matrix_is_stable(self):
@@ -133,17 +130,15 @@ class TestDgp2:
 
 
 class TestDgp3:
-    def test_zero_gamma_returns_residual_stream(self):
-        eps = np.random.default_rng(2).standard_normal((20, 2))
-        cfg = DgpConfig(T=20)
-        out = iv.gen_dgp3(cfg, np.random.default_rng(0), residuals=eps, gamma=np.zeros((2, 2)))
-        assert np.array_equal(out, eps)
+    def test_zero_gamma_returns_residual_stream(self, monkeypatch):
+        monkeypatch.setattr(iv.dgp, "GAMMA", np.zeros((2, 2)))
+        cfg = DgpConfig(rho=0.3, T=20)
+        out = iv.gen_dgp3(cfg, np.random.default_rng(2))
+        assert np.array_equal(out, iv.sample_residuals(0.3, np.random.default_rng(2), 20))
 
     def test_hand_formula(self):
-        e1 = np.array([0.3, 0.7])
-        e2 = np.array([-0.5, 0.1])
-        cfg = DgpConfig(T=2)
-        out = iv.gen_dgp3(cfg, np.random.default_rng(0), residuals=np.stack([e1, e2]))
+        e1, e2 = iv.sample_residuals(-0.5, np.random.default_rng(0), 2)
+        out = iv.gen_dgp3(DgpConfig(rho=-0.5, T=2), np.random.default_rng(0))
         assert np.allclose(out[0], e1, atol=0)  # eps_0 = 0
         assert np.allclose(out[1], e2 - GAMMA @ e1, atol=1e-15)
 
@@ -157,19 +152,26 @@ class TestDgp3:
 
 
 class TestIntervalReconstruction:
+    """Builders turn each (center, range) path into [center - range, center + range];
+    the dgp 3 path of item 0 is replayed from its stream."""
+
     def test_unit_case(self):
-        s = iv.to_interval_series(np.array([[1.0, 1.0]]))
-        assert s[0] == iv.Interval(0.0, 2.0)
+        ds = iv.build_univariate_dataset(3, per_class_n=1, T=5, rho_grid=(0.7,))
+        cr = iv.gen_dgp3(DgpConfig(rho=0.7, T=5), iv.dgp._item_rng(0, 0))
+        assert ds.series()[0][0] == iv.Interval(cr[0, 0] - cr[0, 1], cr[0, 0] + cr[0, 1])
 
     def test_improper_permitted(self):
-        s = iv.to_interval_series(np.array([[0.0, -0.5]]))
-        assert s[0] == iv.Interval(0.5, -0.5)
+        ds = iv.build_univariate_dataset(3, per_class_n=1, T=40, rho_grid=(0.7,), seed=1)
+        cr = iv.gen_dgp3(DgpConfig(rho=0.7, T=40), iv.dgp._item_rng(1, 0))
+        improper = cr[:, 1] < 0
+        lower, upper = ds.bounds[0, 0].T
+        assert improper.any() and (lower[improper] > upper[improper]).all()
 
     def test_roundtrip_decompose(self):
-        cr = np.array([[1.5, -0.25], [0.0, 2.0]])
-        s = iv.to_interval_series(cr)
-        recovered = np.array([iv.decompose(x) for x in s])
-        assert np.allclose(recovered, cr, atol=0)
+        ds = iv.build_univariate_dataset(3, per_class_n=1, T=40, rho_grid=(0.7,), seed=2)
+        cr = iv.gen_dgp3(DgpConfig(rho=0.7, T=40), iv.dgp._item_rng(2, 0))
+        recovered = np.array([(x.center(), x.range()) for x in ds.series()[0]])
+        assert np.allclose(recovered, cr, rtol=0, atol=1e-15)
 
 
 class TestDatasetBuilders:

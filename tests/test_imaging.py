@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 import ivtskit as iv
-from ivtskit.errors import (
-    DimensionMismatch,
-    LengthMismatch,
-    NegativeSquaredDistance,
-    SeriesTooShort,
-)
+from ivtskit.errors import DimensionMismatch, NegativeSquaredDistance, SeriesTooShort
 
 K1 = iv.kernel_preset("K1")
 K2 = iv.kernel_preset("K2")
@@ -59,67 +54,79 @@ class TestTrajectoryConfig:
 
 
 class TestExtractTrajectories:
+    """Trajectory j is (x[j], x[j + kappa], ...), seen through the image."""
+
     def test_m1_degenerates_to_points(self):
         rng = np.random.default_rng(0)
         x = random_series(rng, 150)
-        trajs = iv.extract_trajectories(x, iv.TrajectoryConfig(m=1, kappa=1))
-        assert len(trajs) == 150
-        assert all(len(t) == 1 for t in trajs)
-        assert trajs[17][0] == x[17]
+        img = iv.image_series(x, iv.TrajectoryConfig(m=1, kappa=1, epsilon=0.5), K5)
+        assert img.n == 150
+        assert np.array_equal(img.pixels, naive_irp(x, 0.5, K5))
 
     def test_enumerated_indices(self):
-        x = iv.IntervalSeries([iv.Interval(t, t + 1) for t in range(5)])
-        trajs = iv.extract_trajectories(x, iv.TrajectoryConfig(m=2, kappa=2))
-        assert trajs == [(x[0], x[2]), (x[1], x[3]), (x[2], x[4])]
+        # under K4 the trajectories (x0, x2), (x1, x3), (x2, x4) of x_t = [t^2, t^2 + 1]
+        # lie sqrt(52) (pair 0, 1), sqrt(116) (1, 2) and sqrt(320) (0, 2) apart
+        x = iv.IntervalSeries([iv.Interval(t * t, t * t + 1) for t in range(5)])
+        img = iv.image_series(x, iv.TrajectoryConfig(m=2, kappa=2, epsilon=9.0), K4)
+        assert np.array_equal(img.pixels, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
 
     def test_too_short(self):
         x = iv.IntervalSeries([iv.Interval(t, t) for t in range(3)])
         with pytest.raises(SeriesTooShort):
-            iv.extract_trajectories(x, iv.TrajectoryConfig(m=3, kappa=2))
+            iv.image_series(x, iv.TrajectoryConfig(m=3, kappa=2), K4)
 
 
 class TestTrajectoryDk:
+    """The distance of a trajectory pair, read off pixel (0, 1) of the image of
+    a series whose trajectories 0 and 1 they are."""
+
     def test_identical(self):
-        traj = (iv.Interval(0, 1), iv.Interval(2, 3))
-        assert iv.trajectory_dk(traj, traj, K5) == 0.0
+        x = iv.IntervalSeries([iv.Interval(0, 1)] * 2 + [iv.Interval(2, 3)] * 2)
+        img = iv.image_series(x, iv.TrajectoryConfig(m=2, kappa=2, epsilon=0.0), K5)
+        assert img.pixels[0, 1] == 1
 
     def test_m1_equals_interval_distance(self):
         a, b = iv.Interval(0, 2), iv.Interval(1, 3)
-        assert iv.trajectory_dk((a,), (b,), K4) == iv.dk_distance(a, b, K4)
+        d = iv.dk_distance(a, b, K4)
+        img = iv.image_series(iv.IntervalSeries([a, b]), iv.TrajectoryConfig(epsilon=d), K4)
+        assert img.pixels[0, 1] == 1
+        below = iv.TrajectoryConfig(epsilon=math.nextafter(d, 0.0))
+        assert iv.image_series(iv.IntervalSeries([a, b]), below, K4).pixels[0, 1] == 0
 
     def test_two_unit_steps(self):
-        # each slot has a center difference of 1 under K1
-        ta = (iv.Interval(0, 2), iv.Interval(0, 2))
-        tb = (iv.Interval(1, 3), iv.Interval(1, 3))
-        assert iv.trajectory_dk(ta, tb, K1) == pytest.approx(math.sqrt(2.0))
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            iv.trajectory_dk((iv.Interval(0, 1),), (iv.Interval(0, 1),) * 2, K4)
+        # trajectories ([0, 2], [0, 2]) and ([1, 3], [1, 3]): each slot has a
+        # center difference of 1 under K1
+        x = iv.IntervalSeries([iv.Interval(0, 2), iv.Interval(1, 3)] * 2)
+        d = math.sqrt(2.0)
+        for eps, pixel in ((d, 1), (math.nextafter(d, 0.0), 0)):
+            cfg = iv.TrajectoryConfig(m=2, kappa=2, epsilon=eps)
+            assert iv.image_series(x, cfg, K1).pixels[0, 1] == pixel
 
     def test_negative_sum_raises(self):
         indefinite = iv.Kernel2x2(1.0, 2.0, 1.0)
+        x = iv.IntervalSeries([iv.Interval(0, 2), iv.Interval(1, 3)])
         with pytest.raises(NegativeSquaredDistance):
-            iv.trajectory_dk((iv.Interval(0, 2),), (iv.Interval(1, 3),), indefinite)
+            iv.image_series(x, iv.TrajectoryConfig(), indefinite)
 
 
 class TestHeaviside:
     def test_values(self):
-        assert iv.heaviside(0.5) == 1
-        assert iv.heaviside(-0.2) == 0
-        assert iv.heaviside(0.0) == 1  # at-threshold distances count as recurrent
+        # the step H(eps - d) as the image applies it: H(0) = 1
+        x = iv.IntervalSeries([iv.Interval(0, 0), iv.Interval(0, 0.5)])
+        for eps, pixel in ((1.0, 1), (0.5, 1), (0.3, 0)):
+            assert iv.image_series(x, iv.TrajectoryConfig(epsilon=eps), K4).pixels[0, 1] == pixel
 
 
 class TestIrp:
     def test_constant_series_all_ones(self):
         x = iv.IntervalSeries([iv.Interval(1, 2)] * 6)
-        img = iv.irp(x, iv.TrajectoryConfig(epsilon=0.0), K5)
+        img = iv.image_series(x, iv.TrajectoryConfig(epsilon=0.0), K5)
         assert np.array_equal(img.pixels, np.ones((6, 6), dtype=np.uint8))
 
     def test_zero_epsilon_keeps_diagonal(self):
         rng = np.random.default_rng(1)
         x = random_series(rng, 8)
-        img = iv.irp(x, iv.TrajectoryConfig(epsilon=0.0), K4)
+        img = iv.image_series(x, iv.TrajectoryConfig(epsilon=0.0), K4)
         assert np.array_equal(np.diag(img.pixels), np.ones(8, dtype=np.uint8))
         for j in range(8):
             for k in range(8):
@@ -128,7 +135,7 @@ class TestIrp:
 
     def test_three_point_example(self):
         x = iv.IntervalSeries([iv.Interval(0, 1), iv.Interval(0, 1), iv.Interval(5, 9)])
-        img = iv.irp(x, iv.TrajectoryConfig(epsilon=0.5), K4)
+        img = iv.image_series(x, iv.TrajectoryConfig(epsilon=0.5), K4)
         assert np.array_equal(
             img.pixels, np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=np.uint8)
         )
@@ -138,20 +145,20 @@ class TestIrp:
     def test_propagates_too_short(self):
         x = iv.IntervalSeries([iv.Interval(0, 1)] * 3)
         with pytest.raises(SeriesTooShort):
-            iv.irp(x, iv.TrajectoryConfig(m=4, kappa=1), K4)
+            iv.image_series(x, iv.TrajectoryConfig(m=4, kappa=1), K4)
 
     def test_propagates_negative_squared(self):
         rng = np.random.default_rng(2)
         x = random_series(rng, 5)
         with pytest.raises(NegativeSquaredDistance):
-            iv.irp(x, iv.TrajectoryConfig(epsilon=0.5), iv.Kernel2x2(1.0, 2.0, 1.0))
+            iv.image_series(x, iv.TrajectoryConfig(epsilon=0.5), iv.Kernel2x2(1.0, 2.0, 1.0))
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = random_series(rng, int(rng.integers(2, 25)))
             eps = float(rng.uniform(0, 3))
-            img = iv.irp(x, iv.TrajectoryConfig(epsilon=eps), K5)
+            img = iv.image_series(x, iv.TrajectoryConfig(epsilon=eps), K5)
             assert np.array_equal(img.pixels, naive_irp(x, eps, K5))
 
     def test_invariants_random(self):
@@ -164,7 +171,7 @@ class TestIrp:
             if t - (m - 1) * kappa < 1:
                 continue
             eps = float(rng.uniform(0, 2))
-            img = iv.irp(x, iv.TrajectoryConfig(m=m, kappa=kappa, epsilon=eps), K4).pixels
+            img = iv.image_series(x, iv.TrajectoryConfig(m=m, kappa=kappa, epsilon=eps), K4).pixels
             assert img.shape == (t - (m - 1) * kappa,) * 2
             assert np.array_equal(img, img.T)
             assert np.isin(img, (0, 1)).all()
@@ -175,8 +182,8 @@ class TestIrp:
         for _ in range(10):
             x = random_series(rng, 20)
             lo, hi = sorted(rng.uniform(0, 3, size=2))
-            img_lo = iv.irp(x, iv.TrajectoryConfig(epsilon=lo), K5).pixels
-            img_hi = iv.irp(x, iv.TrajectoryConfig(epsilon=hi), K5).pixels
+            img_lo = iv.image_series(x, iv.TrajectoryConfig(epsilon=lo), K5).pixels
+            img_hi = iv.image_series(x, iv.TrajectoryConfig(epsilon=hi), K5).pixels
             assert (img_hi >= img_lo).all()
 
     def test_kernel_degeneracy_center_and_range(self):
@@ -195,19 +202,20 @@ class TestIrp:
                 np.abs(ranges[:, None] - ranges[None, :]) <= eps / 2.0
             ).astype(np.uint8)
             cfg = iv.TrajectoryConfig(epsilon=eps)
-            assert np.array_equal(iv.irp(x, cfg, K1).pixels, center_rp)
-            assert np.array_equal(iv.irp(x, cfg, K2).pixels, range_rp)
+            assert np.array_equal(iv.image_series(x, cfg, K1).pixels, center_rp)
+            assert np.array_equal(iv.image_series(x, cfg, K2).pixels, range_rp)
 
     def test_multi_step_trajectory_against_explicit_sum(self):
         rng = np.random.default_rng(7)
         x = random_series(rng, 12)
-        cfg = iv.TrajectoryConfig(m=3, kappa=2, epsilon=1.0)
-        img = iv.irp(x, cfg, K5)
-        trajs = iv.extract_trajectories(x, cfg)
-        for j in range(len(trajs)):
-            for k in range(len(trajs)):
-                d = iv.trajectory_dk(trajs[j], trajs[k], K5)
-                assert img.pixels[j, k] == iv.heaviside(1.0 - d)
+        cfg = iv.TrajectoryConfig(m=3, kappa=2, epsilon=4.0)
+        img = iv.image_series(x, cfg, K5)
+        assert img.n == 8
+        assert 8 < img.pixels.sum() < 64
+        for j in range(8):
+            for k in range(8):
+                q = sum(iv.dk_squared(x[j + 2 * s], x[k + 2 * s], K5) for s in range(3))
+                assert img.pixels[j, k] == (math.sqrt(q) <= 4.0)
 
 
 class TestIjrp:
@@ -216,7 +224,7 @@ class TestIjrp:
         x = random_series(rng, 10)
         w = iv.MvIntervalSeries([x])
         cfg = iv.TrajectoryConfig(epsilon=0.7)
-        assert iv.ijrp(w, cfg, K4) == iv.irp(x, cfg, K4)
+        assert iv.image_series(w, cfg, K4) == iv.image_series(x, cfg, K4)
 
     def test_absorbing_zero_dimension(self):
         rng = np.random.default_rng(9)
@@ -225,7 +233,7 @@ class TestIjrp:
             np.stack([np.arange(10) * 100.0, np.arange(10) * 100.0 + 1], axis=1)
         )
         w = iv.MvIntervalSeries([smooth, jumps])
-        img = iv.ijrp(w, iv.TrajectoryConfig(epsilon=0.5), K4).pixels
+        img = iv.image_series(w, iv.TrajectoryConfig(epsilon=0.5), K4).pixels
         off_diagonal = img[~np.eye(10, dtype=bool)]
         assert (off_diagonal == 0).all()
 
@@ -237,15 +245,15 @@ class TestIjrp:
             dims = [random_series(rng, t) for _ in range(d)]
             eps = tuple(float(e) for e in rng.uniform(0.2, 2.0, size=d))
             cfg = iv.TrajectoryConfig(epsilon=eps)
-            joint = iv.ijrp(iv.MvIntervalSeries(dims), cfg, K5).pixels
+            joint = iv.image_series(iv.MvIntervalSeries(dims), cfg, K5).pixels
             product = np.ones_like(joint)
             for j, dim_series in enumerate(dims):
                 dim_cfg = iv.TrajectoryConfig(epsilon=eps[j])
-                product = product * iv.irp(dim_series, dim_cfg, K5).pixels
+                product = product * iv.image_series(dim_series, dim_cfg, K5).pixels
             assert np.array_equal(joint, product)
             per_dim_min = np.minimum.reduce(
                 [
-                    iv.irp(s, iv.TrajectoryConfig(epsilon=eps[j]), K5).pixels
+                    iv.image_series(s, iv.TrajectoryConfig(epsilon=eps[j]), K5).pixels
                     for j, s in enumerate(dims)
                 ]
             )
@@ -255,7 +263,7 @@ class TestIjrp:
         rng = np.random.default_rng(11)
         w = iv.MvIntervalSeries([random_series(rng, 6) for _ in range(3)])
         with pytest.raises(DimensionMismatch):
-            iv.ijrp(w, iv.TrajectoryConfig(epsilon=(0.1, 0.2)), K4)
+            iv.image_series(w, iv.TrajectoryConfig(epsilon=(0.1, 0.2)), K4)
 
 
 class TestExport:
@@ -289,21 +297,13 @@ class TestExport:
 
 
 class TestBatchImaging:
-    def test_thread_count_does_not_change_output(self):
-        rng = np.random.default_rng(14)
-        batch = [random_series(rng, 12) for _ in range(8)]
-        cfg = iv.TrajectoryConfig(epsilon=0.8)
-        sequential = iv.image_dataset(batch, cfg, K5, threads=1)
-        threaded = iv.image_dataset(batch, cfg, K5, threads=4)
-        assert all(a == b for a, b in zip(sequential, threaded))
-
     def test_image_series_dispatch(self):
         rng = np.random.default_rng(15)
         x = random_series(rng, 9)
         cfg = iv.TrajectoryConfig(epsilon=0.5)
-        assert iv.image_series(x, cfg, K4) == iv.irp(x, cfg, K4)
+        assert np.array_equal(iv.image_series(x, cfg, K4).pixels, naive_irp(x, 0.5, K4))
         w = iv.MvIntervalSeries([x, x])
-        assert iv.image_series(w, cfg, K4) == iv.ijrp(w, cfg, K4)
+        assert iv.image_series(w, cfg, K4) == iv.image_series(x, cfg, K4)
 
 
 class TestRecurrenceImageType:

@@ -42,19 +42,22 @@ class TestInterval:
             iv.Interval(0.0, float("inf"))
 
     def test_decompose(self):
-        assert iv.decompose(A) == (1.0, 1.0)
+        assert (A.center(), A.range()) == (1.0, 1.0)
 
     def test_compose_improper(self):
-        out = iv.compose(1.0, -0.5)
+        center, range_ = 1.0, -0.5
+        out = iv.IntervalSeries(np.array([[center - range_, center + range_]]))[0]
         assert (out.lower, out.upper) == (1.5, 0.5)
+        assert (out.center(), out.range()) == (center, range_)
 
     def test_compose_roundtrip(self):
         x = iv.Interval(-3.0, 7.0)
-        assert iv.compose(*iv.decompose(x)) == x
+        assert iv.Interval(x.center() - x.range(), x.center() + x.range()) == x
 
     def test_compose_nan(self):
+        center, range_ = float("nan"), 1.0
         with pytest.raises(NonFinite):
-            iv.compose(float("nan"), 1.0)
+            iv.IntervalSeries(np.array([[center - range_, center + range_]]))
 
 
 class TestKernel:
@@ -166,7 +169,8 @@ class TestSeriesTypes:
         assert np.array_equal(x.uppers, [2.0, 3.0])
 
     def test_series_from_center_range(self):
-        x = iv.IntervalSeries.from_center_range([1.0, 0.0], [1.0, -0.5])
+        centers, ranges = np.array([1.0, 0.0]), np.array([1.0, -0.5])
+        x = iv.IntervalSeries(np.stack([centers - ranges, centers + ranges], axis=-1))
         assert x[0] == iv.Interval(0.0, 2.0)
         assert x[1] == iv.Interval(0.5, -0.5)
 

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import ivtskit as iv
-from ivtskit import classify, cli, ingest, theory
+from ivtskit import classify, cli, imaging, ingest, theory
 from ivtskit.classify import LOSSES, _margins
 from ivtskit.errors import BlockGridInvalid, NegativeSquaredDistance
 from ivtskit.imaging import squared_threshold
@@ -179,6 +179,11 @@ def ref_gen_dgp2(cfg, eps):
     return out[cfg.burn_in :]
 
 
+def ref_bounds(cr):
+    """The [lower, upper] bounds of a (T, 2) (center, range) path."""
+    return np.stack([cr[:, 0] - cr[:, 1], cr[:, 0] + cr[:, 1]], axis=-1)
+
+
 def _ref_cfg(rho, T, seed, truncation_L, burn_in):
     return iv.DgpConfig(rho=rho, T=T, truncation_L=truncation_L, burn_in=burn_in, seed=seed)
 
@@ -191,7 +196,7 @@ def ref_build_univariate(dgp_id, per_class_n, T, rho_grid, seed=0, truncation_L=
         cfg = _ref_cfg(rho, T, seed, truncation_L, burn_in)
         for _ in range(per_class_n):
             cr = gen(cfg, iv.dgp._item_rng(seed, item_index))
-            items.append((iv.to_interval_series(cr), label))
+            items.append((iv.IntervalSeries(ref_bounds(cr)), label))
             item_index += 1
     return iv.LabeledDataset(tuple(items), n_classes=len(rho_grid))
 
@@ -205,7 +210,7 @@ def ref_build_c1(per_class_n, T, rho_grid, seed=0, truncation_L=100, burn_in=100
             for dim, rho in enumerate(rho_grid):
                 cfg = _ref_cfg(rho, T, seed, truncation_L, burn_in)
                 cr = gen(cfg, iv.dgp._item_rng(seed, item_index, dim))
-                rows.append(iv.to_interval_series(cr))
+                rows.append(iv.IntervalSeries(ref_bounds(cr)))
             items.append((iv.MvIntervalSeries(rows), label))
             item_index += 1
     return iv.LabeledDataset(tuple(items), n_classes=len(iv.dgp._GENERATORS))
@@ -220,7 +225,7 @@ def ref_build_c2(per_class_n, T, rho_grid, seed=0, truncation_L=100, burn_in=100
             for dim, dgp_id in enumerate(sorted(iv.dgp._GENERATORS)):
                 gen = iv.dgp._GENERATORS[dgp_id]
                 cr = gen(cfg, iv.dgp._item_rng(seed, item_index, dim))
-                rows.append(iv.to_interval_series(cr))
+                rows.append(iv.IntervalSeries(ref_bounds(cr)))
             items.append((iv.MvIntervalSeries(rows), label))
             item_index += 1
     return iv.LabeledDataset(tuple(items), n_classes=len(rho_grid))
@@ -233,7 +238,7 @@ def ref_build_mix(per_class_n, T, rho, seed=0, truncation_L=100, burn_in=100):
         cfg = _ref_cfg(rho, T, seed, truncation_L, burn_in)
         for _ in range(per_class_n):
             cr = gen(cfg, iv.dgp._item_rng(seed, item_index))
-            items.append((iv.to_interval_series(cr), label))
+            items.append((iv.IntervalSeries(ref_bounds(cr)), label))
             item_index += 1
     return iv.LabeledDataset(tuple(items), n_classes=len(iv.dgp._GENERATORS))
 
@@ -310,7 +315,7 @@ class TestBlockMean:
         ds = _uni(2, T)
         for kernel in KERNELS:
             for series in ds.series():
-                img = iv.irp(series, CFG, iv.kernel_preset(kernel))
+                img = iv.image_series(series, CFG, iv.kernel_preset(kernel))
                 fc = iv.FeatureConfig(mode="block_mean", q=q, normalize_cap=1.0)
                 assert np.array_equal(iv.featurize(img, fc), ref_block_mean(img, fc))
 
@@ -570,7 +575,7 @@ class TestVarmaOracle:
     def test_gen_dgp2_is_the_one_item_stack(self):
         cfg = iv.DgpConfig(rho=-0.5, T=40, burn_in=25)
         injected = np.random.default_rng(3).standard_normal((65, 2)) * 10.0
-        assert np.array_equal(iv.gen_dgp2(cfg, None, residuals=injected),
+        assert np.array_equal(iv.dgp._varma11(injected[None])[0, cfg.burn_in :],
                               ref_gen_dgp2(cfg, injected))
         eps = iv.dgp.sample_residuals(cfg.rho, iv.dgp._item_rng(4, 2), 65)
         assert np.array_equal(iv.gen_dgp2(cfg, iv.dgp._item_rng(4, 2)), ref_gen_dgp2(cfg, eps))
@@ -673,15 +678,16 @@ def ref_image_dataset(series_list, cfg, kernel):
 
 
 def _imaged(fn, *args):
-    """(shape, pixel bytes) of each image `fn` returns, or (type, message) of
-    the error it raises."""
+    """(shape, 0/1 pixel bytes) of each image `fn` returns or yields, or (type,
+    message) of the error it raises."""
     try:
         with np.errstate(all="ignore"):
             out = fn(*args)
+            images = [out] if isinstance(out, iv.RecurrenceImage) else out
+            pixels = [np.asarray(getattr(img, "pixels", img), np.uint8) for img in images]
     except iv.IvtsError as e:
         return type(e), str(e)
-    images = out if isinstance(out, list) else [out]
-    return [(img.pixels.shape, img.pixels.tobytes()) for img in images]
+    return [(px.shape, px.tobytes()) for px in pixels]
 
 
 def check_imaging(series, cfg, kernel):
@@ -766,18 +772,19 @@ class TestImagingOracle:
         fixed[..., 1] = rng.random((2, 12))
         batch = [iv.MvIntervalSeries(fixed), _series(rng, 2, 12), _series(rng, 2, 4)]
         cfg = iv.TrajectoryConfig(m=3, kappa=2, epsilon=0.5)
-        for kernel in ("K4", "1,2,1"):
-            want = _imaged(ref_image_dataset, batch, cfg, iv.parse_kernel(kernel))
-            assert _imaged(iv.image_dataset, batch, cfg, iv.parse_kernel(kernel)) == want
+        for kernel in map(iv.parse_kernel, ("K4", "1,2,1")):
+            want = _imaged(ref_image_dataset, batch, cfg, kernel)
+            assert _imaged(imaging.image_grids, map(as_grid, batch), cfg, kernel) == want
             assert want[0] in (iv.SeriesTooShort, iv.NegativeSquaredDistance)
             assert want[1].startswith(("item 1: ", "item 2: "))
 
     def test_series_of_several_lengths(self):
         rng = np.random.default_rng(10)
         batch = [_series(rng, 1, T) for T in (9, 9, 4, 9, 1, 6)]
+        k5 = iv.kernel_preset("K5")
         for cfg in (iv.TrajectoryConfig(epsilon=0.8), iv.TrajectoryConfig(m=2, epsilon=0.8)):
-            want = _imaged(ref_image_dataset, batch, cfg, iv.kernel_preset("K5"))
-            assert _imaged(iv.image_dataset, batch, cfg, iv.kernel_preset("K5")) == want
+            want = _imaged(ref_image_dataset, batch, cfg, k5)
+            assert _imaged(imaging.image_grids, map(as_grid, batch), cfg, k5) == want
 
     @pytest.mark.parametrize("eps", THRESHOLD_EPSILONS)
     def test_squared_threshold(self, eps):
@@ -1616,7 +1623,7 @@ class TestFeaturizeStack:
 
     def test_recurrence_images(self):
         ds = _uni(8, 150)
-        images = iv.image_dataset(ds.series(), CFG, iv.kernel_preset("K4"))
+        images = [iv.image_series(s, CFG, iv.kernel_preset("K4")) for s in ds.series()]
         stack = np.stack([img.pixels for img in images])
         for fc in (iv.FeatureConfig("block_mean", 10), iv.FeatureConfig("block_mean", 7),
                    iv.FeatureConfig("flatten", normalize_cap=50.0)):
