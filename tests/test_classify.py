@@ -405,3 +405,18 @@ class TestModelSerialization:
             LinearClassifier(np.array([[2.0, 0.0]]), np.zeros(1), c_A=1.0, c_B=1.0)
         with pytest.raises(ValueError):
             LinearClassifier(np.zeros((1, 2)), np.array([5.0]), c_A=1.0, c_B=1.0)
+
+    @pytest.mark.parametrize("weights,biases,c_A,name", [
+        ([[np.nan, 0.0], [0.0, 0.0]], [np.nan, 0.0], 1.0, "weights"),
+        ([[0.0, 0.0], [0.0, 0.0]], [np.nan, 0.0], 1.0, "biases"),
+        ([[np.inf, 0.0], [0.0, 0.0]], [0.0, 0.0], np.inf, "weights"),
+    ], ids=["nan", "nan-bias", "inf-under-inf-cap"])
+    def test_non_finite_rejected_by_name(self, tmp_path, weights, biases, c_A, name):
+        # a NaN passes a `>` cap check and an inf passes an inf cap
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            LinearClassifier(weights, biases, c_A=c_A)
+        path = tmp_path / "model.txt"
+        rows = [" ".join(repr(float(v)) for v in [*w, bias]) for w, bias in zip(weights, biases)]
+        path.write_text(f"2 2 {c_A!r} 1.0 hinge\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            iv.load_model(path)

@@ -460,6 +460,27 @@ class TestClassify:
             f"run 0 (seed 0): linear accuracy 0.2 -> {outdir / 'model_run0.txt'}"
         )
 
+    def test_c1_flatten_trains_the_zero_model(self, tmp_path):
+        # flatten features of c1 have p = 900 > n = 24 training rows, so
+        # train runs its Gram form; every image here is the identity, so
+        # every feature row is equal and the zero model stays the best
+        data = tmp_path / "c1.csv"
+        assert run_cli("generate", "--scenario", "c1", "--per-class", "10", "--T", "30",
+                       "--out", data).returncode == 0
+        outdir = tmp_path / "lin"
+        out = run_cli("classify", "--data", data, "--feature-mode", "flatten",
+                      "--kernel", "K5", "--outdir", outdir)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == (
+            "warning: run 0: no training step beat the zero model's risk, so the model "
+            "is all zeros and predicts class 1 for every item\n"
+        )
+        lines = (outdir / "model_run0.txt").read_text().splitlines()
+        assert lines[0] == "3 900 1.0 1.0 hinge"
+        assert all(v == "0.0" for line in lines[1:] for v in line.split())
+        assert len(lines) == 4
+        assert read_report(outdir / "report.csv")[0][4] == 1 / 3
+
     def test_learning_model_does_not_warn(self, tmp_path):
         data = tmp_path / "sep.csv"
         _write_separable_dataset(data)

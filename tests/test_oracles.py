@@ -2,7 +2,9 @@
 
 Each reference below is the loop version kept as an oracle.  The rewrites do
 the same float operations in the same order, so results must be equal, not
-merely close: `np.array_equal` or `==` throughout.
+merely close: `np.array_equal` or `==` throughout.  The one exception is
+`train`'s Gram (dual) form for p > n, which reorders the sums and is pinned to
+the primal loop within 1e-12 with equal predictions.
 """
 
 import contextlib
@@ -515,9 +517,12 @@ class TestCsvLoader:
 
 
 class TestTrainOracle:
+    # p <= n runs the primal loop with the reference's bytes; p > n runs the
+    # Gram (dual) form, which sums in another order: its weights, biases and
+    # risk are pinned within 1e-12 and its predictions exactly
     @pytest.mark.parametrize(
         "n,p,C,steps",
-        [(480, 100, 5, 500), (120, 22500, 3, 60)],
+        [(480, 100, 5, 500), (120, 22500, 3, 60), (60, 60, 3, 200), (60, 61, 3, 200)],
     )
     @pytest.mark.parametrize("kind", ["hinge", "squared_hinge", "exponential"])
     def test_benchmark_shapes(self, n, p, C, steps, kind):
@@ -527,8 +532,47 @@ class TestTrainOracle:
         y = np.arange(n) % C + 1
         model = iv.train(X, y, kind=kind, steps=steps)
         w, b = ref_train(X, y, kind, steps)
+        if p <= n:
+            assert np.array_equal(model.weights, w)
+            assert np.array_equal(model.biases, b)
+            return
+        assert np.allclose(model.weights, w, atol=1e-12, rtol=0)
+        assert np.allclose(model.biases, b, atol=1e-12, rtol=0)
+        ref = iv.LinearClassifier(w, b)
+        for Z in (X, rng.random((40, p))):
+            assert np.array_equal(classify.predict_rows(model, Z),
+                                  classify.predict_rows(ref, Z))
+        assert abs(iv.empirical_phi_risk(model, X, y, kind)
+                   - iv.empirical_phi_risk(ref, X, y, kind)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_overflowing_gram_keeps_primal(self, scale):
+        # X X^T overflows, so p > n runs the primal loop and its zero model
+        rng = np.random.default_rng(0)
+        X = rng.random((12, 40)) * scale
+        y = np.arange(12) % 3 + 1
+        model = iv.train(X, y, steps=20)
+        with np.errstate(over="ignore"):
+            w, b = ref_train(X, y, "hinge", 20)
         assert np.array_equal(model.weights, w)
         assert np.array_equal(model.biases, b)
+        assert np.array_equal(classify.predict_rows(model, X),
+                              classify.predict_rows(iv.LinearClassifier(w, b), X))
+
+    @pytest.mark.parametrize("kind", ["hinge", "squared_hinge", "exponential"])
+    def test_identical_rows_give_the_zero_model(self, kind):
+        # mv-c1's collapse: every image is the identity, so every feature row
+        # is equal and no iterate's risk may fall below the zero model's, in
+        # either form, by rounding (the primal reference runs the CLI's
+        # default loss only, as it takes seconds at this shape)
+        row = np.eye(150).ravel()
+        X = np.tile(row / np.linalg.norm(row), (120, 1))
+        y = np.arange(120) % 3 + 1
+        model = iv.train(X, y, kind=kind, steps=500)
+        assert not model.weights.any() and not model.biases.any()
+        if kind == "hinge":
+            w, b = ref_train(X, y, kind, 500)
+            assert not w.any() and not b.any()
 
 
 class TestMcOracle:
