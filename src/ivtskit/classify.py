@@ -436,12 +436,22 @@ def accuracy(predictions, labels) -> float:
     return hits / len(predictions)
 
 
+# save_model formats a weight row in chunks of _ROW_CHUNK values, one `%` call
+# each, so the text it holds at once is bounded however long the row is;
+# _ROW_FORMAT[: 3 * k - 1] is the format of k space-separated values.
+_ROW_CHUNK = 4096
+_ROW_FORMAT = " ".join(["%r"] * _ROW_CHUNK)
+
+
 def save_model(clf: LinearClassifier, kind: str, path) -> None:
     """Plain-text model file: `C p c_A c_B kind` header, then one row per class."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{clf.n_classes} {clf.dim} {clf.c_A!r} {clf.c_B!r} {kind}\n")
         for row, bias in zip(clf.weights, clf.biases):
-            fh.write(" ".join(repr(float(v)) for v in row) + f" {float(bias)!r}\n")
+            for start in range(0, clf.dim, _ROW_CHUNK):
+                chunk = tuple(row[start : start + _ROW_CHUNK].tolist())
+                fh.write((" " if start else "") + _ROW_FORMAT[: 3 * len(chunk) - 1] % chunk)
+            fh.write(f" {float(bias)!r}\n")
 
 
 def load_model(path) -> tuple[LinearClassifier, str]:

@@ -584,8 +584,11 @@ def cmd_classify(eff: dict) -> None:
         ds = _load_dataset(eff["data"])
         _check_labels(ds.labels(), eff["data"], linear=not knn)
         y = ds.label_ids
-        if not knn:
+        if knn:
+            bounds = ds.bounds  # the k-NN scan reads the series
+        else:
             X = _data_features(ds, _trajectory_config(eff), kernel, fc)
+        del ds  # the run loop reads only X or bounds, and y
 
     report_rows = []
     order = np.arange(len(y))  # order[i] is the item in row i of X
@@ -602,8 +605,8 @@ def cmd_classify(eff: dict) -> None:
                 raise DataError(str(e)) from e
         if knn:
             try:
-                preds = clf_mod.knn_rows(ds.bounds[train_idx], y[train_idx].tolist(),
-                                         ds.bounds[test_idx], eff["k"], kernel)
+                preds = clf_mod.knn_rows(bounds[train_idx], y[train_idx].tolist(),
+                                         bounds[test_idx], eff["k"], kernel)
             except ValueError as e:
                 raise NumericError(str(e)) from e
             truth, model_note = y[test_idx], ""

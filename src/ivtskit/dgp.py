@@ -393,15 +393,16 @@ _ROW_ARGS = dict(delimiter=",", dtype=_ROW_DTYPE, comments=None, ndmin=1)
 def save_dataset_csv(ds: LabeledDataset, path) -> None:
     """Write `item,dim,t,lower,upper,label` rows (0-based indices, 1-based labels)."""
     # One item at a time, written as it is formatted: every bound as a Python
-    # float, or the whole text, at once would set the run's peak memory.
+    # float, or the whole text, at once would set the run's peak memory.  One
+    # template holds an item's d * T rows; per item it takes the item id and
+    # label, then one `%` call formats the item's bounds.
+    _, d, T, _ = ds.bounds.shape
+    template = "".join(f"{{item}},{j},{t},%r,%r,{{label}}\n" for j in range(d) for t in range(T))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(DATASET_HEADER + "\n")
         for item_idx, (grid, label) in enumerate(zip(ds.bounds, ds.labels())):
-            fh.writelines(
-                f"{item_idx},{dim_idx},{t},{lower!r},{upper!r},{label}\n"
-                for dim_idx, steps in enumerate(grid.tolist())
-                for t, (lower, upper) in enumerate(steps)
-            )
+            rows = template.replace("{item}", str(item_idx)).replace("{label}", str(label))
+            fh.write(rows % tuple(grid.reshape(-1).tolist()))
 
 
 def _data_lines(fh, skip: int):

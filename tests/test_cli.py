@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import math
 import os
@@ -885,6 +886,30 @@ class TestClassifyMemory:
             tracemalloc.stop()
         assert rc == 0
         assert matrix_bytes < peak < 1.5 * matrix_bytes
+
+    def test_dataset_released_before_training(self, tmp_path, monkeypatch):
+        """In linear mode the run loop reads only the features and the labels,
+        so no LabeledDataset is alive while a model trains."""
+        from ivtskit import classify, cli
+
+        data = tmp_path / "sep.csv"
+        _write_separable_dataset(data)
+        gc.collect()
+        existing = [o for o in gc.get_objects() if isinstance(o, iv.LabeledDataset)]
+        alive = []
+        train = classify.train
+
+        def spy(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(isinstance(o, iv.LabeledDataset)
+                             and not any(o is e for e in existing) for o in gc.get_objects()))
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(classify, "train", spy)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["classify", "--data", str(data), "--mode", "linear", "--blocks", "2",
+                             "--steps", "20", "--runs", "2", "--outdir", str(tmp_path / "lin")]) == 0
+        assert alive == [0, 0]
 
 
 def _set_field(at, value):

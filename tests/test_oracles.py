@@ -111,6 +111,18 @@ def ref_load_csv(path):
     return iv.LabeledDataset(tuple(items), n_classes=max(item_labels.values()))
 
 
+def ref_save_dataset_csv(ds, path):
+    """`save_dataset_csv` formatting every row on its own."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(iv.dgp.DATASET_HEADER + "\n")
+        for item_idx, (grid, label) in enumerate(zip(ds.bounds, ds.labels())):
+            fh.writelines(
+                f"{item_idx},{dim_idx},{t},{lower!r},{upper!r},{label}\n"
+                for dim_idx, steps in enumerate(grid.tolist())
+                for t, (lower, upper) in enumerate(steps)
+            )
+
+
 def ref_train(features, labels, kind, steps, step_size=0.5, c_A=1.0, c_B=1.0):
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -484,6 +496,29 @@ class TestCsvLoader:
         with pytest.raises(ValueError) as got:
             iv.load_dataset_csv(path)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("make", [lambda: _uni(120, 150), lambda: _c1(10, 150)])
+    def test_writer_same_bytes(self, tmp_path, make):
+        ds = make()
+        ref_save_dataset_csv(ds, tmp_path / "want.csv")
+        iv.save_dataset_csv(ds, tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_writer_extreme_values(self, tmp_path):
+        """d = 3, twelve items with labels up to 12, and bounds whose repr is
+        unusual: -0.0, the least subnormal, 1e22 and 1e-7."""
+        rng = np.random.default_rng(8)
+        bounds = rng.standard_normal((12, 3, 5, 2)) * 10.0 ** rng.integers(-300, 300, (12, 3, 5, 2))
+        bounds[0, 0, :2] = [[-0.0, 5e-324], [1e22, 1e-7]]
+        bounds[11, 2, 4] = [-5e-324, -1e22]
+        ds = iv.LabeledDataset.from_arrays(bounds, np.arange(12, 0, -1), 12, multivariate=True)
+        ref_save_dataset_csv(ds, tmp_path / "want.csv")
+        iv.save_dataset_csv(ds, tmp_path / "got.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert b"\n0,0,0,-0.0,5e-324,12\n0,0,1,1e+22,1e-07,12\n" in got
+        assert got.endswith(b"\n11,2,4,-5e-324,-1e+22,1\n")
+        assert np.array_equal(iv.load_dataset_csv(tmp_path / "got.csv").bounds, bounds)
 
     def test_property(self, tmp_path):
         hypothesis = pytest.importorskip("hypothesis")
@@ -1742,3 +1777,20 @@ class TestSaveModel:
         finally:
             tracemalloc.stop()
         assert peak < 0.75 * path.stat().st_size
+
+    def test_long_row_in_bounded_chunks(self, tmp_path):
+        """A 100,000-weight row is never held as text all at once (about 2 MB)."""
+        rng = np.random.default_rng(2)
+        clf = iv.LinearClassifier(rng.standard_normal((1, 100_000)) * 1e-3, np.array([0.25]))
+        path = tmp_path / "model.txt"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            iv.save_model(clf, "hinge", path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        ref_save_model(clf, "hinge", tmp_path / "want.txt")
+        assert path.read_bytes() == (tmp_path / "want.txt").read_bytes()
