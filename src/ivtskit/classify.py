@@ -23,10 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
+from .defaults import LOSS_NAMES
 from .errors import (
     BlockGridInvalid,
     DimMismatch,
@@ -34,9 +35,11 @@ from .errors import (
     EmptyInput,
     LengthMismatch,
 )
-from .dgp import LabeledDataset
-from .imaging import RecurrenceImage
 from .intervals import Kernel2x2, MvIntervalSeries, as_grid, pointwise_dk_squared
+
+if TYPE_CHECKING:  # annotations only: theory -> classify loads neither module
+    from .dgp import LabeledDataset
+    from .imaging import RecurrenceImage
 
 # Bytes in one block of temporaries (2 MiB), read at call time by the k-NN
 # scan, the draws of theory.empirical_offset_rademacher and the classify
@@ -54,12 +57,11 @@ class Loss(NamedTuple):
     lipschitz: float
 
 
-LOSSES = {
-    "hinge": Loss(lambda a: np.maximum(0.0, 1.0 - a), lambda a: np.where(a < 1.0, -1.0, 0.0), 1.0),
-    "squared_hinge": Loss(lambda a: np.maximum(0.0, 1.0 - a) ** 2,
-                          lambda a: -2.0 * np.maximum(0.0, 1.0 - a), 2.0),
-    "exponential": Loss(lambda a: np.exp(-a), lambda a: -np.exp(-a), 1.0),
-}
+LOSSES = dict(zip(LOSS_NAMES, (
+    Loss(lambda a: np.maximum(0.0, 1.0 - a), lambda a: np.where(a < 1.0, -1.0, 0.0), 1.0),
+    Loss(lambda a: np.maximum(0.0, 1.0 - a) ** 2, lambda a: -2.0 * np.maximum(0.0, 1.0 - a), 2.0),
+    Loss(lambda a: np.exp(-a), lambda a: -np.exp(-a), 1.0),
+), strict=True))  # hinge, squared_hinge, exponential
 
 
 def loss_entry(kind: str) -> Loss:

@@ -5,26 +5,29 @@ from built-in defaults, an optional flat key=value config file, and command
 line flags (highest precedence), then echoed into the output directory of any
 command that produces one.  Exit codes: 0 success, 2 usage error, 3 data
 error, 4 numeric error.
+
+At module level this file imports only the standard library, the errors and
+the shared defaults: the parser, ``--help`` and usage errors never load
+numpy, and each command imports the library modules it runs where it runs
+them.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from . import classify as clf_mod
-from . import dgp as dgp_mod
-from . import imaging as img_mod
-from . import theory as theory_mod
+from .defaults import DEFAULT_EPSILON, DEFAULT_PER_CLASS, DEFAULT_RHO_GRID, DEFAULT_T, LOSS_NAMES
 from .errors import BlockGridInvalid, IvtsError, NegativeSquaredDistance, NonFinite
-from .imaging import TrajectoryConfig
-from .intervals import parse_kernel
+
+if TYPE_CHECKING:  # annotations only
+    import numpy as np
+
+    from . import classify as clf_mod
+    from .imaging import TrajectoryConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -44,8 +47,7 @@ class NumericError(Exception):
     """Parameter values outside their numeric domain."""
 
 
-@dataclass(frozen=True)
-class Opt:
+class Opt(NamedTuple):  # a dataclass would load dataclasses and inspect (~15 ms) at launch
     flag: str
     key: str
     conv: object  # a converter callable, or bool for store_true flags
@@ -54,7 +56,7 @@ class Opt:
     choices: tuple | None = None
 
 
-_DEFAULT_EPSILON_STR = repr(img_mod.DEFAULT_EPSILON)
+_DEFAULT_EPSILON_STR = repr(DEFAULT_EPSILON)
 
 GENERATE_OPTS = (
     Opt("--dgp", "dgp", int, None, "simulation process id (1, 2, or 3)", (1, 2, 3)),
@@ -62,9 +64,9 @@ GENERATE_OPTS = (
         "dataset construction: c1 (3 classes x 5 dims), c2 (5 classes x 3 dims), "
         "mix (3 univariate classes, one per process, at a fixed --rho)",
         ("c1", "c2", "mix")),
-    Opt("--per-class", "per_class", int, dgp_mod.DEFAULT_PER_CLASS, "samples per class"),
-    Opt("--T", "T", int, dgp_mod.DEFAULT_T, "series length"),
-    Opt("--rhos", "rhos", str, ",".join(repr(r) for r in dgp_mod.DEFAULT_RHO_GRID),
+    Opt("--per-class", "per_class", int, DEFAULT_PER_CLASS, "samples per class"),
+    Opt("--T", "T", int, DEFAULT_T, "series length"),
+    Opt("--rhos", "rhos", str, ",".join(repr(r) for r in DEFAULT_RHO_GRID),
         "comma-separated correlation grid; values starting with a dash "
         "need the --rhos=-0.9,... form"),
     Opt("--rho", "rho", float, 0.7, "fixed correlation for --scenario mix"),
@@ -109,7 +111,7 @@ CLASSIFY_OPTS = (
         ("flatten", "block_mean")),
     Opt("--blocks", "blocks", int, 10, "block grid size for block_mean"),
     Opt("--cap", "cap", float, 1.0, "feature norm cap c_Z"),
-    Opt("--loss", "loss", str, "hinge", "auxiliary loss", tuple(clf_mod.LOSSES)),
+    Opt("--loss", "loss", str, "hinge", "auxiliary loss", LOSS_NAMES),
     Opt("--steps", "steps", int, 500, "subgradient steps"),
     Opt("--step-size", "step_size", float, 0.5, "base step size (eta_t = eta0/sqrt(t))"),
     Opt("--c-a", "c_a", float, 1.0, "weight row norm cap"),
@@ -123,7 +125,7 @@ CLASSIFY_OPTS = (
 )
 
 BOUND_OPTS = (
-    Opt("--loss", "loss", str, "hinge", "auxiliary loss fixing ell", tuple(clf_mod.LOSSES)),
+    Opt("--loss", "loss", str, "hinge", "auxiliary loss fixing ell", LOSS_NAMES),
     Opt("--ell", "ell", float, None, "explicit Lipschitz constant (overrides --loss)"),
     Opt("--c-a", "c_a", float, 1.0, "weight row norm cap"),
     Opt("--c-b", "c_b", float, 1.0, "bias magnitude cap"),
@@ -265,6 +267,8 @@ def _check_seed(seed: int) -> int:
 
 
 def _trajectory_config(eff: dict) -> TrajectoryConfig:
+    from .imaging import TrajectoryConfig
+
     text = eff["epsilon"]
     try:
         eps = [float(p) for p in str(text).split(",")]
@@ -278,6 +282,8 @@ def _trajectory_config(eff: dict) -> TrajectoryConfig:
 
 
 def _load_dataset(path):
+    from . import dgp as dgp_mod
+
     try:
         return dgp_mod.load_dataset_csv(path)
     except (OSError, ValueError) as e:
@@ -285,6 +291,8 @@ def _load_dataset(path):
 
 
 def _parse_kernel_opt(text: str):
+    from .intervals import parse_kernel
+
     try:
         return parse_kernel(text)
     except ValueError as e:
@@ -296,6 +304,8 @@ def _parse_kernel_opt(text: str):
 
 
 def cmd_generate(eff: dict) -> None:
+    from . import dgp as dgp_mod
+
     if (eff["dgp"] is None) == (eff["scenario"] is None):
         raise UsageError("pass exactly one of --dgp or --scenario")
     _require(eff, "out")
@@ -327,7 +337,10 @@ def cmd_generate(eff: dict) -> None:
 # ingest
 
 def cmd_ingest(eff: dict) -> None:
-    from . import ingest as ingest_mod  # only this command compiles and loads it
+    import numpy as np
+
+    from . import dgp as dgp_mod
+    from . import ingest as ingest_mod
 
     _require(eff, "input", "out")
     window = eff["window"]
@@ -374,6 +387,8 @@ def cmd_ingest(eff: dict) -> None:
 
 
 def cmd_image(eff: dict) -> None:
+    from . import imaging as img_mod
+
     _require(eff, "data", "outdir", "kernel")
     kernel = _parse_kernel_opt(eff["kernel"])
     cfg = _trajectory_config(eff)
@@ -419,6 +434,10 @@ class _FeatureRows:
         self.lengths = None  # the first two feature lengths found to differ
 
     def add(self, pixels: np.ndarray) -> None:
+        import numpy as np
+
+        from . import classify as clf_mod
+
         size = len(pixels)
         p = self.fc.length(size)  # a bad block grid is raised at its item
         if self.X is None:
@@ -437,6 +456,8 @@ class _FeatureRows:
         self.held += 1
 
     def _flush(self) -> None:
+        from . import classify as clf_mod
+
         if self.held:
             rows = self.X[self.done : self.done + self.held]
             clf_mod.featurize_stack(self.block[: self.held], self.fc, out=rows)
@@ -458,6 +479,8 @@ class _FeatureRows:
 def _permute_rows(X: np.ndarray, src: np.ndarray) -> None:
     """Set X[j] = X[src[j]] for every row j at once, in place: each cycle of
     the permutation is followed with one row buffer."""
+    import numpy as np
+
     src = src.tolist()
     buf = np.empty(X.shape[1])
     done = [False] * len(src)
@@ -504,6 +527,10 @@ def _check_labels(labels: list[int], where, linear: bool) -> None:
 
 
 def _load_image_features(images_dir: Path, fc: clf_mod.FeatureConfig):
+    import numpy as np
+
+    from . import imaging as img_mod
+
     index = images_dir / "index.csv"
     try:
         lines = index.read_text(encoding="ascii").splitlines()
@@ -539,6 +566,8 @@ def _load_image_features(images_dir: Path, fc: clf_mod.FeatureConfig):
 
 def _data_features(ds, cfg: TrajectoryConfig, kernel, fc) -> np.ndarray:
     """The feature matrix of a dataset, each item imaged straight into it."""
+    from . import imaging as img_mod
+
     rows = _FeatureRows(len(ds), fc)
     grid_error = None
     for pixels in img_mod.image_grids(ds.bounds, cfg, kernel):
@@ -553,6 +582,11 @@ def _data_features(ds, cfg: TrajectoryConfig, kernel, fc) -> np.ndarray:
 
 
 def cmd_classify(eff: dict) -> None:
+    import numpy as np
+
+    from . import classify as clf_mod
+    from . import dgp as dgp_mod
+
     if (eff["data"] is None) == (eff["images"] is None):
         raise UsageError("pass exactly one of --data or --images")
     _require(eff, "outdir")
@@ -647,6 +681,10 @@ def cmd_classify(eff: dict) -> None:
 
 
 def cmd_bound(eff: dict) -> None:
+    import numpy as np
+
+    from . import theory as theory_mod
+
     _require(eff, "n", "log_covering")
     _check_threads(eff["threads"])
     try:
@@ -717,6 +755,8 @@ def cmd_bound(eff: dict) -> None:
         report["mc_draws"] = est.mc_draws
         report["mc_inner_steps"] = est.inner_steps
     if eff["json"]:
+        import json
+
         print(json.dumps(report, indent=2))
     else:
         for key, value in report.items():

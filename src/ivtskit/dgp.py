@@ -27,6 +27,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from .defaults import DEFAULT_PER_CLASS, DEFAULT_RHO_GRID, DEFAULT_T
 from .errors import DimensionMismatch, LengthMismatch, NonFinite
 from .intervals import IntervalSeries, MvIntervalSeries, as_grid, from_grid
 
@@ -34,10 +35,6 @@ AnySeries = Union[IntervalSeries, MvIntervalSeries]
 
 PHI = np.array([[0.2, -0.1], [0.1, 0.2]])
 GAMMA = np.array([[-0.6, 0.3], [0.3, 0.6]])
-
-DEFAULT_RHO_GRID: tuple[float, ...] = (-0.9, -0.5, 0.0, 0.3, 0.7)
-DEFAULT_T = 150
-DEFAULT_PER_CLASS = 500
 
 # Chunk size for vectorized draws in gen_dgp1; fixed so that a given
 # (config, seed) always consumes the RNG stream identically.

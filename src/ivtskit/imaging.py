@@ -22,11 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .defaults import DEFAULT_EPSILON
 from .errors import DimensionMismatch, IvtsError, NegativeSquaredDistance, SeriesTooShort
 from .intervals import NEGATIVE_TOLERANCE, Kernel2x2, as_grid
-
-#: Default recurrence threshold.
-DEFAULT_EPSILON = math.pi / 18.0
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,148 @@ class TestConsoleScript:
         assert good.returncode == 0, good.stderr
 
 
+# Runs `python -m ivtskit *argv` in this process through runpy, then prints one
+# JSON line: the exit code, the command's stdout and stderr, whether numpy was
+# imported, and the ivtskit submodules that were.
+_LAUNCH_PROBE = """
+import contextlib, io, json, runpy, sys
+out, err = io.StringIO(), io.StringIO()
+sys.argv = ["ivtskit", *sys.argv[1:]]
+code = 0
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        runpy.run_module("ivtskit", run_name="__main__", alter_sys=True)
+    except SystemExit as e:
+        code = e.code
+print(json.dumps({
+    "code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+    "numpy": "numpy" in sys.modules,
+    "modules": sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("ivtskit.")),
+}))
+"""
+
+
+def launch(*args):
+    """The probe's record of one fresh `python -m ivtskit *args` launch."""
+    import json
+
+    out = subprocess.run([sys.executable, "-c", _LAUNCH_PROBE, *map(str, args)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+PARSE_MODULES = ["cli", "defaults", "errors"]
+
+
+class TestStartup:
+    """A launch imports only what its command runs: the parse step loads no
+    numpy, and each command loads only the library modules it uses."""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"], ["bound", "--help"]])
+    def test_help_loads_no_numpy(self, argv):
+        rec = launch(*argv)
+        assert rec["code"] == 0
+        assert "usage: ivtskit" in rec["stdout"]
+        assert not rec["numpy"]
+        assert rec["modules"] == PARSE_MODULES
+
+    @pytest.mark.parametrize("argv", [["classify", "--bogus"], ["generate", "--dgp", "4"],
+                                      ["nosuchcommand"], []])
+    def test_usage_error_loads_no_numpy(self, argv):
+        rec = launch(*argv)
+        assert rec["code"] == 2
+        assert rec["stdout"] == ""
+        assert len(rec["stderr"].splitlines()) == 1
+        assert rec["stderr"].startswith("usage error: ")
+        assert not rec["numpy"]
+        assert rec["modules"] == PARSE_MODULES
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A tiny dataset, its image directory and a raw readings file."""
+        from ivtskit import cli
+
+        root = tmp_path_factory.mktemp("startup")
+        (root / "raw.csv").write_text("series_id,dim,timestamp,value,label\n" + "".join(
+            f"s{j},x,2021-03-0{i + 1},{i * j},{'ab'[j]}\n" for j in range(2) for i in range(8)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["generate", "--dgp", "1", "--per-class", "3", "--T", "12",
+                             "--out", str(root / "ds.csv")]) == 0
+            assert cli.main(["image", "--data", str(root / "ds.csv"), "--outdir",
+                             str(root / "img"), "--kernel", "K4"]) == 0
+        return root
+
+    @pytest.mark.parametrize("argv, modules", [
+        (["generate", "--dgp", "2", "--per-class", "2", "--T", "10", "--out", "{d}/gen.csv"],
+         ["dgp", "intervals"]),
+        (["ingest", "--input", "{d}/raw.csv", "--out", "{d}/ing.csv", "--window", "4"],
+         ["dgp", "ingest", "intervals"]),
+        (["image", "--data", "{d}/ds.csv", "--outdir", "{d}/img2", "--kernel", "K4"],
+         ["dgp", "imaging", "intervals"]),
+        (["classify", "--data", "{d}/ds.csv", "--outdir", "{d}/lin", "--blocks", "2",
+          "--steps", "5"], ["classify", "dgp", "imaging", "intervals"]),
+        (["classify", "--images", "{d}/img", "--outdir", "{d}/imgs", "--blocks", "2",
+          "--steps", "5"], ["classify", "dgp", "imaging", "intervals"]),
+        (["classify", "--data", "{d}/ds.csv", "--outdir", "{d}/knn", "--mode", "knn"],
+         ["classify", "dgp", "intervals"]),
+        (["bound", "--n", "100", "--log-covering", "10"], ["classify", "intervals", "theory"]),
+        (["bound", "--n", "10", "--log-covering", "1", "--mc", "--mc-draws", "2",
+          "--inner-steps", "2"], ["classify", "intervals", "theory"]),
+    ], ids=["generate", "ingest", "image", "classify-data", "classify-images", "classify-knn",
+            "bound", "bound-mc"])
+    def test_each_command_loads_only_its_modules(self, inputs, argv, modules):
+        rec = launch(*(a.format(d=inputs) for a in argv))
+        assert rec["code"] == 0, rec["stderr"]
+        assert rec["modules"] == sorted(PARSE_MODULES + modules)
+
+    def test_error_exit_loads_only_its_modules(self, inputs):
+        """A command that fails in its own checks still exits as before."""
+        rec = launch("image", "--data", inputs / "missing.csv", "--outdir", inputs / "x",
+                     "--kernel", "K4")
+        assert rec["code"] == 3
+        assert rec["stderr"].startswith("data error: ")
+        assert rec["modules"] == sorted(PARSE_MODULES + ["dgp", "imaging", "intervals"])
+
+
+class TestParserDefaults:
+    """The parser's defaults and choices, read from ivtskit.defaults, are the
+    library's values."""
+
+    @staticmethod
+    def _opts(table):
+        return {o.key: o for o in table}
+
+    def test_loss_choices_are_the_loss_table(self):
+        from ivtskit import classify, cli
+
+        for table in (cli.CLASSIFY_OPTS, cli.BOUND_OPTS):
+            assert self._opts(table)["loss"].choices == tuple(classify.LOSSES)
+        for command in ("classify", "bound"):
+            assert "{hinge,squared_hinge,exponential}" in run_cli(command, "--help").stdout
+
+    def test_defaults_are_the_library_values(self):
+        from ivtskit import cli, dgp, imaging
+
+        gen = self._opts(cli.GENERATE_OPTS)
+        assert gen["per_class"].default == dgp.DEFAULT_PER_CLASS
+        assert gen["T"].default == dgp.DEFAULT_T
+        assert tuple(float(r) for r in gen["rhos"].default.split(",")) == dgp.DEFAULT_RHO_GRID
+        for table in (cli.IMAGE_OPTS, cli.CLASSIFY_OPTS):
+            assert self._opts(table)["epsilon"].default == repr(imaging.DEFAULT_EPSILON)
+        assert imaging.DEFAULT_EPSILON == math.pi / 18
+        assert imaging.TrajectoryConfig().epsilon is imaging.DEFAULT_EPSILON
+        assert iv.DEFAULT_EPSILON is imaging.DEFAULT_EPSILON
+
+    def test_run_config_bytes(self, mix_csv, tmp_path):
+        out = run_cli("image", "--data", mix_csv, "--outdir", tmp_path / "img", "--kernel", "K4")
+        assert out.returncode == 0, out.stderr
+        assert (tmp_path / "img" / "run_config.txt").read_text(encoding="utf-8") == (
+            f"# image run\ndata={mix_csv}\nepsilon=0.17453292519943295\nformat=pgm\n"
+            f"kappa=1\nkernel=K4\nm=1\noutdir={tmp_path / 'img'}\n"
+        )
+
+
 class TestGenerate:
     def test_summary_and_shape(self, tmp_path):
         path = tmp_path / "d1.csv"

@@ -1,10 +1,17 @@
-"""The library names that README and the benchmark scripts use must exist."""
+"""The public names: the ones README and the benchmark scripts use exist, and
+`import ivtskit` loads each on first use, without numpy."""
 
 import ast
 import importlib
 import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+import ivtskit as iv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,3 +54,47 @@ def test_perfbench_names_resolve():
                 missing.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
     assert not missing, missing
     assert {"run.py", "traced.py"} <= importers
+
+
+def _fresh(code: str) -> str:
+    """The stdout of `code` run in a new interpreter."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_import_loads_no_numpy():
+    """`import ivtskit` loads its names on first use; the first one loads numpy."""
+    assert _fresh(
+        "import sys, ivtskit as iv\n"
+        "print('numpy' in sys.modules, sorted(m for m in sys.modules if m.startswith('ivtskit')))\n"
+        "iv.train\n"
+        "print('numpy' in sys.modules, iv.train is sys.modules['ivtskit.classify'].train)\n"
+        "print(iv.theory is sys.modules['ivtskit.theory'])\n"
+    ).splitlines() == ["False ['ivtskit']", "True True", "True"]
+
+
+def test_every_name_is_its_module_attribute():
+    for module, names in iv._NAMES.items():
+        owner = importlib.import_module(f"ivtskit.{module}")
+        for name in names:
+            assert name in vars(owner), f"ivtskit.{module} does not define {name}"
+            assert getattr(iv, name) is getattr(owner, name), name
+    assert iv.train is iv.classify.train
+    assert len(iv.__all__) == len(set(iv.__all__))
+
+
+def test_dir_and_star_import_list_every_name():
+    assert set(iv.__all__) <= set(dir(iv))
+    scope = {}
+    exec("from ivtskit import *", scope)
+    assert {name: scope[name] for name in iv.__all__} == {
+        name: getattr(iv, name) for name in iv.__all__}
+
+
+def test_unknown_name_raises_attribute_error():
+    for name in ("no_such_name", "__no_such_dunder__", "_NO_SUCH"):
+        with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+            getattr(iv, name)
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from ivtskit import no_such_name", {})
