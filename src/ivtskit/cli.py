@@ -394,13 +394,16 @@ def cmd_image(eff: dict) -> None:
     cfg = _trajectory_config(eff)
     _check_threads(eff["threads"])
     ds = _load_dataset(eff["data"])
-    images = [img_mod.RecurrenceImage(px) for px in img_mod.image_grids(ds.bounds, cfg, kernel)]
     outdir = Path(eff["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
     stem = eff["stem"] or Path(eff["data"]).stem
     formats = ("pgm", "csv") if eff["format"] == "both" else (eff["format"],)
     index_lines = ["file,item,label"]
-    for i, (img, label) in enumerate(zip(images, ds.labels())):
+    # each image is written as it is made; a failed item leaves the earlier
+    # images but no index.csv or run_config.txt
+    images = img_mod.image_grids(ds.bounds, cfg, kernel)
+    for i, (pixels, label) in enumerate(zip(images, ds.labels())):
+        img = img_mod.RecurrenceImage(pixels)
         names = []
         for fmt in formats:
             name = f"{stem}_{i}.{fmt}"
@@ -410,7 +413,7 @@ def cmd_image(eff: dict) -> None:
         index_lines.append(f"{names[0]},{i},{label}")
     (outdir / "index.csv").write_text("\n".join(index_lines) + "\n", encoding="ascii")
     _echo_config(outdir, "image", eff)
-    print(f"imaged {len(images)} items (N={images[0].n}) -> {outdir}")
+    print(f"imaged {len(index_lines) - 1} items (N={img.n}) -> {outdir}")
 
 
 # ---------------------------------------------------------------------------

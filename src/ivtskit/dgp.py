@@ -438,15 +438,29 @@ def _read_rows(path, skip: int) -> np.ndarray:
             return np.loadtxt((line for _, line in _data_lines(fh, skip)), **_ROW_ARGS)
 
 
-def load_dataset_csv(path) -> LabeledDataset:
-    """Read a dataset written by :func:`save_dataset_csv`.
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Indices of the rows where any of the equal-length `keys` differs from
+    the row before; the first row always starts a run."""
+    new = np.zeros(len(keys[0]), dtype=bool)
+    new[0] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(new)
 
-    Blank lines are skipped.  Rows may come in any order; a repeated
-    (item, dim, t) keeps its last row.  Raises ValueError, naming the file
-    and, for a single bad row, its line, on a bad header, a malformed row, a
-    non-finite bound, an item with two labels, a gap in t, or items that
-    disagree on their dimension count or on their length T.
-    """
+
+def _ascending(item: np.ndarray, dim: np.ndarray, t: np.ndarray) -> bool:
+    """Whether each row's (item, dim, t) is greater than the row before's."""
+    greater = t[1:] > t[:-1]
+    for key in (dim, item):  # lexicographic, from the least significant key up
+        greater &= key[1:] == key[:-1]
+        greater |= key[1:] > key[:-1]
+    return bool(greater.all())
+
+
+def _load_arrays(path) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, d, T, 2) bounds and (n,) labels of a dataset CSV; see
+    :func:`load_dataset_csv`.  Every temporary, the parsed rows among them,
+    is freed when this returns."""
     skip, header = 0, ""
     with open(path, encoding="ascii") as fh:
         for skip, header in _data_lines(fh, 0):
@@ -457,48 +471,72 @@ def load_dataset_csv(path) -> LabeledDataset:
     if rows.size == 0:
         raise ValueError(f"{path}: no data rows")
 
-    bounds = np.stack([rows["lower"], rows["upper"]], axis=-1)
-    nonfinite = ~np.isfinite(bounds).all(axis=1)
+    nonfinite = ~np.isfinite(rows["lower"])
+    nonfinite |= ~np.isfinite(rows["upper"])
     if nonfinite.any():
         lineno = _line_of_row(path, skip, int(nonfinite.argmax()))
         raise ValueError(f"{path}:{lineno}: non-finite bound")
+
+    # Rows sorted by (item, dim, t).  Files written by save_dataset_csv
+    # already are, without repeats, and are used as read; any other file is
+    # sorted stably, so `order` maps each sorted row to its row in the file.
     item, dim, t, label = rows["item"], rows["dim"], rows["t"], rows["label"]
-    _, first, inverse = np.unique(item, return_index=True, return_inverse=True)
-    conflict = label != label[first][inverse]
-    if conflict.any():
-        row = int(conflict.argmax())
+    order = None
+    if not _ascending(item, dim, t):
+        order = np.lexsort((t, dim, item))
+        item, dim, t, label = item[order], dim[order], t[order], label[order]
+
+    # Each row's label must be that of its item's first row in file order.
+    starts = _run_starts(item)
+    first = starts if order is None else np.minimum.reduceat(order, starts)
+    labels = rows["label"][first]
+    conflict = np.flatnonzero(label != np.repeat(labels, np.diff(starts, append=len(item))))
+    if conflict.size:
+        row = int(conflict[0] if order is None else order[conflict].min())
         lineno = _line_of_row(path, skip, row)
-        raise ValueError(f"{path}:{lineno}: item {item[row]} has conflicting labels")
+        raise ValueError(f"{path}:{lineno}: item {rows['item'][row]} has conflicting labels")
 
-    # Sort by (item, dim, t); the sort is stable, so of repeated keys the
-    # last in file order ends each run and is the one kept.  Files written by
-    # save_dataset_csv are sorted and unique, so neither step copies them.
-    order = np.lexsort((t, dim, item))
-    if not np.array_equal(order, np.arange(len(order))):
-        item, dim, t, label, bounds = item[order], dim[order], t[order], label[order], bounds[order]
-    keep = np.ones(len(item), dtype=bool)
-    keep[:-1] = (item[1:] != item[:-1]) | (dim[1:] != dim[:-1]) | (t[1:] != t[:-1])
-    if not keep.all():
-        item, dim, t, label, bounds = item[keep], dim[keep], t[keep], label[keep], bounds[keep]
+    if order is not None:  # of repeated keys the last in file order ends the run: keep it
+        last = np.append(_run_starts(item, dim, t)[1:], len(item)) - 1
+        if len(last) < len(item):
+            order, item, dim, t = order[last], item[last], dim[last], t[last]
+            starts = _run_starts(item)
 
-    # One group per (item, dim); its t values must run 0, 1, ..., length - 1.
-    new_group = np.ones(len(item), dtype=bool)
-    new_group[1:] = (item[1:] != item[:-1]) | (dim[1:] != dim[:-1])
-    group_start = np.flatnonzero(new_group)
-    position = np.arange(len(item)) - group_start[np.cumsum(new_group) - 1]
-    gap = t != position
+    # One group per (item, dim).  Its t values rise, so they run 0, 1, ...,
+    # length - 1 exactly when the first is 0 and the last is length - 1.
+    groups = _run_starts(item, dim)
+    lengths = np.diff(groups, append=len(item))
+    gap = (t[groups] != 0) | (t[groups + lengths - 1] != lengths - 1)
     if gap.any():
-        row = int(gap.argmax())
+        row = groups[gap.argmax()]
         raise ValueError(f"{path}: item {item[row]} dim {dim[row]} has gaps in t")
-    _, item_dims = np.unique(item[group_start], return_counts=True)
-    dims_seen = sorted(set(item_dims.tolist()))
+    dims_seen = sorted(set(np.diff(np.searchsorted(groups, starts), append=len(groups)).tolist()))
     if len(dims_seen) != 1:
         raise ValueError(f"{path}: items disagree on dimension count: {dims_seen}")
-    lengths_seen = np.unique(np.diff(group_start, append=len(item))).tolist()
+    lengths_seen = sorted(set(lengths.tolist()))
     if len(lengths_seen) != 1:
         raise ValueError(f"{path}: items disagree on series length T: {lengths_seen}")
+    if labels.min() < 1:  # an item's first row in file order comes before its other rows
+        row = int(first[labels < 1].min())
+        lineno = _line_of_row(path, skip, row)
+        raise ValueError(f"{path}:{lineno}: label {rows['label'][row]} is not a class id (1, 2, ...)")
 
-    n, d, T = len(item_dims), dims_seen[0], lengths_seen[0]
-    return LabeledDataset.from_arrays(
-        bounds.reshape(n, d, T, 2), label[:: d * T], int(label.max()), multivariate=d > 1
-    )
+    bounds = np.empty((len(starts), dims_seen[0], lengths_seen[0], 2))
+    flat = bounds.reshape(-1, 2)
+    for j, column in enumerate(("lower", "upper")):
+        flat[:, j] = rows[column] if order is None else rows[column][order]
+    return bounds, labels
+
+
+def load_dataset_csv(path) -> LabeledDataset:
+    """Read a dataset written by :func:`save_dataset_csv`.
+
+    Blank lines are skipped.  Rows may come in any order; a repeated
+    (item, dim, t) keeps its last row.  Raises ValueError, naming the file
+    and, for a single bad row, its line, on a bad header, a malformed row, a
+    non-finite bound, an item with two labels, a gap in t, items that
+    disagree on their dimension count or on their length T, or a label
+    below 1.
+    """
+    bounds, labels = _load_arrays(path)
+    return LabeledDataset.from_arrays(bounds, labels, int(labels.max()), multivariate=bounds.shape[1] > 1)

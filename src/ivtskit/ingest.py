@@ -276,8 +276,10 @@ def daily_intervals(path) -> list[DailySeries]:
     day_start = np.flatnonzero(np.concatenate(
         ([True], (cell_sid[1:] != cell_sid[:-1]) | (cell_day[1:] != cell_day[:-1]))))
     day_dims = np.diff(np.append(day_start, len(cell_sid)))
-    sid_dims = np.bincount(np.unique(cell_sid * n_dim + cell_dim) // n_dim,
-                           minlength=len(sid_names))
+    # distinct (series, dimension) codes; np.unique would import numpy.ma here
+    pairs = np.sort(cell_sid * n_dim + cell_dim)
+    pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]
+    sid_dims = np.bincount(pairs // n_dim, minlength=len(sid_names))
     full = day_dims == sid_dims[cell_sid[day_start]]
     full_cell = np.repeat(full, day_dims)
     sid_day = np.searchsorted(cell_sid[day_start], np.arange(len(sid_names) + 1))

@@ -86,8 +86,8 @@ class TestConsoleScript:
 
 
 # Runs `python -m ivtskit *argv` in this process through runpy, then prints one
-# JSON line: the exit code, the command's stdout and stderr, whether numpy was
-# imported, and the ivtskit submodules that were.
+# JSON line: the exit code, the command's stdout and stderr, whether numpy and
+# numpy.ma were imported, and the ivtskit submodules that were.
 _LAUNCH_PROBE = """
 import contextlib, io, json, runpy, sys
 out, err = io.StringIO(), io.StringIO()
@@ -101,6 +101,7 @@ with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
 print(json.dumps({
     "code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
     "numpy": "numpy" in sys.modules,
+    "numpy_ma": "numpy.ma" in sys.modules,
     "modules": sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("ivtskit.")),
 }))
 """
@@ -179,6 +180,7 @@ class TestStartup:
         rec = launch(*(a.format(d=inputs) for a in argv))
         assert rec["code"] == 0, rec["stderr"]
         assert rec["modules"] == sorted(PARSE_MODULES + modules)
+        assert not rec["numpy_ma"]  # np.unique without counts or indices imports it
 
     def test_error_exit_loads_only_its_modules(self, inputs):
         """A command that fails in its own checks still exits as before."""
@@ -187,6 +189,7 @@ class TestStartup:
         assert rec["code"] == 3
         assert rec["stderr"].startswith("data error: ")
         assert rec["modules"] == sorted(PARSE_MODULES + ["dgp", "imaging", "intervals"])
+        assert not rec["numpy_ma"]
 
 
 class TestParserDefaults:
@@ -498,6 +501,53 @@ class TestImage:
         )
         assert out.returncode == 4
         assert "item" in out.stderr  # failure is tagged with the item index
+
+    def test_traced_peak_below_half_the_images(self, tmp_path):
+        """`image` writes each image as it is made and keeps none of them."""
+        from ivtskit import cli
+
+        n, T = 400, 150
+        bounds = np.random.default_rng(3).standard_normal((n, 1, T, 2))
+        data = tmp_path / "ds.csv"
+        iv.save_dataset_csv(iv.LabeledDataset.from_arrays(bounds, np.arange(n) % 4 + 1, 4, False), data)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(["image", "--data", str(data), "--outdir", str(tmp_path / "img"),
+                               "--kernel", "K4"])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert len(list((tmp_path / "img").glob("*.pgm"))) == n
+        assert peak < 0.5 * n * T * T
+
+    def test_failed_item_leaves_no_index_or_config(self, tmp_path):
+        """Images are written as they are made: a failure at item 1 leaves at
+        most item 0's image, and neither index.csv nor run_config.txt."""
+        data, outdir = tmp_path / "ds.csv", tmp_path / "o"
+        steps = [[0.0, 1.0]] * 6, [[0.0, 1.0], [3.0, 3.5], [-2.0, 4.0]] * 2
+        data.write_text("item,dim,t,lower,upper,label\n" + "".join(
+            f"{i},0,{t},{lo!r},{up!r},{i + 1}\n"
+            for i, rows in enumerate(steps) for t, (lo, up) in enumerate(rows)))
+        out = run_cli("image", "--data", data, "--outdir", outdir, "--kernel", "1,2,1")
+        assert_one_line_error(out, 4, "numeric error: item 1: ")
+        assert out.stdout == ""
+        assert {p.name for p in outdir.iterdir()} <= {"ds_0.pgm"}
+
+    def test_label_below_one_names_its_line(self, mix_csv, tmp_path):
+        """The first row in file order with a label below 1 is named, here in
+        a file whose rows come in reverse order."""
+        header, *rows = mix_csv.read_text().splitlines()
+        rows[30:60] = [row.rsplit(",", 1)[0] + ",0" for row in rows[30:60]]  # item 1
+        mix_csv.write_text("\n".join([header] + rows[::-1]) + "\n")
+        lineno = 2 + len(rows) - 60  # item 1's last row, now its first
+        for command in (["image", "--kernel", "K4"], ["classify"], ["classify", "--mode", "knn"]):
+            out = run_cli(*command, "--data", mix_csv, "--outdir", tmp_path / "o")
+            assert out.returncode == 3
+            assert out.stderr == f"data error: {mix_csv}:{lineno}: label 0 is not a class id (1, 2, ...)\n"
 
     def test_ragged_lengths_are_data_error(self, tmp_path):
         data = tmp_path / "ragged.csv"

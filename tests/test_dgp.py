@@ -1,6 +1,7 @@
 """Tests for the simulation generators and dataset builders."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,23 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             iv.load_dataset_csv(path)
 
+
+    def test_traced_peak_of_a_sorted_file(self, tmp_path):
+        """A file in (item, dim, t) order is parsed once into its rows, and
+        the bounds are filled from them: no sort, no stacked copy."""
+        bounds = np.random.default_rng(4).standard_normal((150, 5, 150, 2))  # mv-c1's shape
+        path = tmp_path / "ds.csv"
+        iv.save_dataset_csv(iv.LabeledDataset.from_arrays(bounds, np.arange(150) // 50 + 1, 3, True), path)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loaded = iv.load_dataset_csv(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.bounds, bounds)
+        assert peak <= 4.5 * bounds.nbytes
 
     def test_non_finite_bound_names_its_line(self, tmp_path):
         path = tmp_path / "nan.csv"

@@ -16,7 +16,7 @@ import shutil
 import sys
 import tempfile
 import tracemalloc
-from collections import defaultdict
+from collections import Counter, defaultdict
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -26,7 +26,7 @@ import pytest
 import ivtskit as iv
 from ivtskit import classify, cli, imaging, ingest, theory
 from ivtskit.classify import LOSSES, _margins
-from ivtskit.errors import BlockGridInvalid, NegativeSquaredDistance
+from ivtskit.errors import BlockGridInvalid, LengthMismatch, NegativeSquaredDistance, NonFinite
 from ivtskit.imaging import squared_threshold
 from ivtskit.intervals import NEGATIVE_TOLERANCE, as_grid, series_dk_squared
 
@@ -109,6 +109,41 @@ def ref_load_csv(path):
     if len(dims_seen) != 1:
         raise ValueError(f"{path}: items disagree on dimension count: {sorted(dims_seen)}")
     return iv.LabeledDataset(tuple(items), n_classes=max(item_labels.values()))
+
+
+def ref_load_csv_named(path):
+    """`ref_load_csv` with the loader's wording for the three faults that the
+    reference leaves to the series and dataset constructors: a non-finite
+    bound and a label below 1, each named by its first line in file order,
+    and series of different lengths."""
+    try:
+        return ref_load_csv(path)
+    except (NonFinite, LengthMismatch, ValueError) as e:
+        if str(e).startswith(str(path)):
+            raise
+        error = e
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    rows = [(lineno, line.split(",")) for lineno, line in enumerate(lines, start=1) if line.strip()][1:]
+    if isinstance(error, NonFinite):
+        lineno = next(n for n, f in rows if not (math.isfinite(float(f[3])) and math.isfinite(float(f[4]))))
+        raise ValueError(f"{path}:{lineno}: non-finite bound")
+    if isinstance(error, LengthMismatch):
+        lengths = Counter(key[:2] for key in {tuple(map(int, f[:3])) for _, f in rows})
+        raise ValueError(f"{path}: items disagree on series length T: {sorted(set(lengths.values()))}")
+    lineno, label = next((n, int(f[5])) for n, f in rows if int(f[5]) < 1)
+    raise ValueError(f"{path}:{lineno}: label {label} is not a class id (1, 2, ...)")
+
+
+def assert_loads_as_reference(path):
+    """The loader returns the reference's dataset, or raises its message."""
+    try:
+        want = ref_load_csv_named(path)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            iv.load_dataset_csv(path)
+        assert str(got.value) == str(e)
+    else:
+        assert_same_dataset(iv.load_dataset_csv(path), want)
 
 
 def ref_save_dataset_csv(ds, path):
@@ -450,6 +485,45 @@ class TestKnnScan:
 # dataset CSV
 
 
+_FIELDS = ("item", "dim", "t", "lower", "upper", "label")
+
+
+def _set(rows, which, **fields):
+    """The CSV rows with the given fields of rows `which` replaced: by a
+    string, or by a function of the field's integer value."""
+    rows = list(rows)
+    for r in which:
+        parts = rows[r].split(",")
+        for name, value in fields.items():
+            k = _FIELDS.index(name)
+            parts[k] = str(value(int(parts[k])) if callable(value) else value)
+        rows[r] = ",".join(parts)
+    return rows
+
+
+def _same(rows, r, *names):
+    """Indices of the rows that share row r's values of the named fields."""
+    key = [rows[r].split(",")[_FIELDS.index(n)] for n in names]
+    return [i for i, row in enumerate(rows) if [row.split(",")[_FIELDS.index(n)] for n in names] == key]
+
+
+# One fault each, injected at row r of a sorted dataset CSV body.
+_FAULTS = {
+    "none": lambda rs, r: rs,
+    "label": lambda rs, r: _set(rs, [r], label=lambda c: c + 1),
+    "repeat": lambda rs, r: rs[: r + 1] + _set([rs[r]], [0], lower="9.5") + rs[r + 1 :],
+    "drop": lambda rs, r: rs[:r] + rs[r + 1 :],
+    "shift-t": lambda rs, r: _set(rs, _same(rs, r, "item", "dim"), t=lambda t: t + 1),
+    "non-finite": lambda rs, r: _set(rs, [r], **{("lower", "upper")[r % 2]: ("inf", "nan", "-inf")[r % 3]}),
+    "label-below-1": lambda rs, r: _set(rs, _same(rs, r, "item"), label=r % 2 - 1),
+    "item-id": lambda rs, r: _set(rs, _same(rs, r, "item"), item=lambda i: -7 - i),
+    "dim-id": lambda rs, r: _set(rs, _same(rs, r, "item", "dim"), dim=lambda j: j + 5),
+    "drop-group": lambda rs, r: [row for i, row in enumerate(rs) if i not in _same(rs, r, "item", "dim")],
+    "fields": lambda rs, r: rs[:r] + [rs[r] + ",1"] + rs[r + 1 :],
+    "malformed": lambda rs, r: _set(rs, [r], t="1.5"),
+}
+
+
 class TestCsvLoader:
     @pytest.mark.parametrize("make", [lambda: _uni(120, 150), lambda: _c1(10, 150)])
     def test_benchmark_shapes(self, tmp_path, make):
@@ -496,6 +570,68 @@ class TestCsvLoader:
         with pytest.raises(ValueError) as got:
             iv.load_dataset_csv(path)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda rs: _set(rs, [7], label="2"),  # a label change mid-item
+            lambda rs: rs[:8] + _set([rs[7]], [0], lower="9.5") + rs[8:],  # last kept
+            lambda rs: _set(rs, range(25, 30), t=lambda t: t + 1),  # t from 1
+            lambda rs: _set(rs, [25], t="-1"),  # t from -1, skipping 0
+            lambda rs: rs[:32] + rs[33:],  # a gap
+            lambda rs: _set(rs, range(75), item=lambda i: (-4, 3, 10)[i]),
+            lambda rs: _set(rs, range(75), dim=lambda j: (3, 7, 8, 12, 20)[j]),
+            lambda rs: rs[:45] + rs[50:],  # item 1 has one dim fewer
+            lambda rs: [r for r in rs if r.split(",")[0] != "2" or r.split(",")[2] != "4"],
+            lambda rs: _set(rs, [74], lower="inf"),
+            lambda rs: _set(rs, range(50, 75), label="0"),
+            lambda rs: _set(_set(rs, range(50, 75), label="0"), range(25), label="-1"),
+        ],
+        ids=["label-mid-item", "repeated-row", "t-from-1", "t-from-minus-1", "gap", "item-ids",
+             "dims-3-and-7", "dim-fewer", "shorter-item", "non-finite-last", "label-0",
+             "labels-0-and-negative"],
+    )
+    def test_sorted_file_faults(self, tmp_path, mutate):
+        """Faults in files that stay in (item, dim, t) order, where the loader
+        checks each row against the one before it."""
+        path = tmp_path / "ds.csv"
+        iv.save_dataset_csv(_c1(1, 5), path)  # 3 items x 5 dims x T = 5, labels 1, 2, 3
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header] + mutate(rows)) + "\n")
+        assert_loads_as_reference(path)
+
+    def test_saved_file_is_not_sorted(self, tmp_path, monkeypatch):
+        path = tmp_path / "ds.csv"
+        iv.save_dataset_csv(_c1(2, 7), path)
+        monkeypatch.setattr(np, "lexsort", None)
+        assert np.array_equal(iv.load_dataset_csv(path).bounds, _c1(2, 7).bounds)
+
+    def test_property_one_fault(self, tmp_path):
+        """A file, shuffled or not, with at most one injected fault loads as
+        the reference does: the same dataset, or the same error text."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        path = tmp_path / "ds.csv"
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(
+            n=st.integers(1, 4), d=st.integers(1, 3), T=st.integers(1, 5),
+            fault=st.sampled_from(sorted(_FAULTS)), at=st.integers(0, 10**6),
+            shuffle=st.booleans(), seed=st.integers(0, 2**16),
+        )
+        def check(n, d, T, fault, at, shuffle, seed):
+            rng = np.random.default_rng(seed)
+            bounds = rng.standard_normal((n, d, T, 2)).round(3)
+            labels = rng.integers(1, 4, size=n)
+            iv.save_dataset_csv(iv.LabeledDataset.from_arrays(bounds, labels, 3, d > 1), path)
+            header, *rows = path.read_text().splitlines()
+            rows = _FAULTS[fault](rows, at % len(rows))
+            if shuffle:
+                random.Random(seed).shuffle(rows)
+            path.write_text("\n".join([header] + rows) + "\n")
+            assert_loads_as_reference(path)
+
+        check()
 
     @pytest.mark.parametrize("make", [lambda: _uni(120, 150), lambda: _c1(10, 150)])
     def test_writer_same_bytes(self, tmp_path, make):
