@@ -36,8 +36,8 @@ _NAMES = {
     ),
     "classify": (
         "FeatureConfig", "LinearClassifier", "accuracy", "empirical_phi_risk",
-        "featurize", "knn_classify", "knn_predict", "load_model", "predict",
-        "save_model", "score", "train",
+        "featurize", "knn_classify", "load_model", "predict", "save_model", "score",
+        "train",
     ),
     "theory": (
         "RademacherEstimate", "RiskBoundInputs", "empirical_offset_rademacher",

@@ -42,8 +42,8 @@ if TYPE_CHECKING:  # annotations only: theory -> classify loads neither module
     from .imaging import RecurrenceImage
 
 # Bytes in one block of temporaries (2 MiB), read at call time by the k-NN
-# scan, the draws of theory.empirical_offset_rademacher and the classify
-# command's image blocks; a block holds at least one item.
+# scan, the draws of theory.empirical_offset_rademacher and the image blocks
+# of feature_matrix; a block holds at least one item.
 BLOCK_BYTES = 1 << 21
 
 
@@ -138,6 +138,50 @@ def featurize_stack(stack, cfg: FeatureConfig, out: np.ndarray | None = None) ->
         if norm > cfg.normalize_cap:
             z *= cfg.normalize_cap / norm
     return out
+
+
+def feature_matrix(images, n: int, cfg: FeatureConfig) -> np.ndarray:
+    """The (n, p) float64 matrix whose row i is the feature vector of the i-th
+    of the n (N, N) pixel arrays that the iterable `images` yields.
+
+    Each array is copied into a uint8 block of images of one size and at most
+    ``BLOCK_BYTES`` (read at call time) before the next is taken, so a source
+    may reuse one buffer.  A block is featurized straight into its rows when
+    it is full, when the image size changes and at the end.  A block grid
+    finer than an image raises BlockGridInvalid at that image.  Features of
+    different lengths (``flatten`` of images of several sizes), or a count
+    other than n, raise LengthMismatch once `images` is exhausted, so an
+    error that the source raises later comes first.
+    """
+    X = block = lengths = None
+    held = done = count = 0  # images in the block, rows of X written, images taken
+    for pixels in images:
+        count += 1
+        size = len(pixels)
+        p = cfg.length(size)
+        if X is None:
+            X = np.empty((n, p))
+        if p != X.shape[1]:
+            lengths = lengths or sorted({p, X.shape[1]})
+        if lengths or count > n:
+            continue
+        if held and (held == len(block) or size != block.shape[1]):
+            featurize_stack(block[:held], cfg, out=X[done : done + held])
+            done, held = done + held, 0
+        if block is None or size != block.shape[1]:
+            block = np.empty((max(1, BLOCK_BYTES // (size * size)), size, size), dtype=np.uint8)
+        block[held] = pixels
+        held += 1
+    if lengths:
+        raise LengthMismatch(
+            f"items give features of different lengths {lengths}; "
+            "--feature-mode flatten needs images of one size"
+        )
+    if count != n:
+        raise LengthMismatch(f"{count} images for a matrix of n = {n} rows")
+    if held:
+        featurize_stack(block[:held], cfg, out=X[done:])
+    return np.empty((0, 0)) if X is None else X
 
 
 def featurize(img: RecurrenceImage, cfg: FeatureConfig) -> np.ndarray:
@@ -405,13 +449,6 @@ def knn_rows(X: np.ndarray, labels: list[int], Q, k: int, kernel: Kernel2x2) -> 
     return preds
 
 
-def knn_predict(train: LabeledDataset, queries, k: int, kernel: Kernel2x2) -> list[int]:
-    """:func:`knn_classify` for each query series, in query order."""
-    X = train.bounds
-    grids = [_query_grid(q, X, train.multivariate) for q in queries]
-    return knn_rows(X, train.labels(), grids, k, kernel)
-
-
 def knn_classify(
     train: LabeledDataset, query, k: int, kernel: Kernel2x2
 ) -> int:
@@ -421,7 +458,8 @@ def knn_classify(
     Vote ties break to the class with the smallest total distance among its
     voting neighbors, then to the lowest class id.
     """
-    return knn_predict(train, [query], k, kernel)[0]
+    X = train.bounds
+    return knn_rows(X, train.labels(), [_query_grid(query, X, train.multivariate)], k, kernel)[0]
 
 
 def accuracy(predictions, labels) -> float:

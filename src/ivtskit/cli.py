@@ -26,7 +26,6 @@ from .errors import BlockGridInvalid, IvtsError, NegativeSquaredDistance, NonFin
 if TYPE_CHECKING:  # annotations only
     import numpy as np
 
-    from . import classify as clf_mod
     from .imaging import TrajectoryConfig
 
 EXIT_OK = 0
@@ -420,65 +419,6 @@ def cmd_image(eff: dict) -> None:
 # classify
 
 
-class _FeatureRows:
-    """The (n, p) feature matrix of n images given one at a time in item order.
-
-    The images are kept in a uint8 block of one image size and at most
-    classify.BLOCK_BYTES, which is featurized straight into its rows of the
-    matrix when it is full, when the image size changes, and at the end.
-    """
-
-    def __init__(self, n: int, fc: clf_mod.FeatureConfig) -> None:
-        self.n, self.fc = n, fc
-        self.X = None
-        self.block = None
-        self.held = 0  # images in the block
-        self.done = 0  # rows of X written
-        self.lengths = None  # the first two feature lengths found to differ
-
-    def add(self, pixels: np.ndarray) -> None:
-        import numpy as np
-
-        from . import classify as clf_mod
-
-        size = len(pixels)
-        p = self.fc.length(size)  # a bad block grid is raised at its item
-        if self.X is None:
-            self.X = np.empty((self.n, p))
-        if p != self.X.shape[1]:
-            self.lengths = self.lengths or sorted({p, self.X.shape[1]})
-        if self.lengths:
-            return
-        if self.block is None or self.block.shape[1] != size:
-            self._flush()
-            rows = max(1, clf_mod.BLOCK_BYTES // (size * size))
-            self.block = np.empty((rows, size, size), dtype=np.uint8)
-        elif self.held == len(self.block):
-            self._flush()
-        self.block[self.held] = pixels
-        self.held += 1
-
-    def _flush(self) -> None:
-        from . import classify as clf_mod
-
-        if self.held:
-            rows = self.X[self.done : self.done + self.held]
-            clf_mod.featurize_stack(self.block[: self.held], self.fc, out=rows)
-            self.done += self.held
-            self.held = 0
-
-    def matrix(self) -> np.ndarray:
-        """The filled matrix; features of different lengths are a data error,
-        reported only here so that errors in reading come first."""
-        if self.lengths:
-            raise DataError(
-                f"items give features of different lengths {self.lengths}; "
-                "--feature-mode flatten needs images of one size"
-            )
-        self._flush()
-        return self.X
-
-
 def _permute_rows(X: np.ndarray, src: np.ndarray) -> None:
     """Set X[j] = X[src[j]] for every row j at once, in place: each cycle of
     the permutation is followed with one row buffer."""
@@ -529,9 +469,10 @@ def _check_labels(labels: list[int], where, linear: bool) -> None:
         raise DataError(f"{where}: every item has label 1; the linear model needs two classes")
 
 
-def _load_image_features(images_dir: Path, fc: clf_mod.FeatureConfig):
-    import numpy as np
-
+def _index_images(images_dir: Path, labels: list[int]):
+    """The number of images that the directory's index.csv lists, and a
+    generator of their pixels in index order.  The generator appends each
+    image's label to `labels` and checks the labels after the last image."""
     from . import imaging as img_mod
 
     index = images_dir / "index.csv"
@@ -541,47 +482,32 @@ def _load_image_features(images_dir: Path, fc: clf_mod.FeatureConfig):
         raise DataError(f"cannot read {index}: {e}") from e
     if not lines or lines[0] != "file,item,label":
         raise DataError(f"{index}: expected header file,item,label")
-    rows, labels = _FeatureRows(len(lines) - 1, fc), []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise DataError(f"{index}:{lineno}: expected 3 fields")
-        name, _, label = parts
-        try:
-            labels.append(int(label))
-        except ValueError:
-            raise DataError(f"{index}:{lineno}: bad label {label!r}") from None
-        path = images_dir / name
-        try:
-            img = (
-                img_mod.load_pgm(path)
-                if path.suffix == ".pgm"
-                else img_mod.load_csv_image(path)
-            )
-        except (OSError, ValueError) as e:
-            raise DataError(f"{path}: {e}") from e
-        rows.add(img.pixels)
-    if not labels:
-        raise DataError(f"{index}: no images listed")
-    _check_labels(labels, index, linear=True)
-    return rows.matrix(), np.array(labels)
 
+    def pixels():
+        for lineno, line in enumerate(lines[1:], start=2):
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise DataError(f"{index}:{lineno}: expected 3 fields")
+            name, _, label = parts
+            try:
+                labels.append(int(label))
+            except ValueError:
+                raise DataError(f"{index}:{lineno}: bad label {label!r}") from None
+            path = images_dir / name
+            try:
+                img = (
+                    img_mod.load_pgm(path)
+                    if path.suffix == ".pgm"
+                    else img_mod.load_csv_image(path)
+                )
+            except (OSError, ValueError) as e:
+                raise DataError(f"{path}: {e}") from e
+            yield img.pixels
+        if not labels:
+            raise DataError(f"{index}: no images listed")
+        _check_labels(labels, index, linear=True)
 
-def _data_features(ds, cfg: TrajectoryConfig, kernel, fc) -> np.ndarray:
-    """The feature matrix of a dataset, each item imaged straight into it."""
-    from . import imaging as img_mod
-
-    rows = _FeatureRows(len(ds), fc)
-    grid_error = None
-    for pixels in img_mod.image_grids(ds.bounds, cfg, kernel):
-        try:
-            if grid_error is None:
-                rows.add(pixels)
-        except BlockGridInvalid as e:
-            grid_error = e  # raised once every item is imaged, as when imaging came first
-    if grid_error is not None:
-        raise grid_error
-    return rows.matrix()
+    return len(lines) - 1, pixels()
 
 
 def cmd_classify(eff: dict) -> None:
@@ -614,7 +540,10 @@ def cmd_classify(eff: dict) -> None:
         except (ValueError, BlockGridInvalid) as e:
             raise NumericError(str(e)) from e
     if eff["images"] is not None:
-        X, y = _load_image_features(Path(eff["images"]), fc)
+        labels: list[int] = []
+        n, pixels = _index_images(Path(eff["images"]), labels)
+        X = clf_mod.feature_matrix(pixels, n, fc)
+        y = np.array(labels)
         # the images were rendered by the image command, not with --kernel
         kernel_text = _images_kernel(Path(eff["images"]))
     else:
@@ -624,7 +553,16 @@ def cmd_classify(eff: dict) -> None:
         if knn:
             bounds = ds.bounds  # the k-NN scan reads the series
         else:
-            X = _data_features(ds, _trajectory_config(eff), kernel, fc)
+            from . import imaging as img_mod
+
+            images = img_mod.image_grids(ds.bounds, _trajectory_config(eff), kernel)
+            try:
+                X = clf_mod.feature_matrix(images, len(ds), fc)
+            except BlockGridInvalid:
+                for _ in images:  # every item is imaged before a bad grid is reported
+                    pass
+                raise
+            del images  # it holds the bounds
         del ds  # the run loop reads only X or bounds, and y
 
     report_rows = []

@@ -39,9 +39,21 @@ def _require_positive(**values: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {v}")
 
 
+def _g(ell: float, c_A: float, c_B: float, c_Z: float) -> float:
+    """g = 4 ell (c_A c_Z + c_B); a g that overflows is a ValueError naming
+    ell and the caps, not an infinite bound or a varrho of 0.0."""
+    g = 4.0 * ell * (c_A * c_Z + c_B)
+    if not math.isfinite(g):
+        raise ValueError(
+            f"g = 4 ell (c_A c_Z + c_B) overflows at ell={ell}, c_A={c_A}, c_B={c_B}, c_Z={c_Z}"
+        )
+    return g
+
+
 def g_bounds(ell: float, c_A: float, c_Z: float, c_B: float) -> tuple[float, float]:
     """(single, pair) pointwise bounds: 2 ell (c_A c_Z + c_B) and twice that."""
     _require_positive(ell=ell, c_A=c_A, c_Z=c_Z, c_B=c_B)
+    _g(ell, c_A, c_B, c_Z)
     single = 2.0 * ell * (c_A * c_Z + c_B)
     return single, 2.0 * single
 
@@ -82,7 +94,7 @@ def offset_rademacher_bound(inputs: RiskBoundInputs) -> float:
 def optimal_varrho(ell: float, c_A: float, c_B: float, c_Z: float) -> float:
     """The offset parameter the excess-risk bound fixes: 1 / (4 ell (c_A c_Z + c_B))."""
     _require_positive(ell=ell, c_A=c_A, c_B=c_B, c_Z=c_Z)
-    return 1.0 / (4.0 * ell * (c_A * c_Z + c_B))
+    return 1.0 / _g(ell, c_A, c_B, c_Z)
 
 
 def excess_risk_bound(

@@ -965,6 +965,18 @@ class TestBound:
         assert_one_line_error(out, 4, f"numeric error: {name} must be finite")
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("flags", [
+        ("--ell", "1e308", "--c-a", "1e308", "--varrho", "0.5"),
+        ("--ell", "1e308", "--c-a", "1e308"),
+        ("--c-a", "1e200", "--c-z", "1e200"),
+    ])
+    def test_overflowing_g_names_ell_and_the_caps(self, flags):
+        """A g = 4 ell (c_A c_Z + c_B) that overflows is reported as such, not as
+        a --varrho of 0.0 that the user never set."""
+        out = run_cli("bound", "--n", "100", "--log-covering", "10", *flags)
+        assert_one_line_error(out, 4, "numeric error: g = 4 ell (c_A c_Z + c_B) overflows at ell=")
+        assert "varrho" not in out.stderr and out.stdout == ""
+
 
 # An ASCII locale with neither UTF-8 mode nor locale coercion
 C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}

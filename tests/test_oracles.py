@@ -399,8 +399,8 @@ class TestBlockMean:
 
 
 def _check_knn(train, queries, k, kernel):
-    preds = classify.knn_predict(train, queries, k, kernel)
     X = train.bounds
+    preds = classify.knn_rows(X, train.labels(), [as_grid(q) for q in queries], k, kernel)
     for q, pred in zip(queries, preds):
         want, dists = ref_knn(train, q, k, kernel)
         assert pred == want
@@ -432,7 +432,8 @@ class TestKnnScan:
         kernel = iv.kernel_preset("K5")
         want = [ref_knn(train, q, 3, kernel)[0] for q in queries]
         monkeypatch.setattr(classify, "BLOCK_BYTES", 8 * block)  # block floats
-        assert classify.knn_predict(train, queries, 3, kernel) == want
+        grids = [as_grid(q) for q in queries]
+        assert classify.knn_rows(train.bounds, train.labels(), grids, 3, kernel) == want
 
     def test_property(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -465,7 +466,7 @@ class TestKnnScan:
     def test_cli_matches_split_datasets(self, tmp_path, make, self_test, k, fraction, seed,
                                         runs):
         """`classify --mode knn` scans the split's rows of the dataset array;
-        each run reports the accuracy of `knn_predict` on the series of the
+        each run reports the accuracy of `knn_classify` on the series of the
         datasets `train_test_split` makes (the whole dataset under --self-test)."""
         ds = make(6, 20)
         iv.save_dataset_csv(ds, tmp_path / "ds.csv")
@@ -476,7 +477,8 @@ class TestKnnScan:
         want = ["run,kernel,dgp,seed,accuracy"]
         for r in range(runs):
             train, test = (ds, ds) if self_test else iv.train_test_split(ds, fraction, seed + r)
-            preds = classify.knn_predict(train, test.series(), k, iv.kernel_preset("K5"))
+            preds = [classify.knn_classify(train, q, k, iv.kernel_preset("K5"))
+                     for q in test.series()]
             want.append(f"{r},K5,ds,{seed + r},{classify.accuracy(preds, test.labels())!r}")
         assert (tmp_path / "out" / "report.csv").read_text().splitlines() == want
 
@@ -1814,6 +1816,69 @@ class TestClassifyOracle:
 
         check()
 
+    @pytest.mark.parametrize("block, calls", [(1, [1] * 24), (7 * 24 * 24, [7, 7, 7, 3]),
+                                              (classify.BLOCK_BYTES, [24])])
+    @pytest.mark.parametrize("argv", [("--data", "mix.csv", "--epsilon", "0.5"),
+                                      ("--images", "pgm")])
+    def test_block_budget_is_live(self, classify_inputs, tmp_path, monkeypatch, argv, block,
+                                  calls):
+        """The budgets that `test_same_output` sets change how the 24 images
+        are featurized: one block per image at 1 byte, blocks of 7, then one."""
+        seen = []
+        featurize_stack = classify.featurize_stack
+
+        def counted(stack, fc, out=None):
+            seen.append(len(stack))
+            return featurize_stack(stack, fc, out)
+
+        monkeypatch.setattr(classify, "featurize_stack", counted)
+        monkeypatch.setattr(classify, "BLOCK_BYTES", block)
+        argv = [*_inputs(classify_inputs, argv), "--steps", "5"]
+        assert _run_classify(cli.cmd_classify, argv, tmp_path / "out")[0] == 0
+        assert seen == calls
+
+    def test_property_data(self, tmp_path):
+        """Small datasets with at most one fault (an indefinite kernel at one
+        item, --blocks above N, or a missing class id) give the reference's
+        exit code, stdout, stderr and outputs under any block budget."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(
+            n=st.integers(4, 9), d=st.integers(1, 2), T=st.integers(3, 8),
+            mode=st.sampled_from(["flatten", "block_mean"]), blocks=st.integers(1, 3),
+            fault=st.sampled_from([None, "indefinite", "blocks", "class"]),
+            at=st.integers(0, 8), seed=st.integers(0, 2**16),
+            block=st.sampled_from([1, 2 * 8 * 8, 1 << 21]),
+            runs=st.sampled_from(["1", "2", "--self-test"]),
+        )
+        def check(n, d, T, mode, blocks, fault, at, seed, block, runs):
+            # under the kernel 1,2,1 an item's squared distances are negative
+            # only when its intervals are shifted whole (as in `tail.csv`)
+            rng = np.random.default_rng(seed)
+            upper = rng.random((n, d, T, 1)) + 0.1
+            bounds = np.concatenate([np.zeros_like(upper), upper], axis=-1)
+            if fault == "indefinite":
+                bounds[at % n, ..., 0] = upper[at % n, ..., 0] - 0.1
+            labels = np.arange(n) % 2 + 1
+            if fault == "class":
+                labels[labels == 2] = 3
+            if fault == "blocks":
+                mode, blocks = "block_mean", T + 1
+            path = Path(tempfile.mkdtemp(dir=tmp_path)) / "ds.csv"
+            iv.save_dataset_csv(
+                iv.LabeledDataset.from_arrays(bounds, labels, int(labels.max()), d > 1), path)
+            argv = ["--data", path, "--kernel", "1,2,1", "--epsilon", "0.3", "--feature-mode",
+                    mode, "--blocks", blocks, "--steps", "5", "--train-fraction", "0.5"]
+            argv += ["--self-test"] if runs == "--self-test" else ["--runs", runs]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(classify, "BLOCK_BYTES", block)
+                rc, _, err, _ = check_classify(path.parent, argv)
+            assert (rc == 0) == (fault is None), err
+
+        check()
+
 
 class TestFeaturizeStack:
     @pytest.mark.parametrize("N", [1, 7, 30, 150])
@@ -1848,6 +1913,86 @@ class TestFeaturizeStack:
     def test_grid_finer_than_image(self):
         with pytest.raises(BlockGridInvalid, match="block grid 5 exceeds image size 4"):
             classify.featurize_stack(np.zeros((2, 4, 4), np.uint8), iv.FeatureConfig("block_mean", 5))
+
+
+class TestFeatureMatrix:
+    """`feature_matrix` gives each image `featurize_stack`'s row, whatever
+    blocks it featurizes the images in."""
+
+    @staticmethod
+    def rows(images, fc):
+        return np.concatenate([classify.featurize_stack(px[None], fc) for px in images])
+
+    @pytest.mark.parametrize("block", [1, 3 * 30 * 30, classify.BLOCK_BYTES])
+    @pytest.mark.parametrize("mode,q,cap", [("flatten", 1, 20.0), ("block_mean", 7, 0.5),
+                                            ("block_mean", 10, 1.0)])
+    def test_rows_equal_featurize_stack(self, monkeypatch, block, mode, q, cap):
+        rng = np.random.default_rng(q)
+        images = rng.random((10, 30, 30)) < rng.random((10, 1, 1))
+        fc = iv.FeatureConfig(mode, q, normalize_cap=cap)
+        monkeypatch.setattr(classify, "BLOCK_BYTES", block)
+        X = classify.feature_matrix(iter(images), 10, fc)
+        assert X.dtype == np.float64 and np.array_equal(X, self.rows(images, fc))
+
+    @pytest.mark.parametrize("block", [1, 4 * 12 * 12, classify.BLOCK_BYTES])
+    def test_source_reusing_one_buffer(self, monkeypatch, block):
+        """Each array is copied before the next is taken: a source that
+        overwrites one buffer, after its last image too, gives the same rows."""
+        images = np.random.default_rng(1).random((9, 12, 12)) < 0.4
+
+        def reused():
+            buf = np.empty((12, 12), dtype=bool)
+            for pixels in images:
+                buf[...] = pixels
+                yield buf
+                buf[...] = True
+        fc = iv.FeatureConfig("block_mean", 5)
+        monkeypatch.setattr(classify, "BLOCK_BYTES", block)
+        assert np.array_equal(classify.feature_matrix(reused(), 9, fc), self.rows(images, fc))
+
+    @pytest.mark.parametrize("block", [1, 2 * 13 * 13, classify.BLOCK_BYTES])
+    def test_mixed_sizes_under_block_mean(self, monkeypatch, block):
+        rng = np.random.default_rng(2)
+        images = [rng.random((N, N)) < 0.5 for N in (9, 9, 13, 13, 13, 10, 9, 9, 9, 12)]
+        fc = iv.FeatureConfig("block_mean", 4)
+        monkeypatch.setattr(classify, "BLOCK_BYTES", block)
+        X = classify.feature_matrix(images, len(images), fc)
+        assert np.array_equal(X, self.rows(images, fc))
+
+    def test_grid_finer_than_an_image_raised_at_it(self):
+        taken = []
+
+        def source():
+            for N in (6, 6, 3, 6, 6):
+                taken.append(N)
+                yield np.zeros((N, N), dtype=bool)
+        with pytest.raises(BlockGridInvalid, match="^block grid 4 exceeds image size 3$"):
+            classify.feature_matrix(source(), 5, iv.FeatureConfig("block_mean", 4))
+        assert taken == [6, 6, 3]
+
+    def test_flatten_size_mismatch_after_the_source(self):
+        """Features of different lengths are reported once the source is
+        exhausted, so an error that the source raises later comes first."""
+        def source(late_error):
+            for N in (4, 5, 4):
+                yield np.zeros((N, N), dtype=bool)
+            if late_error:
+                raise ValueError("late source error")
+        fc = iv.FeatureConfig("flatten")
+        with pytest.raises(ValueError, match="^late source error$"):
+            classify.feature_matrix(source(True), 3, fc)
+        with pytest.raises(LengthMismatch, match=r"^items give features of different lengths "
+                           r"\[16, 25\]; --feature-mode flatten needs images of one size$"):
+            classify.feature_matrix(source(False), 3, fc)
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_count_other_than_n(self, count):
+        images = np.zeros((count, 3, 3), dtype=bool)
+        with pytest.raises(LengthMismatch, match=f"^{count} images for a matrix of n = 3 rows$"):
+            classify.feature_matrix(images, 3, iv.FeatureConfig("flatten"))
+
+    def test_no_images(self):
+        assert classify.feature_matrix([], 0, iv.FeatureConfig("flatten")).shape == (0, 0)
 
 
 class TestPredictRows:

@@ -1,6 +1,7 @@
 """Tests for the risk-bound calculators and the offset Rademacher estimator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,30 @@ class TestOffsetBound:
             iv.g_bounds(**args)
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             iv.excess_risk_bound(n=10, log_covering=1.0, **args)
+
+    @pytest.mark.parametrize("args", [
+        {"ell": 1e308, "c_A": 1e308, "c_B": 1.0, "c_Z": 1.0},
+        {"ell": 1.0, "c_A": 1e200, "c_B": 1.0, "c_Z": 1e200},
+        {"ell": 1.0, "c_A": 1.0, "c_B": 1e308, "c_Z": 1.0},
+    ])
+    def test_overflowing_g_names_ell_and_the_caps(self, args):
+        """Finite inputs whose g = 4 ell (c_A c_Z + c_B) overflows: no varrho of
+        0.0 and no infinite g bounds."""
+        named = re.escape(", ".join(f"{k}={v!r}" for k, v in args.items()))
+        with pytest.raises(ValueError, match=f"overflows at {named}$"):
+            iv.optimal_varrho(**args)
+        with pytest.raises(ValueError, match=f"overflows at {named}$"):
+            iv.g_bounds(**args)
+        with pytest.raises(ValueError, match=f"overflows at {named}$"):
+            iv.excess_risk_bound(n=10, log_covering=1.0, **args)
+
+    def test_largest_finite_g_passes(self):
+        # g = 4 * 2**1021 * (1 + 1) = 2**1024 overflows; 2**1020 does not
+        ell = 2.0 ** 1020 / 8
+        assert iv.optimal_varrho(ell, 1.0, 1.0, 1.0) == 2.0 ** -1020
+        assert iv.g_bounds(ell, 1.0, 1.0, 1.0) == (2.0 ** 1019, 2.0 ** 1020)
+        with pytest.raises(ValueError, match="overflows"):
+            iv.g_bounds(2.0 ** 1021, 1.0, 1.0, 1.0)
 
 
 class TestExcessRiskBound:
