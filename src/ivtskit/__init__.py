@@ -15,9 +15,8 @@ import importlib.util
 # Each submodule and the public names it provides.
 _NAMES = {
     "errors": (
-        "BlockGridInvalid", "DimMismatch", "DimensionMismatch", "EmptyInput",
-        "IvtsError", "LengthMismatch", "NegativeSquaredDistance", "NonFinite",
-        "SeriesTooShort",
+        "BlockGridInvalid", "DimensionMismatch", "EmptyInput", "IvtsError",
+        "LengthMismatch", "NegativeSquaredDistance", "NonFinite", "SeriesTooShort",
     ),
     "intervals": (
         "Interval", "IntervalSeries", "Kernel2x2", "KERNEL_PRESETS", "MvIntervalSeries",

@@ -28,13 +28,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 
 from .defaults import LOSS_NAMES
-from .errors import (
-    BlockGridInvalid,
-    DimMismatch,
-    DimensionMismatch,
-    EmptyInput,
-    LengthMismatch,
-)
+from .errors import BlockGridInvalid, DimensionMismatch, EmptyInput, LengthMismatch
 from .intervals import Kernel2x2, MvIntervalSeries, as_grid, pointwise_dk_squared
 
 if TYPE_CHECKING:  # annotations only: theory -> classify loads neither module
@@ -241,7 +235,7 @@ def score(clf: LinearClassifier, z) -> np.ndarray:
     """Length-C score vector A_Y^T z + B_Y."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (clf.dim,):
-        raise DimMismatch(f"feature has shape {z.shape}, classifier expects ({clf.dim},)")
+        raise DimensionMismatch(f"feature has shape {z.shape}, classifier expects ({clf.dim},)")
     return clf.weights @ z + clf.biases
 
 
@@ -252,7 +246,7 @@ def predict(clf: LinearClassifier, z) -> int:
 
 def _rows(clf: LinearClassifier, features: np.ndarray) -> np.ndarray:
     if features.ndim != 2 or features.shape[1] != clf.dim:
-        raise DimMismatch(
+        raise DimensionMismatch(
             f"features have shape {features.shape}, classifier expects (*, {clf.dim})"
         )
     return features

@@ -371,7 +371,7 @@ def cmd_ingest(eff: dict) -> None:
     if not grids:
         raise DataError("no complete windows; input too short for the window length")
 
-    ds = dgp_mod.LabeledDataset.from_arrays(
+    ds = dgp_mod.LabeledDataset(
         np.stack(grids), window_labels, len(label_map), multivariate=grids[0].shape[0] > 1
     )
     out = Path(eff["out"])

@@ -29,7 +29,7 @@ import numpy as np
 
 from .defaults import DEFAULT_PER_CLASS, DEFAULT_RHO_GRID, DEFAULT_T
 from .errors import DimensionMismatch, LengthMismatch, NonFinite
-from .intervals import IntervalSeries, MvIntervalSeries, as_grid, from_grid
+from .intervals import IntervalSeries, MvIntervalSeries, from_grid
 
 AnySeries = Union[IntervalSeries, MvIntervalSeries]
 
@@ -73,15 +73,14 @@ class DgpConfig:
     """Parameters shared by the three generators.
 
     ``truncation_L`` only affects process 1 (where the coefficient series is
-    cut off) and ``burn_in`` only affects process 2.  ``seed`` documents the
-    base seed of the run; generators take an explicit RNG.
+    cut off) and ``burn_in`` only affects process 2.  Generators take an
+    explicit RNG.
     """
 
     rho: float = 0.0
     T: int = DEFAULT_T
     truncation_L: int = 100
     burn_in: int = 100
-    seed: int = 0
 
     def __post_init__(self) -> None:
         _check_rho(self.rho)
@@ -159,67 +158,41 @@ def gen_dgp3(cfg: DgpConfig, rng: np.random.Generator) -> np.ndarray:
 _GENERATORS: dict[int, Callable[..., np.ndarray]] = {1: gen_dgp1, 2: gen_dgp2, 3: gen_dgp3}
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """n series of one dimension count d and one length T with 1-based class
-    labels: ``bounds``, a read-only float64 (n, d, T, 2) array, and
-    ``label_ids``, a read-only int64 (n,) vector.  ``multivariate`` says whether
-    the items are MvIntervalSeries or, with d = 1, IntervalSeries."""
+    labels: ``bounds``, a read-only float64 (n, d, T, 2) array, kept without a
+    copy when it is float64 (treat it as handed over), and ``label_ids``, a
+    read-only int64 (n,) vector.  ``multivariate`` says whether the items are
+    MvIntervalSeries or, with d = 1, IntervalSeries."""
 
     bounds: np.ndarray
     label_ids: np.ndarray
     n_classes: int
     multivariate: bool
 
-    def __init__(self, items, n_classes: int) -> None:
-        """Stack (series, label) pairs.  Raises DimensionMismatch when the
-        items mix univariate and multivariate series or differ in d, and
-        LengthMismatch when they differ in T."""
-        items = tuple(items)
-        if not items:
-            raise ValueError("a labeled dataset must be nonempty")
-        kinds = {isinstance(s, MvIntervalSeries) for s, _ in items}
-        if len(kinds) > 1:
-            raise DimensionMismatch("cannot mix univariate and multivariate series")
-        grids = [as_grid(s) for s, _ in items]
-        dims = sorted({g.shape[0] for g in grids})
-        if len(dims) > 1:
-            raise DimensionMismatch(f"series dimensions differ: {dims}")
-        lengths = sorted({g.shape[1] for g in grids})
-        if len(lengths) > 1:
-            raise LengthMismatch(f"series lengths differ: {lengths}")
-        self._set(np.stack(grids), [label for _, label in items], n_classes, kinds.pop())
-
-    @classmethod
-    def from_arrays(cls, bounds, label_ids, n_classes: int, multivariate: bool) -> "LabeledDataset":
-        """A dataset over (n, d, T, 2) `bounds`, which it keeps without a copy
-        when they are float64 (treat them as handed over), and (n,) labels."""
-        ds = cls.__new__(cls)
-        ds._set(bounds, label_ids, n_classes, multivariate)
-        return ds
-
-    def _set(self, bounds, label_ids, n_classes: int, multivariate: bool) -> None:
-        bounds = np.asarray(bounds, dtype=np.float64).view()
-        label_ids = np.array(label_ids, dtype=np.int64)
+    def __post_init__(self) -> None:
+        bounds = np.asarray(self.bounds, dtype=np.float64).view()
+        label_ids = np.array(self.label_ids, dtype=np.int64)
         if bounds.ndim != 4 or bounds.shape[3] != 2 or 0 in bounds.shape:
             raise ValueError(f"bounds must be (n, d, T, 2) with n, d, T >= 1, got {bounds.shape}")
-        if not multivariate and bounds.shape[1] != 1:
+        if not self.multivariate and bounds.shape[1] != 1:
             raise DimensionMismatch(f"univariate items need d = 1, got d = {bounds.shape[1]}")
         if label_ids.shape != bounds.shape[:1]:
             raise LengthMismatch(f"{label_ids.shape} labels for {bounds.shape[0]} items")
-        if n_classes < 1:
+        if self.n_classes < 1:
             raise ValueError("a labeled dataset needs at least one class")
-        outside = label_ids[(label_ids < 1) | (label_ids > n_classes)]
+        outside = label_ids[(label_ids < 1) | (label_ids > self.n_classes)]
         if outside.size:
-            raise ValueError(f"label {outside[0]} outside the valid range 1..{n_classes}")
+            raise ValueError(f"label {outside[0]} outside the valid range 1..{self.n_classes}")
         if not np.isfinite(bounds).all():
             raise NonFinite("interval series bounds must be finite")
         bounds.setflags(write=False)
         label_ids.setflags(write=False)
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "label_ids", label_ids)
-        object.__setattr__(self, "n_classes", int(n_classes))
-        object.__setattr__(self, "multivariate", bool(multivariate))
+        object.__setattr__(self, "n_classes", int(self.n_classes))
+        object.__setattr__(self, "multivariate", bool(self.multivariate))
 
     def __len__(self) -> int:
         return self.bounds.shape[0]
@@ -230,10 +203,6 @@ class LabeledDataset:
     def series(self) -> list[AnySeries]:
         """One series per item, each a view of ``bounds``."""
         return [from_grid(g, self.multivariate) for g in self.bounds]
-
-    @property
-    def items(self) -> tuple[tuple[AnySeries, int], ...]:
-        return tuple(zip(self.series(), self.labels()))
 
     def class_counts(self) -> dict[int, int]:
         values, counts = np.unique(self.label_ids, return_counts=True)
@@ -269,8 +238,8 @@ def _build(classes: Sequence[Sequence[tuple[int, float]]], per_class_n: int, T: 
     if per_class_n < 1:
         raise ValueError("per_class_n must be >= 1")
     gens = [
-        [(dgp_id, DgpConfig(rho=rho, T=T, truncation_L=truncation_L, burn_in=burn_in,
-                            seed=seed)) for dgp_id, rho in dims]
+        [(dgp_id, DgpConfig(rho=rho, T=T, truncation_L=truncation_L, burn_in=burn_in))
+         for dgp_id, rho in dims]
         for dims in classes
     ]
     bounds = np.empty((len(classes) * per_class_n, len(classes[0]), T, 2))
@@ -283,7 +252,7 @@ def _build(classes: Sequence[Sequence[tuple[int, float]]], per_class_n: int, T: 
             block[..., 0] = cr[..., 0] - cr[..., 1]
             block[..., 1] = cr[..., 0] + cr[..., 1]
     labels = np.repeat(np.arange(1, len(classes) + 1), per_class_n)
-    return LabeledDataset.from_arrays(bounds, labels, len(classes), multivariate)
+    return LabeledDataset(bounds, labels, len(classes), multivariate)
 
 
 def build_univariate_dataset(
@@ -374,7 +343,7 @@ def train_test_split(
     """Stratified random split into an exact (disjoint, exhaustive) partition."""
     train_idx, test_idx = split_indices(ds.labels(), train_fraction, seed)
     return tuple(
-        LabeledDataset.from_arrays(ds.bounds[idx], ds.label_ids[idx], ds.n_classes, ds.multivariate)
+        LabeledDataset(ds.bounds[idx], ds.label_ids[idx], ds.n_classes, ds.multivariate)
         for idx in (train_idx, test_idx)
     )
 
@@ -539,4 +508,4 @@ def load_dataset_csv(path) -> LabeledDataset:
     below 1.
     """
     bounds, labels = _load_arrays(path)
-    return LabeledDataset.from_arrays(bounds, labels, int(labels.max()), multivariate=bounds.shape[1] > 1)
+    return LabeledDataset(bounds, labels, int(labels.max()), multivariate=bounds.shape[1] > 1)

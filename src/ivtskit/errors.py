@@ -25,10 +25,6 @@ class DimensionMismatch(IvtsError):
     """A per-dimension argument does not match the data's dimension count."""
 
 
-# Classifier-facing alias for the same failure mode (feature/weight dims).
-DimMismatch = DimensionMismatch
-
-
 class BlockGridInvalid(IvtsError):
     """The block-mean grid size is incompatible with the image size."""
 

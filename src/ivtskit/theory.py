@@ -54,7 +54,7 @@ def g_bounds(ell: float, c_A: float, c_Z: float, c_B: float) -> tuple[float, flo
     """(single, pair) pointwise bounds: 2 ell (c_A c_Z + c_B) and twice that."""
     _require_positive(ell=ell, c_A=c_A, c_Z=c_Z, c_B=c_B)
     _g(ell, c_A, c_B, c_Z)
-    single = 2.0 * ell * (c_A * c_Z + c_B)
+    single = 2.0 * ell * (c_A * c_Z + c_B)  # not g / 2, which rounds twice when subnormal
     return single, 2.0 * single
 
 
@@ -84,11 +84,22 @@ class RiskBoundInputs:
             raise ValueError(f"log_covering must be finite and >= 0, got {self.log_covering}")
 
 
+def _finite(value: float, inputs: RiskBoundInputs) -> float:
+    """`value`, or a ValueError naming varrho, n and logN when it overflows."""
+    if not math.isfinite(value):
+        raise ValueError(
+            f"the bound overflows at varrho={inputs.varrho}, n={inputs.n}, "
+            f"log_covering={inputs.log_covering}"
+        )
+    return value
+
+
 def offset_rademacher_bound(inputs: RiskBoundInputs) -> float:
-    """(1 + logN) / (2 varrho n) + g (1 + varrho g) with g = 4 ell (c_A c_Z + c_B)."""
-    g = 4.0 * inputs.ell * (inputs.c_A * inputs.c_Z + inputs.c_B)
+    """(1 + logN) / (2 varrho n) + g (1 + varrho g) with g = 4 ell (c_A c_Z + c_B);
+    a bound that overflows is a ValueError naming varrho, n and logN."""
+    g = _g(inputs.ell, inputs.c_A, inputs.c_B, inputs.c_Z)
     first = (1.0 + inputs.log_covering) / (2.0 * inputs.varrho * inputs.n)
-    return first + g * (1.0 + inputs.varrho * g)
+    return _finite(first + g * (1.0 + inputs.varrho * g), inputs)
 
 
 def optimal_varrho(ell: float, c_A: float, c_B: float, c_Z: float) -> float:
@@ -105,7 +116,7 @@ def excess_risk_bound(
     inputs = RiskBoundInputs(
         ell=ell, c_A=c_A, c_B=c_B, c_Z=c_Z, n=n, log_covering=log_covering, varrho=varrho
     )
-    return 4.0 * offset_rademacher_bound(inputs)
+    return _finite(4.0 * offset_rademacher_bound(inputs), inputs)
 
 
 def heuristic_log_covering(

@@ -9,10 +9,11 @@ import ivtskit as iv
 from ivtskit.classify import LOSSES, FeatureConfig, LinearClassifier, loss_entry
 from ivtskit.errors import (
     BlockGridInvalid,
-    DimMismatch,
+    DimensionMismatch,
     EmptyInput,
     LengthMismatch,
 )
+from ivtskit.intervals import as_grid
 
 K4 = iv.kernel_preset("K4")
 
@@ -107,7 +108,7 @@ class TestScorePredict:
 
     def test_dim_mismatch(self):
         clf = LinearClassifier.zeros(2, 3)
-        with pytest.raises(DimMismatch):
+        with pytest.raises(DimensionMismatch):
             iv.score(clf, np.zeros(4))
 
     def test_bias_shift_leaves_prediction(self):
@@ -307,17 +308,14 @@ class TestLipschitzAndBoundedness:
 
 
 def _one_step_dataset(values, labels):
-    items = tuple(
-        (iv.IntervalSeries([iv.Interval(v, v)]), label)
-        for v, label in zip(values, labels)
-    )
-    return iv.LabeledDataset(items, n_classes=max(labels))
+    grids = [as_grid(iv.IntervalSeries([iv.Interval(v, v)])) for v in values]
+    return iv.LabeledDataset(np.stack(grids), labels, n_classes=max(labels), multivariate=False)
 
 
 class TestKnn:
     def test_self_match(self):
         ds = _one_step_dataset([0.0, 1.0, 2.0], [1, 2, 2])
-        for series, label in ds.items:
+        for series, label in zip(ds.series(), ds.labels()):
             assert iv.knn_classify(ds, series, 1, K4) == label
 
     def test_uniform_labels(self):
@@ -353,8 +351,8 @@ class TestKnn:
                 ]
             )
 
-        items = ((mv(0, 0), 1), (mv(3, 3), 2))
-        ds = iv.LabeledDataset(items, n_classes=2)
+        grids = np.stack([as_grid(mv(0, 0)), as_grid(mv(3, 3))])
+        ds = iv.LabeledDataset(grids, [1, 2], n_classes=2, multivariate=True)
         # dim 1 favors class 2, dim 2 favors class 1; the sum favors class 1
         query = mv(2.0, 0.5)
         assert iv.knn_classify(ds, query, 1, K4) == 1
@@ -362,9 +360,9 @@ class TestKnn:
     def test_k_validation(self):
         ds = _one_step_dataset([0.0, 1.0], [1, 2])
         with pytest.raises(ValueError):
-            iv.knn_classify(ds, ds.items[0][0], 0, K4)
+            iv.knn_classify(ds, ds.series()[0], 0, K4)
         with pytest.raises(ValueError):
-            iv.knn_classify(ds, ds.items[0][0], 3, K4)
+            iv.knn_classify(ds, ds.series()[0], 3, K4)
 
     def test_length_mismatch(self):
         ds = _one_step_dataset([0.0, 1.0], [1, 2])

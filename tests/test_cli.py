@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import ivtskit as iv
+from ivtskit.intervals import as_grid
 
 
 def run_cli(*args, env=None):
@@ -307,7 +308,7 @@ class TestIngest:
         assert "n=2" in out.stdout and "T=30" in out.stdout
         ds = iv.load_dataset_csv(out_csv)
         # daily interval = [i - 1.5, i + 2.5]
-        first = ds.items[0][0]
+        first = ds.series()[0]
         assert first[0] == iv.Interval(-1.5, 2.5)
         assert first[1] == iv.Interval(-0.5, 3.5)
 
@@ -320,7 +321,7 @@ class TestIngest:
         out = run_cli("ingest", "--input", raw, "--out", out_csv, "--window", "3")
         assert out.returncode == 0, out.stderr
         ds = iv.load_dataset_csv(out_csv)
-        assert ds.items[0][0][1] == iv.Interval(1.0, 1.0)
+        assert ds.series()[0][1] == iv.Interval(1.0, 1.0)
 
     def test_missing_dimension_day_dropped_with_warning(self, tmp_path):
         raw, out_csv = tmp_path / "raw.csv", tmp_path / "ds.csv"
@@ -337,7 +338,7 @@ class TestIngest:
         assert "dropped 1 day(s)" in out.stderr
         ds = iv.load_dataset_csv(out_csv)
         assert len(ds) == 1
-        series = ds.items[0][0]
+        series = ds.series()[0]
         assert series.d == 2
         # the retained days are 1, 2, 4, 5
         assert np.array_equal(series.dimension(0).lowers, [0.0, 1.0, 3.0, 4.0])
@@ -403,7 +404,7 @@ class TestIngest:
         out = run_cli("ingest", "--input", raw, "--out", out_csv, "--window", "2")
         assert out.returncode == 0, out.stderr
         ds = iv.load_dataset_csv(out_csv)
-        assert ds.items[0][0][1] == iv.Interval(0.5, 0.5)
+        assert ds.series()[0][1] == iv.Interval(0.5, 0.5)
 
     def test_non_utf8_input_is_one_line_data_error(self, tmp_path):
         raw = tmp_path / "raw.csv"
@@ -509,7 +510,7 @@ class TestImage:
         n, T = 400, 150
         bounds = np.random.default_rng(3).standard_normal((n, 1, T, 2))
         data = tmp_path / "ds.csv"
-        iv.save_dataset_csv(iv.LabeledDataset.from_arrays(bounds, np.arange(n) % 4 + 1, 4, False), data)
+        iv.save_dataset_csv(iv.LabeledDataset(bounds, np.arange(n) % 4 + 1, 4, False), data)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -572,7 +573,8 @@ def _write_separable_dataset(path):
             [iv.Interval(c, c + 0.1)] * 6 + [iv.Interval(100 + c, 100.1 + c)] * 6
         )
         items.append((jumpy, 2))
-    iv.save_dataset_csv(iv.LabeledDataset(tuple(items), 2), path)
+    bounds = np.stack([as_grid(series) for series, _ in items])
+    iv.save_dataset_csv(iv.LabeledDataset(bounds, [label for _, label in items], 2, False), path)
 
 
 def assert_one_line_error(out, code, text):
@@ -976,6 +978,20 @@ class TestBound:
         out = run_cli("bound", "--n", "100", "--log-covering", "10", *flags)
         assert_one_line_error(out, 4, "numeric error: g = 4 ell (c_A c_Z + c_B) overflows at ell=")
         assert "varrho" not in out.stderr and out.stdout == ""
+
+    @pytest.mark.parametrize("flags", [
+        ("--n", "100", "--log-covering", "10", "--varrho", "1e308"),
+        ("--n", "100", "--log-covering", "10", "--varrho", "1e-320"),
+        ("--n", "1", "--log-covering", "1e308"),
+    ])
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_overflowing_bound_names_varrho_n_and_log_covering(self, flags, json_flag):
+        """Finite inputs whose bound overflows are a numeric error, not an
+        `inf` (or, under --json, an `Infinity` that is not JSON) and exit 0."""
+        out = run_cli("bound", *flags, *json_flag)
+        assert_one_line_error(out, 4, "numeric error: the bound overflows at varrho=")
+        assert ", n=" in out.stderr and ", log_covering=" in out.stderr
+        assert out.stdout == ""
 
 
 # An ASCII locale with neither UTF-8 mode nor locale coercion

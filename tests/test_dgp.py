@@ -15,7 +15,7 @@ from ivtskit.dgp import (
     build_dgp_mix_dataset,
     split_indices,
 )
-from ivtskit.errors import DimensionMismatch, LengthMismatch
+from ivtskit.intervals import as_grid
 
 
 class TestResiduals:
@@ -182,7 +182,7 @@ class TestDatasetBuilders:
         assert len(ds) == 2500
         assert ds.n_classes == 5
         assert ds.class_counts() == {c: 500 for c in range(1, 6)}
-        assert len(ds.items[0][0]) == 150
+        assert len(ds.series()[0]) == 150
 
     def test_small_grid(self):
         ds = iv.build_univariate_dataset(2, per_class_n=2, T=12, rho_grid=(0.0, 0.5), seed=3)
@@ -197,13 +197,13 @@ class TestDatasetBuilders:
         ds = iv.build_multivariate_c1(per_class_n=1, T=8, seed=0)
         assert ds.n_classes == 3
         assert len(ds) == 3
-        assert ds.items[0][0].d == 5
+        assert ds.series()[0].d == 5
 
     def test_c2_shape(self):
         ds = iv.build_multivariate_c2(per_class_n=1, T=8, seed=0)
         assert ds.n_classes == 5
         assert len(ds) == 5
-        assert ds.items[0][0].d == 3
+        assert ds.series()[0].d == 3
 
     def test_mix_shape(self):
         ds = build_dgp_mix_dataset(per_class_n=2, T=10, rho=0.7, seed=0)
@@ -228,7 +228,7 @@ class TestDatasetBuilders:
 
     def test_different_items_differ(self):
         ds = iv.build_univariate_dataset(3, per_class_n=2, T=10, rho_grid=(0.7,), seed=5)
-        assert not np.array_equal(ds.items[0][0].bounds, ds.items[1][0].bounds)
+        assert not np.array_equal(ds.series()[0].bounds, ds.series()[1].bounds)
 
 
 class TestSplit:
@@ -273,7 +273,7 @@ class TestCsvRoundTrip:
         loaded = iv.load_dataset_csv(path)
         assert len(loaded) == len(ds)
         assert loaded.labels() == ds.labels()
-        for (s1, _), (s2, _) in zip(loaded.items, ds.items):
+        for s1, s2 in zip(loaded.series(), ds.series()):
             assert np.array_equal(s1.bounds, s2.bounds)
 
     def test_multivariate(self, tmp_path):
@@ -282,7 +282,7 @@ class TestCsvRoundTrip:
         iv.save_dataset_csv(ds, path)
         loaded = iv.load_dataset_csv(path)
         assert loaded.labels() == ds.labels()
-        for (s1, _), (s2, _) in zip(loaded.items, ds.items):
+        for s1, s2 in zip(loaded.series(), ds.series()):
             assert np.array_equal(s1.grid, s2.grid)
 
     def test_rejects_bad_header(self, tmp_path):
@@ -316,7 +316,7 @@ class TestCsvRoundTrip:
         the bounds are filled from them: no sort, no stacked copy."""
         bounds = np.random.default_rng(4).standard_normal((150, 5, 150, 2))  # mv-c1's shape
         path = tmp_path / "ds.csv"
-        iv.save_dataset_csv(iv.LabeledDataset.from_arrays(bounds, np.arange(150) // 50 + 1, 3, True), path)
+        iv.save_dataset_csv(iv.LabeledDataset(bounds, np.arange(150) // 50 + 1, 3, True), path)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -339,34 +339,20 @@ class TestCsvRoundTrip:
 
 class TestLabeledDataset:
     def test_label_range_enforced(self):
-        s = iv.IntervalSeries([iv.Interval(0, 1)])
+        bounds = as_grid(iv.IntervalSeries([iv.Interval(0, 1)]))[None]
         with pytest.raises(ValueError):
-            iv.LabeledDataset(((s, 3),), n_classes=2)
+            iv.LabeledDataset(bounds, [3], n_classes=2, multivariate=False)
         with pytest.raises(ValueError):
-            iv.LabeledDataset((), n_classes=1)
-
-    def test_shape_errors_raise_at_construction(self):
-        def uni(T):
-            return iv.IntervalSeries(np.zeros((T, 2)))
-
-        def mv(d, T):
-            return iv.MvIntervalSeries(np.zeros((d, T, 2)))
-
-        with pytest.raises(LengthMismatch):
-            iv.LabeledDataset(((uni(3), 1), (uni(4), 1)), n_classes=1)
-        with pytest.raises(DimensionMismatch):
-            iv.LabeledDataset(((uni(3), 1), (mv(1, 3), 1)), n_classes=1)
-        with pytest.raises(DimensionMismatch):
-            iv.LabeledDataset(((mv(2, 3), 1), (mv(3, 3), 1)), n_classes=1)
+            iv.LabeledDataset(bounds[:0], [], n_classes=1, multivariate=False)
 
     def test_series_are_views_of_one_array(self, tmp_path):
         bounds = np.arange(2 * 3 * 4 * 2, dtype=np.float64).reshape(2, 3, 4, 2)
-        ds = iv.LabeledDataset.from_arrays(bounds, [1, 2], 2, multivariate=True)
+        ds = iv.LabeledDataset(bounds, [1, 2], 2, multivariate=True)
         assert np.shares_memory(ds.bounds, bounds)
         assert not ds.bounds.flags.writeable
         for s, grid in zip(ds.series(), ds.bounds):
             assert np.shares_memory(s.grid, grid)
-        uni = iv.LabeledDataset.from_arrays(bounds[:, :1], [1, 2], 2, multivariate=False)
+        uni = iv.LabeledDataset(bounds[:, :1], [1, 2], 2, multivariate=False)
         for s, grid in zip(uni.series(), uni.bounds):
             assert isinstance(s, iv.IntervalSeries)
             assert np.shares_memory(s.bounds, grid)

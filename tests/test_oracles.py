@@ -58,11 +58,12 @@ def ref_pair_distance(query, item, kernel):
 
 
 def ref_knn(train, query, k, kernel):
-    dists = np.array([ref_pair_distance(query, item, kernel) for item, _ in train.items])
+    items = list(zip(train.series(), train.labels()))
+    dists = np.array([ref_pair_distance(query, item, kernel) for item, _ in items])
     order = np.argsort(dists, kind="stable")[:k]
     votes, totals = {}, {}
     for idx in order:
-        label = train.items[idx][1]
+        label = items[idx][1]
         votes[label] = votes.get(label, 0) + 1
         totals[label] = totals.get(label, 0.0) + float(dists[idx])
     top = max(votes.values())
@@ -108,7 +109,18 @@ def ref_load_csv(path):
         items.append((series, item_labels[item]))
     if len(dims_seen) != 1:
         raise ValueError(f"{path}: items disagree on dimension count: {sorted(dims_seen)}")
-    return iv.LabeledDataset(tuple(items), n_classes=max(item_labels.values()))
+    return ref_dataset(items, n_classes=max(item_labels.values()))
+
+
+def ref_dataset(items, n_classes):
+    """The dataset of (series, label) pairs, multivariate when the series are
+    MvIntervalSeries; series of different lengths are a LengthMismatch."""
+    grids = [as_grid(series) for series, _ in items]
+    lengths = sorted({g.shape[1] for g in grids})
+    if len(lengths) > 1:
+        raise LengthMismatch(f"series lengths differ: {lengths}")
+    return iv.LabeledDataset(np.stack(grids), [label for _, label in items], n_classes,
+                             multivariate=isinstance(items[0][0], iv.MvIntervalSeries))
 
 
 def ref_load_csv_named(path):
@@ -233,8 +245,8 @@ def ref_bounds(cr):
     return np.stack([cr[:, 0] - cr[:, 1], cr[:, 0] + cr[:, 1]], axis=-1)
 
 
-def _ref_cfg(rho, T, seed, truncation_L, burn_in):
-    return iv.DgpConfig(rho=rho, T=T, truncation_L=truncation_L, burn_in=burn_in, seed=seed)
+def _ref_cfg(rho, T, truncation_L, burn_in):
+    return iv.DgpConfig(rho=rho, T=T, truncation_L=truncation_L, burn_in=burn_in)
 
 
 def ref_build_univariate(dgp_id, per_class_n, T, rho_grid, seed=0, truncation_L=100,
@@ -242,12 +254,12 @@ def ref_build_univariate(dgp_id, per_class_n, T, rho_grid, seed=0, truncation_L=
     gen = iv.dgp._GENERATORS[dgp_id]
     items, item_index = [], 0
     for label, rho in enumerate(rho_grid, start=1):
-        cfg = _ref_cfg(rho, T, seed, truncation_L, burn_in)
+        cfg = _ref_cfg(rho, T, truncation_L, burn_in)
         for _ in range(per_class_n):
             cr = gen(cfg, iv.dgp._item_rng(seed, item_index))
             items.append((iv.IntervalSeries(ref_bounds(cr)), label))
             item_index += 1
-    return iv.LabeledDataset(tuple(items), n_classes=len(rho_grid))
+    return ref_dataset(items, n_classes=len(rho_grid))
 
 
 def ref_build_c1(per_class_n, T, rho_grid, seed=0, truncation_L=100, burn_in=100):
@@ -257,18 +269,18 @@ def ref_build_c1(per_class_n, T, rho_grid, seed=0, truncation_L=100, burn_in=100
         for _ in range(per_class_n):
             rows = []
             for dim, rho in enumerate(rho_grid):
-                cfg = _ref_cfg(rho, T, seed, truncation_L, burn_in)
+                cfg = _ref_cfg(rho, T, truncation_L, burn_in)
                 cr = gen(cfg, iv.dgp._item_rng(seed, item_index, dim))
                 rows.append(iv.IntervalSeries(ref_bounds(cr)))
             items.append((iv.MvIntervalSeries(rows), label))
             item_index += 1
-    return iv.LabeledDataset(tuple(items), n_classes=len(iv.dgp._GENERATORS))
+    return ref_dataset(items, n_classes=len(iv.dgp._GENERATORS))
 
 
 def ref_build_c2(per_class_n, T, rho_grid, seed=0, truncation_L=100, burn_in=100):
     items, item_index = [], 0
     for label, rho in enumerate(rho_grid, start=1):
-        cfg = _ref_cfg(rho, T, seed, truncation_L, burn_in)
+        cfg = _ref_cfg(rho, T, truncation_L, burn_in)
         for _ in range(per_class_n):
             rows = []
             for dim, dgp_id in enumerate(sorted(iv.dgp._GENERATORS)):
@@ -277,19 +289,19 @@ def ref_build_c2(per_class_n, T, rho_grid, seed=0, truncation_L=100, burn_in=100
                 rows.append(iv.IntervalSeries(ref_bounds(cr)))
             items.append((iv.MvIntervalSeries(rows), label))
             item_index += 1
-    return iv.LabeledDataset(tuple(items), n_classes=len(rho_grid))
+    return ref_dataset(items, n_classes=len(rho_grid))
 
 
 def ref_build_mix(per_class_n, T, rho, seed=0, truncation_L=100, burn_in=100):
     items, item_index = [], 0
     for label, dgp_id in enumerate(sorted(iv.dgp._GENERATORS), start=1):
         gen = iv.dgp._GENERATORS[dgp_id]
-        cfg = _ref_cfg(rho, T, seed, truncation_L, burn_in)
+        cfg = _ref_cfg(rho, T, truncation_L, burn_in)
         for _ in range(per_class_n):
             cr = gen(cfg, iv.dgp._item_rng(seed, item_index))
             items.append((iv.IntervalSeries(ref_bounds(cr)), label))
             item_index += 1
-    return iv.LabeledDataset(tuple(items), n_classes=len(iv.dgp._GENERATORS))
+    return ref_dataset(items, n_classes=len(iv.dgp._GENERATORS))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +319,7 @@ def _c1(per_class, T, seed=0):
 def assert_same_dataset(a, b):
     assert a.n_classes == b.n_classes
     assert len(a) == len(b)
-    for (sa, la), (sb, lb) in zip(a.items, b.items):
+    for (sa, la), (sb, lb) in zip(zip(a.series(), a.labels()), zip(b.series(), b.labels())):
         assert type(sa) is type(sb)
         assert sa == sb
         assert la == lb
@@ -454,7 +466,7 @@ class TestKnnScan:
             else:
                 series = [iv.IntervalSeries(g[0]) for g in grid]
             labels = rng.integers(1, 4, size=n).tolist()
-            train = iv.LabeledDataset(tuple(zip(series[:n], labels)), n_classes=3)
+            train = iv.LabeledDataset(grid[:n], labels, n_classes=3, multivariate=mv or d > 1)
             k = 1 + int(k_frac * (n - 1))
             _check_knn(train, series[n:], k, iv.Kernel2x2(*entries))
 
@@ -625,7 +637,7 @@ class TestCsvLoader:
             rng = np.random.default_rng(seed)
             bounds = rng.standard_normal((n, d, T, 2)).round(3)
             labels = rng.integers(1, 4, size=n)
-            iv.save_dataset_csv(iv.LabeledDataset.from_arrays(bounds, labels, 3, d > 1), path)
+            iv.save_dataset_csv(iv.LabeledDataset(bounds, labels, 3, d > 1), path)
             header, *rows = path.read_text().splitlines()
             rows = _FAULTS[fault](rows, at % len(rows))
             if shuffle:
@@ -649,7 +661,7 @@ class TestCsvLoader:
         bounds = rng.standard_normal((12, 3, 5, 2)) * 10.0 ** rng.integers(-300, 300, (12, 3, 5, 2))
         bounds[0, 0, :2] = [[-0.0, 5e-324], [1e22, 1e-7]]
         bounds[11, 2, 4] = [-5e-324, -1e22]
-        ds = iv.LabeledDataset.from_arrays(bounds, np.arange(12, 0, -1), 12, multivariate=True)
+        ds = iv.LabeledDataset(bounds, np.arange(12, 0, -1), 12, multivariate=True)
         ref_save_dataset_csv(ds, tmp_path / "want.csv")
         iv.save_dataset_csv(ds, tmp_path / "got.csv")
         got = (tmp_path / "got.csv").read_bytes()
@@ -671,9 +683,8 @@ class TestCsvLoader:
         def check(n, d, T, seed):
             rng = np.random.default_rng(seed)
             grid = rng.standard_normal((n, d, T, 2)) * 10.0 ** rng.integers(-5, 6, (n, d, T, 2))
-            series = [iv.MvIntervalSeries(g) if d > 1 else iv.IntervalSeries(g[0]) for g in grid]
             labels = rng.integers(1, 4, size=n).tolist()
-            iv.save_dataset_csv(iv.LabeledDataset(tuple(zip(series, labels)), 3), path)
+            iv.save_dataset_csv(iv.LabeledDataset(grid, labels, 3, multivariate=d > 1), path)
             lines = path.read_text().splitlines()
             body = lines[1:]
             random.Random(seed).shuffle(body)
@@ -1190,7 +1201,7 @@ def ref_ingest(eff):
     if not grids:
         raise cli.DataError("no complete windows; input too short for the window length")
 
-    ds = iv.LabeledDataset.from_arrays(
+    ds = iv.LabeledDataset(
         np.stack(grids), window_labels, len(label_map), multivariate=grids[0].shape[0] > 1
     )
     out = Path(eff["out"])
@@ -1652,7 +1663,7 @@ def classify_inputs(tmp_path_factory):
     upper = rng.random((12, 1, 10, 1)) + 0.1
     bounds = np.concatenate([np.zeros_like(upper), upper], axis=-1)
     bounds[-1, ..., 0] = upper[-1, ..., 0] - 0.1
-    iv.save_dataset_csv(iv.LabeledDataset.from_arrays(bounds, np.arange(12) % 2 + 1, 2, False),
+    iv.save_dataset_csv(iv.LabeledDataset(bounds, np.arange(12) % 2 + 1, 2, False),
                         root / "tail.csv")
     n = 21
     _write_image_dir(root / "mixed", [9 + i % 5 for i in range(n)], [1 + i % 3 for i in range(n)],
@@ -1868,7 +1879,7 @@ class TestClassifyOracle:
                 mode, blocks = "block_mean", T + 1
             path = Path(tempfile.mkdtemp(dir=tmp_path)) / "ds.csv"
             iv.save_dataset_csv(
-                iv.LabeledDataset.from_arrays(bounds, labels, int(labels.max()), d > 1), path)
+                iv.LabeledDataset(bounds, labels, int(labels.max()), d > 1), path)
             argv = ["--data", path, "--kernel", "1,2,1", "--epsilon", "0.3", "--feature-mode",
                     mode, "--blocks", blocks, "--steps", "5", "--train-fraction", "0.5"]
             argv += ["--self-test"] if runs == "--self-test" else ["--runs", runs]

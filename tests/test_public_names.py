@@ -84,6 +84,14 @@ def test_every_name_is_its_module_attribute():
     assert len(iv.__all__) == len(set(iv.__all__))
 
 
+def test_no_two_names_are_one_object():
+    """Each public name is its own object: an alias is a second name to keep."""
+    names_of = {}
+    for name in iv.__all__:
+        names_of.setdefault(id(getattr(iv, name)), []).append(name)
+    assert [names for names in names_of.values() if len(names) > 1] == []
+
+
 def test_dir_and_star_import_list_every_name():
     assert set(iv.__all__) <= set(dir(iv))
     scope = {}
