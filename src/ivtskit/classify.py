@@ -138,14 +138,15 @@ def feature_matrix(images, n: int, cfg: FeatureConfig) -> np.ndarray:
     """The (n, p) float64 matrix whose row i is the feature vector of the i-th
     of the n (N, N) pixel arrays that the iterable `images` yields.
 
-    Each array is copied into a uint8 block of images of one size and at most
-    ``BLOCK_BYTES`` (read at call time) before the next is taken, so a source
-    may reuse one buffer.  A block is featurized straight into its rows when
-    it is full, when the image size changes and at the end.  A block grid
-    finer than an image raises BlockGridInvalid at that image.  Features of
-    different lengths (``flatten`` of images of several sizes), or a count
-    other than n, raise LengthMismatch once `images` is exhausted, so an
-    error that the source raises later comes first.
+    Each array is used before the next is taken, so a source may reuse one
+    buffer.  Under ``flatten`` it is featurized straight into its row; under
+    ``block_mean`` it is copied into a uint8 block of images of one size and
+    at most ``BLOCK_BYTES`` (read at call time), which is featurized straight
+    into its rows when it is full, when the image size changes and at the
+    end.  A block grid finer than an image raises BlockGridInvalid at that
+    image.  Features of different lengths (``flatten`` of images of several
+    sizes), or a count other than n, raise LengthMismatch once `images` is
+    exhausted, so an error that the source raises later comes first.
     """
     X = block = lengths = None
     held = done = count = 0  # images in the block, rows of X written, images taken
@@ -158,6 +159,9 @@ def feature_matrix(images, n: int, cfg: FeatureConfig) -> np.ndarray:
         if p != X.shape[1]:
             lengths = lengths or sorted({p, X.shape[1]})
         if lengths or count > n:
+            continue
+        if cfg.mode == "flatten":
+            featurize_stack(np.asarray(pixels)[None], cfg, out=X[count - 1 : count])
             continue
         if held and (held == len(block) or size != block.shape[1]):
             featurize_stack(block[:held], cfg, out=X[done : done + held])
@@ -217,10 +221,6 @@ class LinearClassifier:
         b.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "biases", b)
-
-    @classmethod
-    def zeros(cls, n_classes: int, dim: int, c_A: float = 1.0, c_B: float = 1.0):
-        return cls(np.zeros((n_classes, dim)), np.zeros(n_classes), c_A, c_B)
 
     @property
     def n_classes(self) -> int:

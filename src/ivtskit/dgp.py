@@ -29,7 +29,7 @@ import numpy as np
 
 from .defaults import DEFAULT_PER_CLASS, DEFAULT_RHO_GRID, DEFAULT_T
 from .errors import DimensionMismatch, LengthMismatch, NonFinite
-from .intervals import IntervalSeries, MvIntervalSeries, from_grid
+from .intervals import IntervalSeries, MvIntervalSeries
 
 AnySeries = Union[IntervalSeries, MvIntervalSeries]
 
@@ -202,7 +202,9 @@ class LabeledDataset:
 
     def series(self) -> list[AnySeries]:
         """One series per item, each a view of ``bounds``."""
-        return [from_grid(g, self.multivariate) for g in self.bounds]
+        if self.multivariate:
+            return [MvIntervalSeries(g) for g in self.bounds]
+        return [IntervalSeries(g[0]) for g in self.bounds]
 
     def class_counts(self) -> dict[int, int]:
         values, counts = np.unique(self.label_ids, return_counts=True)

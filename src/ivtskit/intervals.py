@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -153,37 +153,36 @@ def pointwise_dk_squared(b1: np.ndarray, b2: np.ndarray, k: Kernel2x2) -> np.nda
     return k.k_pp * du * du + k.k_mm * dl * dl - 2.0 * k.k_pm * dl * du
 
 
+def _bounds_array(values) -> np.ndarray:
+    """`values` as a read-only float64 array: kept without a copy when it is
+    one already, copied otherwise, so later writes to the input never reach it."""
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and not values.flags.writeable):
+        return values
+    arr = np.array(values, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
 class IntervalSeries:
-    """A length-T sequence of intervals backed by a read-only (T, 2) array."""
+    """A length-T sequence of intervals: a read-only (T, 2) array of
+    [lower, upper] bounds, kept without a copy when it is a read-only float64
+    array and copied otherwise."""
 
     __slots__ = ("_bounds",)
 
-    def __init__(self, values: Iterable[Interval] | np.ndarray):
-        if isinstance(values, np.ndarray):
-            arr = np.array(values, dtype=np.float64)
-        else:
-            arr = np.array(
-                [[v.lower, v.upper] for v in values], dtype=np.float64
-            ).reshape(-1, 2)
+    def __init__(self, bounds: np.ndarray):
+        arr = _bounds_array(bounds)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
             raise ValueError("an interval series needs shape (T, 2) with T >= 1")
         if not np.all(np.isfinite(arr)):
             raise NonFinite("interval series bounds must be finite")
-        arr.setflags(write=False)
         self._bounds = arr
 
     @property
     def bounds(self) -> np.ndarray:
         """The (T, 2) [lower, upper] array; read-only."""
         return self._bounds
-
-    @property
-    def lowers(self) -> np.ndarray:
-        return self._bounds[:, 0]
-
-    @property
-    def uppers(self) -> np.ndarray:
-        return self._bounds[:, 1]
 
     def __len__(self) -> int:
         return self._bounds.shape[0]
@@ -206,30 +205,19 @@ class IntervalSeries:
 
 
 class MvIntervalSeries:
-    """A d-dimensional interval series: a (d, T, 2) grid of bounds."""
+    """A d-dimensional interval series: a read-only (d, T, 2) grid of bounds,
+    kept and copied as :class:`IntervalSeries` keeps and copies its array."""
 
     __slots__ = ("_grid",)
 
-    def __init__(self, rows):
-        if isinstance(rows, np.ndarray):
-            arr = np.array(rows, dtype=np.float64)
-            if arr.ndim != 3 or arr.shape[2] != 2:
-                raise ValueError("a multivariate series needs shape (d, T, 2)")
-        else:
-            series = list(rows)
-            if not series:
-                raise ValueError("a multivariate series needs at least one dimension")
-            lengths = {len(s) for s in series}
-            if len(lengths) != 1:
-                raise LengthMismatch(
-                    f"all dimensions must share one length, got {sorted(lengths)}"
-                )
-            arr = np.stack([s.bounds for s in series], axis=0)
+    def __init__(self, grid: np.ndarray):
+        arr = _bounds_array(grid)
+        if arr.ndim != 3 or arr.shape[2] != 2:
+            raise ValueError("a multivariate series needs shape (d, T, 2)")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("a multivariate series needs d >= 1 and T >= 1")
         if not np.all(np.isfinite(arr)):
             raise NonFinite("interval series bounds must be finite")
-        arr.setflags(write=False)
         self._grid = arr
 
     @property
@@ -269,19 +257,6 @@ def as_grid(series: IntervalSeries | MvIntervalSeries) -> np.ndarray:
     if isinstance(series, MvIntervalSeries):
         return series.grid
     return series.bounds[None]
-
-
-def from_grid(grid: np.ndarray, multivariate: bool) -> IntervalSeries | MvIntervalSeries:
-    """The series whose :func:`as_grid` is `grid`, sharing it without a copy or
-    a check: `grid` must be read-only, finite and (d, T, 2), d = 1 unless
-    `multivariate`."""
-    if multivariate:
-        series = MvIntervalSeries.__new__(MvIntervalSeries)
-        series._grid = grid
-    else:
-        series = IntervalSeries.__new__(IntervalSeries)
-        series._bounds = grid[0]
-    return series
 
 
 def series_dk_squared(x1: IntervalSeries, x2: IntervalSeries, k: Kernel2x2) -> float:

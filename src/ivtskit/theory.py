@@ -40,12 +40,14 @@ def _require_positive(**values: float) -> None:
 
 
 def _g(ell: float, c_A: float, c_B: float, c_Z: float) -> float:
-    """g = 4 ell (c_A c_Z + c_B); a g that overflows is a ValueError naming
-    ell and the caps, not an infinite bound or a varrho of 0.0."""
+    """g = 4 ell (c_A c_Z + c_B); a g that overflows, or underflows so far that
+    1 / g is not finite, is a ValueError naming ell and the caps, not an
+    infinite bound or a varrho of 0.0 or inf."""
     g = 4.0 * ell * (c_A * c_Z + c_B)
-    if not math.isfinite(g):
+    if not (math.isfinite(g) and g > 0.0 and math.isfinite(1.0 / g)):
+        way = "overflows" if g > 1.0 else "underflows"
         raise ValueError(
-            f"g = 4 ell (c_A c_Z + c_B) overflows at ell={ell}, c_A={c_A}, c_B={c_B}, c_Z={c_Z}"
+            f"g = 4 ell (c_A c_Z + c_B) {way} at ell={ell}, c_A={c_A}, c_B={c_B}, c_Z={c_Z}"
         )
     return g
 

@@ -109,7 +109,8 @@ def test_criterion_04_ijrp_is_elementwise_and():
         t = int(rng.integers(3, 30))
         dims = [iv.IntervalSeries(rng.uniform(-2, 2, size=(t, 2))) for _ in range(d)]
         eps = tuple(float(e) for e in rng.uniform(0.2, 2.0, size=d))
-        joint = iv.image_series(iv.MvIntervalSeries(dims), iv.TrajectoryConfig(epsilon=eps), k4)
+        w = iv.MvIntervalSeries(np.stack([s.bounds for s in dims]))
+        joint = iv.image_series(w, iv.TrajectoryConfig(epsilon=eps), k4)
         product = np.ones((t, t), dtype=np.uint8)
         for j, s in enumerate(dims):
             product = product * iv.image_series(s, iv.TrajectoryConfig(epsilon=eps[j]), k4).pixels

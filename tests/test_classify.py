@@ -83,7 +83,7 @@ class TestFeaturize:
 
 class TestScorePredict:
     def test_zero_classifier_predicts_first_class(self):
-        clf = LinearClassifier.zeros(3, 4)
+        clf = LinearClassifier(np.zeros((3, 4)), np.zeros(3))
         z = np.zeros(4)
         assert np.array_equal(iv.score(clf, z), np.zeros(3))
         assert iv.predict(clf, z) == 1
@@ -107,7 +107,7 @@ class TestScorePredict:
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_dim_mismatch(self):
-        clf = LinearClassifier.zeros(2, 3)
+        clf = LinearClassifier(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(DimensionMismatch):
             iv.score(clf, np.zeros(4))
 
@@ -144,7 +144,7 @@ class TestAuxLoss:
 
 class TestMaxLoss:
     def test_equal_scores_give_unit_hinge(self):
-        clf = LinearClassifier.zeros(3, 2)
+        clf = LinearClassifier(np.zeros((3, 2)), np.zeros(3))
         assert iv.empirical_phi_risk(clf, [np.zeros(2)], [2], "hinge") == 1.0
 
     def test_large_margin_gives_zero_hinge(self):
@@ -195,7 +195,7 @@ class TestEmpiricalRisk:
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_empty_rejected(self):
-        clf = LinearClassifier.zeros(2, 2)
+        clf = LinearClassifier(np.zeros((2, 2)), np.zeros(2))
         with pytest.raises(EmptyInput):
             iv.empirical_phi_risk(clf, np.empty((0, 2)), [], "hinge")
 
@@ -267,7 +267,8 @@ class TestTrain:
     def test_exponential_loss_trains(self):
         X, y = separable_two_class_features()
         clf = iv.train(X, y, kind="exponential", steps=500)
-        risk0 = iv.empirical_phi_risk(LinearClassifier.zeros(2, 2), X, y, "exponential")
+        zero = LinearClassifier(np.zeros((2, 2)), np.zeros(2))
+        risk0 = iv.empirical_phi_risk(zero, X, y, "exponential")
         assert iv.empirical_phi_risk(clf, X, y, "exponential") < risk0
 
 
@@ -308,7 +309,7 @@ class TestLipschitzAndBoundedness:
 
 
 def _one_step_dataset(values, labels):
-    grids = [as_grid(iv.IntervalSeries([iv.Interval(v, v)])) for v in values]
+    grids = [as_grid(iv.IntervalSeries(np.array([[v, v]]))) for v in values]
     return iv.LabeledDataset(np.stack(grids), labels, n_classes=max(labels), multivariate=False)
 
 
@@ -320,12 +321,12 @@ class TestKnn:
 
     def test_uniform_labels(self):
         ds = _one_step_dataset([0.0, 1.0, 2.0], [2, 2, 2])
-        query = iv.IntervalSeries([iv.Interval(5.0, 5.0)])
+        query = iv.IntervalSeries(np.array([[5.0, 5.0]]))
         assert iv.knn_classify(ds, query, 3, K4) == 2
 
     def test_five_item_exhaustive_table(self):
         ds = _one_step_dataset([0.0, 1.0, 2.0, 3.0, 10.0], [1, 1, 2, 2, 2])
-        query = iv.IntervalSeries([iv.Interval(1.2, 1.2)])
+        query = iv.IntervalSeries(np.array([[1.2, 1.2]]))
         # K4 distances 2*(1.2 - v)^2: 2.88, 0.08, 1.28, 6.48, 154.88
         dists = [
             iv.series_dk_squared(query, s, K4) for s in ds.series()
@@ -337,19 +338,14 @@ class TestKnn:
 
     def test_vote_tie_breaks_by_total_distance(self):
         ds = _one_step_dataset([1.0, 2.0], [1, 2])
-        closer_to_two = iv.IntervalSeries([iv.Interval(1.6, 1.6)])
+        closer_to_two = iv.IntervalSeries(np.array([[1.6, 1.6]]))
         assert iv.knn_classify(ds, closer_to_two, 2, K4) == 2
-        equidistant = iv.IntervalSeries([iv.Interval(1.5, 1.5)])
+        equidistant = iv.IntervalSeries(np.array([[1.5, 1.5]]))
         assert iv.knn_classify(ds, equidistant, 2, K4) == 1  # lowest class id
 
     def test_multivariate_sums_dimensions(self):
         def mv(v1, v2):
-            return iv.MvIntervalSeries(
-                [
-                    iv.IntervalSeries([iv.Interval(v1, v1)]),
-                    iv.IntervalSeries([iv.Interval(v2, v2)]),
-                ]
-            )
+            return iv.MvIntervalSeries(np.array([[[v1, v1]], [[v2, v2]]], dtype=float))
 
         grids = np.stack([as_grid(mv(0, 0)), as_grid(mv(3, 3))])
         ds = iv.LabeledDataset(grids, [1, 2], n_classes=2, multivariate=True)
@@ -366,7 +362,7 @@ class TestKnn:
 
     def test_length_mismatch(self):
         ds = _one_step_dataset([0.0, 1.0], [1, 2])
-        query = iv.IntervalSeries([iv.Interval(0, 0), iv.Interval(1, 1)])
+        query = iv.IntervalSeries(np.array([[0.0, 0.0], [1.0, 1.0]]))
         with pytest.raises(LengthMismatch):
             iv.knn_classify(ds, query, 1, K4)
 

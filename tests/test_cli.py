@@ -341,7 +341,7 @@ class TestIngest:
         series = ds.series()[0]
         assert series.d == 2
         # the retained days are 1, 2, 4, 5
-        assert np.array_equal(series.dimension(0).lowers, [0.0, 1.0, 3.0, 4.0])
+        assert np.array_equal(series.dimension(0).bounds[:, 0], [0.0, 1.0, 3.0, 4.0])
 
     def test_stride_controls_overlap(self, tmp_path):
         raw, out_csv = tmp_path / "raw.csv", tmp_path / "ds.csv"
@@ -565,13 +565,11 @@ def _write_separable_dataset(path):
     items = []
     for i in range(6):
         c = 0.001 * i
-        flat = iv.IntervalSeries([iv.Interval(c, c + 0.1)] * 12)
+        flat = iv.IntervalSeries(np.array([[c, c + 0.1]] * 12))
         items.append((flat, 1))
     for i in range(6):
         c = 0.001 * i
-        jumpy = iv.IntervalSeries(
-            [iv.Interval(c, c + 0.1)] * 6 + [iv.Interval(100 + c, 100.1 + c)] * 6
-        )
+        jumpy = iv.IntervalSeries(np.array([[c, c + 0.1]] * 6 + [[100 + c, 100.1 + c]] * 6))
         items.append((jumpy, 2))
     bounds = np.stack([as_grid(series) for series, _ in items])
     iv.save_dataset_csv(iv.LabeledDataset(bounds, [label for _, label in items], 2, False), path)
@@ -980,6 +978,20 @@ class TestBound:
         assert "varrho" not in out.stderr and out.stdout == ""
 
     @pytest.mark.parametrize("flags", [
+        ("--ell", "1e-300", "--c-a", "1e-300", "--c-b", "1e-300", "--c-z", "1e-300"),
+        ("--ell", "1e-310"),
+        ("--c-a", "5e-324", "--c-z", "5e-324", "--c-b", "5e-324"),
+        ("--ell", "1e-310", "--varrho", "0.5"),
+    ])
+    def test_underflowing_g_names_ell_and_the_caps(self, flags):
+        """A g = 4 ell (c_A c_Z + c_B) of 0.0, or one whose reciprocal is not
+        finite, is reported as such, not as a division by zero or as a
+        --varrho of inf that the user never set."""
+        out = run_cli("bound", "--n", "100", "--log-covering", "10", *flags)
+        assert_one_line_error(out, 4, "numeric error: g = 4 ell (c_A c_Z + c_B) underflows at ell=")
+        assert "varrho" not in out.stderr and out.stdout == ""
+
+    @pytest.mark.parametrize("flags", [
         ("--n", "100", "--log-covering", "10", "--varrho", "1e308"),
         ("--n", "100", "--log-covering", "10", "--varrho", "1e-320"),
         ("--n", "1", "--log-covering", "1e308"),
@@ -1367,10 +1379,14 @@ class TestFuzz:
     }
     BOUND_VALUES = {
         "loss": (["hinge", "squared_hinge", "exponential", ""], ["x"]),
-        "ell": (["1", "0.5", "1e300", ""], ["0", "-1", "nan", "inf"]),
-        "c_a": (["1.0", "0.5", "1e300", ""], ["0", "-1", "nan", "inf"]),
-        "c_b": (["1.0", "0.5", "1e300", ""], ["0", "-1", "nan", "inf"]),
-        "c_z": (["1.0", "0.5", "1e300", ""], ["0", "-1", "nan", "inf"]),
+        "ell": (["1", "0.5", "1e300", "1e-300", "1e-310", "5e-324", ""],
+                ["0", "-1", "nan", "inf"]),
+        "c_a": (["1.0", "0.5", "1e300", "1e-300", "1e-310", "5e-324", ""],
+                ["0", "-1", "nan", "inf"]),
+        "c_b": (["1.0", "0.5", "1e300", "1e-300", "1e-310", "5e-324", ""],
+                ["0", "-1", "nan", "inf"]),
+        "c_z": (["1.0", "0.5", "1e300", "1e-300", "1e-310", "5e-324", ""],
+                ["0", "-1", "nan", "inf"]),
         "n": (["1", "100"], ["0", "-1", "x", ""]),
         "log_covering": (["0", "10", "1e300"], ["-1", "nan", "inf", "x", ""]),
         "varrho": (["0.125", "1e-300", ""], ["0", "-1", "nan", "inf"]),

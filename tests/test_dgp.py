@@ -339,7 +339,7 @@ class TestCsvRoundTrip:
 
 class TestLabeledDataset:
     def test_label_range_enforced(self):
-        bounds = as_grid(iv.IntervalSeries([iv.Interval(0, 1)]))[None]
+        bounds = as_grid(iv.IntervalSeries(np.array([[0.0, 1.0]])))[None]
         with pytest.raises(ValueError):
             iv.LabeledDataset(bounds, [3], n_classes=2, multivariate=False)
         with pytest.raises(ValueError):

@@ -66,12 +66,12 @@ class TestExtractTrajectories:
     def test_enumerated_indices(self):
         # under K4 the trajectories (x0, x2), (x1, x3), (x2, x4) of x_t = [t^2, t^2 + 1]
         # lie sqrt(52) (pair 0, 1), sqrt(116) (1, 2) and sqrt(320) (0, 2) apart
-        x = iv.IntervalSeries([iv.Interval(t * t, t * t + 1) for t in range(5)])
+        x = iv.IntervalSeries(np.array([[t * t, t * t + 1.0] for t in range(5)]))
         img = iv.image_series(x, iv.TrajectoryConfig(m=2, kappa=2, epsilon=9.0), K4)
         assert np.array_equal(img.pixels, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
 
     def test_too_short(self):
-        x = iv.IntervalSeries([iv.Interval(t, t) for t in range(3)])
+        x = iv.IntervalSeries(np.array([[t, t] for t in range(3)], dtype=float))
         with pytest.raises(SeriesTooShort):
             iv.image_series(x, iv.TrajectoryConfig(m=3, kappa=2), K4)
 
@@ -81,22 +81,22 @@ class TestTrajectoryDk:
     a series whose trajectories 0 and 1 they are."""
 
     def test_identical(self):
-        x = iv.IntervalSeries([iv.Interval(0, 1)] * 2 + [iv.Interval(2, 3)] * 2)
+        x = iv.IntervalSeries(np.array([[0.0, 1.0]] * 2 + [[2.0, 3.0]] * 2))
         img = iv.image_series(x, iv.TrajectoryConfig(m=2, kappa=2, epsilon=0.0), K5)
         assert img.pixels[0, 1] == 1
 
     def test_m1_equals_interval_distance(self):
-        a, b = iv.Interval(0, 2), iv.Interval(1, 3)
-        d = iv.dk_distance(a, b, K4)
-        img = iv.image_series(iv.IntervalSeries([a, b]), iv.TrajectoryConfig(epsilon=d), K4)
+        x = iv.IntervalSeries(np.array([[0.0, 2.0], [1.0, 3.0]]))
+        d = iv.dk_distance(x[0], x[1], K4)
+        img = iv.image_series(x, iv.TrajectoryConfig(epsilon=d), K4)
         assert img.pixels[0, 1] == 1
         below = iv.TrajectoryConfig(epsilon=math.nextafter(d, 0.0))
-        assert iv.image_series(iv.IntervalSeries([a, b]), below, K4).pixels[0, 1] == 0
+        assert iv.image_series(x, below, K4).pixels[0, 1] == 0
 
     def test_two_unit_steps(self):
         # trajectories ([0, 2], [0, 2]) and ([1, 3], [1, 3]): each slot has a
         # center difference of 1 under K1
-        x = iv.IntervalSeries([iv.Interval(0, 2), iv.Interval(1, 3)] * 2)
+        x = iv.IntervalSeries(np.array([[0.0, 2.0], [1.0, 3.0]] * 2))
         d = math.sqrt(2.0)
         for eps, pixel in ((d, 1), (math.nextafter(d, 0.0), 0)):
             cfg = iv.TrajectoryConfig(m=2, kappa=2, epsilon=eps)
@@ -104,7 +104,7 @@ class TestTrajectoryDk:
 
     def test_negative_sum_raises(self):
         indefinite = iv.Kernel2x2(1.0, 2.0, 1.0)
-        x = iv.IntervalSeries([iv.Interval(0, 2), iv.Interval(1, 3)])
+        x = iv.IntervalSeries(np.array([[0.0, 2.0], [1.0, 3.0]]))
         with pytest.raises(NegativeSquaredDistance):
             iv.image_series(x, iv.TrajectoryConfig(), indefinite)
 
@@ -112,14 +112,14 @@ class TestTrajectoryDk:
 class TestHeaviside:
     def test_values(self):
         # the step H(eps - d) as the image applies it: H(0) = 1
-        x = iv.IntervalSeries([iv.Interval(0, 0), iv.Interval(0, 0.5)])
+        x = iv.IntervalSeries(np.array([[0.0, 0.0], [0.0, 0.5]]))
         for eps, pixel in ((1.0, 1), (0.5, 1), (0.3, 0)):
             assert iv.image_series(x, iv.TrajectoryConfig(epsilon=eps), K4).pixels[0, 1] == pixel
 
 
 class TestIrp:
     def test_constant_series_all_ones(self):
-        x = iv.IntervalSeries([iv.Interval(1, 2)] * 6)
+        x = iv.IntervalSeries(np.array([[1.0, 2.0]] * 6))
         img = iv.image_series(x, iv.TrajectoryConfig(epsilon=0.0), K5)
         assert np.array_equal(img.pixels, np.ones((6, 6), dtype=np.uint8))
 
@@ -134,7 +134,7 @@ class TestIrp:
                 assert img.pixels[j, k] == expected
 
     def test_three_point_example(self):
-        x = iv.IntervalSeries([iv.Interval(0, 1), iv.Interval(0, 1), iv.Interval(5, 9)])
+        x = iv.IntervalSeries(np.array([[0.0, 1.0], [0.0, 1.0], [5.0, 9.0]]))
         img = iv.image_series(x, iv.TrajectoryConfig(epsilon=0.5), K4)
         assert np.array_equal(
             img.pixels, np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=np.uint8)
@@ -143,7 +143,7 @@ class TestIrp:
         assert iv.dk_distance(x[0], x[2], K4) == pytest.approx(math.sqrt(89.0))
 
     def test_propagates_too_short(self):
-        x = iv.IntervalSeries([iv.Interval(0, 1)] * 3)
+        x = iv.IntervalSeries(np.array([[0.0, 1.0]] * 3))
         with pytest.raises(SeriesTooShort):
             iv.image_series(x, iv.TrajectoryConfig(m=4, kappa=1), K4)
 
@@ -193,8 +193,8 @@ class TestIrp:
         for _ in range(10):
             x = random_series(rng, 15)
             eps = float(rng.uniform(0.1, 2.0))
-            centers = (x.lowers + x.uppers) / 2.0
-            ranges = (x.uppers - x.lowers) / 2.0
+            centers = (x.bounds[:, 0] + x.bounds[:, 1]) / 2.0
+            ranges = (x.bounds[:, 1] - x.bounds[:, 0]) / 2.0
             center_rp = (
                 np.abs(centers[:, None] - centers[None, :]) <= eps
             ).astype(np.uint8)
@@ -222,7 +222,7 @@ class TestIjrp:
     def test_single_dimension_equals_irp(self):
         rng = np.random.default_rng(8)
         x = random_series(rng, 10)
-        w = iv.MvIntervalSeries([x])
+        w = iv.MvIntervalSeries(x.bounds[None])
         cfg = iv.TrajectoryConfig(epsilon=0.7)
         assert iv.image_series(w, cfg, K4) == iv.image_series(x, cfg, K4)
 
@@ -232,7 +232,7 @@ class TestIjrp:
         jumps = iv.IntervalSeries(
             np.stack([np.arange(10) * 100.0, np.arange(10) * 100.0 + 1], axis=1)
         )
-        w = iv.MvIntervalSeries([smooth, jumps])
+        w = iv.MvIntervalSeries(np.stack([smooth.bounds, jumps.bounds]))
         img = iv.image_series(w, iv.TrajectoryConfig(epsilon=0.5), K4).pixels
         off_diagonal = img[~np.eye(10, dtype=bool)]
         assert (off_diagonal == 0).all()
@@ -245,7 +245,8 @@ class TestIjrp:
             dims = [random_series(rng, t) for _ in range(d)]
             eps = tuple(float(e) for e in rng.uniform(0.2, 2.0, size=d))
             cfg = iv.TrajectoryConfig(epsilon=eps)
-            joint = iv.image_series(iv.MvIntervalSeries(dims), cfg, K5).pixels
+            w = iv.MvIntervalSeries(np.stack([s.bounds for s in dims]))
+            joint = iv.image_series(w, cfg, K5).pixels
             product = np.ones_like(joint)
             for j, dim_series in enumerate(dims):
                 dim_cfg = iv.TrajectoryConfig(epsilon=eps[j])
@@ -261,7 +262,7 @@ class TestIjrp:
 
     def test_epsilon_vector_length_checked(self):
         rng = np.random.default_rng(11)
-        w = iv.MvIntervalSeries([random_series(rng, 6) for _ in range(3)])
+        w = iv.MvIntervalSeries(np.stack([random_series(rng, 6).bounds for _ in range(3)]))
         with pytest.raises(DimensionMismatch):
             iv.image_series(w, iv.TrajectoryConfig(epsilon=(0.1, 0.2)), K4)
 
@@ -302,7 +303,7 @@ class TestBatchImaging:
         x = random_series(rng, 9)
         cfg = iv.TrajectoryConfig(epsilon=0.5)
         assert np.array_equal(iv.image_series(x, cfg, K4).pixels, naive_irp(x, 0.5, K4))
-        w = iv.MvIntervalSeries([x, x])
+        w = iv.MvIntervalSeries(np.stack([x.bounds, x.bounds]))
         assert iv.image_series(w, cfg, K4) == iv.image_series(x, cfg, K4)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import ivtskit as iv
 from ivtskit.errors import LengthMismatch, NegativeSquaredDistance, NonFinite
+from ivtskit.intervals import as_grid
 
 A = iv.Interval(0.0, 2.0)
 B = iv.Interval(1.0, 3.0)
@@ -143,30 +144,30 @@ class TestDkDistance:
 
 class TestSeriesDistance:
     def test_zero_on_identical(self):
-        x = iv.IntervalSeries([A, B, A])
+        x = iv.IntervalSeries(np.array([[0.0, 2.0], [1.0, 3.0], [0.0, 2.0]]))
         assert iv.series_dk_squared(x, x, iv.kernel_preset("K3")) == 0.0
 
     def test_two_step_sum(self):
-        x1 = iv.IntervalSeries([A, A])
-        x2 = iv.IntervalSeries([B, B])
+        x1 = iv.IntervalSeries(np.array([[0.0, 2.0], [0.0, 2.0]]))
+        x2 = iv.IntervalSeries(np.array([[1.0, 3.0], [1.0, 3.0]]))
         # per-step center-difference of 1 each
         assert iv.series_dk_squared(x1, x2, iv.kernel_preset("K1")) == pytest.approx(2.0)
 
     def test_length_mismatch(self):
-        x1 = iv.IntervalSeries([A, A, A])
-        x2 = iv.IntervalSeries([B, B])
+        x1 = iv.IntervalSeries(np.array([[0.0, 2.0]] * 3))
+        x2 = iv.IntervalSeries(np.array([[1.0, 3.0]] * 2))
         with pytest.raises(LengthMismatch):
             iv.series_dk_squared(x1, x2, iv.kernel_preset("K1"))
 
 
 class TestSeriesTypes:
     def test_series_accessors(self):
-        x = iv.IntervalSeries([A, B])
+        x = iv.IntervalSeries(np.array([[0.0, 2.0], [1.0, 3.0]]))
         assert len(x) == 2
         assert x[1] == B
         assert list(x) == [A, B]
-        assert np.array_equal(x.lowers, [0.0, 1.0])
-        assert np.array_equal(x.uppers, [2.0, 3.0])
+        assert np.array_equal(x.bounds[:, 0], [0.0, 1.0])
+        assert np.array_equal(x.bounds[:, 1], [2.0, 3.0])
 
     def test_series_from_center_range(self):
         centers, ranges = np.array([1.0, 0.0]), np.array([1.0, -0.5])
@@ -175,26 +176,68 @@ class TestSeriesTypes:
         assert x[1] == iv.Interval(0.5, -0.5)
 
     def test_series_immutable(self):
-        x = iv.IntervalSeries([A, B])
+        x = iv.IntervalSeries(np.array([[0.0, 2.0], [1.0, 3.0]]))
         with pytest.raises(ValueError):
             x.bounds[0, 0] = 9.0
 
     def test_series_needs_one_step(self):
         with pytest.raises(ValueError):
-            iv.IntervalSeries([])
+            iv.IntervalSeries(np.empty((0, 2)))
 
     def test_mv_series(self):
-        w = iv.MvIntervalSeries([iv.IntervalSeries([A, B]), iv.IntervalSeries([B, A])])
+        w = iv.MvIntervalSeries(np.array([[[0.0, 2.0], [1.0, 3.0]], [[1.0, 3.0], [0.0, 2.0]]]))
         assert w.d == 2
         assert len(w) == 2
         assert w.dimension(1)[0] == B
         assert w[0, 1] == B
 
-    def test_mv_series_unequal_lengths(self):
-        with pytest.raises(LengthMismatch):
-            iv.MvIntervalSeries(
-                [iv.IntervalSeries([A, B]), iv.IntervalSeries([A, B, A])]
-            )
+    @staticmethod
+    def build(shape, values):
+        return (iv.IntervalSeries if len(shape) < 3 else iv.MvIntervalSeries)(values)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 4, 2)])
+    def test_read_only_float64_kept_without_a_copy(self, shape):
+        bounds = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+        bounds.setflags(write=False)
+        stored = as_grid(self.build(shape, bounds))
+        assert np.shares_memory(stored, bounds) and not stored.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 4, 2)])
+    @pytest.mark.parametrize("dtype,writeable", [(np.float64, True), (np.float32, True),
+                                                 (np.int64, True), (np.float32, False)])
+    def test_writable_or_other_dtype_copied(self, shape, dtype, writeable):
+        bounds = np.arange(np.prod(shape), dtype=dtype).reshape(shape)
+        bounds.setflags(write=writeable)
+        stored = as_grid(self.build(shape, bounds))
+        assert stored.dtype == np.float64 and not stored.flags.writeable
+        assert not np.shares_memory(stored, bounds)
+        bounds.setflags(write=True)
+        bounds[...] = 7
+        assert np.array_equal(stored.ravel(), np.arange(np.prod(shape)))
+
+    def test_list_of_intervals_rejected(self):
+        with pytest.raises(TypeError):
+            iv.IntervalSeries([A, B])
+        with pytest.raises(TypeError):
+            iv.MvIntervalSeries([[A, B], [B, A]])
+
+    @pytest.mark.parametrize("shape,message", [
+        ((3,), r"^an interval series needs shape \(T, 2\) with T >= 1$"),
+        ((3, 3), r"^an interval series needs shape \(T, 2\) with T >= 1$"),
+        ((2, 3, 3), r"^a multivariate series needs shape \(d, T, 2\)$"),
+        ((0, 3, 2), r"^a multivariate series needs d >= 1 and T >= 1$"),
+        ((2, 0, 2), r"^a multivariate series needs d >= 1 and T >= 1$"),
+    ])
+    def test_shape_messages(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            self.build(shape, np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 4, 2)])
+    def test_non_finite_bounds_rejected(self, shape):
+        bounds = np.zeros(shape)
+        bounds[(1,) * len(shape)] = np.nan
+        with pytest.raises(NonFinite, match="^interval series bounds must be finite$"):
+            self.build(shape, bounds)
 
 
 class TestQuadraticFormProperties:

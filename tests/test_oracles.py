@@ -104,8 +104,14 @@ def ref_load_csv(path):
             steps = dims[dim]
             if sorted(steps) != list(range(len(steps))):
                 raise ValueError(f"{path}: item {item} dim {dim} has gaps in t")
-            rows.append(iv.IntervalSeries(np.array([steps[t] for t in range(len(steps))])))
-        series = rows[0] if len(rows) == 1 else iv.MvIntervalSeries(rows)
+            rows.append(np.array([steps[t] for t in range(len(steps))]))
+        lengths = sorted({len(r) for r in rows})
+        if len(lengths) > 1:
+            raise LengthMismatch(f"all dimensions must share one length, got {lengths}")
+        if len(rows) == 1:
+            series = iv.IntervalSeries(rows[0])
+        else:
+            series = iv.MvIntervalSeries(np.stack(rows))
         items.append((series, item_labels[item]))
     if len(dims_seen) != 1:
         raise ValueError(f"{path}: items disagree on dimension count: {sorted(dims_seen)}")
@@ -271,8 +277,8 @@ def ref_build_c1(per_class_n, T, rho_grid, seed=0, truncation_L=100, burn_in=100
             for dim, rho in enumerate(rho_grid):
                 cfg = _ref_cfg(rho, T, truncation_L, burn_in)
                 cr = gen(cfg, iv.dgp._item_rng(seed, item_index, dim))
-                rows.append(iv.IntervalSeries(ref_bounds(cr)))
-            items.append((iv.MvIntervalSeries(rows), label))
+                rows.append(ref_bounds(cr))
+            items.append((iv.MvIntervalSeries(np.stack(rows)), label))
             item_index += 1
     return ref_dataset(items, n_classes=len(iv.dgp._GENERATORS))
 
@@ -286,8 +292,8 @@ def ref_build_c2(per_class_n, T, rho_grid, seed=0, truncation_L=100, burn_in=100
             for dim, dgp_id in enumerate(sorted(iv.dgp._GENERATORS)):
                 gen = iv.dgp._GENERATORS[dgp_id]
                 cr = gen(cfg, iv.dgp._item_rng(seed, item_index, dim))
-                rows.append(iv.IntervalSeries(ref_bounds(cr)))
-            items.append((iv.MvIntervalSeries(rows), label))
+                rows.append(ref_bounds(cr))
+            items.append((iv.MvIntervalSeries(np.stack(rows)), label))
             item_index += 1
     return ref_dataset(items, n_classes=len(rho_grid))
 
@@ -2004,6 +2010,22 @@ class TestFeatureMatrix:
 
     def test_no_images(self):
         assert classify.feature_matrix([], 0, iv.FeatureConfig("flatten")).shape == (0, 0)
+
+    def test_flatten_writes_straight_into_rows(self):
+        """Under flatten each image is featurized into its row of X as it is
+        taken: the traced peak exceeds X by less than 1 MiB, where a staging
+        block of images would hold up to BLOCK_BYTES (2 MiB)."""
+        images = np.random.default_rng(3).random((100, 160, 160)) < 0.3
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            X = classify.feature_matrix(iter(images), 100, iv.FeatureConfig("flatten"))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert X.shape == (100, 160 * 160)
+        assert peak - X.nbytes < 2**20
 
 
 class TestPredictRows:

@@ -106,3 +106,13 @@ def test_unknown_name_raises_attribute_error():
             getattr(iv, name)
     with pytest.raises(ImportError, match="no_such_name"):
         exec("from ivtskit import no_such_name", {})
+
+
+def test_no_object_built_through_new():
+    """Every object is built by its constructor, which runs its checks; none
+    through `__new__`, which skips them."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "ivtskit").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "__new__"]
+    assert not found, found
