@@ -39,9 +39,8 @@ _NAMES = {
         "train",
     ),
     "theory": (
-        "RademacherEstimate", "RiskBoundInputs", "empirical_offset_rademacher",
-        "excess_risk_bound", "g_bounds", "heuristic_log_covering", "lipschitz_constant",
-        "offset_rademacher_bound", "optimal_varrho",
+        "RademacherEstimate", "empirical_offset_rademacher", "excess_risk_bound",
+        "g_bounds", "lipschitz_constant", "offset_rademacher_bound", "optimal_varrho",
     ),
 }
 _OWNER = {name: module for module, names in _NAMES.items() for name in names}

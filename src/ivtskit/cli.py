@@ -371,8 +371,10 @@ def cmd_ingest(eff: dict) -> None:
     if not grids:
         raise DataError("no complete windows; input too short for the window length")
 
+    bounds = np.stack(grids)
+    bounds.setflags(write=False)  # handed over, so the dataset keeps it without a copy
     ds = dgp_mod.LabeledDataset(
-        np.stack(grids), window_labels, len(label_map), multivariate=grids[0].shape[0] > 1
+        bounds, window_labels, len(label_map), multivariate=grids[0].shape[0] > 1
     )
     out = Path(eff["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -630,25 +632,14 @@ def cmd_bound(eff: dict) -> None:
     _check_threads(eff["threads"])
     try:
         ell = eff["ell"] if eff["ell"] is not None else theory_mod.lipschitz_constant(eff["loss"])
-        varrho = (
-            eff["varrho"]
-            if eff["varrho"] is not None
-            else theory_mod.optimal_varrho(ell, eff["c_a"], eff["c_b"], eff["c_z"])
-        )
-        single, pair = theory_mod.g_bounds(ell, eff["c_a"], eff["c_z"], eff["c_b"])
-        inputs = theory_mod.RiskBoundInputs(
-            ell=ell,
-            c_A=eff["c_a"],
-            c_B=eff["c_b"],
-            c_Z=eff["c_z"],
-            n=eff["n"],
-            log_covering=eff["log_covering"],
-            varrho=varrho,
-        )
-        offset = theory_mod.offset_rademacher_bound(inputs)
-        excess = theory_mod.excess_risk_bound(
-            ell, eff["c_a"], eff["c_b"], eff["c_z"], eff["n"], eff["log_covering"]
-        )
+        ell_caps = ell, eff["c_a"], eff["c_b"], eff["c_z"]
+        sample = eff["n"], eff["log_covering"]
+        single, pair = theory_mod.g_bounds(*ell_caps)
+        varrho = eff["varrho"]
+        if varrho is None:
+            varrho = theory_mod.optimal_varrho(*ell_caps)
+        offset = theory_mod.offset_rademacher_bound(*ell_caps, *sample, varrho)
+        excess = theory_mod.excess_risk_bound(*ell_caps, *sample)
     except ValueError as e:
         raise NumericError(str(e)) from e
 

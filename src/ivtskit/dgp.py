@@ -29,7 +29,7 @@ import numpy as np
 
 from .defaults import DEFAULT_PER_CLASS, DEFAULT_RHO_GRID, DEFAULT_T
 from .errors import DimensionMismatch, LengthMismatch, NonFinite
-from .intervals import IntervalSeries, MvIntervalSeries
+from .intervals import IntervalSeries, MvIntervalSeries, _bounds_array
 
 AnySeries = Union[IntervalSeries, MvIntervalSeries]
 
@@ -162,7 +162,8 @@ _GENERATORS: dict[int, Callable[..., np.ndarray]] = {1: gen_dgp1, 2: gen_dgp2, 3
 class LabeledDataset:
     """n series of one dimension count d and one length T with 1-based class
     labels: ``bounds``, a read-only float64 (n, d, T, 2) array, kept without a
-    copy when it is float64 (treat it as handed over), and ``label_ids``, a
+    copy when it is a read-only float64 array and copied otherwise, so later
+    writes to the input never reach it, and ``label_ids``, a
     read-only int64 (n,) vector.  ``multivariate`` says whether the items are
     MvIntervalSeries or, with d = 1, IntervalSeries."""
 
@@ -172,7 +173,7 @@ class LabeledDataset:
     multivariate: bool
 
     def __post_init__(self) -> None:
-        bounds = np.asarray(self.bounds, dtype=np.float64).view()
+        bounds = _bounds_array(self.bounds)
         label_ids = np.array(self.label_ids, dtype=np.int64)
         if bounds.ndim != 4 or bounds.shape[3] != 2 or 0 in bounds.shape:
             raise ValueError(f"bounds must be (n, d, T, 2) with n, d, T >= 1, got {bounds.shape}")
@@ -187,7 +188,6 @@ class LabeledDataset:
             raise ValueError(f"label {outside[0]} outside the valid range 1..{self.n_classes}")
         if not np.isfinite(bounds).all():
             raise NonFinite("interval series bounds must be finite")
-        bounds.setflags(write=False)
         label_ids.setflags(write=False)
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "label_ids", label_ids)
@@ -253,6 +253,7 @@ def _build(classes: Sequence[Sequence[tuple[int, float]]], per_class_n: int, T: 
             block = bounds[items.start : items.stop, j]
             block[..., 0] = cr[..., 0] - cr[..., 1]
             block[..., 1] = cr[..., 0] + cr[..., 1]
+    bounds.setflags(write=False)
     labels = np.repeat(np.arange(1, len(classes) + 1), per_class_n)
     return LabeledDataset(bounds, labels, len(classes), multivariate)
 
@@ -343,11 +344,12 @@ def train_test_split(
     ds: LabeledDataset, train_fraction: float, seed: int = 0
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Stratified random split into an exact (disjoint, exhaustive) partition."""
-    train_idx, test_idx = split_indices(ds.labels(), train_fraction, seed)
-    return tuple(
-        LabeledDataset(ds.bounds[idx], ds.label_ids[idx], ds.n_classes, ds.multivariate)
-        for idx in (train_idx, test_idx)
-    )
+    parts = []
+    for idx in split_indices(ds.labels(), train_fraction, seed):
+        bounds = ds.bounds[idx]  # a fresh array, handed over read-only so it is not copied
+        bounds.setflags(write=False)
+        parts.append(LabeledDataset(bounds, ds.label_ids[idx], ds.n_classes, ds.multivariate))
+    return tuple(parts)
 
 
 DATASET_HEADER = "item,dim,t,lower,upper,label"
@@ -496,6 +498,7 @@ def _load_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     flat = bounds.reshape(-1, 2)
     for j, column in enumerate(("lower", "upper")):
         flat[:, j] = rows[column] if order is None else rows[column][order]
+    bounds.setflags(write=False)
     return bounds, labels
 
 

@@ -39,10 +39,22 @@ def _require_positive(**values: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {v}")
 
 
-def _g(ell: float, c_A: float, c_B: float, c_Z: float) -> float:
-    """g = 4 ell (c_A c_Z + c_B); a g that overflows, or underflows so far that
-    1 / g is not finite, is a ValueError naming ell and the caps, not an
-    infinite bound or a varrho of 0.0 or inf."""
+def _g(
+    ell: float, c_A: float, c_B: float, c_Z: float,
+    *, varrho: float = 1.0, n: int = 1, log_covering: float = 0.0,
+) -> float:
+    """g = 4 ell (c_A c_Z + c_B), after checking, in this order, that ell, the
+    caps and varrho are finite and positive, that n >= 1 and that
+    log_covering is finite and >= 0.  The offset bound passes its own varrho,
+    n and log_covering; the other callers leave the defaults, which pass.  A
+    g that overflows, or underflows so far that 1 / g is not finite, is a
+    ValueError naming ell and the caps, not an infinite bound or a varrho of
+    0.0 or inf."""
+    _require_positive(ell=ell, c_A=c_A, c_B=c_B, c_Z=c_Z, varrho=varrho)
+    if n < 1:
+        raise ValueError(f"sample count n must be >= 1, got {n}")
+    if not 0.0 <= log_covering < math.inf:
+        raise ValueError(f"log_covering must be finite and >= 0, got {log_covering}")
     g = 4.0 * ell * (c_A * c_Z + c_B)
     if not (math.isfinite(g) and g > 0.0 and math.isfinite(1.0 / g)):
         way = "overflows" if g > 1.0 else "underflows"
@@ -52,61 +64,33 @@ def _g(ell: float, c_A: float, c_B: float, c_Z: float) -> float:
     return g
 
 
-def g_bounds(ell: float, c_A: float, c_Z: float, c_B: float) -> tuple[float, float]:
+def g_bounds(ell: float, c_A: float, c_B: float, c_Z: float) -> tuple[float, float]:
     """(single, pair) pointwise bounds: 2 ell (c_A c_Z + c_B) and twice that."""
-    _require_positive(ell=ell, c_A=c_A, c_Z=c_Z, c_B=c_B)
     _g(ell, c_A, c_B, c_Z)
     single = 2.0 * ell * (c_A * c_Z + c_B)  # not g / 2, which rounds twice when subnormal
     return single, 2.0 * single
 
 
-@dataclass(frozen=True)
-class RiskBoundInputs:
-    """Everything the offset-complexity bound needs.
+def offset_rademacher_bound(
+    ell: float, c_A: float, c_B: float, c_Z: float, n: int, log_covering: float, varrho: float
+) -> float:
+    """(1 + logN) / (2 varrho n) + g (1 + varrho g) with g = 4 ell (c_A c_Z + c_B).
 
-    ``log_covering`` is log E N_inf(delta, F, S_n); the covering number is an
-    input because no refinement of it is attempted here.
+    ``log_covering`` is logN = log E N_inf(delta, F, S_n); the covering number
+    is an input because no refinement of it is attempted here.  A bound that
+    overflows is a ValueError naming varrho, n and logN.
     """
-
-    ell: float
-    c_A: float
-    c_B: float
-    c_Z: float
-    n: int
-    log_covering: float
-    varrho: float
-
-    def __post_init__(self) -> None:
-        _require_positive(
-            ell=self.ell, c_A=self.c_A, c_B=self.c_B, c_Z=self.c_Z, varrho=self.varrho
-        )
-        if self.n < 1:
-            raise ValueError(f"sample count n must be >= 1, got {self.n}")
-        if not 0.0 <= self.log_covering < math.inf:
-            raise ValueError(f"log_covering must be finite and >= 0, got {self.log_covering}")
-
-
-def _finite(value: float, inputs: RiskBoundInputs) -> float:
-    """`value`, or a ValueError naming varrho, n and logN when it overflows."""
-    if not math.isfinite(value):
+    g = _g(ell, c_A, c_B, c_Z, varrho=varrho, n=n, log_covering=log_covering)
+    bound = (1.0 + log_covering) / (2.0 * varrho * n) + g * (1.0 + varrho * g)
+    if not math.isfinite(bound):
         raise ValueError(
-            f"the bound overflows at varrho={inputs.varrho}, n={inputs.n}, "
-            f"log_covering={inputs.log_covering}"
+            f"the bound overflows at varrho={varrho}, n={n}, log_covering={log_covering}"
         )
-    return value
-
-
-def offset_rademacher_bound(inputs: RiskBoundInputs) -> float:
-    """(1 + logN) / (2 varrho n) + g (1 + varrho g) with g = 4 ell (c_A c_Z + c_B);
-    a bound that overflows is a ValueError naming varrho, n and logN."""
-    g = _g(inputs.ell, inputs.c_A, inputs.c_B, inputs.c_Z)
-    first = (1.0 + inputs.log_covering) / (2.0 * inputs.varrho * inputs.n)
-    return _finite(first + g * (1.0 + inputs.varrho * g), inputs)
+    return bound
 
 
 def optimal_varrho(ell: float, c_A: float, c_B: float, c_Z: float) -> float:
     """The offset parameter the excess-risk bound fixes: 1 / (4 ell (c_A c_Z + c_B))."""
-    _require_positive(ell=ell, c_A=c_A, c_B=c_B, c_Z=c_Z)
     return 1.0 / _g(ell, c_A, c_B, c_Z)
 
 
@@ -115,24 +99,12 @@ def excess_risk_bound(
 ) -> float:
     """Four times the offset-complexity bound at the fixed offset parameter."""
     varrho = optimal_varrho(ell, c_A, c_B, c_Z)
-    inputs = RiskBoundInputs(
-        ell=ell, c_A=c_A, c_B=c_B, c_Z=c_Z, n=n, log_covering=log_covering, varrho=varrho
-    )
-    return _finite(4.0 * offset_rademacher_bound(inputs), inputs)
-
-
-def heuristic_log_covering(
-    n_classes: int, p: int, c_A: float, c_Z: float, delta: float
-) -> float:
-    """Crude parametric estimate C (p + 1) log(1 + 4 c_A c_Z / delta).
-
-    A back-of-envelope volume argument only, offered for convenience; it is
-    not part of the bound derivation.
-    """
-    if n_classes < 1 or p < 1:
-        raise ValueError("n_classes and p must be >= 1")
-    _require_positive(c_A=c_A, c_Z=c_Z, delta=delta)
-    return n_classes * (p + 1) * math.log1p(4.0 * c_A * c_Z / delta)
+    bound = 4.0 * offset_rademacher_bound(ell, c_A, c_B, c_Z, n, log_covering, varrho)
+    if not math.isfinite(bound):
+        raise ValueError(
+            f"the bound overflows at varrho={varrho}, n={n}, log_covering={log_covering}"
+        )
+    return bound
 
 
 @dataclass(frozen=True)

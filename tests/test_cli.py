@@ -886,7 +886,65 @@ class TestOutOfDomainOptions:
         assert_one_line_error(out, 3, "data error: ")
 
 
+def _report(lines):
+    return "".join(f"{line}\n" for line in lines)
+
+
+_HINGE = ["loss = hinge", "ell = 1.0", "c_A = 1.0", "c_B = 1.0", "c_Z = 1.0", "n = 100",
+          "log_covering = 10.0", "varrho = 0.125", "g_bound_single = 4.0",
+          "g_bound_pair = 8.0", "offset_rademacher_bound = 16.44", "excess_risk_bound = 65.76"]
+
+# `bound --n 100 --log-covering 10` followed by each run's flags: the exit
+# code and the full stdout and stderr
+BOUND_GOLDEN = [
+    ((), 0, _report(_HINGE), ""),
+    (("--json",), 0, """\
+{
+  "loss": "hinge",
+  "ell": 1.0,
+  "c_A": 1.0,
+  "c_B": 1.0,
+  "c_Z": 1.0,
+  "n": 100,
+  "log_covering": 10.0,
+  "varrho": 0.125,
+  "g_bound_single": 4.0,
+  "g_bound_pair": 8.0,
+  "offset_rademacher_bound": 16.44,
+  "excess_risk_bound": 65.76
+}
+""", ""),
+    (("--mc",), 0, _report(_HINGE + ["mc_offset_rademacher = 0.16139386800926536",
+                                     "mc_draws = 256", "mc_inner_steps = 200"]), ""),
+    (("--loss", "squared_hinge", "--c-z", "2", "--varrho", "0.3"), 0, _report([
+        "loss = squared_hinge", "ell = 2.0", "c_A = 1.0", "c_B = 1.0", "c_Z = 2.0", "n = 100",
+        "log_covering = 10.0", "varrho = 0.3", "g_bound_single = 12.0", "g_bound_pair = 24.0",
+        "offset_rademacher_bound = 196.98333333333332", "excess_risk_bound = 197.28"]), ""),
+    (("--n", "0"), 4, "", "sample count n must be >= 1, got 0"),
+    (("--log-covering", "-1"), 4, "", "log_covering must be finite and >= 0, got -1.0"),
+    (("--varrho", "0"), 4, "", "varrho must be finite and positive, got 0.0"),
+    (("--ell", "nan"), 4, "", "ell must be finite and positive, got nan"),
+    (("--ell", "1e308", "--c-a", "1e308"), 4, "",
+     "g = 4 ell (c_A c_Z + c_B) overflows at ell=1e+308, c_A=1e+308, c_B=1.0, c_Z=1.0"),
+    (("--c-a", "0"), 4, "", "c_A must be finite and positive, got 0.0"),
+    (("--ell", "-1"), 4, "", "ell must be finite and positive, got -1.0"),
+    (("--varrho", "1e-320"), 4, "",
+     "the bound overflows at varrho=1e-320, n=100, log_covering=10.0"),
+    (("--n", "1", "--log-covering", "1e308"), 4, "",
+     "the bound overflows at varrho=0.125, n=1, log_covering=1e+308"),
+    # two bad caps: the first in (ell, c_A, c_B, c_Z) order is named
+    (("--varrho", "0.5", "--c-b", "inf", "--c-z", "inf"), 4, "",
+     "c_B must be finite and positive, got inf"),
+]
+
+
 class TestBound:
+    @pytest.mark.parametrize("flags, code, stdout, error", BOUND_GOLDEN)
+    def test_golden_output(self, flags, code, stdout, error):
+        out = run_cli("bound", "--n", "100", "--log-covering", "10", *flags)
+        assert (out.returncode, out.stdout) == (code, stdout)
+        assert out.stderr == (f"numeric error: {error}\n" if error else "")
+
     def test_prints_hand_value(self):
         out = run_cli("bound", "--n", "100", "--log-covering", "10")
         assert out.returncode == 0, out.stderr

@@ -345,8 +345,19 @@ class TestLabeledDataset:
         with pytest.raises(ValueError):
             iv.LabeledDataset(bounds[:0], [], n_classes=1, multivariate=False)
 
+    def test_writable_input_is_copied(self):
+        """Writes through the caller's handle never reach the checked dataset."""
+        b = np.zeros((1, 1, 3, 2))
+        ds = iv.LabeledDataset(b, [1], 1, False)
+        s = ds.series()[0]
+        b[0, 0, 0, 0] = np.nan
+        assert s.bounds[0].tolist() == [0.0, 0.0]
+        assert np.isfinite(ds.bounds).all()
+        assert not np.shares_memory(ds.bounds, b)
+
     def test_series_are_views_of_one_array(self, tmp_path):
         bounds = np.arange(2 * 3 * 4 * 2, dtype=np.float64).reshape(2, 3, 4, 2)
+        bounds.setflags(write=False)
         ds = iv.LabeledDataset(bounds, [1, 2], 2, multivariate=True)
         assert np.shares_memory(ds.bounds, bounds)
         assert not ds.bounds.flags.writeable

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import ivtskit as iv
-from ivtskit.theory import RiskBoundInputs
 
 
-def make_inputs(**overrides):
+def offset_bound(**overrides):
+    """offset_rademacher_bound at unit caps, n = 100, logN = 10 and varrho = 1/8,
+    with `overrides` replacing any of them."""
     base = dict(ell=1.0, c_A=1.0, c_B=1.0, c_Z=1.0, n=100, log_covering=10.0, varrho=0.125)
     base.update(overrides)
-    return RiskBoundInputs(**base)
+    return iv.offset_rademacher_bound(**base)
 
 
 class TestLipschitzConstants:
@@ -29,7 +30,7 @@ class TestLipschitzConstants:
 
 class TestGBounds:
     def test_worked_example(self):
-        assert iv.g_bounds(1.0, 2.0, 3.0, 1.0) == (14.0, 28.0)
+        assert iv.g_bounds(1.0, 2.0, 1.0, 3.0) == (14.0, 28.0)
 
     def test_unit_caps(self):
         assert iv.g_bounds(1.0, 1.0, 1.0, 1.0) == (4.0, 8.0)
@@ -43,7 +44,7 @@ class TestGBounds:
         rng = np.random.default_rng(0)
         for _ in range(50):
             ell, ca, cz, cb = rng.uniform(0.1, 3.0, size=4)
-            single, pair = iv.g_bounds(ell, ca, cz, cb)
+            single, pair = iv.g_bounds(ell, c_A=ca, c_B=cb, c_Z=cz)
             assert pair == 2.0 * single
 
     def test_positivity_required(self):
@@ -54,23 +55,21 @@ class TestGBounds:
 class TestOffsetBound:
     def test_hand_value(self):
         # (1 + 10) / (2 * (1/8) * 100) + 8 * (1 + (1/8) * 8) = 0.44 + 16
-        assert iv.offset_rademacher_bound(make_inputs()) == pytest.approx(16.44, abs=1e-12)
+        assert offset_bound() == pytest.approx(16.44, abs=1e-12)
 
     def test_large_n_limit(self):
-        bound = iv.offset_rademacher_bound(make_inputs(log_covering=0.0, n=10**12))
+        bound = offset_bound(log_covering=0.0, n=10**12)
         assert bound == pytest.approx(16.0, abs=1e-9)
 
     def test_doubling_n_halves_first_term(self):
         second_term = 8.0 * (1.0 + 0.125 * 8.0)
-        b1 = iv.offset_rademacher_bound(make_inputs(n=100))
-        b2 = iv.offset_rademacher_bound(make_inputs(n=200))
+        b1 = offset_bound(n=100)
+        b2 = offset_bound(n=200)
         assert (b1 - second_term) == pytest.approx(2.0 * (b2 - second_term), rel=1e-15)
 
     def test_unique_interior_minimum_in_varrho(self):
         grid = np.logspace(-4, 1, 61)
-        values = [
-            iv.offset_rademacher_bound(make_inputs(varrho=float(v))) for v in grid
-        ]
+        values = [offset_bound(varrho=float(v)) for v in grid]
         best = int(np.argmin(values))
         assert 0 < best < len(grid) - 1
         diffs = np.sign(np.diff(values))
@@ -83,17 +82,28 @@ class TestOffsetBound:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            make_inputs(n=0)
+            offset_bound(n=0)
         with pytest.raises(ValueError):
-            make_inputs(log_covering=-1.0)
+            offset_bound(log_covering=-1.0)
         with pytest.raises(ValueError):
-            make_inputs(varrho=0.0)
+            offset_bound(varrho=0.0)
 
     @pytest.mark.parametrize("name", ["ell", "c_A", "c_B", "c_Z", "varrho", "log_covering"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_inputs_named(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            make_inputs(**{name: value})
+            offset_bound(**{name: value})
+
+    @pytest.mark.parametrize("bad, name", [
+        ({"c_Z": math.inf, "varrho": 0.0}, "c_Z must be"),
+        ({"varrho": 0.0, "n": 0}, "varrho must be"),
+        ({"n": 0, "log_covering": -1.0}, "sample count n"),
+        ({"ell": 1e308, "c_A": 1e308, "log_covering": -1.0}, "log_covering must be"),
+    ])
+    def test_inputs_checked_in_order(self, bad, name):
+        """ell, c_A, c_B, c_Z, varrho, then n, then log_covering, then g."""
+        with pytest.raises(ValueError, match=f"^{name}"):
+            offset_bound(**bad)
 
     @pytest.mark.parametrize("name", ["ell", "c_A", "c_B", "c_Z"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -153,17 +163,6 @@ class TestExcessRiskBound:
             for c in (0.0, 1.0, 5.0, 25.0, 125.0)
         ]
         assert all(a <= b for a, b in zip(values, values[1:]))
-
-
-class TestHeuristicCovering:
-    def test_positive_and_growing_in_p(self):
-        a = iv.heuristic_log_covering(3, 10, 1.0, 1.0, 0.1)
-        b = iv.heuristic_log_covering(3, 20, 1.0, 1.0, 0.1)
-        assert 0.0 < a < b
-
-    def test_matches_formula(self):
-        got = iv.heuristic_log_covering(2, 4, 1.0, 2.0, 0.5)
-        assert got == pytest.approx(2 * 5 * math.log1p(16.0))
 
 
 class TestEmpiricalOffsetRademacher:
