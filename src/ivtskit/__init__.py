@@ -35,8 +35,7 @@ _NAMES = {
     ),
     "classify": (
         "FeatureConfig", "LinearClassifier", "accuracy", "empirical_phi_risk",
-        "featurize", "knn_classify", "load_model", "predict", "save_model", "score",
-        "train",
+        "featurize", "knn_classify", "load_model", "predict", "save_model", "train",
     ),
     "theory": (
         "RademacherEstimate", "empirical_offset_rademacher", "excess_risk_bound",

@@ -29,7 +29,7 @@ import numpy as np
 
 from .defaults import LOSS_NAMES
 from .errors import BlockGridInvalid, DimensionMismatch, EmptyInput, LengthMismatch
-from .intervals import Kernel2x2, MvIntervalSeries, as_grid, pointwise_dk_squared
+from .intervals import Kernel2x2, as_grid, pointwise_dk_squared
 
 if TYPE_CHECKING:  # annotations only: theory -> classify loads neither module
     from .dgp import LabeledDataset
@@ -231,17 +231,10 @@ class LinearClassifier:
         return self.weights.shape[1]
 
 
-def score(clf: LinearClassifier, z) -> np.ndarray:
-    """Length-C score vector A_Y^T z + B_Y."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (clf.dim,):
-        raise DimensionMismatch(f"feature has shape {z.shape}, classifier expects ({clf.dim},)")
-    return clf.weights @ z + clf.biases
-
-
 def predict(clf: LinearClassifier, z) -> int:
-    """Highest-scoring class; ties break to the lowest class index."""
-    return int(np.argmax(score(clf, z))) + 1
+    """Highest-scoring class of the feature vector z (scores A_Y^T z + B_Y);
+    ties break to the lowest class index."""
+    return int(predict_rows(clf, np.asarray(z, dtype=np.float64)[None])[0])
 
 
 def _rows(clf: LinearClassifier, features: np.ndarray) -> np.ndarray:
@@ -381,10 +374,9 @@ def train(
     return LinearClassifier(best_w @ X if dual else best_w, best_b, c_A, c_B)
 
 
-def _query_grid(query, X: np.ndarray, multivariate: bool) -> np.ndarray:
+def _query_grid(query, X: np.ndarray) -> np.ndarray:
     # Shapes are checked here: the scan would broadcast T = 1 against any T.
-    if isinstance(query, MvIntervalSeries) != multivariate:
-        raise DimensionMismatch("cannot mix univariate and multivariate series")
+    # An IntervalSeries is the d = 1 grid, so it matches a d = 1 MvIntervalSeries.
     grid = as_grid(query)
     if grid.shape[0] != X.shape[1]:
         raise DimensionMismatch(f"series dimensions differ: {grid.shape[0]} vs {X.shape[1]}")
@@ -453,7 +445,7 @@ def knn_classify(
     voting neighbors, then to the lowest class id.
     """
     X = train.bounds
-    return knn_rows(X, train.labels(), [_query_grid(query, X, train.multivariate)], k, kernel)[0]
+    return knn_rows(X, train.labels(), [_query_grid(query, X)], k, kernel)[0]
 
 
 def accuracy(predictions, labels) -> float:

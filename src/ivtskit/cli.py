@@ -274,8 +274,7 @@ def _trajectory_config(eff: dict) -> TrajectoryConfig:
     except ValueError:
         raise NumericError(f"epsilon {text!r} is not a number or comma list") from None
     try:
-        return TrajectoryConfig(m=eff["m"], kappa=eff["kappa"],
-                                epsilon=eps[0] if len(eps) == 1 else tuple(eps))
+        return TrajectoryConfig(m=eff["m"], kappa=eff["kappa"], epsilon=tuple(eps))
     except ValueError as e:
         raise NumericError(str(e)) from e
 
@@ -373,14 +372,12 @@ def cmd_ingest(eff: dict) -> None:
 
     bounds = np.stack(grids)
     bounds.setflags(write=False)  # handed over, so the dataset keeps it without a copy
-    ds = dgp_mod.LabeledDataset(
-        bounds, window_labels, len(label_map), multivariate=grids[0].shape[0] > 1
-    )
+    ds = dgp_mod.LabeledDataset(bounds, window_labels)
     out = Path(eff["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     dgp_mod.save_dataset_csv(ds, out)
     mapping = ", ".join(f"{raw!r}->{i}" for raw, i in label_map.items())
-    print(f"wrote {out}: n={len(ds)} C={ds.n_classes} d={ds.dim()} T={window} labels: {mapping}")
+    print(f"wrote {out}: n={len(ds)} C={len(label_map)} d={ds.dim()} T={window} labels: {mapping}")
 
 
 # ---------------------------------------------------------------------------

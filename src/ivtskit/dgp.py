@@ -28,7 +28,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .defaults import DEFAULT_PER_CLASS, DEFAULT_RHO_GRID, DEFAULT_T
-from .errors import DimensionMismatch, LengthMismatch, NonFinite
+from .errors import LengthMismatch, NonFinite
 from .intervals import IntervalSeries, MvIntervalSeries, _bounds_array
 
 AnySeries = Union[IntervalSeries, MvIntervalSeries]
@@ -164,35 +164,35 @@ class LabeledDataset:
     labels: ``bounds``, a read-only float64 (n, d, T, 2) array, kept without a
     copy when it is a read-only float64 array and copied otherwise, so later
     writes to the input never reach it, and ``label_ids``, a
-    read-only int64 (n,) vector.  ``multivariate`` says whether the items are
-    MvIntervalSeries or, with d = 1, IntervalSeries."""
+    read-only int64 (n,) vector.  Both arrays determine the rest: there are
+    ``n_classes`` = max(label_ids) classes, and the items are MvIntervalSeries
+    exactly when d > 1 (``multivariate``), else IntervalSeries."""
 
     bounds: np.ndarray
     label_ids: np.ndarray
-    n_classes: int
-    multivariate: bool
 
     def __post_init__(self) -> None:
         bounds = _bounds_array(self.bounds)
         label_ids = np.array(self.label_ids, dtype=np.int64)
         if bounds.ndim != 4 or bounds.shape[3] != 2 or 0 in bounds.shape:
             raise ValueError(f"bounds must be (n, d, T, 2) with n, d, T >= 1, got {bounds.shape}")
-        if not self.multivariate and bounds.shape[1] != 1:
-            raise DimensionMismatch(f"univariate items need d = 1, got d = {bounds.shape[1]}")
         if label_ids.shape != bounds.shape[:1]:
             raise LengthMismatch(f"{label_ids.shape} labels for {bounds.shape[0]} items")
-        if self.n_classes < 1:
-            raise ValueError("a labeled dataset needs at least one class")
-        outside = label_ids[(label_ids < 1) | (label_ids > self.n_classes)]
-        if outside.size:
-            raise ValueError(f"label {outside[0]} outside the valid range 1..{self.n_classes}")
+        if label_ids.min() < 1:
+            raise ValueError(f"label {label_ids.min()} is not a class id (1, 2, ...)")
         if not np.isfinite(bounds).all():
             raise NonFinite("interval series bounds must be finite")
         label_ids.setflags(write=False)
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "label_ids", label_ids)
-        object.__setattr__(self, "n_classes", int(self.n_classes))
-        object.__setattr__(self, "multivariate", bool(self.multivariate))
+
+    @property
+    def n_classes(self) -> int:
+        return int(self.label_ids.max())
+
+    @property
+    def multivariate(self) -> bool:
+        return self.bounds.shape[1] > 1
 
     def __len__(self) -> int:
         return self.bounds.shape[0]
@@ -205,10 +205,6 @@ class LabeledDataset:
         if self.multivariate:
             return [MvIntervalSeries(g) for g in self.bounds]
         return [IntervalSeries(g[0]) for g in self.bounds]
-
-    def class_counts(self) -> dict[int, int]:
-        values, counts = np.unique(self.label_ids, return_counts=True)
-        return dict(zip(values.tolist(), counts.tolist()))
 
     def dim(self) -> int:
         return self.bounds.shape[1]
@@ -234,7 +230,7 @@ def _build(classes: Sequence[Sequence[tuple[int, float]]], per_class_n: int, T: 
     """`per_class_n` items for each class; class c (1-based) lists in
     ``classes[c - 1]`` the (process id, rho) of every dimension.  Item i's
     dimension j draws from the stream (seed, i, j) if `multivariate`, else
-    (seed, i)."""
+    (seed, i); the dataset's own ``multivariate`` follows from d alone."""
     if not classes or not classes[0]:
         raise ValueError("rho_grid must be nonempty")
     if per_class_n < 1:
@@ -255,7 +251,7 @@ def _build(classes: Sequence[Sequence[tuple[int, float]]], per_class_n: int, T: 
             block[..., 1] = cr[..., 0] + cr[..., 1]
     bounds.setflags(write=False)
     labels = np.repeat(np.arange(1, len(classes) + 1), per_class_n)
-    return LabeledDataset(bounds, labels, len(classes), multivariate)
+    return LabeledDataset(bounds, labels)
 
 
 def build_univariate_dataset(
@@ -348,7 +344,7 @@ def train_test_split(
     for idx in split_indices(ds.labels(), train_fraction, seed):
         bounds = ds.bounds[idx]  # a fresh array, handed over read-only so it is not copied
         bounds.setflags(write=False)
-        parts.append(LabeledDataset(bounds, ds.label_ids[idx], ds.n_classes, ds.multivariate))
+        parts.append(LabeledDataset(bounds, ds.label_ids[idx]))
     return tuple(parts)
 
 
@@ -512,5 +508,4 @@ def load_dataset_csv(path) -> LabeledDataset:
     disagree on their dimension count or on their length T, or a label
     below 1.
     """
-    bounds, labels = _load_arrays(path)
-    return LabeledDataset(bounds, labels, int(labels.max()), multivariate=bounds.shape[1] > 1)
+    return LabeledDataset(*_load_arrays(path))

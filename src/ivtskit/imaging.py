@@ -31,13 +31,14 @@ from .intervals import NEGATIVE_TOLERANCE, Kernel2x2, as_grid
 class TrajectoryConfig:
     """Delay-embedding and threshold parameters for recurrence imaging.
 
-    ``epsilon`` is a single threshold broadcast to every dimension, or a
-    tuple with one threshold per dimension of a multivariate series.
+    ``epsilon`` is a tuple of thresholds: one per dimension of a multivariate
+    series, or a single one broadcast to every dimension.  A scalar is
+    stored as a 1-tuple.
     """
 
     m: int = 1
     kappa: int = 1
-    epsilon: float | tuple[float, ...] = DEFAULT_EPSILON
+    epsilon: tuple[float, ...] = (DEFAULT_EPSILON,)
 
     def __post_init__(self) -> None:
         if int(self.m) != self.m or self.m < 1:
@@ -46,15 +47,10 @@ class TrajectoryConfig:
             raise ValueError(f"time delay kappa must be a positive integer, got {self.kappa}")
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "kappa", int(self.kappa))
-        eps = self.epsilon
-        if isinstance(eps, (tuple, list, np.ndarray)):
-            eps = tuple(float(e) for e in eps)
-            if not eps:
-                raise ValueError("epsilon tuple must be nonempty")
-        else:
-            eps = float(eps)
-        values = eps if isinstance(eps, tuple) else (eps,)
-        for e in values:
+        eps = tuple(float(e) for e in np.atleast_1d(self.epsilon))
+        if not eps:
+            raise ValueError("epsilon tuple must be nonempty")
+        for e in eps:
             if not math.isfinite(e) or e < 0.0:
                 raise ValueError(f"epsilon must be finite and >= 0, got {e}")
         object.__setattr__(self, "epsilon", eps)
@@ -69,16 +65,12 @@ class TrajectoryConfig:
         return n
 
     def epsilon_for(self, d: int) -> tuple[float, ...]:
-        """Per-dimension thresholds: broadcast a scalar, validate a vector."""
-        if isinstance(self.epsilon, tuple):
-            if len(self.epsilon) == 1:
-                return self.epsilon * d
-            if len(self.epsilon) != d:
-                raise DimensionMismatch(
-                    f"{len(self.epsilon)} thresholds given for {d} dimensions"
-                )
-            return self.epsilon
-        return (self.epsilon,) * d
+        """Per-dimension thresholds: broadcast a 1-tuple, validate a longer one."""
+        if len(self.epsilon) == 1:
+            return self.epsilon * d
+        if len(self.epsilon) != d:
+            raise DimensionMismatch(f"{len(self.epsilon)} thresholds given for {d} dimensions")
+        return self.epsilon
 
 
 class RecurrenceImage:
@@ -201,6 +193,9 @@ def load_pgm(path) -> RecurrenceImage:
     maxval = int(parts[2])
     if maxval != 255:
         raise ValueError(f"{path}: expected maxval 255, got {maxval}")
+    if width * height > len(parts[3]):  # frombuffer overflows on a count past its index range
+        raise ValueError(f"{path}: a {width}x{height} image needs {width * height} bytes, "
+                         f"got {len(parts[3])}")
     data = np.frombuffer(parts[3], dtype=np.uint8, count=width * height)
     return RecurrenceImage((data > 0).astype(np.uint8).reshape(height, width))
 

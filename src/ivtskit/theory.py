@@ -21,6 +21,7 @@ projected gradient ascent and averages the per-draw suprema.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +45,17 @@ def _g(
     *, varrho: float = 1.0, n: int = 1, log_covering: float = 0.0,
 ) -> float:
     """g = 4 ell (c_A c_Z + c_B), after checking, in this order, that ell, the
-    caps and varrho are finite and positive, that n >= 1 and that
-    log_covering is finite and >= 0.  The offset bound passes its own varrho,
-    n and log_covering; the other callers leave the defaults, which pass.  A
-    g that overflows, or underflows so far that 1 / g is not finite, is a
-    ValueError naming ell and the caps, not an infinite bound or a varrho of
-    0.0 or inf."""
+    caps and varrho are finite and positive, that 1 <= n <= the largest
+    float and that log_covering is finite and >= 0.  The offset bound passes
+    its own varrho, n and log_covering; the other callers leave the defaults,
+    which pass.  A g that overflows, or underflows so far that 1 / g is not
+    finite, is a ValueError naming ell and the caps, not an infinite bound or
+    a varrho of 0.0 or inf."""
     _require_positive(ell=ell, c_A=c_A, c_B=c_B, c_Z=c_Z, varrho=varrho)
     if n < 1:
         raise ValueError(f"sample count n must be >= 1, got {n}")
+    if n > sys.float_info.max:  # the bound would convert it to a float
+        raise ValueError(f"sample count n must be at most {sys.float_info.max!r}, got {n}")
     if not 0.0 <= log_covering < math.inf:
         raise ValueError(f"log_covering must be finite and >= 0, got {log_covering}")
     g = 4.0 * ell * (c_A * c_Z + c_B)

@@ -14,6 +14,7 @@ from ivtskit.errors import (
     LengthMismatch,
 )
 from ivtskit.intervals import as_grid
+from test_oracles import ref_predict, ref_scores
 
 K4 = iv.kernel_preset("K4")
 
@@ -84,32 +85,29 @@ class TestFeaturize:
 class TestScorePredict:
     def test_zero_classifier_predicts_first_class(self):
         clf = LinearClassifier(np.zeros((3, 4)), np.zeros(3))
-        z = np.zeros(4)
-        assert np.array_equal(iv.score(clf, z), np.zeros(3))
-        assert iv.predict(clf, z) == 1
+        assert iv.predict(clf, np.zeros(4)) == 1
 
     def test_two_class_example(self):
         clf = LinearClassifier(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2))
-        z = np.array([1.0, 0.0])
-        assert np.array_equal(iv.score(clf, z), [1.0, -1.0])
-        assert iv.predict(clf, z) == 1
+        assert iv.predict(clf, np.array([1.0, 0.0])) == 1
+        assert iv.predict(clf, np.array([-1.0, 0.0])) == 2
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(20)
         for _ in range(50):
             clf = random_in_cap_classifier(rng, 4, 6)
             z = random_capped_feature(rng, 6)
-            got = iv.score(clf, z)
             want = [
                 sum(clf.weights[c, j] * z[j] for j in range(6)) + clf.biases[c]
                 for c in range(4)
             ]
-            assert got == pytest.approx(want, abs=1e-12)
+            assert ref_scores(clf, z) == pytest.approx(want, abs=1e-12)
+            assert iv.predict(clf, z) == ref_predict(clf, z)
 
     def test_dim_mismatch(self):
         clf = LinearClassifier(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(DimensionMismatch):
-            iv.score(clf, np.zeros(4))
+            iv.predict(clf, np.zeros(4))
 
     def test_bias_shift_leaves_prediction(self):
         rng = np.random.default_rng(21)
@@ -159,7 +157,7 @@ class TestMaxLoss:
             clf = random_in_cap_classifier(rng, 3, 4)
             z = random_capped_feature(rng, 4)
             y = int(rng.integers(1, 4))
-            s = iv.score(clf, z)
+            s = ref_scores(clf, z)
             want = max(
                 LOSSES["hinge"].value(float(s[y - 1] - s[other - 1]))
                 for other in range(1, 4)
@@ -305,12 +303,12 @@ class TestLipschitzAndBoundedness:
         for _ in range(300):
             clf = random_in_cap_classifier(rng, 3, 5, c_A=2.0, c_B=0.5)
             z = random_capped_feature(rng, 5, c_Z=1.5)
-            assert np.abs(iv.score(clf, z)).max() <= 2.0 * 1.5 + 0.5 + 1e-12
+            assert np.abs(ref_scores(clf, z)).max() <= 2.0 * 1.5 + 0.5 + 1e-12
 
 
 def _one_step_dataset(values, labels):
     grids = [as_grid(iv.IntervalSeries(np.array([[v, v]]))) for v in values]
-    return iv.LabeledDataset(np.stack(grids), labels, n_classes=max(labels), multivariate=False)
+    return iv.LabeledDataset(np.stack(grids), labels)
 
 
 class TestKnn:
@@ -348,7 +346,7 @@ class TestKnn:
             return iv.MvIntervalSeries(np.array([[[v1, v1]], [[v2, v2]]], dtype=float))
 
         grids = np.stack([as_grid(mv(0, 0)), as_grid(mv(3, 3))])
-        ds = iv.LabeledDataset(grids, [1, 2], n_classes=2, multivariate=True)
+        ds = iv.LabeledDataset(grids, [1, 2])
         # dim 1 favors class 2, dim 2 favors class 1; the sum favors class 1
         query = mv(2.0, 0.5)
         assert iv.knn_classify(ds, query, 1, K4) == 1

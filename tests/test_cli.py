@@ -219,7 +219,7 @@ class TestParserDefaults:
         for table in (cli.IMAGE_OPTS, cli.CLASSIFY_OPTS):
             assert self._opts(table)["epsilon"].default == repr(imaging.DEFAULT_EPSILON)
         assert imaging.DEFAULT_EPSILON == math.pi / 18
-        assert imaging.TrajectoryConfig().epsilon is imaging.DEFAULT_EPSILON
+        assert imaging.TrajectoryConfig().epsilon == (imaging.DEFAULT_EPSILON,)
         assert iv.DEFAULT_EPSILON is imaging.DEFAULT_EPSILON
 
     def test_run_config_bytes(self, mix_csv, tmp_path):
@@ -510,7 +510,7 @@ class TestImage:
         n, T = 400, 150
         bounds = np.random.default_rng(3).standard_normal((n, 1, T, 2))
         data = tmp_path / "ds.csv"
-        iv.save_dataset_csv(iv.LabeledDataset(bounds, np.arange(n) % 4 + 1, 4, False), data)
+        iv.save_dataset_csv(iv.LabeledDataset(bounds, np.arange(n) % 4 + 1), data)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -572,7 +572,7 @@ def _write_separable_dataset(path):
         jumpy = iv.IntervalSeries(np.array([[c, c + 0.1]] * 6 + [[100 + c, 100.1 + c]] * 6))
         items.append((jumpy, 2))
     bounds = np.stack([as_grid(series) for series, _ in items])
-    iv.save_dataset_csv(iv.LabeledDataset(bounds, [label for _, label in items], 2, False), path)
+    iv.save_dataset_csv(iv.LabeledDataset(bounds, [label for _, label in items]), path)
 
 
 def assert_one_line_error(out, code, text):
@@ -935,6 +935,11 @@ BOUND_GOLDEN = [
     # two bad caps: the first in (ell, c_A, c_B, c_Z) order is named
     (("--varrho", "0.5", "--c-b", "inf", "--c-z", "inf"), 4, "",
      "c_B must be finite and positive, got inf"),
+    # an n that no float holds, with and without --varrho
+    *[pytest.param(("--n", "1" + "0" * 400, *flags), 4, "",
+                   f"sample count n must be at most 1.7976931348623157e+308, got 1{'0' * 400}",
+                   id=f"n-1e400{'-varrho' * bool(flags)}")
+      for flags in ((), ("--varrho", "0.5"))],
 ]
 
 
@@ -1445,7 +1450,7 @@ class TestFuzz:
                 ["0", "-1", "nan", "inf"]),
         "c_z": (["1.0", "0.5", "1e300", "1e-300", "1e-310", "5e-324", ""],
                 ["0", "-1", "nan", "inf"]),
-        "n": (["1", "100"], ["0", "-1", "x", ""]),
+        "n": (["1", "100"], ["0", "-1", "x", "", "1" + "0" * 400]),
         "log_covering": (["0", "10", "1e300"], ["-1", "nan", "inf", "x", ""]),
         "varrho": (["0.125", "1e-300", ""], ["0", "-1", "nan", "inf"]),
         "mc": (["true", "false", ""], ["maybe"]),

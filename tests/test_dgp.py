@@ -1,5 +1,6 @@
 """Tests for the simulation generators and dataset builders."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import ivtskit as iv
+from ivtskit import cli
 from ivtskit.dgp import (
     GAMMA,
     PHI,
@@ -181,7 +183,7 @@ class TestDatasetBuilders:
         ds = iv.build_univariate_dataset(3, seed=1)
         assert len(ds) == 2500
         assert ds.n_classes == 5
-        assert ds.class_counts() == {c: 500 for c in range(1, 6)}
+        assert np.array_equal(np.bincount(ds.label_ids), [0] + [500] * 5)
         assert len(ds.series()[0]) == 150
 
     def test_small_grid(self):
@@ -235,8 +237,8 @@ class TestSplit:
     def test_even_split(self):
         ds = iv.build_univariate_dataset(3, per_class_n=10, T=5, rho_grid=(0.0, 0.7), seed=6)
         train, test = iv.train_test_split(ds, 0.5, seed=1)
-        assert train.class_counts() == {1: 5, 2: 5}
-        assert test.class_counts() == {1: 5, 2: 5}
+        assert np.array_equal(np.bincount(train.label_ids), [0, 5, 5])
+        assert np.array_equal(np.bincount(test.label_ids), [0, 5, 5])
 
     def test_exact_partition(self):
         ds = iv.build_univariate_dataset(3, per_class_n=7, T=5, rho_grid=(0.0, 0.7), seed=6)
@@ -316,7 +318,7 @@ class TestCsvRoundTrip:
         the bounds are filled from them: no sort, no stacked copy."""
         bounds = np.random.default_rng(4).standard_normal((150, 5, 150, 2))  # mv-c1's shape
         path = tmp_path / "ds.csv"
-        iv.save_dataset_csv(iv.LabeledDataset(bounds, np.arange(150) // 50 + 1, 3, True), path)
+        iv.save_dataset_csv(iv.LabeledDataset(bounds, np.arange(150) // 50 + 1), path)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -340,15 +342,16 @@ class TestCsvRoundTrip:
 class TestLabeledDataset:
     def test_label_range_enforced(self):
         bounds = as_grid(iv.IntervalSeries(np.array([[0.0, 1.0]])))[None]
+        for label in (0, -1):
+            with pytest.raises(ValueError, match=rf"^label {label} is not a class id"):
+                iv.LabeledDataset(bounds, [label])
         with pytest.raises(ValueError):
-            iv.LabeledDataset(bounds, [3], n_classes=2, multivariate=False)
-        with pytest.raises(ValueError):
-            iv.LabeledDataset(bounds[:0], [], n_classes=1, multivariate=False)
+            iv.LabeledDataset(bounds[:0], [])
 
     def test_writable_input_is_copied(self):
         """Writes through the caller's handle never reach the checked dataset."""
         b = np.zeros((1, 1, 3, 2))
-        ds = iv.LabeledDataset(b, [1], 1, False)
+        ds = iv.LabeledDataset(b, [1])
         s = ds.series()[0]
         b[0, 0, 0, 0] = np.nan
         assert s.bounds[0].tolist() == [0.0, 0.0]
@@ -358,12 +361,12 @@ class TestLabeledDataset:
     def test_series_are_views_of_one_array(self, tmp_path):
         bounds = np.arange(2 * 3 * 4 * 2, dtype=np.float64).reshape(2, 3, 4, 2)
         bounds.setflags(write=False)
-        ds = iv.LabeledDataset(bounds, [1, 2], 2, multivariate=True)
+        ds = iv.LabeledDataset(bounds, [1, 2])
         assert np.shares_memory(ds.bounds, bounds)
         assert not ds.bounds.flags.writeable
         for s, grid in zip(ds.series(), ds.bounds):
             assert np.shares_memory(s.grid, grid)
-        uni = iv.LabeledDataset(bounds[:, :1], [1, 2], 2, multivariate=False)
+        uni = iv.LabeledDataset(bounds[:, :1], [1, 2])
         for s, grid in zip(uni.series(), uni.bounds):
             assert isinstance(s, iv.IntervalSeries)
             assert np.shares_memory(s.bounds, grid)
@@ -372,3 +375,63 @@ class TestLabeledDataset:
         loaded = iv.load_dataset_csv(path)
         assert np.shares_memory(loaded.series()[1].grid, loaded.bounds)
         assert np.array_equal(loaded.bounds, bounds)
+
+
+K4 = iv.kernel_preset("K4")
+
+ROUND_TRIP_BUILDS = {
+    **{f"dgp{g}": lambda g=g: iv.build_univariate_dataset(g, 2, 12, (0.0, 0.7), seed=3)
+       for g in (1, 2, 3)},
+    "c1": lambda: iv.build_multivariate_c1(2, 12, seed=3),
+    "c2": lambda: iv.build_multivariate_c2(2, 12, seed=3),
+    "mix": lambda: build_dgp_mix_dataset(2, 12, seed=3),
+    "c1-d1": lambda: iv.build_multivariate_c1(3, 10, rho_grid=[0.5]),
+}
+
+
+def _ingested(tmp_path, monkeypatch):
+    """The dataset that `ingest` builds from two two-dimensional series, as
+    it hands it to save_dataset_csv."""
+    raw = tmp_path / "raw.csv"
+    rows = ["series_id,dim,timestamp,value,label"]
+    for sid, label in (("s1", "north"), ("s2", "south")):
+        for day in range(1, 13):
+            for dim, scale in (("temp", 1.5), ("wind", -0.5)):
+                rows.append(f"{sid},{dim},2020-01-{day:02d}T06:00:00,{day * scale},{label}")
+    raw.write_text("\n".join(rows) + "\n")
+    built, save = [], iv.dgp.save_dataset_csv
+
+    def keep(ds, path):
+        built.append(ds)
+        save(ds, path)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(iv.dgp, "save_dataset_csv", keep)
+        argv = ["ingest", "--input", str(raw), "--out", str(tmp_path / "ing.csv"), "--window", "4"]
+        assert cli.main(argv) == 0
+    return built[0]
+
+
+class TestRoundTripGuard:
+    """Loading a saved dataset gives it back: every field, the derived
+    n_classes and multivariate, and each item's series type.  A field that
+    the file cannot carry fails here at once."""
+
+    @pytest.mark.parametrize("name", [*ROUND_TRIP_BUILDS, "ingest"])
+    def test_load_of_save_is_the_dataset(self, tmp_path, monkeypatch, name):
+        if name == "ingest":
+            ds = _ingested(tmp_path, monkeypatch)
+        else:
+            ds = ROUND_TRIP_BUILDS[name]()
+        path = tmp_path / "ds.csv"
+        iv.save_dataset_csv(ds, path)
+        loaded = iv.load_dataset_csv(path)
+        for field in dataclasses.fields(iv.LabeledDataset):
+            assert np.array_equal(getattr(loaded, field.name), getattr(ds, field.name)), field.name
+        assert (loaded.n_classes, loaded.multivariate) == (ds.n_classes, ds.multivariate)
+        assert [type(s) for s in loaded.series()] == [type(s) for s in ds.series()]
+        for query in loaded.series():
+            iv.knn_classify(ds, query, 1, K4)
+
+    def test_fields_are_the_two_arrays(self):
+        assert [f.name for f in dataclasses.fields(iv.LabeledDataset)] == ["bounds", "label_ids"]

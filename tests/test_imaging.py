@@ -1,6 +1,7 @@
 """Tests for trajectory extraction and recurrence imaging."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ class TestTrajectoryConfig:
     def test_defaults(self):
         cfg = iv.TrajectoryConfig()
         assert (cfg.m, cfg.kappa) == (1, 1)
-        assert cfg.epsilon == pytest.approx(math.pi / 18)
+        assert cfg.epsilon == pytest.approx((math.pi / 18,))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -46,6 +47,7 @@ class TestTrajectoryConfig:
             iv.TrajectoryConfig(epsilon=())
 
     def test_epsilon_broadcast(self):
+        assert iv.TrajectoryConfig(epsilon=0.5).epsilon == (0.5,)
         assert iv.TrajectoryConfig(epsilon=0.5).epsilon_for(3) == (0.5, 0.5, 0.5)
         assert iv.TrajectoryConfig(epsilon=(0.5,)).epsilon_for(2) == (0.5, 0.5)
         assert iv.TrajectoryConfig(epsilon=(0.1, 0.2)).epsilon_for(2) == (0.1, 0.2)
@@ -286,6 +288,13 @@ class TestExport:
         path = tmp_path / "img.pgm"
         iv.export_pgm(img, path)
         assert iv.load_pgm(path) == img
+
+    @pytest.mark.parametrize("dims", [b"3 3", b"99999999999 99999999999"])
+    def test_pgm_shorter_than_its_header_names_the_file(self, tmp_path, dims):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n" + dims + b"\n255\n" + b"\xff" * 4)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: a .* image needs "):
+            iv.load_pgm(path)
 
     def test_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(13)

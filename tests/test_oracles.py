@@ -49,12 +49,12 @@ def ref_block_mean(img, fc):
 
 
 def ref_pair_distance(query, item, kernel):
-    if isinstance(query, iv.MvIntervalSeries):
-        return sum(
-            series_dk_squared(query.dimension(j), item.dimension(j), kernel)
-            for j in range(query.d)
-        )
-    return series_dk_squared(query, item, kernel)
+    """Per-dimension series distances summed; an IntervalSeries is one dimension."""
+    def dims(series):
+        return series.dimensions() if isinstance(series, iv.MvIntervalSeries) else (series,)
+
+    pairs = zip(dims(query), dims(item), strict=True)
+    return sum(series_dk_squared(a, b, kernel) for a, b in pairs)
 
 
 def ref_knn(train, query, k, kernel):
@@ -115,18 +115,17 @@ def ref_load_csv(path):
         items.append((series, item_labels[item]))
     if len(dims_seen) != 1:
         raise ValueError(f"{path}: items disagree on dimension count: {sorted(dims_seen)}")
-    return ref_dataset(items, n_classes=max(item_labels.values()))
+    return ref_dataset(items)
 
 
-def ref_dataset(items, n_classes):
-    """The dataset of (series, label) pairs, multivariate when the series are
-    MvIntervalSeries; series of different lengths are a LengthMismatch."""
+def ref_dataset(items):
+    """The dataset of (series, label) pairs; series of different lengths are a
+    LengthMismatch."""
     grids = [as_grid(series) for series, _ in items]
     lengths = sorted({g.shape[1] for g in grids})
     if len(lengths) > 1:
         raise LengthMismatch(f"series lengths differ: {lengths}")
-    return iv.LabeledDataset(np.stack(grids), [label for _, label in items], n_classes,
-                             multivariate=isinstance(items[0][0], iv.MvIntervalSeries))
+    return iv.LabeledDataset(np.stack(grids), [label for _, label in items])
 
 
 def ref_load_csv_named(path):
@@ -209,6 +208,16 @@ def ref_train(features, labels, kind, steps, step_size=0.5, c_A=1.0, c_B=1.0):
     return best_w, best_b
 
 
+def ref_scores(clf, z):
+    """The length-C score vector A_Y^T z + B_Y of one feature vector."""
+    return clf.weights @ np.asarray(z, dtype=np.float64) + clf.biases
+
+
+def ref_predict(clf, z):
+    """The highest-scoring class, ties to the lowest."""
+    return int(np.argmax(ref_scores(clf, z))) + 1
+
+
 def ref_one_draw(X, c_A, c_B, varrho, inner_steps, seed, draw):
     n, p = X.shape
     rng = np.random.default_rng([seed, draw])
@@ -265,7 +274,7 @@ def ref_build_univariate(dgp_id, per_class_n, T, rho_grid, seed=0, truncation_L=
             cr = gen(cfg, iv.dgp._item_rng(seed, item_index))
             items.append((iv.IntervalSeries(ref_bounds(cr)), label))
             item_index += 1
-    return ref_dataset(items, n_classes=len(rho_grid))
+    return ref_dataset(items)
 
 
 def ref_build_c1(per_class_n, T, rho_grid, seed=0, truncation_L=100, burn_in=100):
@@ -280,7 +289,7 @@ def ref_build_c1(per_class_n, T, rho_grid, seed=0, truncation_L=100, burn_in=100
                 rows.append(ref_bounds(cr))
             items.append((iv.MvIntervalSeries(np.stack(rows)), label))
             item_index += 1
-    return ref_dataset(items, n_classes=len(iv.dgp._GENERATORS))
+    return ref_dataset(items)
 
 
 def ref_build_c2(per_class_n, T, rho_grid, seed=0, truncation_L=100, burn_in=100):
@@ -295,7 +304,7 @@ def ref_build_c2(per_class_n, T, rho_grid, seed=0, truncation_L=100, burn_in=100
                 rows.append(ref_bounds(cr))
             items.append((iv.MvIntervalSeries(np.stack(rows)), label))
             item_index += 1
-    return ref_dataset(items, n_classes=len(rho_grid))
+    return ref_dataset(items)
 
 
 def ref_build_mix(per_class_n, T, rho, seed=0, truncation_L=100, burn_in=100):
@@ -307,7 +316,7 @@ def ref_build_mix(per_class_n, T, rho, seed=0, truncation_L=100, burn_in=100):
             cr = gen(cfg, iv.dgp._item_rng(seed, item_index))
             items.append((iv.IntervalSeries(ref_bounds(cr)), label))
             item_index += 1
-    return ref_dataset(items, n_classes=len(iv.dgp._GENERATORS))
+    return ref_dataset(items)
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +371,15 @@ class TestBuilders:
         got, want = build(), ref()
         assert np.array_equal(got.bounds, want.bounds)
         assert got.labels() == want.labels()
-        assert got.multivariate == want.multivariate
         assert_same_dataset(got, want)
 
-    def test_one_dimension_c1_items_stay_multivariate(self):
+    def test_one_dimension_c1_items_are_univariate(self):
+        """A d = 1 dataset holds IntervalSeries whatever built it; c1 still
+        draws its one dimension from the (seed, i, 0) streams."""
         ds = iv.build_multivariate_c1(1, 8, (0.3,))
-        assert ds.dim() == 1
-        assert all(isinstance(s, iv.MvIntervalSeries) and s.d == 1 for s in ds.series())
+        assert ds.dim() == 1 and not ds.multivariate
+        assert all(isinstance(s, iv.IntervalSeries) for s in ds.series())
+        assert np.array_equal(ds.bounds, ref_build_c1(1, 8, (0.3,)).bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +483,7 @@ class TestKnnScan:
             else:
                 series = [iv.IntervalSeries(g[0]) for g in grid]
             labels = rng.integers(1, 4, size=n).tolist()
-            train = iv.LabeledDataset(grid[:n], labels, n_classes=3, multivariate=mv or d > 1)
+            train = iv.LabeledDataset(grid[:n], labels)
             k = 1 + int(k_frac * (n - 1))
             _check_knn(train, series[n:], k, iv.Kernel2x2(*entries))
 
@@ -643,7 +654,7 @@ class TestCsvLoader:
             rng = np.random.default_rng(seed)
             bounds = rng.standard_normal((n, d, T, 2)).round(3)
             labels = rng.integers(1, 4, size=n)
-            iv.save_dataset_csv(iv.LabeledDataset(bounds, labels, 3, d > 1), path)
+            iv.save_dataset_csv(iv.LabeledDataset(bounds, labels), path)
             header, *rows = path.read_text().splitlines()
             rows = _FAULTS[fault](rows, at % len(rows))
             if shuffle:
@@ -667,7 +678,7 @@ class TestCsvLoader:
         bounds = rng.standard_normal((12, 3, 5, 2)) * 10.0 ** rng.integers(-300, 300, (12, 3, 5, 2))
         bounds[0, 0, :2] = [[-0.0, 5e-324], [1e22, 1e-7]]
         bounds[11, 2, 4] = [-5e-324, -1e22]
-        ds = iv.LabeledDataset(bounds, np.arange(12, 0, -1), 12, multivariate=True)
+        ds = iv.LabeledDataset(bounds, np.arange(12, 0, -1))
         ref_save_dataset_csv(ds, tmp_path / "want.csv")
         iv.save_dataset_csv(ds, tmp_path / "got.csv")
         got = (tmp_path / "got.csv").read_bytes()
@@ -690,7 +701,7 @@ class TestCsvLoader:
             rng = np.random.default_rng(seed)
             grid = rng.standard_normal((n, d, T, 2)) * 10.0 ** rng.integers(-5, 6, (n, d, T, 2))
             labels = rng.integers(1, 4, size=n).tolist()
-            iv.save_dataset_csv(iv.LabeledDataset(grid, labels, 3, multivariate=d > 1), path)
+            iv.save_dataset_csv(iv.LabeledDataset(grid, labels), path)
             lines = path.read_text().splitlines()
             body = lines[1:]
             random.Random(seed).shuffle(body)
@@ -1207,14 +1218,12 @@ def ref_ingest(eff):
     if not grids:
         raise cli.DataError("no complete windows; input too short for the window length")
 
-    ds = iv.LabeledDataset(
-        np.stack(grids), window_labels, len(label_map), multivariate=grids[0].shape[0] > 1
-    )
+    ds = iv.LabeledDataset(np.stack(grids), window_labels)
     out = Path(eff["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     iv.save_dataset_csv(ds, out)
     mapping = ", ".join(f"{raw!r}->{i}" for raw, i in sorted(label_map.items(), key=lambda kv: kv[1]))
-    print(f"wrote {out}: n={len(ds)} C={ds.n_classes} d={ds.dim()} T={window} labels: {mapping}")
+    print(f"wrote {out}: n={len(ds)} C={len(label_map)} d={ds.dim()} T={window} labels: {mapping}")
 
 
 def _run(name, command, argv):
@@ -1669,7 +1678,7 @@ def classify_inputs(tmp_path_factory):
     upper = rng.random((12, 1, 10, 1)) + 0.1
     bounds = np.concatenate([np.zeros_like(upper), upper], axis=-1)
     bounds[-1, ..., 0] = upper[-1, ..., 0] - 0.1
-    iv.save_dataset_csv(iv.LabeledDataset(bounds, np.arange(12) % 2 + 1, 2, False),
+    iv.save_dataset_csv(iv.LabeledDataset(bounds, np.arange(12) % 2 + 1),
                         root / "tail.csv")
     n = 21
     _write_image_dir(root / "mixed", [9 + i % 5 for i in range(n)], [1 + i % 3 for i in range(n)],
@@ -1788,6 +1797,7 @@ class TestClassifyOracle:
             "maxval": header("P5\n{n} {n}\n1\n"),
             "dims": header("P5\n{n}\n255\n"),
             "text-dims": header("P5\nn {n}\n255\n"),
+            "huge-dims": header("P5\n99999999999 99999999999\n255\n"),
             "entry2": entry(b"2"),
             "entry-1": entry(b"-1"),
             "entryx": entry(b"x"),
@@ -1813,6 +1823,8 @@ class TestClassifyOracle:
             block=st.sampled_from([1, 2 * 7 * 7, 1 << 21]),
             runs=st.sampled_from(["1", "--self-test"]),
         )
+        @hypothesis.example(n=4, sizes=[5], suffixes=[".pgm"], mode="block_mean", blocks=1,
+                            fault="huge-dims", at=1, block=1 << 21, runs="1")
         def check(n, sizes, suffixes, mode, blocks, fault, at, block, runs):
             imgdir = Path(tempfile.mkdtemp(dir=tmp_path))
             _write_image_dir(imgdir, [sizes[i % len(sizes)] for i in range(n)],
@@ -1885,7 +1897,7 @@ class TestClassifyOracle:
                 mode, blocks = "block_mean", T + 1
             path = Path(tempfile.mkdtemp(dir=tmp_path)) / "ds.csv"
             iv.save_dataset_csv(
-                iv.LabeledDataset(bounds, labels, int(labels.max()), d > 1), path)
+                iv.LabeledDataset(bounds, labels), path)
             argv = ["--data", path, "--kernel", "1,2,1", "--epsilon", "0.3", "--feature-mode",
                     mode, "--blocks", blocks, "--steps", "5", "--train-fraction", "0.5"]
             argv += ["--self-test"] if runs == "--self-test" else ["--runs", runs]
@@ -2037,7 +2049,8 @@ class TestPredictRows:
         W = rng.standard_normal((3, p))
         model = classify.LinearClassifier(W / np.linalg.norm(W, axis=1, keepdims=True),
                                           rng.uniform(-0.1, 0.1, 3))
-        want = [classify.predict(model, z) for z in X]
+        want = [ref_predict(model, z) for z in X]
+        assert [classify.predict(model, z) for z in X] == want
         assert classify.predict_rows(model, X).tolist() == want
         assert classify.predict_rows(model, X[17:40]).tolist() == want[17:40]
 
