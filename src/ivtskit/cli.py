@@ -353,8 +353,7 @@ def cmd_ingest(eff: dict) -> None:
     except ValueError as e:
         raise DataError(str(e)) from e
 
-    label_map = {raw: i for i, raw in enumerate(sorted({s.label for s in series}), start=1)}
-    grids, window_labels = [], []
+    grids, window_labels = [], []  # each window's bounds and raw label
     for s in series:
         if s.dropped:
             print(
@@ -363,16 +362,21 @@ def cmd_ingest(eff: dict) -> None:
             )
         for start in range(0, s.daily.shape[1] - window + 1, stride):
             grids.append(s.daily[:, start : start + window])
-            window_labels.append(label_map[s.label])
+            window_labels.append(s.label)
     dims_per_sid = {s.daily.shape[0] for s in series}
     if len(dims_per_sid) > 1:
         raise DataError(f"series disagree on dimension count: {sorted(dims_per_sid)}")
     if not grids:
         raise DataError("no complete windows; input too short for the window length")
 
+    # class ids 1..C go to the labels that have a window, so none is skipped
+    label_map = {raw: i for i, raw in enumerate(sorted(set(window_labels)), start=1)}
+    for raw in sorted({s.label for s in series} - label_map.keys()):
+        print(f"warning: label {raw!r}: no series has {window} complete days, so it gets "
+              "no class id", file=sys.stderr)
     bounds = np.stack(grids)
     bounds.setflags(write=False)  # handed over, so the dataset keeps it without a copy
-    ds = dgp_mod.LabeledDataset(bounds, window_labels)
+    ds = dgp_mod.LabeledDataset(bounds, [label_map[raw] for raw in window_labels])
     out = Path(eff["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     dgp_mod.save_dataset_csv(ds, out)
@@ -513,7 +517,7 @@ def cmd_classify(eff: dict) -> None:
     import numpy as np
 
     from . import classify as clf_mod
-    from . import dgp as dgp_mod
+    from .split import split_indices
 
     if (eff["data"] is None) == (eff["images"] is None):
         raise UsageError("pass exactly one of --data or --images")
@@ -572,9 +576,7 @@ def cmd_classify(eff: dict) -> None:
             train_idx = test_idx = slice(None)
         else:
             try:
-                train_idx, test_idx = dgp_mod.split_indices(
-                    y.tolist(), eff["train_fraction"], run_seed
-                )
+                train_idx, test_idx = split_indices(y.tolist(), eff["train_fraction"], run_seed)
             except ValueError as e:
                 raise DataError(str(e)) from e
         if knn:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -30,6 +29,7 @@ import numpy as np
 from .defaults import DEFAULT_PER_CLASS, DEFAULT_RHO_GRID, DEFAULT_T
 from .errors import LengthMismatch, NonFinite
 from .intervals import IntervalSeries, MvIntervalSeries, _bounds_array
+from .split import split_indices
 
 AnySeries = Union[IntervalSeries, MvIntervalSeries]
 
@@ -39,9 +39,6 @@ GAMMA = np.array([[-0.6, 0.3], [0.3, 0.6]])
 # Chunk size for vectorized draws in gen_dgp1; fixed so that a given
 # (config, seed) always consumes the RNG stream identically.
 _DGP1_CHUNK = 16384
-
-# Stream tag separating split shuffles from item generation streams.
-_SPLIT_STREAM = 24301
 
 
 def _check_rho(rho: float) -> None:
@@ -307,33 +304,6 @@ def build_dgp_mix_dataset(
     """Univariate dataset whose classes are the three processes at a fixed rho."""
     classes = [[(dgp_id, rho)] for dgp_id in _GENERATORS]
     return _build(classes, per_class_n, T, seed, truncation_L, burn_in, multivariate=False)
-
-
-def split_indices(
-    labels: Sequence[int], train_fraction: float, seed: int = 0
-) -> tuple[list[int], list[int]]:
-    """Stratified index split; both lists come back in ascending order."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction}")
-    by_class: dict[int, list[int]] = defaultdict(list)
-    for idx, label in enumerate(labels):
-        by_class[label].append(idx)
-    rng = np.random.default_rng([int(seed), _SPLIT_STREAM])
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for label in sorted(by_class):
-        idx = by_class[label]
-        if len(idx) < 2:
-            raise ValueError(
-                f"class {label} has {len(idx)} item(s); need at least 2 to split"
-            )
-        n_train = int(round(train_fraction * len(idx)))
-        n_train = min(max(n_train, 1), len(idx) - 1)
-        perm = rng.permutation(len(idx))
-        chosen = {idx[p] for p in perm[:n_train]}
-        train_idx.extend(i for i in idx if i in chosen)
-        test_idx.extend(i for i in idx if i not in chosen)
-    return sorted(train_idx), sorted(test_idx)
 
 
 def train_test_split(

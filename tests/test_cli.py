@@ -87,8 +87,8 @@ class TestConsoleScript:
 
 
 # Runs `python -m ivtskit *argv` in this process through runpy, then prints one
-# JSON line: the exit code, the command's stdout and stderr, whether numpy and
-# numpy.ma were imported, and the ivtskit submodules that were.
+# JSON line: the exit code, the command's stdout and stderr, whether numpy,
+# numpy.ma and numpy.random were imported, and the ivtskit submodules that were.
 _LAUNCH_PROBE = """
 import contextlib, io, json, runpy, sys
 out, err = io.StringIO(), io.StringIO()
@@ -103,6 +103,7 @@ print(json.dumps({
     "code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
     "numpy": "numpy" in sys.modules,
     "numpy_ma": "numpy.ma" in sys.modules,
+    "numpy_random": "numpy.random" in sys.modules,
     "modules": sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("ivtskit.")),
 }))
 """
@@ -159,29 +160,33 @@ class TestStartup:
                              str(root / "img"), "--kernel", "K4"]) == 0
         return root
 
-    @pytest.mark.parametrize("argv, modules", [
+    @pytest.mark.parametrize("argv, modules, rng", [
         (["generate", "--dgp", "2", "--per-class", "2", "--T", "10", "--out", "{d}/gen.csv"],
-         ["dgp", "intervals"]),
+         ["dgp", "intervals", "split"], True),
         (["ingest", "--input", "{d}/raw.csv", "--out", "{d}/ing.csv", "--window", "4"],
-         ["dgp", "ingest", "intervals"]),
+         ["dgp", "ingest", "intervals", "split"], False),
         (["image", "--data", "{d}/ds.csv", "--outdir", "{d}/img2", "--kernel", "K4"],
-         ["dgp", "imaging", "intervals"]),
+         ["dgp", "imaging", "intervals", "split"], False),
         (["classify", "--data", "{d}/ds.csv", "--outdir", "{d}/lin", "--blocks", "2",
-          "--steps", "5"], ["classify", "dgp", "imaging", "intervals"]),
+          "--steps", "5"], ["classify", "dgp", "imaging", "intervals", "split"], False),
         (["classify", "--images", "{d}/img", "--outdir", "{d}/imgs", "--blocks", "2",
-          "--steps", "5"], ["classify", "dgp", "imaging", "intervals"]),
+          "--steps", "5"], ["classify", "imaging", "intervals", "split"], False),
         (["classify", "--data", "{d}/ds.csv", "--outdir", "{d}/knn", "--mode", "knn"],
-         ["classify", "dgp", "intervals"]),
-        (["bound", "--n", "100", "--log-covering", "10"], ["classify", "intervals", "theory"]),
+         ["classify", "dgp", "intervals", "split"], False),
+        (["bound", "--n", "100", "--log-covering", "10"], ["classify", "intervals", "theory"],
+         False),
         (["bound", "--n", "10", "--log-covering", "1", "--mc", "--mc-draws", "2",
-          "--inner-steps", "2"], ["classify", "intervals", "theory"]),
+          "--inner-steps", "2"], ["classify", "intervals", "theory"], True),
     ], ids=["generate", "ingest", "image", "classify-data", "classify-images", "classify-knn",
             "bound", "bound-mc"])
-    def test_each_command_loads_only_its_modules(self, inputs, argv, modules):
+    def test_each_command_loads_only_its_modules(self, inputs, argv, modules, rng):
+        """Only the commands that draw from numpy's generators load numpy.random;
+        the split draws from its own copy of the stream."""
         rec = launch(*(a.format(d=inputs) for a in argv))
         assert rec["code"] == 0, rec["stderr"]
         assert rec["modules"] == sorted(PARSE_MODULES + modules)
         assert not rec["numpy_ma"]  # np.unique without counts or indices imports it
+        assert rec["numpy_random"] == rng
 
     def test_error_exit_loads_only_its_modules(self, inputs):
         """A command that fails in its own checks still exits as before."""
@@ -189,7 +194,7 @@ class TestStartup:
                      "--kernel", "K4")
         assert rec["code"] == 3
         assert rec["stderr"].startswith("data error: ")
-        assert rec["modules"] == sorted(PARSE_MODULES + ["dgp", "imaging", "intervals"])
+        assert rec["modules"] == sorted(PARSE_MODULES + ["dgp", "imaging", "intervals", "split"])
         assert not rec["numpy_ma"]
 
 
@@ -342,6 +347,26 @@ class TestIngest:
         assert series.d == 2
         # the retained days are 1, 2, 4, 5
         assert np.array_equal(series.dimension(0).bounds[:, 0], [0.0, 1.0, 3.0, 4.0])
+
+    def test_label_without_a_window_gets_no_class_id(self, tmp_path):
+        """A label whose series are all shorter than the window is left out of
+        the class ids, so the dataset's labels are 1..C and classify runs."""
+        raw, out_csv = tmp_path / "raw.csv", tmp_path / "ds.csv"
+        rows = ["series_id,dim,timestamp,value,label"]
+        for label, n_days in (("a", 10), ("b", 2), ("c", 10)):
+            rows += [f"s{label},x,{date(2021, 3, 1) + timedelta(days=i)},{i * 1.5},{label}"
+                     for i in range(n_days)]
+        raw.write_text("\n".join(rows) + "\n")
+        out = run_cli("ingest", "--input", raw, "--out", out_csv, "--window", "4")
+        assert out.returncode == 0, out.stderr
+        assert "C=2 d=1 T=4 labels: 'a'->1, 'c'->2" in out.stdout
+        assert out.stderr.splitlines() == [
+            "warning: label 'b': no series has 4 complete days, so it gets no class id"]
+        assert "dropped" not in out.stderr  # perfbench sums the days after that word
+        assert iv.load_dataset_csv(out_csv).label_ids.tolist() == [1, 1, 2, 2]
+        clf = run_cli("classify", "--data", out_csv, "--outdir", tmp_path / "clf",
+                      "--blocks", "2", "--steps", "5")
+        assert clf.returncode == 0, clf.stderr
 
     def test_stride_controls_overlap(self, tmp_path):
         raw, out_csv = tmp_path / "raw.csv", tmp_path / "ds.csv"

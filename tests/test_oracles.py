@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import ivtskit as iv
-from ivtskit import classify, cli, imaging, ingest, theory
+from ivtskit import classify, cli, imaging, ingest, split, theory
 from ivtskit.classify import LOSSES, _margins
 from ivtskit.errors import BlockGridInvalid, LengthMismatch, NegativeSquaredDistance, NonFinite
 from ivtskit.imaging import squared_threshold
@@ -319,6 +319,26 @@ def ref_build_mix(per_class_n, T, rho, seed=0, truncation_L=100, burn_in=100):
     return ref_dataset(items)
 
 
+def ref_split_indices(labels, train_fraction, seed=0):
+    """The stratified split as it drew from numpy's own generator."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction}")
+    by_class = defaultdict(list)
+    for idx, label in enumerate(labels):
+        by_class[label].append(idx)
+    rng = np.random.default_rng([int(seed), 24301])
+    train_idx, test_idx = [], []
+    for label in sorted(by_class):
+        idx = by_class[label]
+        if len(idx) < 2:
+            raise ValueError(f"class {label} has {len(idx)} item(s); need at least 2 to split")
+        n_train = min(max(int(round(train_fraction * len(idx))), 1), len(idx) - 1)
+        chosen = {idx[p] for p in rng.permutation(len(idx))[:n_train]}
+        train_idx.extend(i for i in idx if i in chosen)
+        test_idx.extend(i for i in idx if i not in chosen)
+    return sorted(train_idx), sorted(test_idx)
+
+
 # ---------------------------------------------------------------------------
 # fixtures at the benchmark's shapes
 
@@ -380,6 +400,57 @@ class TestBuilders:
         assert ds.dim() == 1 and not ds.multivariate
         assert all(isinstance(s, iv.IntervalSeries) for s in ds.series())
         assert np.array_equal(ds.bounds, ref_build_c1(1, 8, (0.3,)).bounds)
+
+
+# ---------------------------------------------------------------------------
+# the split's PCG64 stream
+
+
+_SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7,
+          *random.Random(5).sample(range(2**40), 4)]
+_KEYS = [key for seed in _SEEDS for key in ([seed], [seed, split._SPLIT_STREAM])]
+# sizes on both sides of each mask boundary, up to 600
+_SIZES = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129,
+          255, 256, 257, 511, 512, 513, 599, 600]
+
+
+class TestSplitStream:
+    """`split`'s copy of numpy's stream: each part, each permutation and the
+    split itself equal numpy's."""
+
+    @pytest.mark.parametrize("key", _KEYS, ids=str)
+    def test_seeding_equals_numpys(self, key):
+        ss = np.random.SeedSequence(key)
+        assert split._seed_state(key) == ss.generate_state(8, np.uint32).tolist()
+        want = np.random.PCG64(ss).state["state"]
+        assert split._pcg64_start(key) == (want["state"], want["inc"])
+
+    @pytest.mark.parametrize("key", _KEYS, ids=str)
+    def test_permutations_equal_numpys(self, key):
+        for k in _SIZES:  # each from a fresh stream
+            assert split._permutation(split._draws32(*split._pcg64_start(key)), k) == (
+                np.random.default_rng(key).permutation(k).tolist()), k
+        # odd sizes in turn from one stream: an odd number of 32-bit draws
+        # leaves a buffered high half for the next permutation
+        rng, draws = np.random.default_rng(key), split._draws32(*split._pcg64_start(key))
+        for k in range(1, 601, 2):
+            assert split._permutation(draws, k) == rng.permutation(k).tolist(), k
+
+    def test_split_indices_equals_numpys(self):
+        r = random.Random(11)
+        for _ in range(300):
+            sizes = [r.randint(2, 40) for _ in range(r.randint(2, 7))]
+            labels = [c for c, size in enumerate(sizes, start=1) for _ in range(size)]
+            r.shuffle(labels)
+            fraction = r.uniform(0.1, 0.9)
+            seed = r.choice([0, 1, 2**32, r.randrange(2**33)])
+            assert split.split_indices(labels, fraction, seed) == (
+                ref_split_indices(labels, fraction, seed))
+
+    def test_negative_seed_raises(self):
+        for fn in (split.split_indices, ref_split_indices):
+            with pytest.raises(ValueError):
+                fn([1, 1, 2, 2], 0.5, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -1144,8 +1215,8 @@ REF_RAW_HEADER = ["series_id", "dim", "timestamp", "value", "label"]
 def ref_ingest(eff):
     """`ingest` as a loop over csv records into nested dicts of Python lists,
     the form `cli.cmd_ingest` had before it went columnar, with the input
-    rules added since: the file is read as UTF-8 and a non-finite value is a
-    data error."""
+    rules added since: the file is read as UTF-8, a non-finite value is a
+    data error, and only the labels that have a window get class ids."""
     cli._require(eff, "input", "out")
     window = eff["window"]
     stride = eff["stride"] if eff["stride"] is not None else window
@@ -1193,7 +1264,6 @@ def ref_ingest(eff):
     if not readings:
         raise cli.DataError(f"{eff['input']}: no data rows")
 
-    label_map = {raw: i for i, raw in enumerate(sorted(set(labels.values())), start=1)}
     grids, window_labels = [], []
     dims_per_sid = set()
     for sid in sorted(readings):
@@ -1212,13 +1282,18 @@ def ref_ingest(eff):
         ).reshape(len(all_dims), len(full_days), 2)
         for start in range(0, len(full_days) - window + 1, stride):
             grids.append(daily[:, start : start + window])
-            window_labels.append(label_map[labels[sid]])
+            window_labels.append(labels[sid])
     if len(dims_per_sid) > 1:
         raise cli.DataError(f"series disagree on dimension count: {sorted(dims_per_sid)}")
     if not grids:
         raise cli.DataError("no complete windows; input too short for the window length")
 
-    ds = iv.LabeledDataset(np.stack(grids), window_labels)
+    label_map = {raw: i for i, raw in enumerate(sorted(set(window_labels)), start=1)}
+    for raw in sorted(set(labels.values())):
+        if raw not in label_map:
+            print(f"warning: label {raw!r}: no series has {window} complete days, so it gets "
+                  "no class id", file=sys.stderr)
+    ds = iv.LabeledDataset(np.stack(grids), [label_map[raw] for raw in window_labels])
     out = Path(eff["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     iv.save_dataset_csv(ds, out)
@@ -1297,6 +1372,11 @@ class TestIngestOracle:
             # unsorted rows, repeated readings
             (RAW_HEAD + "\n".join(sorted(_raw_rows(dims=("b", "a")) * 2, reverse=True)) + "\n",
              ("--window", "2")),
+            # label L1's only series is shorter than the window: it gets no class id
+            (RAW_HEAD + "\n".join(
+                _raw_rows(sids=("s1", "s3"), days=5, labels={"s1": "L0", "s3": "L2"})
+                + _raw_rows(sids=("s2",), days=2, labels={"s2": "L1"})) + "\n",
+             ("--window", "3")),
             # CRLF line endings
             (RAW_HEAD.replace("\n", "\r\n") + "\r\n".join(_raw_rows()) + "\r\n", ("--window", "2")),
             # blank and whitespace-only lines, padded fields and header
