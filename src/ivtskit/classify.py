@@ -20,6 +20,7 @@ model then equals the primal loop's within 1e-12.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,8 +37,8 @@ if TYPE_CHECKING:  # annotations only: theory -> classify loads neither module
     from .imaging import RecurrenceImage
 
 # Bytes in one block of temporaries (2 MiB), read at call time by the k-NN
-# scan, the draws of theory.empirical_offset_rademacher and the image blocks
-# of feature_matrix; a block holds at least one item.
+# scan and the draws of theory.empirical_offset_rademacher; a block holds at
+# least one item.
 BLOCK_BYTES = 1 << 21
 
 
@@ -98,39 +99,45 @@ class FeatureConfig:
         return self.q * self.q
 
 
+@functools.lru_cache(maxsize=8)
+def _cells(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The q-by-n 0/1 matrix S whose row k marks the pixels of cell k of the
+    q near-equal cells of ``np.array_split``, and the q-by-q cell areas; both
+    read-only, as every caller shares them."""
+    sizes = [len(cell) for cell in np.array_split(np.arange(n), q)]
+    S, areas = np.repeat(np.eye(q), sizes, axis=1), np.outer(sizes, sizes)
+    for a in (S, areas):
+        a.setflags(write=False)
+    return S, areas
+
+
+def _featurize_row(pixels: np.ndarray, cfg: FeatureConfig, z: np.ndarray) -> None:
+    # Under block_mean the cell sums are S @ pixels @ S.T on one float64 copy of
+    # the image: exact integers (at most N^2), so every summation order and BLAS
+    # thread count gives the same means.  The norm is np.linalg.norm's dot product.
+    if cfg.mode == "flatten":
+        z[:] = pixels.reshape(-1)
+    else:
+        S, areas = _cells(len(pixels), cfg.q)
+        z[:] = (S @ pixels.astype(np.float64) @ S.T / areas).reshape(-1)
+    norm = math.sqrt(z.dot(z))
+    if norm > cfg.normalize_cap:
+        z *= cfg.normalize_cap / norm
+
+
 def featurize_stack(stack, cfg: FeatureConfig, out: np.ndarray | None = None) -> np.ndarray:
     """The feature vectors of a (b, N, N) stack of images as the rows of a
     (b, p) float64 matrix, written into `out` when it is given.
 
-    Row i equals ``featurize`` of image i: block sums are exact integers, and
-    each row's norm is the same dot product that ``np.linalg.norm`` takes of
-    one vector (``norm(axis=1)`` sums in another order).
+    Row i equals ``featurize`` of image i: each image is featurized on its
+    own, straight into its row.
     """
     stack = np.asarray(stack)
-    b, n = stack.shape[:2]
-    p = cfg.length(n)
+    p = cfg.length(stack.shape[1])
     if out is None:
-        out = np.empty((b, p))
-    if cfg.mode == "flatten":
-        out[...] = stack.reshape(b, p)
-    else:
-        # Cell (r, c) of the q-by-q grid of near-equal cells; its pixel sum is
-        # an exact integer, so dividing it by the cell size equals .mean().
-        # The rows of each cell are summed by np.add.reduce, which casts the
-        # uint8 pixels to float64 in small buffers; a reduceat over the stack
-        # would first cast all of it (8 bytes a pixel).
-        cells = np.array_split(np.arange(n), cfg.q)
-        sizes = np.array([len(cell) for cell in cells])
-        row_sums = np.empty((b, cfg.q, n))
-        for k, cell in enumerate(cells):
-            np.add.reduce(stack[:, cell[0] : cell[-1] + 1], axis=1, dtype=np.float64,
-                          out=row_sums[:, k])
-        sums = np.add.reduceat(row_sums, [cell[0] for cell in cells], axis=2)
-        out[...] = (sums / np.outer(sizes, sizes)).reshape(b, p)
-    for z in out:
-        norm = float(np.linalg.norm(z))
-        if norm > cfg.normalize_cap:
-            z *= cfg.normalize_cap / norm
+        out = np.empty((len(stack), p))
+    for pixels, z in zip(stack, out, strict=True):
+        _featurize_row(pixels, cfg, z)
     return out
 
 
@@ -138,38 +145,24 @@ def feature_matrix(images, n: int, cfg: FeatureConfig) -> np.ndarray:
     """The (n, p) float64 matrix whose row i is the feature vector of the i-th
     of the n (N, N) pixel arrays that the iterable `images` yields.
 
-    Each array is used before the next is taken, so a source may reuse one
-    buffer.  Under ``flatten`` it is featurized straight into its row; under
-    ``block_mean`` it is copied into a uint8 block of images of one size and
-    at most ``BLOCK_BYTES`` (read at call time), which is featurized straight
-    into its rows when it is full, when the image size changes and at the
-    end.  A block grid finer than an image raises BlockGridInvalid at that
-    image.  Features of different lengths (``flatten`` of images of several
-    sizes), or a count other than n, raise LengthMismatch once `images` is
-    exhausted, so an error that the source raises later comes first.
+    Each array is featurized straight into its row before the next is taken,
+    so a source may reuse one buffer.  A block grid finer than an image
+    raises BlockGridInvalid at that image.  Features of different lengths
+    (``flatten`` of images of several sizes), or a count other than n, raise
+    LengthMismatch once `images` is exhausted, so an error that the source
+    raises later comes first.
     """
-    X = block = lengths = None
-    held = done = count = 0  # images in the block, rows of X written, images taken
+    X = lengths = None
+    count = 0
     for pixels in images:
         count += 1
-        size = len(pixels)
-        p = cfg.length(size)
+        p = cfg.length(len(pixels))
         if X is None:
             X = np.empty((n, p))
         if p != X.shape[1]:
             lengths = lengths or sorted({p, X.shape[1]})
-        if lengths or count > n:
-            continue
-        if cfg.mode == "flatten":
-            featurize_stack(np.asarray(pixels)[None], cfg, out=X[count - 1 : count])
-            continue
-        if held and (held == len(block) or size != block.shape[1]):
-            featurize_stack(block[:held], cfg, out=X[done : done + held])
-            done, held = done + held, 0
-        if block is None or size != block.shape[1]:
-            block = np.empty((max(1, BLOCK_BYTES // (size * size)), size, size), dtype=np.uint8)
-        block[held] = pixels
-        held += 1
+        if not lengths and count <= n:
+            _featurize_row(np.asarray(pixels), cfg, X[count - 1])
     if lengths:
         raise LengthMismatch(
             f"items give features of different lengths {lengths}; "
@@ -177,8 +170,6 @@ def feature_matrix(images, n: int, cfg: FeatureConfig) -> np.ndarray:
         )
     if count != n:
         raise LengthMismatch(f"{count} images for a matrix of n = {n} rows")
-    if held:
-        featurize_stack(block[:held], cfg, out=X[done:])
     return np.empty((0, 0)) if X is None else X
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -704,6 +705,12 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # A launched program runs numpy's BLAS on one thread, set before numpy loads:
+    # OpenBLAS splits reductions of over ~1e4 terms across threads, which changes
+    # their last bits.  An in-process caller passes argv and keeps its environment.
+    if argv is None:
+        os.environ.update(dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
     parser = build_parser()
     args = parser.parse_args(argv)
     opts, runner, _ = COMMANDS[args.command]

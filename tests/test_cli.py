@@ -198,6 +198,47 @@ class TestStartup:
         assert not rec["numpy_ma"]
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestBlasThreads:
+    """A launched command runs numpy's BLAS on one thread, so its bytes do not
+    depend on the environment's BLAS thread count.  Each command below sums
+    more than ~1e4 terms in one BLAS call: the norm of a 22,500-pixel row, the
+    Gram rows at p = 22,500 and the draws of `bound --mc` at p = 20,000."""
+
+    def test_outputs_identical_at_one_and_two_threads(self, tmp_path):
+        mix, dgp2 = tmp_path / "mix.csv", tmp_path / "dgp2.csv"
+        for argv in (("--scenario", "mix", "--rho", "0.7", "--per-class", "50", "--T", "150",
+                      "--out", mix),
+                     ("--dgp", "2", "--per-class", "8", "--T", "450", "--out", dgp2)):
+            assert run_cli("generate", *argv).returncode == 0
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict.fromkeys(BLAS_VARS, threads)
+            models = []
+            for name, argv in (("flatten", ("--data", mix, "--feature-mode", "flatten",
+                                            "--kernel", "K4", "--epsilon", "0.5")),
+                               ("blocks", ("--data", dgp2, "--feature-mode", "block_mean",
+                                           "--blocks", "150"))):
+                outdir = tmp_path / f"{name}{threads}"
+                out = run_cli("classify", *argv, "--outdir", outdir, env=env)
+                assert out.returncode == 0, out.stderr
+                models.append((outdir / "model_run0.txt").read_bytes())
+            out = run_cli("bound", "--n", "100", "--log-covering", "10", "--mc", "--mc-p",
+                          "20000", "--mc-n", "20", "--mc-draws", "4", "--inner-steps", "20",
+                          env=env)
+            assert out.returncode == 0, out.stderr
+            outputs.append((models, out.stdout))
+        assert outputs[0] == outputs[1]
+
+    def test_in_process_main_keeps_the_environment(self, tmp_path, monkeypatch):
+        for var in BLAS_VARS:
+            monkeypatch.setenv(var, "2")
+        assert iv.cli.main(["bound", "--n", "100", "--log-covering", "10"]) == 0
+        assert [os.environ[var] for var in BLAS_VARS] == ["2"] * 3
+
+
 class TestParserDefaults:
     """The parser's defaults and choices, read from ivtskit.defaults, are the
     library's values."""

@@ -1771,8 +1771,8 @@ def _inputs(root, argv):
     return [root / a if a in ("mix.csv", "c1.csv", "tail.csv", "pgm", "csv", "mixed") else a for a in argv]
 
 
-# 24 images of N = 24 in `mix`: blocks of one image, blocks of 7 (3 of 7 and
-# one of 3), and the default of 2 MiB
+# Block budgets of 1 byte, of 7 images of N = 24 and the default of 2 MiB;
+# none of them changes how `classify` featurizes the 24 images of `mix`
 BLOCK_BYTES = (1, 7 * 24 * 24, classify.BLOCK_BYTES)
 
 
@@ -1925,22 +1925,22 @@ class TestClassifyOracle:
 
         check()
 
-    @pytest.mark.parametrize("block, calls", [(1, [1] * 24), (7 * 24 * 24, [7, 7, 7, 3]),
-                                              (classify.BLOCK_BYTES, [24])])
+    @pytest.mark.parametrize("block, calls",
+                             [(block, [(24, 24)] * 24) for block in BLOCK_BYTES])
     @pytest.mark.parametrize("argv", [("--data", "mix.csv", "--epsilon", "0.5"),
                                       ("--images", "pgm")])
     def test_block_budget_is_live(self, classify_inputs, tmp_path, monkeypatch, argv, block,
                                   calls):
-        """The budgets that `test_same_output` sets change how the 24 images
-        are featurized: one block per image at 1 byte, blocks of 7, then one."""
+        """Under every budget that `test_same_output` sets, each of the 24
+        images is featurized on its own, one image per call."""
         seen = []
-        featurize_stack = classify.featurize_stack
+        featurize_row = classify._featurize_row
 
-        def counted(stack, fc, out=None):
-            seen.append(len(stack))
-            return featurize_stack(stack, fc, out)
+        def counted(pixels, fc, z):
+            seen.append(pixels.shape)
+            return featurize_row(pixels, fc, z)
 
-        monkeypatch.setattr(classify, "featurize_stack", counted)
+        monkeypatch.setattr(classify, "_featurize_row", counted)
         monkeypatch.setattr(classify, "BLOCK_BYTES", block)
         argv = [*_inputs(classify_inputs, argv), "--steps", "5"]
         assert _run_classify(cli.cmd_classify, argv, tmp_path / "out")[0] == 0
@@ -1990,25 +1990,30 @@ class TestClassifyOracle:
 
 
 class TestFeaturizeStack:
-    @pytest.mark.parametrize("N", [1, 7, 30, 150])
-    @pytest.mark.parametrize("mode,q", [("flatten", 1), ("block_mean", 1), ("block_mean", 7),
-                                        ("block_mean", 10)])
+    # N = 13 with q = 4 and N = 150 with q = 7 leave uneven cells; q = 150
+    # is q = N
+    @pytest.mark.parametrize("N", [1, 7, 13, 30, 150])
+    @pytest.mark.parametrize("mode,q", [("flatten", 1), ("block_mean", 1), ("block_mean", 4),
+                                        ("block_mean", 7), ("block_mean", 10),
+                                        ("block_mean", 150)])
     def test_rows_equal_featurize(self, N, mode, q):
         q = min(q, N)
         rng = np.random.default_rng(N * q)
         density = rng.random((40, 1, 1))
         stack = (rng.random((40, N, N)) < density).astype(np.uint8)
-        for cap in (1.0, 0.3, 1e6):
+        for cap, images in ((1.0, stack), (0.3, stack), (1e6, stack), (1.0, stack.astype(bool))):
             fc = iv.FeatureConfig(mode=mode, q=q, normalize_cap=cap)
-            Z = classify.featurize_stack(stack, fc)
+            Z = classify.featurize_stack(images, fc)
             assert Z.shape == (40, fc.length(N)) and Z.dtype == np.float64
-            for pixels, z in zip(stack, Z):
+            for pixels, z in zip(images, Z):
                 img = iv.RecurrenceImage(pixels)
                 assert np.array_equal(z, ref_featurize(img, fc))
                 assert np.array_equal(z, iv.featurize(img, fc))
             out = np.full((45, fc.length(N)), np.nan)
-            assert classify.featurize_stack(stack, fc, out=out[3:43]) is not None
+            assert classify.featurize_stack(images, fc, out=out[3:43]) is not None
             assert np.array_equal(out[3:43], Z) and np.isnan(out[:3]).all()
+            with pytest.raises(ValueError):  # an `out` of other than one row per image
+                classify.featurize_stack(images, fc, out=out[3:42])
 
     def test_recurrence_images(self):
         ds = _uni(8, 150)
@@ -2026,7 +2031,7 @@ class TestFeaturizeStack:
 
 class TestFeatureMatrix:
     """`feature_matrix` gives each image `featurize_stack`'s row, whatever
-    blocks it featurizes the images in."""
+    ``BLOCK_BYTES`` is: it featurizes each image on its own."""
 
     @staticmethod
     def rows(images, fc):
@@ -2067,6 +2072,8 @@ class TestFeatureMatrix:
         monkeypatch.setattr(classify, "BLOCK_BYTES", block)
         X = classify.feature_matrix(images, len(images), fc)
         assert np.array_equal(X, self.rows(images, fc))
+        assert all(np.array_equal(x, ref_featurize(iv.RecurrenceImage(px), fc))
+                   for px, x in zip(images, X))
 
     def test_grid_finer_than_an_image_raised_at_it(self):
         taken = []
@@ -2118,6 +2125,22 @@ class TestFeatureMatrix:
             tracemalloc.stop()
         assert X.shape == (100, 160 * 160)
         assert peak - X.nbytes < 2**20
+
+    def test_block_mean_holds_one_image(self):
+        """Under block_mean the traced peak beyond X stays below two float64
+        copies of one image: featurization holds one image at a time."""
+        images = np.random.default_rng(4).random((400, 160, 160)) < 0.3
+        fc = iv.FeatureConfig("block_mean", 10)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            X = classify.feature_matrix(iter(images), 400, fc)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(X, self.rows(images, fc))
+        assert peak - X.nbytes < 2 * 8 * 160 * 160
 
 
 class TestPredictRows:
