@@ -111,58 +111,81 @@ def _cells(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return S, areas
 
 
-def _featurize_row(pixels: np.ndarray, cfg: FeatureConfig, z: np.ndarray) -> None:
+def _featurize_row(pixels: np.ndarray, cfg: FeatureConfig) -> tuple[np.ndarray, float]:
+    # The row before the norm cap, and its cap factor.  Under flatten the row is
+    # the packed bits of the pixels, and its norm is the square root of the
+    # count of set pixels: exactly the float64 row's dot product with itself.
     # Under block_mean the cell sums are S @ pixels @ S.T on one float64 copy of
     # the image: exact integers (at most N^2), so every summation order and BLAS
     # thread count gives the same means.  The norm is np.linalg.norm's dot product.
     if cfg.mode == "flatten":
-        z[:] = pixels.reshape(-1)
+        bits = pixels.reshape(-1).astype(bool, copy=False)
+        row, norm = np.packbits(bits), math.sqrt(np.count_nonzero(bits))
     else:
         S, areas = _cells(len(pixels), cfg.q)
-        z[:] = (S @ pixels.astype(np.float64) @ S.T / areas).reshape(-1)
-    norm = math.sqrt(z.dot(z))
-    if norm > cfg.normalize_cap:
-        z *= cfg.normalize_cap / norm
+        row = (S @ pixels.astype(np.float64) @ S.T / areas).reshape(-1)
+        norm = math.sqrt(row.dot(row))
+    return row, (cfg.normalize_cap / norm if norm > cfg.normalize_cap else 1.0)
 
 
-def featurize_stack(stack, cfg: FeatureConfig, out: np.ndarray | None = None) -> np.ndarray:
-    """The feature vectors of a (b, N, N) stack of images as the rows of a
-    (b, p) float64 matrix, written into `out` when it is given.
+@dataclass(frozen=True)
+class FeatureRows:
+    """The feature rows of n images, kept compact until a run needs them.
 
-    Row i equals ``featurize`` of image i: each image is featurized on its
-    own, straight into its row.
+    ``rows`` holds each row before the norm cap: under ``flatten`` the
+    image's pixels as packed bits (``np.packbits``, ceil(p / 8) bytes a row),
+    under ``block_mean`` its float64 cell means.  ``factors`` holds each
+    row's cap factor: cap / norm when the norm exceeds the cap, else 1.0.
     """
-    stack = np.asarray(stack)
-    p = cfg.length(stack.shape[1])
-    if out is None:
-        out = np.empty((len(stack), p))
-    for pixels, z in zip(stack, out, strict=True):
-        _featurize_row(pixels, cfg, z)
-    return out
+
+    rows: np.ndarray  # (n, ceil(p / 8)) uint8 or (n, p) float64
+    factors: np.ndarray  # (n,) float64
+    p: int
+
+    def take(self, idx) -> np.ndarray:
+        """The (m, p) float64 feature rows `idx` (a list of row indices or a
+        slice), in that order.  Each entry is the product of its pixel or
+        cell mean and its row's factor, the same bits as scaling the row in
+        place, and x * 1.0 = x for a row within the cap."""
+        factors = self.factors[idx, None]
+        if self.rows.dtype != np.uint8:
+            return self.rows[idx] * factors
+        X = np.empty((len(factors), self.p))
+        for x, i in zip(X, np.arange(len(self.rows))[idx]):
+            x[:] = np.unpackbits(self.rows[i], count=self.p)
+        X *= factors
+        return X
 
 
-def feature_matrix(images, n: int, cfg: FeatureConfig) -> np.ndarray:
-    """The (n, p) float64 matrix whose row i is the feature vector of the i-th
-    of the n (N, N) pixel arrays that the iterable `images` yields.
+def feature_matrix(images, n: int, cfg: FeatureConfig) -> FeatureRows:
+    """The :class:`FeatureRows` of the n (N, N) pixel arrays that the
+    iterable `images` yields: row i is the i-th array's.
 
     Each array is featurized straight into its row before the next is taken,
-    so a source may reuse one buffer.  A block grid finer than an image
-    raises BlockGridInvalid at that image.  Features of different lengths
-    (``flatten`` of images of several sizes), or a count other than n, raise
-    LengthMismatch once `images` is exhausted, so an error that the source
-    raises later comes first.
+    so a source may reuse one buffer.  Under ``flatten`` a pixel other than
+    0 or 1 is a ValueError naming the image.  A block grid finer than an
+    image raises BlockGridInvalid at that image.  Features of different
+    lengths (``flatten`` of images of several sizes), or a count other than
+    n, raise LengthMismatch once `images` is exhausted, so an error that the
+    source raises later comes first.
     """
-    X = lengths = None
-    count = 0
+    rows = lengths = None
+    factors, p, count, flat = np.empty(n), 0, 0, cfg.mode == "flatten"
     for pixels in images:
         count += 1
-        p = cfg.length(len(pixels))
-        if X is None:
-            X = np.empty((n, p))
-        if p != X.shape[1]:
-            lengths = lengths or sorted({p, X.shape[1]})
+        length = cfg.length(len(pixels))
+        if rows is None:
+            p = length
+            rows = np.empty((n, -(-p // 8)), np.uint8) if flat else np.empty((n, p))
+        if length != p:
+            lengths = lengths or sorted({p, length})
         if not lengths and count <= n:
-            _featurize_row(np.asarray(pixels), cfg, X[count - 1])
+            pixels = np.asarray(pixels)
+            bad = pixels[(pixels != 0) & (pixels != 1)] if flat else ()
+            if len(bad):
+                raise ValueError(f"image {count - 1} has pixel value {bad[0].item()!r}; "
+                                 "flatten features need pixels of 0 or 1")
+            rows[count - 1], factors[count - 1] = _featurize_row(pixels, cfg)
     if lengths:
         raise LengthMismatch(
             f"items give features of different lengths {lengths}; "
@@ -170,12 +193,14 @@ def feature_matrix(images, n: int, cfg: FeatureConfig) -> np.ndarray:
         )
     if count != n:
         raise LengthMismatch(f"{count} images for a matrix of n = {n} rows")
-    return np.empty((0, 0)) if X is None else X
+    return FeatureRows(np.empty((0, 0)) if rows is None else rows, factors, p)
 
 
 def featurize(img: RecurrenceImage, cfg: FeatureConfig) -> np.ndarray:
     """Turn an image into a norm-capped feature vector of dim N^2 or q^2."""
-    return featurize_stack(img.pixels[None], cfg)[0]
+    p = cfg.length(img.n)
+    row, factor = _featurize_row(img.pixels, cfg)
+    return FeatureRows(row[None], np.array([factor]), p).take([0])[0]
 
 
 @dataclass(frozen=True)

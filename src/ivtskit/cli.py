@@ -25,8 +25,6 @@ from .defaults import DEFAULT_EPSILON, DEFAULT_PER_CLASS, DEFAULT_RHO_GRID, DEFA
 from .errors import BlockGridInvalid, IvtsError, NegativeSquaredDistance, NonFinite
 
 if TYPE_CHECKING:  # annotations only
-    import numpy as np
-
     from .imaging import TrajectoryConfig
 
 EXIT_OK = 0
@@ -423,27 +421,6 @@ def cmd_image(eff: dict) -> None:
 # classify
 
 
-def _permute_rows(X: np.ndarray, src: np.ndarray) -> None:
-    """Set X[j] = X[src[j]] for every row j at once, in place: each cycle of
-    the permutation is followed with one row buffer."""
-    import numpy as np
-
-    src = src.tolist()
-    buf = np.empty(X.shape[1])
-    done = [False] * len(src)
-    for j in range(len(src)):
-        if done[j] or src[j] == j:
-            continue
-        buf[...] = X[j]
-        k = j
-        while src[k] != j:
-            X[k] = X[src[k]]
-            done[k] = True
-            k = src[k]
-        X[k] = buf
-        done[k] = True
-
-
 def _images_kernel(images_dir: Path) -> str:
     """The kernel the image command recorded in the directory's run_config.txt,
     or "" when the directory has none."""
@@ -546,7 +523,7 @@ def cmd_classify(eff: dict) -> None:
     if eff["images"] is not None:
         labels: list[int] = []
         n, pixels = _index_images(Path(eff["images"]), labels)
-        X = clf_mod.feature_matrix(pixels, n, fc)
+        features = clf_mod.feature_matrix(pixels, n, fc)
         y = np.array(labels)
         # the images were rendered by the image command, not with --kernel
         kernel_text = _images_kernel(Path(eff["images"]))
@@ -561,16 +538,15 @@ def cmd_classify(eff: dict) -> None:
 
             images = img_mod.image_grids(ds.bounds, _trajectory_config(eff), kernel)
             try:
-                X = clf_mod.feature_matrix(images, len(ds), fc)
+                features = clf_mod.feature_matrix(images, len(ds), fc)
             except BlockGridInvalid:
                 for _ in images:  # every item is imaged before a bad grid is reported
                     pass
                 raise
             del images  # it holds the bounds
-        del ds  # the run loop reads only X or bounds, and y
+        del ds  # the run loop reads only the features or bounds, and y
 
     report_rows = []
-    order = np.arange(len(y))  # order[i] is the item in row i of X
     for r in range(eff["runs"]):
         run_seed = seed + r
         if eff["self_test"]:  # every item is trained on and scored
@@ -588,13 +564,8 @@ def cmd_classify(eff: dict) -> None:
                 raise NumericError(str(e)) from e
             truth, model_note = y[test_idx], ""
         else:
-            if not eff["self_test"]:  # the training rows to the front of X, in split order
-                want = np.array(train_idx + test_idx)
-                _permute_rows(X, np.argsort(order)[want])
-                order = want
-                train_idx, test_idx = slice(len(train_idx)), slice(len(train_idx), None)
-            try:
-                model = clf_mod.train(X[train_idx], y[order[train_idx]], kind=eff["loss"],
+            try:  # the float64 training rows, in split order, live only while train runs
+                model = clf_mod.train(features.take(train_idx), y[train_idx], kind=eff["loss"],
                                       steps=eff["steps"], step_size=eff["step_size"],
                                       c_A=eff["c_a"], c_B=eff["c_b"])
             except ValueError as e:
@@ -602,7 +573,7 @@ def cmd_classify(eff: dict) -> None:
             if not (model.weights.any() or model.biases.any()):
                 print(f"warning: run {r}: no training step beat the zero model's risk, so the "
                       "model is all zeros and predicts class 1 for every item", file=sys.stderr)
-            preds, truth = clf_mod.predict_rows(model, X[test_idx]), y[order[test_idx]]
+            preds, truth = clf_mod.predict_rows(model, features.take(test_idx)), y[test_idx]
             model_path = outdir / f"model_run{r}.txt"
             clf_mod.save_model(model, eff["loss"], model_path)
             model_note = f" -> {model_path}"

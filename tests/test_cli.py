@@ -198,6 +198,28 @@ class TestStartup:
         assert not rec["numpy_ma"]
 
 
+class TestStagePeak:
+    """tools/stage_peak.py launches `python -m ivtskit` and prints its wall and
+    wait4 peak, from a process that imports no numpy."""
+
+    def test_help(self):
+        tool = Path(__file__).resolve().parents[1] / "tools" / "stage_peak.py"
+        probe = ("import runpy, sys\n"
+                 "sys.argv = sys.argv[1:]\n"
+                 "try:\n"
+                 "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
+                 "except SystemExit as e:\n"
+                 "    print('numpy' in sys.modules, e.code)\n")
+        out = subprocess.run([sys.executable, "-c", probe, str(tool), "1", "--help"],
+                             capture_output=True, text=True)
+        assert out.returncode == 0 and out.stderr == ""
+        line, tail = out.stdout.splitlines()
+        assert tail == "False 0"
+        code, wall, peak = line.split()[1::2]
+        assert line.split()[::2] == ["exit", "wall_s", "peak_mb"]
+        assert code == "0" and float(wall) > 0.0 and 1.0 < float(peak) < 1000.0
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -1218,7 +1240,8 @@ class TestConfigFile:
 
 
 class TestClassifyMemory:
-    """`classify` holds one n x p feature matrix and nothing of its size beside it."""
+    """`classify` holds one run's float64 training rows and nothing of the
+    n x p float64 matrix's size beside them."""
 
     @pytest.mark.parametrize("source", ["--data", "--images"])
     def test_traced_peak_below_one_and_a_half_matrices(self, tmp_path, source):

@@ -1797,6 +1797,19 @@ class TestClassifyOracle:
             # N from 9 to 13 in PGM and CSV images, q = 4 and p = 16
             ("--images", "mixed", "--blocks", "4", "--runs", "3"),
             ("--images", "mixed", "--blocks", "9", "--self-test"),
+            # each run builds its training rows, then its test rows, from the
+            # compact rows: several runs and --self-test in both modes and from
+            # both inputs; --cap 30 is above every flatten norm (N = 24), so
+            # every factor is 1.0
+            ("--data", "c1.csv", "--kernel", "K5", "--blocks", "6", "--epsilon", "1.0",
+             "--runs", "3"),
+            ("--data", "c1.csv", "--kernel", "K5", "--blocks", "6", "--epsilon", "1.0",
+             "--self-test", "--runs", "2"),
+            ("--data", "mix.csv", "--feature-mode", "flatten", "--epsilon", "0.5", "--cap", "30",
+             "--self-test", "--runs", "2"),
+            ("--images", "pgm", "--feature-mode", "flatten", "--runs", "3", "--cap", "30"),
+            ("--images", "csv", "--feature-mode", "flatten", "--self-test", "--runs", "2"),
+            ("--images", "csv", "--blocks", "10", "--self-test", "--runs", "2"),
         ],
     )
     def test_same_output(self, classify_inputs, tmp_path, monkeypatch, argv, block):
@@ -1805,6 +1818,38 @@ class TestClassifyOracle:
         assert rc == 0 and "report.csv" in files
         # some run learns: the reordered rows reach train and the scoring
         assert err.count("warning: ") < out.count("linear accuracy")
+
+    def test_flatten_holds_only_the_training_rows(self, tmp_path):
+        """Under flatten the float64 rows exist only for the run that needs
+        them: the traced peak of a paper-style classify stays below 1.1 times
+        the training rows' float64 bytes plus what `train` allocates beside
+        rows of that shape.  Holding all n rows as floats would be 1.2 times."""
+        data, out = tmp_path / "dgp2.csv", tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["generate", "--dgp", "2", "--per-class", "6", "--T", "150",
+                             "--out", str(data)]) == 0
+        labels = np.array(iv.load_dataset_csv(data).labels())
+        train_idx, _ = split.split_indices(labels.tolist(), 0.8, 0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(["classify", "--data", str(data), "--feature-mode", "flatten",
+                                 "--outdir", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+            p = int((out / "model_run0.txt").read_text().split()[1])
+            X = np.random.default_rng(0).random((len(train_idx), p)) < 0.05
+            X = X / np.linalg.norm(X, axis=1, keepdims=True)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            classify.train(X, labels[train_idx])
+            beside = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert p == 150 * 150 and len(train_idx) < len(labels)
+        assert peak < 1.1 * X.nbytes + beside
 
     @pytest.mark.parametrize(
         "argv",
@@ -1936,9 +1981,9 @@ class TestClassifyOracle:
         seen = []
         featurize_row = classify._featurize_row
 
-        def counted(pixels, fc, z):
+        def counted(pixels, fc):
             seen.append(pixels.shape)
-            return featurize_row(pixels, fc, z)
+            return featurize_row(pixels, fc)
 
         monkeypatch.setattr(classify, "_featurize_row", counted)
         monkeypatch.setattr(classify, "BLOCK_BYTES", block)
@@ -1990,6 +2035,8 @@ class TestClassifyOracle:
 
 
 class TestFeaturizeStack:
+    """`featurize` and `FeatureRows.take` give `ref_featurize`'s rows."""
+
     # N = 13 with q = 4 and N = 150 with q = 7 leave uneven cells; q = 150
     # is q = N
     @pytest.mark.parametrize("N", [1, 7, 13, 30, 150])
@@ -2003,39 +2050,66 @@ class TestFeaturizeStack:
         stack = (rng.random((40, N, N)) < density).astype(np.uint8)
         for cap, images in ((1.0, stack), (0.3, stack), (1e6, stack), (1.0, stack.astype(bool))):
             fc = iv.FeatureConfig(mode=mode, q=q, normalize_cap=cap)
-            Z = classify.featurize_stack(images, fc)
+            features = classify.feature_matrix(iter(images), 40, fc)
+            Z = features.take(slice(None))
             assert Z.shape == (40, fc.length(N)) and Z.dtype == np.float64
             for pixels, z in zip(images, Z):
                 img = iv.RecurrenceImage(pixels)
                 assert np.array_equal(z, ref_featurize(img, fc))
                 assert np.array_equal(z, iv.featurize(img, fc))
-            out = np.full((45, fc.length(N)), np.nan)
-            assert classify.featurize_stack(images, fc, out=out[3:43]) is not None
-            assert np.array_equal(out[3:43], Z) and np.isnan(out[:3]).all()
-            with pytest.raises(ValueError):  # an `out` of other than one row per image
-                classify.featurize_stack(images, fc, out=out[3:42])
+            idx = [39, 3, 3, 0]  # any rows, in the order asked
+            assert np.array_equal(features.take(idx), Z[idx])
 
     def test_recurrence_images(self):
         ds = _uni(8, 150)
         images = [iv.image_series(s, CFG, iv.kernel_preset("K4")) for s in ds.series()]
-        stack = np.stack([img.pixels for img in images])
         for fc in (iv.FeatureConfig("block_mean", 10), iv.FeatureConfig("block_mean", 7),
                    iv.FeatureConfig("flatten", normalize_cap=50.0)):
-            Z = classify.featurize_stack(stack, fc)
-            assert all(np.array_equal(z, ref_featurize(img, fc)) for img, z in zip(images, Z))
+            assert all(np.array_equal(iv.featurize(img, fc), ref_featurize(img, fc))
+                       for img in images)
 
     def test_grid_finer_than_image(self):
         with pytest.raises(BlockGridInvalid, match="block grid 5 exceeds image size 4"):
-            classify.featurize_stack(np.zeros((2, 4, 4), np.uint8), iv.FeatureConfig("block_mean", 5))
+            iv.featurize(iv.RecurrenceImage(np.zeros((4, 4), np.uint8)),
+                         iv.FeatureConfig("block_mean", 5))
+
+
+class TestFeatureRowsTake:
+    """`take` builds float64 rows equal to `ref_featurize`'s bit for bit."""
+
+    @pytest.mark.parametrize("N", [1, 13, 30])  # p = 1 and 169 are not multiples of 8
+    @pytest.mark.parametrize("mode,q", [("flatten", 1), ("block_mean", 4)])
+    @pytest.mark.parametrize("dtype", [bool, np.uint8])
+    @pytest.mark.parametrize("cap", [1e-3, 2.0, 1e6])  # below, among and above the norms
+    def test_rows_equal_ref_featurize(self, N, mode, q, dtype, cap):
+        rng = np.random.default_rng(N)
+        images = (rng.random((12, N, N)) < rng.random((12, 1, 1))).astype(dtype)
+        images[0] = 0  # a zero row has norm 0 and factor 1.0 under any cap
+        fc = iv.FeatureConfig(mode, min(q, N), normalize_cap=cap)
+        features = classify.feature_matrix(iter(images), 12, fc)
+        if mode == "flatten":  # one bit a pixel
+            assert features.rows.dtype == np.uint8
+            assert features.rows.shape == (12, -(-N * N // 8))
+        uncapped = iv.FeatureConfig(mode, min(q, N), normalize_cap=np.inf)
+        norms = [np.linalg.norm(ref_featurize(iv.RecurrenceImage(px), uncapped))
+                 for px in images]
+        assert np.array_equal(features.factors < 1.0, np.array(norms) > cap)
+        assert features.factors[0] == 1.0 and (cap < 1e6 or (features.factors == 1.0).all())
+        want = np.array([ref_featurize(iv.RecurrenceImage(px), fc) for px in images])
+        for idx in ([5, 0, 11, 5], list(range(12)), slice(None), []):
+            X = features.take(idx)
+            assert X.dtype == np.float64 and X.flags.c_contiguous
+            assert X.shape == (len(want[idx]), fc.length(N))
+            assert np.array_equal(X, want[idx])
 
 
 class TestFeatureMatrix:
-    """`feature_matrix` gives each image `featurize_stack`'s row, whatever
+    """`feature_matrix` gives each image `featurize`'s row, whatever
     ``BLOCK_BYTES`` is: it featurizes each image on its own."""
 
     @staticmethod
     def rows(images, fc):
-        return np.concatenate([classify.featurize_stack(px[None], fc) for px in images])
+        return np.array([iv.featurize(iv.RecurrenceImage(px), fc) for px in images])
 
     @pytest.mark.parametrize("block", [1, 3 * 30 * 30, classify.BLOCK_BYTES])
     @pytest.mark.parametrize("mode,q,cap", [("flatten", 1, 20.0), ("block_mean", 7, 0.5),
@@ -2045,7 +2119,7 @@ class TestFeatureMatrix:
         images = rng.random((10, 30, 30)) < rng.random((10, 1, 1))
         fc = iv.FeatureConfig(mode, q, normalize_cap=cap)
         monkeypatch.setattr(classify, "BLOCK_BYTES", block)
-        X = classify.feature_matrix(iter(images), 10, fc)
+        X = classify.feature_matrix(iter(images), 10, fc).take(slice(None))
         assert X.dtype == np.float64 and np.array_equal(X, self.rows(images, fc))
 
     @pytest.mark.parametrize("block", [1, 4 * 12 * 12, classify.BLOCK_BYTES])
@@ -2060,9 +2134,10 @@ class TestFeatureMatrix:
                 buf[...] = pixels
                 yield buf
                 buf[...] = True
-        fc = iv.FeatureConfig("block_mean", 5)
         monkeypatch.setattr(classify, "BLOCK_BYTES", block)
-        assert np.array_equal(classify.feature_matrix(reused(), 9, fc), self.rows(images, fc))
+        for fc in (iv.FeatureConfig("block_mean", 5), iv.FeatureConfig("flatten")):
+            X = classify.feature_matrix(reused(), 9, fc).take(slice(None))
+            assert np.array_equal(X, self.rows(images, fc))
 
     @pytest.mark.parametrize("block", [1, 2 * 13 * 13, classify.BLOCK_BYTES])
     def test_mixed_sizes_under_block_mean(self, monkeypatch, block):
@@ -2070,7 +2145,7 @@ class TestFeatureMatrix:
         images = [rng.random((N, N)) < 0.5 for N in (9, 9, 13, 13, 13, 10, 9, 9, 9, 12)]
         fc = iv.FeatureConfig("block_mean", 4)
         monkeypatch.setattr(classify, "BLOCK_BYTES", block)
-        X = classify.feature_matrix(images, len(images), fc)
+        X = classify.feature_matrix(images, len(images), fc).take(slice(None))
         assert np.array_equal(X, self.rows(images, fc))
         assert all(np.array_equal(x, ref_featurize(iv.RecurrenceImage(px), fc))
                    for px, x in zip(images, X))
@@ -2085,6 +2160,20 @@ class TestFeatureMatrix:
         with pytest.raises(BlockGridInvalid, match="^block grid 4 exceeds image size 3$"):
             classify.feature_matrix(source(), 5, iv.FeatureConfig("block_mean", 4))
         assert taken == [6, 6, 3]
+
+    @pytest.mark.parametrize("dtype,value", [(np.uint8, 2), (np.int64, -1), (np.float64, 0.5),
+                                             (np.float64, 2.0), (np.float64, np.nan)])
+    def test_flatten_needs_binary_pixels(self, dtype, value):
+        """Flatten rows are stored as bits, so a pixel other than 0 or 1 is an
+        error naming the image, not a silent 1; 0/1 arrays of any dtype pass."""
+        images = np.random.default_rng(6).integers(0, 2, (4, 5, 5)).astype(dtype)
+        fc = iv.FeatureConfig("flatten", normalize_cap=100.0)
+        X = classify.feature_matrix(iter(images), 4, fc).take(slice(None))
+        assert np.array_equal(X, images.reshape(4, 25))
+        images[2, 3, 1] = value
+        with pytest.raises(ValueError, match=f"^image 2 has pixel value {dtype(value).item()!r}; "
+                           "flatten features need pixels of 0 or 1$"):
+            classify.feature_matrix(iter(images), 4, fc)
 
     def test_flatten_size_mismatch_after_the_source(self):
         """Features of different lengths are reported once the source is
@@ -2108,39 +2197,40 @@ class TestFeatureMatrix:
             classify.feature_matrix(images, 3, iv.FeatureConfig("flatten"))
 
     def test_no_images(self):
-        assert classify.feature_matrix([], 0, iv.FeatureConfig("flatten")).shape == (0, 0)
+        features = classify.feature_matrix([], 0, iv.FeatureConfig("flatten"))
+        assert features.take(slice(None)).shape == (0, 0)
 
     def test_flatten_writes_straight_into_rows(self):
-        """Under flatten each image is featurized into its row of X as it is
-        taken: the traced peak exceeds X by less than 1 MiB, where a staging
-        block of images would hold up to BLOCK_BYTES (2 MiB)."""
+        """Under flatten each image is packed into its row of bits as it is
+        taken: the traced peak exceeds the bits by less than 128 KiB, a few
+        boolean copies of one image, where float64 rows would take 20 MiB."""
         images = np.random.default_rng(3).random((100, 160, 160)) < 0.3
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            X = classify.feature_matrix(iter(images), 100, iv.FeatureConfig("flatten"))
+            features = classify.feature_matrix(iter(images), 100, iv.FeatureConfig("flatten"))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert X.shape == (100, 160 * 160)
-        assert peak - X.nbytes < 2**20
+        assert features.rows.shape == (100, 160 * 160 // 8)
+        assert peak - features.rows.nbytes < 2**17
 
     def test_block_mean_holds_one_image(self):
-        """Under block_mean the traced peak beyond X stays below two float64
-        copies of one image: featurization holds one image at a time."""
+        """Under block_mean the traced peak beyond the rows stays below two
+        float64 copies of one image: featurization holds one image at a time."""
         images = np.random.default_rng(4).random((400, 160, 160)) < 0.3
         fc = iv.FeatureConfig("block_mean", 10)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            X = classify.feature_matrix(iter(images), 400, fc)
+            features = classify.feature_matrix(iter(images), 400, fc)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert np.array_equal(X, self.rows(images, fc))
-        assert peak - X.nbytes < 2 * 8 * 160 * 160
+        assert np.array_equal(features.take(slice(None)), self.rows(images, fc))
+        assert peak - features.rows.nbytes < 2 * 8 * 160 * 160
 
 
 class TestPredictRows:
