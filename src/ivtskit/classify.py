@@ -30,7 +30,7 @@ import numpy as np
 
 from .defaults import LOSS_NAMES
 from .errors import BlockGridInvalid, DimensionMismatch, EmptyInput, LengthMismatch
-from .intervals import Kernel2x2, as_grid, pointwise_dk_squared
+from .intervals import Kernel2x2, _read_only, as_grid, pointwise_dk_squared
 
 if TYPE_CHECKING:  # annotations only: theory -> classify loads neither module
     from .dgp import LabeledDataset
@@ -198,14 +198,13 @@ def feature_matrix(images, n: int, cfg: FeatureConfig) -> FeatureRows:
 
 def featurize(img: RecurrenceImage, cfg: FeatureConfig) -> np.ndarray:
     """Turn an image into a norm-capped feature vector of dim N^2 or q^2."""
-    p = cfg.length(img.n)
-    row, factor = _featurize_row(img.pixels, cfg)
-    return FeatureRows(row[None], np.array([factor]), p).take([0])[0]
+    return feature_matrix([img.pixels], 1, cfg).take([0])[0]
 
 
 @dataclass(frozen=True)
 class LinearClassifier:
-    """Per-class weight rows and biases under norm caps c_A and c_B."""
+    """Per-class weight rows and biases under norm caps c_A and c_B: read-only
+    float64 arrays, kept without a copy when they are already and copied otherwise."""
 
     weights: np.ndarray  # (C, p); row y-1 scores class y
     biases: np.ndarray  # (C,)
@@ -213,8 +212,8 @@ class LinearClassifier:
     c_B: float = 1.0
 
     def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=np.float64)
-        b = np.array(self.biases, dtype=np.float64)
+        w = _read_only(self.weights, np.float64)
+        b = _read_only(self.biases, np.float64)
         if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
             raise ValueError("weights must be (C, p) and biases (C,)")
         if w.shape[0] < 1:
@@ -226,15 +225,13 @@ class LinearClassifier:
             if bad.size:
                 raise ValueError(f"{name} must be finite, got {bad[0]}")
         tol = 1e-9
-        row_norms = np.linalg.norm(w, axis=1)
+        row_norms = np.sqrt(np.einsum("ij,ij->i", w, w))  # no (C, p) temporary
         if not row_norms.max() <= self.c_A + tol:
             raise ValueError(
                 f"weight row norm {row_norms.max()} exceeds cap c_A={self.c_A}"
             )
         if not np.abs(b).max() <= self.c_B + tol:
             raise ValueError(f"bias magnitude {np.abs(b).max()} exceeds cap c_B={self.c_B}")
-        w.setflags(write=False)
-        b.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "biases", b)
 
@@ -387,18 +384,10 @@ def train(
                 best_risk = r
                 best_w = w.copy()
                 best_b = b.copy()
-    return LinearClassifier(best_w @ X if dual else best_w, best_b, c_A, c_B)
-
-
-def _query_grid(query, X: np.ndarray) -> np.ndarray:
-    # Shapes are checked here: the scan would broadcast T = 1 against any T.
-    # An IntervalSeries is the d = 1 grid, so it matches a d = 1 MvIntervalSeries.
-    grid = as_grid(query)
-    if grid.shape[0] != X.shape[1]:
-        raise DimensionMismatch(f"series dimensions differ: {grid.shape[0]} vs {X.shape[1]}")
-    if grid.shape[1] != X.shape[2]:
-        raise LengthMismatch(f"series lengths differ: {grid.shape[1]} vs {X.shape[2]}")
-    return grid
+    weights = best_w @ X if dual else best_w
+    for a in (weights, best_b):  # fresh arrays, handed over read-only so they are not copied
+        a.setflags(write=False)
+    return LinearClassifier(weights, best_b, c_A, c_B)
 
 
 def _scan(Q: np.ndarray, X: np.ndarray, kernel: Kernel2x2) -> np.ndarray:
@@ -428,13 +417,19 @@ def _vote(dists: np.ndarray, labels: list[int], k: int) -> int:
 
 
 def knn_rows(X: np.ndarray, labels: list[int], Q, k: int, kernel: Kernel2x2) -> list[int]:
-    """:func:`knn_classify` of each (d, T, 2) query in `Q` (an array or a
-    list) among the (n, d, T, 2) items `X` with class ids `labels`.
+    """:func:`knn_classify` of each (d, T, 2) query of the (m, d, T, 2) array
+    `Q` among the (n, d, T, 2) items `X` with class ids `labels`.  Queries of
+    another d or T raise DimensionMismatch or LengthMismatch, not a broadcast.
 
     The queries are scanned in blocks whose temporaries hold at most
     ``BLOCK_BYTES`` of float64 (or one query against one item, if that is
     larger).
     """
+    Q = np.asarray(Q)
+    if Q.shape[1] != X.shape[1]:
+        raise DimensionMismatch(f"series dimensions differ: {Q.shape[1]} vs {X.shape[1]}")
+    if Q.shape[2] != X.shape[2]:
+        raise LengthMismatch(f"series lengths differ: {Q.shape[2]} vs {X.shape[2]}")
     n = len(X)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
@@ -443,7 +438,7 @@ def knn_rows(X: np.ndarray, labels: list[int], Q, k: int, kernel: Kernel2x2) -> 
     width = max(1, BLOCK_BYTES // 8 // (per_item * min(rows, n)))
     preds: list[int] = []
     for start in range(0, len(Q), width):
-        block = np.asarray(Q[start : start + width])
+        block = Q[start : start + width]
         dists = np.concatenate(
             [_scan(block, X[i : i + rows], kernel) for i in range(0, n, rows)], axis=1
         )
@@ -460,8 +455,7 @@ def knn_classify(
     Vote ties break to the class with the smallest total distance among its
     voting neighbors, then to the lowest class id.
     """
-    X = train.bounds
-    return knn_rows(X, train.labels(), [_query_grid(query, X)], k, kernel)[0]
+    return knn_rows(train.bounds, train.labels(), as_grid(query)[None], k, kernel)[0]
 
 
 def accuracy(predictions, labels) -> float:
@@ -516,4 +510,6 @@ def load_model(path) -> tuple[LinearClassifier, str]:
             raise ValueError(f"{path}: row {i} has {len(values)} values, expected {p + 1}")
         weights[i] = values[:p]
         biases[i] = values[p]
+    for a in (weights, biases):  # fresh arrays, handed over read-only so they are not copied
+        a.setflags(write=False)
     return LinearClassifier(weights, biases, c_A, c_B), kind

@@ -205,6 +205,8 @@ def _read_config(path: str, opts: tuple[Opt, ...]) -> dict:
         value = value.strip().strip('"')
         if key not in known:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if "\0" in value:  # open() raises on one, and a --tag would write it into report.csv
+            raise DataError(f"{path}:{lineno}: bad value for {key}: {value!r} holds a NUL byte")
         o = known[key]
         try:
             out[key] = _parse_bool(value) if o.conv is bool else o.conv(value)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .defaults import DEFAULT_PER_CLASS, DEFAULT_RHO_GRID, DEFAULT_T
 from .errors import LengthMismatch, NonFinite
-from .intervals import IntervalSeries, MvIntervalSeries, _bounds_array
+from .intervals import IntervalSeries, MvIntervalSeries, _read_only
 from .split import split_indices
 
 AnySeries = Union[IntervalSeries, MvIntervalSeries]
@@ -141,8 +141,7 @@ def gen_dgp2(cfg: DgpConfig, rng: np.random.Generator) -> np.ndarray:
     Starts from X_0 = 0, eps_0 = 0; the first ``burn_in`` steps are
     discarded.
     """
-    eps = sample_residuals(cfg.rho, rng, cfg.burn_in + cfg.T)
-    return _varma11(eps[None])[0, cfg.burn_in :]
+    return _generate(2, cfg, [rng])[0]
 
 
 def gen_dgp3(cfg: DgpConfig, rng: np.random.Generator) -> np.ndarray:
@@ -158,10 +157,10 @@ _GENERATORS: dict[int, Callable[..., np.ndarray]] = {1: gen_dgp1, 2: gen_dgp2, 3
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """n series of one dimension count d and one length T with 1-based class
-    labels: ``bounds``, a read-only float64 (n, d, T, 2) array, kept without a
-    copy when it is a read-only float64 array and copied otherwise, so later
-    writes to the input never reach it, and ``label_ids``, a
-    read-only int64 (n,) vector.  Both arrays determine the rest: there are
+    labels: ``bounds``, a read-only float64 (n, d, T, 2) array, and
+    ``label_ids``, a read-only int64 (n,) vector, each kept without a copy when
+    it is a read-only array of its dtype and copied otherwise, so later writes
+    to the input never reach it.  Both arrays determine the rest: there are
     ``n_classes`` = max(label_ids) classes, and the items are MvIntervalSeries
     exactly when d > 1 (``multivariate``), else IntervalSeries."""
 
@@ -169,8 +168,8 @@ class LabeledDataset:
     label_ids: np.ndarray
 
     def __post_init__(self) -> None:
-        bounds = _bounds_array(self.bounds)
-        label_ids = np.array(self.label_ids, dtype=np.int64)
+        bounds = _read_only(self.bounds, np.float64)
+        label_ids = _read_only(self.label_ids, np.int64)
         if bounds.ndim != 4 or bounds.shape[3] != 2 or 0 in bounds.shape:
             raise ValueError(f"bounds must be (n, d, T, 2) with n, d, T >= 1, got {bounds.shape}")
         if label_ids.shape != bounds.shape[:1]:
@@ -179,7 +178,6 @@ class LabeledDataset:
             raise ValueError(f"label {label_ids.min()} is not a class id (1, 2, ...)")
         if not np.isfinite(bounds).all():
             raise NonFinite("interval series bounds must be finite")
-        label_ids.setflags(write=False)
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "label_ids", label_ids)
 
@@ -246,8 +244,9 @@ def _build(classes: Sequence[Sequence[tuple[int, float]]], per_class_n: int, T: 
             block = bounds[items.start : items.stop, j]
             block[..., 0] = cr[..., 0] - cr[..., 1]
             block[..., 1] = cr[..., 0] + cr[..., 1]
-    bounds.setflags(write=False)
     labels = np.repeat(np.arange(1, len(classes) + 1), per_class_n)
+    for a in (bounds, labels):  # fresh arrays, handed over read-only so they are not copied
+        a.setflags(write=False)
     return LabeledDataset(bounds, labels)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .defaults import DEFAULT_EPSILON
 from .errors import DimensionMismatch, IvtsError, NegativeSquaredDistance, SeriesTooShort
-from .intervals import NEGATIVE_TOLERANCE, Kernel2x2, as_grid
+from .intervals import NEGATIVE_TOLERANCE, Kernel2x2, _read_only, as_grid
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,8 @@ class TrajectoryConfig:
 
 
 class RecurrenceImage:
-    """Square binary image backed by a read-only (N, N) uint8 array."""
+    """Square binary image backed by a read-only (N, N) uint8 array, kept
+    without a copy when it is a read-only uint8 array and copied otherwise."""
 
     __slots__ = ("_pixels",)
 
@@ -84,9 +85,7 @@ class RecurrenceImage:
             raise ValueError("a recurrence image must be square and nonempty")
         if arr.dtype != bool and not ((arr == 0) | (arr == 1)).all():
             raise ValueError("recurrence image entries must be 0 or 1")
-        arr = arr.astype(np.uint8)
-        arr.setflags(write=False)
-        self._pixels = arr
+        self._pixels = _read_only(arr, np.uint8)
 
     @property
     def pixels(self) -> np.ndarray:
@@ -197,7 +196,9 @@ def load_pgm(path) -> RecurrenceImage:
         raise ValueError(f"{path}: a {width}x{height} image needs {width * height} bytes, "
                          f"got {len(parts[3])}")
     data = np.frombuffer(parts[3], dtype=np.uint8, count=width * height)
-    return RecurrenceImage((data > 0).astype(np.uint8).reshape(height, width))
+    pixels = (data > 0).astype(np.uint8).reshape(height, width)
+    pixels.setflags(write=False)  # a fresh array, handed over read-only so it is not copied
+    return RecurrenceImage(pixels)
 
 
 def export_csv(img: RecurrenceImage, path) -> None:
@@ -224,6 +225,7 @@ def load_csv_image(path) -> RecurrenceImage:
             and (text[:, 1:-1:2] == ord(",")).all()
             and (text[:, -1] == ord("\n")).all()
         ):
+            pixels.setflags(write=False)  # fresh: handed over read-only, not copied
             return RecurrenceImage(pixels)
     # Any other text: blank lines, spaces, CRLF, a missing last newline, or
     # an error to report.

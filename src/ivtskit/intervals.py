@@ -153,13 +153,13 @@ def pointwise_dk_squared(b1: np.ndarray, b2: np.ndarray, k: Kernel2x2) -> np.nda
     return k.k_pp * du * du + k.k_mm * dl * dl - 2.0 * k.k_pm * dl * du
 
 
-def _bounds_array(values) -> np.ndarray:
-    """`values` as a read-only float64 array: kept without a copy when it is
-    one already, copied otherwise, so later writes to the input never reach it."""
-    if (isinstance(values, np.ndarray) and values.dtype == np.float64
-            and not values.flags.writeable):
+def _read_only(values, dtype) -> np.ndarray:
+    """`values` as a read-only array of `dtype`: kept without a copy when it is
+    one already, copied otherwise, so later writes to the input never reach it.
+    Every value type keeps the arrays it is handed by this rule."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
         return values
-    arr = np.array(values, dtype=np.float64)
+    arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -172,7 +172,7 @@ class IntervalSeries:
     __slots__ = ("_bounds",)
 
     def __init__(self, bounds: np.ndarray):
-        arr = _bounds_array(bounds)
+        arr = _read_only(bounds, np.float64)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
             raise ValueError("an interval series needs shape (T, 2) with T >= 1")
         if not np.all(np.isfinite(arr)):
@@ -211,7 +211,7 @@ class MvIntervalSeries:
     __slots__ = ("_grid",)
 
     def __init__(self, grid: np.ndarray):
-        arr = _bounds_array(grid)
+        arr = _read_only(grid, np.float64)
         if arr.ndim != 3 or arr.shape[2] != 2:
             raise ValueError("a multivariate series needs shape (d, T, 2)")
         if arr.shape[0] < 1 or arr.shape[1] < 1:

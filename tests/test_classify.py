@@ -392,6 +392,35 @@ class TestModelSerialization:
         header = path.read_text().splitlines()[0].split()
         assert header[:2] == ["3", "5"]
 
+    def test_read_only_float64_kept_without_a_copy(self):
+        w, b = np.zeros((2, 3)), np.zeros(2)
+        for a in (w, b):
+            a.setflags(write=False)
+        clf = LinearClassifier(w, b)
+        assert np.shares_memory(clf.weights, w) and np.shares_memory(clf.biases, b)
+
+    @pytest.mark.parametrize("dtype,writeable", [(np.float64, True), (np.float32, True),
+                                                 (np.int64, True), (np.float32, False)])
+    def test_writable_or_other_dtype_copied(self, dtype, writeable):
+        w, b = np.zeros((2, 3), dtype=dtype), np.zeros(2, dtype=dtype)
+        for a in (w, b):
+            a.setflags(write=writeable)
+        clf = LinearClassifier(w, b)
+        for stored, given in ((clf.weights, w), (clf.biases, b)):
+            assert stored.dtype == np.float64 and not stored.flags.writeable
+            assert not np.shares_memory(stored, given)
+            given.setflags(write=True)
+            given[...] = 1
+            assert not stored.any()
+
+    def test_trained_and_loaded_models_read_only(self, tmp_path):
+        X, y = separable_two_class_features()
+        path = tmp_path / "model.txt"
+        iv.save_model(iv.train(X, y, steps=20), "hinge", path)
+        for clf in (iv.train(X, y, steps=20), iv.train(X[:, [0, 1] * 20], y, steps=20),
+                    iv.load_model(path)[0]):  # primal, dual (p > n) and loaded
+            assert not clf.weights.flags.writeable and not clf.biases.flags.writeable
+
     def test_caps_enforced_at_construction(self):
         with pytest.raises(ValueError):
             LinearClassifier(np.array([[2.0, 0.0]]), np.zeros(1), c_A=1.0, c_B=1.0)

@@ -357,12 +357,19 @@ class TestLabeledDataset:
         assert s.bounds[0].tolist() == [0.0, 0.0]
         assert np.isfinite(ds.bounds).all()
         assert not np.shares_memory(ds.bounds, b)
+        labels = np.ones(1, dtype=np.int64)
+        ds = iv.LabeledDataset(np.zeros((1, 1, 3, 2)), labels)
+        labels[0] = 0
+        assert ds.labels() == [1] and not ds.label_ids.flags.writeable
+        assert not np.shares_memory(ds.label_ids, labels)
 
     def test_series_are_views_of_one_array(self, tmp_path):
         bounds = np.arange(2 * 3 * 4 * 2, dtype=np.float64).reshape(2, 3, 4, 2)
-        bounds.setflags(write=False)
-        ds = iv.LabeledDataset(bounds, [1, 2])
-        assert np.shares_memory(ds.bounds, bounds)
+        labels = np.array([1, 2])
+        for a in (bounds, labels):
+            a.setflags(write=False)
+        ds = iv.LabeledDataset(bounds, labels)
+        assert np.shares_memory(ds.bounds, bounds) and np.shares_memory(ds.label_ids, labels)
         assert not ds.bounds.flags.writeable
         for s, grid in zip(ds.series(), ds.bounds):
             assert np.shares_memory(s.grid, grid)

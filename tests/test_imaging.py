@@ -329,3 +329,20 @@ class TestRecurrenceImageType:
         img = iv.RecurrenceImage(np.ones((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 0
+
+    def test_read_only_uint8_kept_without_a_copy(self):
+        pixels = np.eye(3, dtype=np.uint8)
+        pixels.setflags(write=False)
+        assert np.shares_memory(iv.RecurrenceImage(pixels).pixels, pixels)
+
+    @pytest.mark.parametrize("dtype,writeable", [(np.uint8, True), (bool, True), (bool, False),
+                                                 (np.int64, False)])
+    def test_writable_or_other_dtype_copied(self, dtype, writeable):
+        pixels = np.eye(3, dtype=dtype)
+        pixels.setflags(write=writeable)
+        stored = iv.RecurrenceImage(pixels).pixels
+        assert stored.dtype == np.uint8 and not stored.flags.writeable
+        assert not np.shares_memory(stored, pixels)
+        pixels.setflags(write=True)
+        pixels[...] = 0
+        assert np.array_equal(stored, np.eye(3))

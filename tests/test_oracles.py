@@ -26,7 +26,8 @@ import pytest
 import ivtskit as iv
 from ivtskit import classify, cli, imaging, ingest, split, theory
 from ivtskit.classify import LOSSES, _margins
-from ivtskit.errors import BlockGridInvalid, LengthMismatch, NegativeSquaredDistance, NonFinite
+from ivtskit.errors import (BlockGridInvalid, DimensionMismatch, LengthMismatch,
+                            NegativeSquaredDistance, NonFinite)
 from ivtskit.imaging import squared_threshold
 from ivtskit.intervals import NEGATIVE_TOLERANCE, as_grid, series_dk_squared
 
@@ -534,6 +535,22 @@ class TestKnnScan:
         monkeypatch.setattr(classify, "BLOCK_BYTES", 8 * block)  # block floats
         grids = [as_grid(q) for q in queries]
         assert classify.knn_rows(train.bounds, train.labels(), grids, 3, kernel) == want
+
+    @pytest.mark.parametrize("error,reshape", [
+        (LengthMismatch, lambda Q: Q[:, :, :1]),
+        (DimensionMismatch, lambda Q: np.concatenate([Q, Q], axis=1)),
+    ], ids=["T", "d"])
+    def test_query_shape_checked(self, error, reshape):
+        """A query block of another T or d raises what knn_classify raises for
+        one such query, with the same message, where the scan would broadcast."""
+        train = _uni(4, 20)
+        Q = reshape(train.bounds[:3])
+        kernel = iv.kernel_preset("K4")
+        with pytest.raises(error) as want:
+            classify.knn_classify(train, iv.MvIntervalSeries(Q[0]), 1, kernel)
+        with pytest.raises(error) as got:
+            classify.knn_rows(train.bounds, train.labels(), Q, 1, kernel)
+        assert str(got.value) == str(want.value)
 
     def test_property(self):
         hypothesis = pytest.importorskip("hypothesis")
