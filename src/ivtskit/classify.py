@@ -87,8 +87,8 @@ class FeatureConfig:
             raise ValueError(f"mode must be 'flatten' or 'block_mean', got {self.mode!r}")
         if self.q < 1:
             raise BlockGridInvalid(f"block grid size must be >= 1, got {self.q}")
-        if not self.normalize_cap > 0.0:
-            raise ValueError(f"normalize_cap must be positive, got {self.normalize_cap}")
+        if not 0.0 < self.normalize_cap < math.inf:
+            raise ValueError(f"normalize_cap must be finite and positive, got {self.normalize_cap}")
 
     def length(self, n: int) -> int:
         """Length of the feature vector of an N-by-N image: N^2 or q^2."""

@@ -232,8 +232,6 @@ def _effective_options(args: argparse.Namespace, opts: tuple[Opt, ...]) -> dict:
 def _fmt_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if v is None:
-        return ""
     if isinstance(v, float):
         return repr(v)
     return str(v)
@@ -246,6 +244,14 @@ def _echo_config(outdir: Path, command: str, eff: dict) -> None:
         f"{k}={_fmt_value(v)}" for k, v in sorted(eff.items()) if v is not None
     ]
     (outdir / "run_config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _check_text(eff: dict) -> None:
+    """Each value is echoed into run_config.txt as UTF-8.  Argv bytes that are
+    not UTF-8 decode to lone surrogates, which UTF-8 cannot encode."""
+    for key, value in eff.items():
+        if isinstance(value, str) and value.encode("utf-8", "replace").decode() != value:
+            raise UsageError(f"--{key.replace('_', '-')}: {value!r} is not UTF-8 text")
 
 
 def _check_threads(value) -> None:
@@ -274,10 +280,7 @@ def _trajectory_config(eff: dict) -> TrajectoryConfig:
         eps = [float(p) for p in str(text).split(",")]
     except ValueError:
         raise NumericError(f"epsilon {text!r} is not a number or comma list") from None
-    try:
-        return TrajectoryConfig(m=eff["m"], kappa=eff["kappa"], epsilon=tuple(eps))
-    except ValueError as e:
-        raise NumericError(str(e)) from e
+    return TrajectoryConfig(m=eff["m"], kappa=eff["kappa"], epsilon=tuple(eps))
 
 
 def _load_dataset(path):
@@ -313,19 +316,16 @@ def cmd_generate(eff: dict) -> None:
         rhos = tuple(float(r) for r in str(eff["rhos"]).split(","))
     except ValueError:
         raise NumericError(f"bad --rhos list {eff['rhos']!r}") from None
-    try:
-        common = dict(per_class_n=eff["per_class"], T=eff["T"], seed=seed,
-                      truncation_L=eff["truncation_L"], burn_in=eff["burn_in"])
-        if eff["dgp"] is not None:
-            ds = dgp_mod.build_univariate_dataset(eff["dgp"], rho_grid=rhos, **common)
-        elif eff["scenario"] == "c1":
-            ds = dgp_mod.build_multivariate_c1(rho_grid=rhos, **common)
-        elif eff["scenario"] == "c2":
-            ds = dgp_mod.build_multivariate_c2(rho_grid=rhos, **common)
-        else:
-            ds = dgp_mod.build_dgp_mix_dataset(rho=eff["rho"], **common)
-    except ValueError as e:
-        raise NumericError(str(e)) from e
+    common = dict(per_class_n=eff["per_class"], T=eff["T"], seed=seed,
+                  truncation_L=eff["truncation_L"], burn_in=eff["burn_in"])
+    if eff["dgp"] is not None:
+        ds = dgp_mod.build_univariate_dataset(eff["dgp"], rho_grid=rhos, **common)
+    elif eff["scenario"] == "c1":
+        ds = dgp_mod.build_multivariate_c1(rho_grid=rhos, **common)
+    elif eff["scenario"] == "c2":
+        ds = dgp_mod.build_multivariate_c2(rho_grid=rhos, **common)
+    else:
+        ds = dgp_mod.build_dgp_mix_dataset(rho=eff["rho"], **common)
     out = Path(eff["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     dgp_mod.save_dataset_csv(ds, out)
@@ -393,6 +393,7 @@ def cmd_image(eff: dict) -> None:
     from . import imaging as img_mod
 
     _require(eff, "data", "outdir", "kernel")
+    _check_text(eff)
     kernel = _parse_kernel_opt(eff["kernel"])
     cfg = _trajectory_config(eff)
     _check_threads(eff["threads"])
@@ -414,7 +415,7 @@ def cmd_image(eff: dict) -> None:
             writer(img, outdir / name)
             names.append(name)
         index_lines.append(f"{names[0]},{i},{label}")
-    (outdir / "index.csv").write_text("\n".join(index_lines) + "\n", encoding="ascii")
+    (outdir / "index.csv").write_text("\n".join(index_lines) + "\n", encoding="utf-8")
     _echo_config(outdir, "image", eff)
     print(f"imaged {len(index_lines) - 1} items (N={img.n}) -> {outdir}")
 
@@ -460,7 +461,7 @@ def _index_images(images_dir: Path, labels: list[int]):
 
     index = images_dir / "index.csv"
     try:
-        lines = index.read_text(encoding="ascii").splitlines()
+        lines = index.read_text(encoding="utf-8").splitlines()
     except (OSError, ValueError) as e:
         raise DataError(f"cannot read {index}: {e}") from e
     if not lines or lines[0] != "file,item,label":
@@ -483,8 +484,8 @@ def _index_images(images_dir: Path, labels: list[int]):
                     if path.suffix == ".pgm"
                     else img_mod.load_csv_image(path)
                 )
-            except (OSError, ValueError) as e:
-                raise DataError(f"{path}: {e}") from e
+            except (OSError, ValueError) as e:  # each names the file
+                raise DataError(str(e)) from e
             yield img.pixels
         if not labels:
             raise DataError(f"{index}: no images listed")
@@ -502,6 +503,7 @@ def cmd_classify(eff: dict) -> None:
     if (eff["data"] is None) == (eff["images"] is None):
         raise UsageError("pass exactly one of --data or --images")
     _require(eff, "outdir")
+    _check_text(eff)
     knn = eff["mode"] == "knn"
     if knn and eff["data"] is None:
         raise UsageError("--mode knn needs --data (series-level distances)")
@@ -520,7 +522,7 @@ def cmd_classify(eff: dict) -> None:
     if not knn:
         try:
             fc = clf_mod.FeatureConfig(eff["feature_mode"], eff["blocks"], eff["cap"])
-        except (ValueError, BlockGridInvalid) as e:
+        except BlockGridInvalid as e:
             raise NumericError(str(e)) from e
     if eff["images"] is not None:
         labels: list[int] = []
@@ -559,19 +561,14 @@ def cmd_classify(eff: dict) -> None:
             except ValueError as e:
                 raise DataError(str(e)) from e
         if knn:
-            try:
-                preds = clf_mod.knn_rows(bounds[train_idx], y[train_idx].tolist(),
-                                         bounds[test_idx], eff["k"], kernel)
-            except ValueError as e:
-                raise NumericError(str(e)) from e
+            preds = clf_mod.knn_rows(bounds[train_idx], y[train_idx].tolist(),
+                                     bounds[test_idx], eff["k"], kernel)
             truth, model_note = y[test_idx], ""
         else:
-            try:  # the float64 training rows, in split order, live only while train runs
-                model = clf_mod.train(features.take(train_idx), y[train_idx], kind=eff["loss"],
-                                      steps=eff["steps"], step_size=eff["step_size"],
-                                      c_A=eff["c_a"], c_B=eff["c_b"])
-            except ValueError as e:
-                raise NumericError(str(e)) from e
+            # the float64 training rows, in split order, live only while train runs
+            model = clf_mod.train(features.take(train_idx), y[train_idx], kind=eff["loss"],
+                                  steps=eff["steps"], step_size=eff["step_size"],
+                                  c_A=eff["c_a"], c_B=eff["c_b"])
             if not (model.weights.any() or model.biases.any()):
                 print(f"warning: run {r}: no training step beat the zero model's risk, so the "
                       "model is all zeros and predicts class 1 for every item", file=sys.stderr)
@@ -603,18 +600,15 @@ def cmd_bound(eff: dict) -> None:
 
     _require(eff, "n", "log_covering")
     _check_threads(eff["threads"])
-    try:
-        ell = eff["ell"] if eff["ell"] is not None else theory_mod.lipschitz_constant(eff["loss"])
-        ell_caps = ell, eff["c_a"], eff["c_b"], eff["c_z"]
-        sample = eff["n"], eff["log_covering"]
-        single, pair = theory_mod.g_bounds(*ell_caps)
-        varrho = eff["varrho"]
-        if varrho is None:
-            varrho = theory_mod.optimal_varrho(*ell_caps)
-        offset = theory_mod.offset_rademacher_bound(*ell_caps, *sample, varrho)
-        excess = theory_mod.excess_risk_bound(*ell_caps, *sample)
-    except ValueError as e:
-        raise NumericError(str(e)) from e
+    ell = eff["ell"] if eff["ell"] is not None else theory_mod.lipschitz_constant(eff["loss"])
+    ell_caps = ell, eff["c_a"], eff["c_b"], eff["c_z"]
+    sample = eff["n"], eff["log_covering"]
+    single, pair = theory_mod.g_bounds(*ell_caps)
+    varrho = eff["varrho"]
+    if varrho is None:
+        varrho = theory_mod.optimal_varrho(*ell_caps)
+    offset = theory_mod.offset_rademacher_bound(*ell_caps, *sample, varrho)
+    excess = theory_mod.excess_risk_bound(*ell_caps, *sample)
 
     report = {
         "loss": eff["loss"],
@@ -644,18 +638,15 @@ def cmd_bound(eff: dict) -> None:
         norms = np.linalg.norm(X, axis=1)
         over = norms > eff["c_z"]
         X[over] *= (eff["c_z"] / norms[over])[:, None]
-        try:
-            est = theory_mod.empirical_offset_rademacher(
-                X,
-                eff["c_a"],
-                eff["c_b"],
-                varrho,
-                mc_draws=eff["mc_draws"],
-                inner_steps=eff["inner_steps"],
-                seed=seed,
-            )
-        except ValueError as e:
-            raise NumericError(str(e)) from e
+        est = theory_mod.empirical_offset_rademacher(
+            X,
+            eff["c_a"],
+            eff["c_b"],
+            varrho,
+            mc_draws=eff["mc_draws"],
+            inner_steps=eff["inner_steps"],
+            seed=seed,
+        )
         report["mc_offset_rademacher"] = est.value
         report["mc_draws"] = est.mc_draws
         report["mc_inner_steps"] = est.inner_steps
@@ -687,6 +678,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     opts, runner, _ = COMMANDS[args.command]
+    # A failed value check is a numeric error unless the code that reads input
+    # data calls it a data error, so a ValueError that reaches here exits 4.
     try:
         eff = _effective_options(args, opts)
         runner(eff)
@@ -694,7 +687,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericError, NegativeSquaredDistance, NonFinite) as e:
+    except (NumericError, NegativeSquaredDistance, NonFinite, ValueError) as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as e:  # a size option asked for more memory than there is

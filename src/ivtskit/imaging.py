@@ -182,23 +182,26 @@ def export_pgm(img: RecurrenceImage, path) -> None:
 def load_pgm(path) -> RecurrenceImage:
     """Read a binary image previously written by :func:`export_pgm`."""
     raw = Path(path).read_bytes()
-    parts = raw.split(b"\n", 3)
-    if len(parts) != 4 or parts[0] != b"P5":
-        raise ValueError(f"{path}: not a binary P5 greymap")
-    dims = parts[1].split()
-    if len(dims) != 2:
-        raise ValueError(f"{path}: malformed P5 dimension line")
-    width, height = int(dims[0]), int(dims[1])
-    maxval = int(parts[2])
-    if maxval != 255:
-        raise ValueError(f"{path}: expected maxval 255, got {maxval}")
-    if width * height > len(parts[3]):  # frombuffer overflows on a count past its index range
-        raise ValueError(f"{path}: a {width}x{height} image needs {width * height} bytes, "
-                         f"got {len(parts[3])}")
-    data = np.frombuffer(parts[3], dtype=np.uint8, count=width * height)
-    pixels = (data > 0).astype(np.uint8).reshape(height, width)
-    pixels.setflags(write=False)  # a fresh array, handed over read-only so it is not copied
-    return RecurrenceImage(pixels)
+    try:
+        parts = raw.split(b"\n", 3)
+        if len(parts) != 4 or parts[0] != b"P5":
+            raise ValueError("not a binary P5 greymap")
+        dims = parts[1].split()
+        if len(dims) != 2:
+            raise ValueError("malformed P5 dimension line")
+        width, height = int(dims[0]), int(dims[1])
+        maxval = int(parts[2])
+        if maxval != 255:
+            raise ValueError(f"expected maxval 255, got {maxval}")
+        if width * height > len(parts[3]):  # frombuffer overflows on a count past its index range
+            raise ValueError(f"a {width}x{height} image needs {width * height} bytes, "
+                             f"got {len(parts[3])}")
+        data = np.frombuffer(parts[3], dtype=np.uint8, count=width * height)
+        pixels = (data > 0).astype(np.uint8).reshape(height, width)
+        pixels.setflags(write=False)  # a fresh array, handed over read-only so it is not copied
+        return RecurrenceImage(pixels)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def export_csv(img: RecurrenceImage, path) -> None:
@@ -215,26 +218,28 @@ def load_csv_image(path) -> RecurrenceImage:
     """Read an image previously written by :func:`export_csv`."""
     raw = Path(path).read_bytes()
     n_lines = raw.count(b"\n")
-    if n_lines and len(raw) % n_lines == 0 and len(raw) // n_lines % 2 == 0:
-        # The layout export_csv writes, read in one pass: rows of equal width
-        # with a 0/1 at even offsets and commas, then a newline, at odd ones.
-        text = np.frombuffer(raw, dtype=np.uint8).reshape(n_lines, -1)
-        pixels = text[:, ::2] - np.uint8(ord("0"))  # wraps bytes below "0" to >= 208
-        if (
-            (pixels <= 1).all()
-            and (text[:, 1:-1:2] == ord(",")).all()
-            and (text[:, -1] == ord("\n")).all()
-        ):
-            pixels.setflags(write=False)  # fresh: handed over read-only, not copied
-            return RecurrenceImage(pixels)
-    # Any other text: blank lines, spaces, CRLF, a missing last newline, or
-    # an error to report.
-    rows = [
-        [int(v) for v in line.split(",")]
-        for line in raw.decode("ascii").splitlines()
-        if line
-    ]
     try:
+        if n_lines and len(raw) % n_lines == 0 and len(raw) // n_lines % 2 == 0:
+            # The layout export_csv writes, read in one pass: rows of equal width
+            # with a 0/1 at even offsets and commas, then a newline, at odd ones.
+            text = np.frombuffer(raw, dtype=np.uint8).reshape(n_lines, -1)
+            pixels = text[:, ::2] - np.uint8(ord("0"))  # wraps bytes below "0" to >= 208
+            if (
+                (pixels <= 1).all()
+                and (text[:, 1:-1:2] == ord(",")).all()
+                and (text[:, -1] == ord("\n")).all()
+            ):
+                pixels.setflags(write=False)  # fresh: handed over read-only, not copied
+                return RecurrenceImage(pixels)
+        # Any other text: blank lines, spaces, CRLF, a missing last newline, or
+        # an error to report.
+        rows = [
+            [int(v) for v in line.split(",")]
+            for line in raw.decode("ascii").splitlines()
+            if line
+        ]
         return RecurrenceImage(np.array(rows, dtype=np.uint8))
     except OverflowError:
-        raise ValueError("recurrence image entries must be 0 or 1") from None
+        raise ValueError(f"{path}: recurrence image entries must be 0 or 1") from None
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -1,5 +1,6 @@
 """Tests for featurization, the max-loss trainer, and the knn baseline."""
 
+import math
 import warnings
 
 import numpy as np
@@ -80,6 +81,11 @@ class TestFeaturize:
             iv.featurize(img, FeatureConfig(mode="block_mean", q=4))
         with pytest.raises(BlockGridInvalid):
             FeatureConfig(mode="block_mean", q=0)
+
+    @pytest.mark.parametrize("cap", [0.0, -1.0, math.nan, math.inf])
+    def test_cap_must_be_finite_and_positive(self, cap):
+        with pytest.raises(ValueError, match="normalize_cap must be finite and positive"):
+            FeatureConfig(normalize_cap=cap)
 
 
 class TestScorePredict:

@@ -638,6 +638,27 @@ class TestImage:
             assert out.returncode == 3
             assert out.stderr == f"data error: {mix_csv}:{lineno}: label 0 is not a class id (1, 2, ...)\n"
 
+    def test_non_ascii_dataset_name(self, mix_csv, tmp_path):
+        """index.csv is UTF-8, so images named after any dataset classify."""
+        data, imgdir = tmp_path / "donn\u00e9es.csv", tmp_path / "imgs"
+        shutil.copy(mix_csv, data)
+        out = run_cli("image", "--data", data, "--outdir", imgdir, "--kernel", "K4")
+        assert out.returncode == 0, out.stderr
+        assert (imgdir / "index.csv").read_text(encoding="utf-8").splitlines()[1] == \
+            "donn\u00e9es_0.pgm,0,1"
+        out = run_cli("classify", "--images", imgdir, "--steps", "5", "--outdir", tmp_path / "o")
+        assert out.returncode == 0, out.stderr
+
+    @pytest.mark.parametrize("command,option", [("image", "--stem"), ("classify", "--tag")])
+    def test_non_utf8_value_is_usage_error(self, mix_csv, tmp_path, command, option):
+        """Every value is echoed into run_config.txt, so one that is not UTF-8
+        text is refused before anything is written."""
+        outdir = tmp_path / "o"
+        out = run_cli(command, "--data", mix_csv, "--kernel", "K4", option, os.fsdecode(b"\xff"),
+                      "--outdir", outdir)
+        assert_one_line_error(out, 2, f"usage error: {option}: ")
+        assert not outdir.exists() or not any(outdir.iterdir())
+
     def test_ragged_lengths_are_data_error(self, tmp_path):
         data = tmp_path / "ragged.csv"
         write_ragged_csv(data)
@@ -851,7 +872,7 @@ class TestClassify:
         [
             ("--cap", "0"), ("--steps", "-1"), ("--c-a", "0"), ("--c-b", "0"),
             ("--step-size", "nan"), ("--step-size", "0"), ("--step-size", "-1"),
-            ("--step-size", "inf"), ("--c-a", "inf"), ("--c-b", "inf"),
+            ("--step-size", "inf"), ("--c-a", "inf"), ("--c-b", "inf"), ("--cap", "inf"),
         ],
     )
     def test_bad_linear_option_is_numeric_error(self, tmp_path, option):
@@ -936,6 +957,42 @@ class TestClassify:
         out = run_cli("classify", "--images", imgdir, "--outdir", tmp_path / "o")
         assert_one_line_error(out, 3, "mix_0.csv")
 
+    @pytest.mark.parametrize("fault", ["truncated", "maxval", "size-line", "missing", "csv-entry"])
+    def test_bad_image_file_named_once(self, sep_images, tmp_path, fault):
+        path = sep_images / "sep_1.pgm"
+        raw = path.read_bytes()
+        if fault == "truncated":
+            path.write_bytes(raw[:raw.index(b"255\n") + 4])
+        elif fault == "maxval":
+            path.write_bytes(raw.replace(b"\n255\n", b"\n254\n", 1))
+        elif fault == "size-line":
+            path.write_bytes(raw.replace(b"\n12 ", b"\nn ", 1))
+        elif fault == "missing":
+            path.unlink()
+        else:
+            path = sep_images / "sep_1.csv"
+            iv.export_csv(iv.load_pgm(sep_images / "sep_1.pgm"), path)
+            path.write_text(path.read_text().replace("1", "2", 1))
+            index = sep_images / "index.csv"
+            index.write_text(index.read_text().replace("sep_1.pgm", "sep_1.csv"))
+        out = run_cli("classify", "--images", sep_images, "--steps", "5",
+                      "--outdir", tmp_path / "o")
+        assert_one_line_error(out, 3, "data error: ")
+        assert out.stderr.count(str(path)) == 1
+
+    @pytest.mark.parametrize("lines", [["file,label"], ["file,item,label"]],
+                             ids=["header", "header-only"])
+    def test_bad_index_is_data_error(self, sep_images, tmp_path, lines):
+        index = sep_images / "index.csv"
+        index.write_text("\n".join(lines) + "\n")
+        out = run_cli("classify", "--images", sep_images, "--outdir", tmp_path / "o")
+        assert_one_line_error(out, 3, f"data error: {index}: ")
+
+    def test_knn_needs_series(self, sep_images, tmp_path):
+        out = run_cli("classify", "--images", sep_images, "--mode", "knn",
+                      "--outdir", tmp_path / "o")
+        assert_one_line_error(out, 2, "usage error: --mode knn needs --data")
+
     def test_requires_exactly_one_input(self, tmp_path):
         assert run_cli(
             "classify", "--mode", "knn", "--outdir", tmp_path / "o"
@@ -972,6 +1029,27 @@ class TestOutOfDomainOptions:
         out = run_cli("classify", "--data", mix_csv, "--blocks", "31",
                       "--outdir", tmp_path / "o")  # T = 30, so N = 30
         assert_one_line_error(out, 3, "data error: ")
+
+    @pytest.mark.parametrize("options,text", [
+        (("--runs", "0"), "runs must be >= 1"),
+        (("--mode", "knn", "--k", "0"), "k must satisfy 1 <= k <= 9, got 0"),
+        (("--mode", "knn", "--k", "10"), "k must satisfy 1 <= k <= 9, got 10"),
+    ], ids=["runs-0", "k-0", "k-above-train"])
+    def test_classify_run_option(self, mix_csv, tmp_path, options, text):
+        out = run_cli("classify", "--data", mix_csv, *options, "--outdir", tmp_path / "o")
+        assert_one_line_error(out, 4, f"numeric error: {text}")
+
+    def test_value_error_reaching_main_is_numeric_error(self, tmp_path, monkeypatch, capsys):
+        """A failed value check that no reader calls a data error exits 4."""
+        from ivtskit import cli, dgp
+
+        def fail(ds, path):
+            raise ValueError("no good")
+
+        monkeypatch.setattr(dgp, "save_dataset_csv", fail)
+        rc = cli.main(["generate", "--dgp", "1", "--per-class", "2", "--T", "8",
+                       "--out", str(tmp_path / "g.csv")])
+        assert (rc, capsys.readouterr().err) == (4, "numeric error: no good\n")
 
 
 def _report(lines):
@@ -1023,6 +1101,11 @@ BOUND_GOLDEN = [
     # two bad caps: the first in (ell, c_A, c_B, c_Z) order is named
     (("--varrho", "0.5", "--c-b", "inf", "--c-z", "inf"), 4, "",
      "c_B must be finite and positive, got inf"),
+    # the offset bound is finite, the excess-risk bound is not
+    (("--n", "1", "--log-covering", "2e307"), 4, "",
+     "the bound overflows at varrho=0.125, n=1, log_covering=2e+307"),
+    (("--mc", "--mc-draws", "0"), 4, "", "mc_draws must be >= 1 and inner_steps >= 0"),
+    (("--mc", "--inner-steps", "-1"), 4, "", "mc_draws must be >= 1 and inner_steps >= 0"),
     # an n that no float holds, with and without --varrho
     *[pytest.param(("--n", "1" + "0" * 400, *flags), 4, "",
                    f"sample count n must be at most 1.7976931348623157e+308, got 1{'0' * 400}",
@@ -1249,6 +1332,17 @@ class TestConfigFile:
         out = run_cli(command, *argv, "--config", cfg)
         assert_one_line_error(out, 3, f"data error: {cfg}:2: bad value for {key}: ")
         assert not (tmp_path / "o").exists()
+
+    def test_config_bad_bool_is_data_error(self, mix_csv, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("self_test=maybe\n")
+        out = run_cli("classify", "--data", mix_csv, "--outdir", tmp_path / "o", "--config", cfg)
+        assert_one_line_error(out, 3, f"data error: {cfg}:1: bad value for self_test: ")
+
+    def test_missing_config_is_data_error(self, mix_csv, tmp_path):
+        cfg = tmp_path / "none.cfg"
+        out = run_cli("classify", "--data", mix_csv, "--outdir", tmp_path / "o", "--config", cfg)
+        assert_one_line_error(out, 3, f"data error: cannot read config file {cfg}: ")
 
     def test_unknown_config_key_is_usage_error(self, mix_csv, tmp_path):
         cfg = tmp_path / "bad.cfg"

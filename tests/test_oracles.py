@@ -1171,12 +1171,15 @@ def ref_export_csv(img):
 
 
 def ref_load_csv_image(path):
-    rows = [
-        [int(v) for v in line.split(",")]
-        for line in Path(path).read_text(encoding="ascii").splitlines()
-        if line
-    ]
-    return iv.RecurrenceImage(np.array(rows, dtype=np.uint8))
+    try:
+        rows = [
+            [int(v) for v in line.split(",")]
+            for line in Path(path).read_text(encoding="ascii").splitlines()
+            if line
+        ]
+        return iv.RecurrenceImage(np.array(rows, dtype=np.uint8))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 class TestCsvImageOracle:
@@ -1492,6 +1495,21 @@ class TestIngestOracle:
         text = RAW_HEAD + "\n".join(rows[:9]) + "\n" + tail + "\n".join(rows[9:]) + "\n"
         check_ingest(tmp_path, text)
 
+    def test_blocks_merged_every_64(self, tmp_path, monkeypatch):
+        # one record a block, so 80 records merge after the 64th block and
+        # again at the end
+        monkeypatch.setattr(ingest, "BLOCK_CHARS", 1)
+        merged, merge = [], ingest._RawReadings._merge_blocks
+
+        def spy(readings):
+            merged.append(len(readings.blocks))
+            merge(readings)
+
+        monkeypatch.setattr(ingest._RawReadings, "_merge_blocks", spy)
+        rc, _, _, data = check_ingest(tmp_path, RAW_HEAD + "\n".join(_raw_rows(days=20)) + "\n",
+                                      ("--window", "3"))
+        assert rc == 0 and data and merged == [64, 16]
+
     def test_signed_zeros_in_shuffled_rows(self, tmp_path):
         # min and max keep the first of -0.0 and 0.0 in file order, so the
         # sort that groups the cells must be stable
@@ -1619,7 +1637,7 @@ def ref_feature_matrix(features, n):
 def ref_load_image_features(images_dir, fc):
     index = images_dir / "index.csv"
     try:
-        lines = index.read_text(encoding="ascii").splitlines()
+        lines = index.read_text(encoding="utf-8").splitlines()
     except (OSError, ValueError) as e:
         raise cli.DataError(f"cannot read {index}: {e}") from e
     if not lines or lines[0] != "file,item,label":
@@ -1637,8 +1655,8 @@ def ref_load_image_features(images_dir, fc):
         path = images_dir / name
         try:
             img = iv.load_pgm(path) if path.suffix == ".pgm" else iv.load_csv_image(path)
-        except (OSError, ValueError) as e:
-            raise cli.DataError(f"{path}: {e}") from e
+        except (OSError, ValueError) as e:  # each names the file
+            raise cli.DataError(str(e)) from e
         features.append(ref_featurize(img, fc))
     if not features:
         raise cli.DataError(f"{index}: no images listed")
@@ -2107,7 +2125,7 @@ class TestFeatureRowsTake:
         if mode == "flatten":  # one bit a pixel
             assert features.rows.dtype == np.uint8
             assert features.rows.shape == (12, -(-N * N // 8))
-        uncapped = iv.FeatureConfig(mode, min(q, N), normalize_cap=np.inf)
+        uncapped = iv.FeatureConfig(mode, min(q, N), normalize_cap=sys.float_info.max)
         norms = [np.linalg.norm(ref_featurize(iv.RecurrenceImage(px), uncapped))
                  for px in images]
         assert np.array_equal(features.factors < 1.0, np.array(norms) > cap)
