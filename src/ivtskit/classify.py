@@ -86,7 +86,7 @@ class FeatureConfig:
         if self.mode not in ("flatten", "block_mean"):
             raise ValueError(f"mode must be 'flatten' or 'block_mean', got {self.mode!r}")
         if self.q < 1:
-            raise BlockGridInvalid(f"block grid size must be >= 1, got {self.q}")
+            raise ValueError(f"block grid size must be >= 1, got {self.q}")
         if not 0.0 < self.normalize_cap < math.inf:
             raise ValueError(f"normalize_cap must be finite and positive, got {self.normalize_cap}")
 
@@ -480,7 +480,9 @@ _ROW_FORMAT = " ".join(["%r"] * _ROW_CHUNK)
 
 
 def save_model(clf: LinearClassifier, kind: str, path) -> None:
-    """Plain-text model file: `C p c_A c_B kind` header, then one row per class."""
+    """Plain-text model file: `C p c_A c_B kind` header, then one row per class.
+    An unknown kind is a ValueError before `path` is opened."""
+    loss_entry(kind)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{clf.n_classes} {clf.dim} {clf.c_A!r} {clf.c_B!r} {kind}\n")
         for row, bias in zip(clf.weights, clf.biases):
@@ -491,25 +493,29 @@ def save_model(clf: LinearClassifier, kind: str, path) -> None:
 
 
 def load_model(path) -> tuple[LinearClassifier, str]:
-    """Read a model written by :func:`save_model`; returns (classifier, kind)."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty model file")
-    head = lines[0].split()
-    if len(head) != 5:
-        raise ValueError(f"{path}: malformed model header {lines[0]!r}")
-    n_classes, p = int(head[0]), int(head[1])
-    c_A, c_B, kind = float(head[2]), float(head[3]), head[4]
-    if len(lines) < 1 + n_classes:
-        raise ValueError(f"{path}: expected {n_classes} weight rows")
-    weights = np.empty((n_classes, p))
-    biases = np.empty(n_classes)
-    for i, line in enumerate(lines[1 : 1 + n_classes]):
-        values = [float(v) for v in line.split()]
-        if len(values) != p + 1:
-            raise ValueError(f"{path}: row {i} has {len(values)} values, expected {p + 1}")
-        weights[i] = values[:p]
-        biases[i] = values[p]
-    for a in (weights, biases):  # fresh arrays, handed over read-only so they are not copied
-        a.setflags(write=False)
-    return LinearClassifier(weights, biases, c_A, c_B), kind
+    """Read a model written by :func:`save_model`; returns (classifier, kind).
+    Every ValueError names the file."""
+    try:
+        lines = Path(path).read_text(encoding="ascii").splitlines()
+        if not lines:
+            raise ValueError("empty model file")
+        head = lines[0].split()
+        if len(head) != 5:
+            raise ValueError(f"malformed model header {lines[0]!r}")
+        n_classes, p = int(head[0]), int(head[1])
+        c_A, c_B, kind = float(head[2]), float(head[3]), head[4]
+        if len(lines) < 1 + n_classes:
+            raise ValueError(f"expected {n_classes} weight rows")
+        weights = np.empty((n_classes, p))
+        biases = np.empty(n_classes)
+        for i, line in enumerate(lines[1 : 1 + n_classes]):
+            values = [float(v) for v in line.split()]
+            if len(values) != p + 1:
+                raise ValueError(f"row {i} has {len(values)} values, expected {p + 1}")
+            weights[i] = values[:p]
+            biases[i] = values[p]
+        for a in (weights, biases):  # fresh arrays, handed over read-only so they are not copied
+            a.setflags(write=False)
+        return LinearClassifier(weights, biases, c_A, c_B), kind
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

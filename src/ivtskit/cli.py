@@ -41,10 +41,6 @@ class DataError(Exception):
     """Unreadable, malformed, or structurally impossible input data."""
 
 
-class NumericError(Exception):
-    """Parameter values outside their numeric domain."""
-
-
 class Opt(NamedTuple):  # a dataclass would load dataclasses and inspect (~15 ms) at launch
     flag: str
     key: str
@@ -185,7 +181,7 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _read_config(path: str, opts: tuple[Opt, ...]) -> dict:
+def _read_config(path: str | Path, opts: tuple[Opt, ...]) -> dict:
     known = {o.key: o for o in opts}
     out: dict = {}
     try:
@@ -257,7 +253,7 @@ def _check_text(eff: dict) -> None:
 def _check_threads(value) -> None:
     """Validate --threads when it is given; no command runs threads."""
     if value is not None and value < 1:
-        raise NumericError(f"threads must be >= 1, got {value}")
+        raise ValueError(f"threads must be >= 1, got {value}")
 
 
 def _require(eff: dict, *keys: str) -> None:
@@ -268,7 +264,7 @@ def _require(eff: dict, *keys: str) -> None:
 
 def _check_seed(seed: int) -> int:
     if seed < 0:
-        raise NumericError(f"seed must be >= 0, got {seed}")
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return int(seed)
 
 
@@ -279,7 +275,7 @@ def _trajectory_config(eff: dict) -> TrajectoryConfig:
     try:
         eps = [float(p) for p in str(text).split(",")]
     except ValueError:
-        raise NumericError(f"epsilon {text!r} is not a number or comma list") from None
+        raise ValueError(f"epsilon {text!r} is not a number or comma list") from None
     return TrajectoryConfig(m=eff["m"], kappa=eff["kappa"], epsilon=tuple(eps))
 
 
@@ -315,7 +311,7 @@ def cmd_generate(eff: dict) -> None:
     try:
         rhos = tuple(float(r) for r in str(eff["rhos"]).split(","))
     except ValueError:
-        raise NumericError(f"bad --rhos list {eff['rhos']!r}") from None
+        raise ValueError(f"bad --rhos list {eff['rhos']!r}") from None
     common = dict(per_class_n=eff["per_class"], T=eff["T"], seed=seed,
                   truncation_L=eff["truncation_L"], burn_in=eff["burn_in"])
     if eff["dgp"] is not None:
@@ -345,7 +341,7 @@ def cmd_ingest(eff: dict) -> None:
     window = eff["window"]
     stride = eff["stride"] if eff["stride"] is not None else window
     if window < 1 or stride < 1:
-        raise NumericError("window and stride must be >= 1")
+        raise ValueError("window and stride must be >= 1")
 
     try:
         series = ingest_mod.daily_intervals(eff["input"])
@@ -426,18 +422,9 @@ def cmd_image(eff: dict) -> None:
 
 def _images_kernel(images_dir: Path) -> str:
     """The kernel the image command recorded in the directory's run_config.txt,
-    or "" when the directory has none."""
-    try:
-        text = (images_dir / "run_config.txt").read_text(encoding="utf-8")
-    except FileNotFoundError:
-        return ""
-    except UnicodeDecodeError as e:
-        raise DataError(f"{images_dir / 'run_config.txt'}: not UTF-8 text ({e.reason})") from None
-    for line in text.splitlines():
-        key, sep, value = line.partition("=")
-        if sep and key.strip() == "kernel":
-            return value.strip()
-    return ""
+    read as --config reads a file, or "" when the directory has none."""
+    path = images_dir / "run_config.txt"
+    return _read_config(path, IMAGE_OPTS).get("kernel", "") if path.exists() else ""
 
 
 def _check_labels(labels: list[int], where, linear: bool) -> None:
@@ -509,9 +496,9 @@ def cmd_classify(eff: dict) -> None:
         raise UsageError("--mode knn needs --data (series-level distances)")
     seed = _check_seed(eff["seed"])
     if eff["runs"] < 1:
-        raise NumericError("runs must be >= 1")
+        raise ValueError("runs must be >= 1")
     if not 0.0 < eff["train_fraction"] < 1.0:
-        raise NumericError("train-fraction must lie in (0, 1)")
+        raise ValueError("train-fraction must lie in (0, 1)")
     _check_threads(eff["threads"])
     kernel_text = str(eff["kernel"])
     kernel = _parse_kernel_opt(kernel_text)
@@ -520,10 +507,7 @@ def cmd_classify(eff: dict) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
 
     if not knn:
-        try:
-            fc = clf_mod.FeatureConfig(eff["feature_mode"], eff["blocks"], eff["cap"])
-        except BlockGridInvalid as e:
-            raise NumericError(str(e)) from e
+        fc = clf_mod.FeatureConfig(eff["feature_mode"], eff["blocks"], eff["cap"])
     if eff["images"] is not None:
         labels: list[int] = []
         n, pixels = _index_images(Path(eff["images"]), labels)
@@ -627,14 +611,14 @@ def cmd_bound(eff: dict) -> None:
     if eff["mc"]:
         seed = _check_seed(eff["seed"])
         if eff["mc_n"] < 1 or eff["mc_p"] < 0:
-            raise NumericError(
+            raise ValueError(
                 f"--mc-n must be >= 1 and --mc-p >= 0, got {eff['mc_n']} and {eff['mc_p']}"
             )
         rng = np.random.default_rng([seed, 4242])
         try:
             X = rng.standard_normal((eff["mc_n"], eff["mc_p"]))
         except ValueError as e:  # a shape beyond numpy's index range
-            raise NumericError(f"--mc-n and --mc-p: {e}") from e
+            raise ValueError(f"--mc-n and --mc-p: {e}") from e
         norms = np.linalg.norm(X, axis=1)
         over = norms > eff["c_z"]
         X[over] *= (eff["c_z"] / norms[over])[:, None]
@@ -687,7 +671,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericError, NegativeSquaredDistance, NonFinite, ValueError) as e:
+    except (ValueError, NegativeSquaredDistance, NonFinite) as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as e:  # a size option asked for more memory than there is

@@ -79,8 +79,10 @@ class TestFeaturize:
         img = iv.RecurrenceImage(np.ones((3, 3), dtype=np.uint8))
         with pytest.raises(BlockGridInvalid):
             iv.featurize(img, FeatureConfig(mode="block_mean", q=4))
-        with pytest.raises(BlockGridInvalid):
+        with pytest.raises(ValueError, match="block grid size must be >= 1"):
             FeatureConfig(mode="block_mean", q=0)
+        with pytest.raises(ValueError, match="mode must be 'flatten' or 'block_mean'"):
+            FeatureConfig(mode="bogus")
 
     @pytest.mark.parametrize("cap", [0.0, -1.0, math.nan, math.inf])
     def test_cap_must_be_finite_and_positive(self, cap):
@@ -202,6 +204,9 @@ class TestEmpiricalRisk:
         clf = LinearClassifier(np.zeros((2, 2)), np.zeros(2))
         with pytest.raises(EmptyInput):
             iv.empirical_phi_risk(clf, np.empty((0, 2)), [], "hinge")
+        one_class = LinearClassifier(np.zeros((1, 2)), np.zeros(1))
+        with pytest.raises(ValueError, match="the max loss needs at least two classes"):
+            iv.empirical_phi_risk(one_class, np.zeros((1, 2)), [1], "hinge")
 
 
 class TestTrain:
@@ -235,6 +240,13 @@ class TestTrain:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             iv.train(np.ones((3, 2)), [1, 1, 1])
+        for X, y in ((np.ones(3), [1, 2, 1]), (np.ones((3, 2)), [1, 2])):
+            with pytest.raises(ValueError, match="features must be .n, p. with one label per row"):
+                iv.train(X, y)
+        with pytest.raises(EmptyInput, match="cannot train on an empty feature set"):
+            iv.train(np.empty((0, 2)), [])
+        with pytest.raises(ValueError, match="labels must be 1-based class ids"):
+            iv.train(np.ones((3, 2)), [0, 1, 2])
 
     def test_deterministic(self):
         X, y = separable_two_class_features()
@@ -432,6 +444,10 @@ class TestModelSerialization:
             LinearClassifier(np.array([[2.0, 0.0]]), np.zeros(1), c_A=1.0, c_B=1.0)
         with pytest.raises(ValueError):
             LinearClassifier(np.zeros((1, 2)), np.array([5.0]), c_A=1.0, c_B=1.0)
+        with pytest.raises(ValueError, match=r"weights must be \(C, p\) and biases \(C,\)"):
+            LinearClassifier(np.zeros((2, 2)), np.zeros(3))
+        with pytest.raises(ValueError, match="a classifier needs at least one class"):
+            LinearClassifier(np.zeros((0, 2)), np.zeros(0))
 
     @pytest.mark.parametrize("weights,biases,c_A,name", [
         ([[np.nan, 0.0], [0.0, 0.0]], [np.nan, 0.0], 1.0, "weights"),
@@ -447,3 +463,35 @@ class TestModelSerialization:
         path.write_text(f"2 2 {c_A!r} 1.0 hinge\n" + "\n".join(rows) + "\n")
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             iv.load_model(path)
+
+    @pytest.mark.parametrize("text", [
+        "x 2 1.0 1.0 hinge\n0 0 0\n0 0 0\n",  # class count
+        "2 -1 1.0 1.0 hinge\n0\n0\n",  # negative dimension
+        "0 2 1.0 1.0 hinge\n",  # no class
+        "2 2 one 1.0 hinge\n0 0 0\n0 0 0\n",  # cap
+        "2 2 1.0 1.0 hinge\n0 x 0\n0 0 0\n",  # row value
+        "2 2 1.0 1.0 hinge\n3 4 0\n0 0 0\n",  # row norm 5 over the cap
+        "",  # empty file
+        "2 2 1.0 1.0\n0 0 0\n0 0 0\n",  # 4-field header
+        "2 2 1.0 1.0 hinge\n0 0 0\n",  # missing row
+        "2 2 1.0 1.0 hinge\n0 0\n0 0 0\n",  # short row
+    ], ids=["class-count", "negative-dim", "no-class", "cap", "row-value", "row-over-cap",
+            "empty", "four-fields", "missing-row", "short-row"])
+    def test_load_error_names_file_once(self, tmp_path, text):
+        path = tmp_path / "model.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            iv.load_model(path)
+        assert str(err.value).count(str(path)) == 1
+
+    @pytest.mark.parametrize("kind", ["", "my loss"])
+    def test_save_refuses_unknown_kind(self, tmp_path, kind):
+        """A kind that load_model could not read back is refused before the
+        file is opened, so an existing file keeps its bytes."""
+        clf = LinearClassifier(np.zeros((2, 1)), np.zeros(2))
+        path = tmp_path / "model.txt"
+        iv.save_model(clf, "hinge", path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="unknown auxiliary loss"):
+            iv.save_model(clf, kind, path)
+        assert path.read_bytes() == before

@@ -219,6 +219,17 @@ class TestStagePeak:
         assert line.split()[::2] == ["exit", "wall_s", "peak_mb"]
         assert code == "0" and float(wall) > 0.0 and 1.0 < float(peak) < 1000.0
 
+    def test_median_of_k_launches(self):
+        tool = Path(__file__).resolve().parents[1] / "tools" / "stage_peak.py"
+        out = subprocess.run([sys.executable, str(tool), "3", "--help"],
+                             capture_output=True, text=True)
+        assert out.returncode == 0 and out.stderr == ""
+        *launches, last = [line.split() for line in out.stdout.splitlines()]
+        assert len(launches) == 3 and all(fields[:2] == ["exit", "0"] for fields in launches)
+        walls = sorted(float(fields[3]) for fields in launches)
+        peaks = sorted(float(fields[5]) for fields in launches)
+        assert last == ["median", "wall_s", f"{walls[1]:.3f}", "peak_mb", f"{peaks[1]:.2f}"]
+
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -957,7 +968,8 @@ class TestClassify:
         out = run_cli("classify", "--images", imgdir, "--outdir", tmp_path / "o")
         assert_one_line_error(out, 3, "mix_0.csv")
 
-    @pytest.mark.parametrize("fault", ["truncated", "maxval", "size-line", "missing", "csv-entry"])
+    @pytest.mark.parametrize("fault", ["truncated", "maxval", "size-line", "missing", "csv-entry",
+                                       "p6"])
     def test_bad_image_file_named_once(self, sep_images, tmp_path, fault):
         path = sep_images / "sep_1.pgm"
         raw = path.read_bytes()
@@ -969,6 +981,8 @@ class TestClassify:
             path.write_bytes(raw.replace(b"\n12 ", b"\nn ", 1))
         elif fault == "missing":
             path.unlink()
+        elif fault == "p6":
+            path.write_bytes(raw.replace(b"P5\n", b"P6\n", 1))
         else:
             path = sep_images / "sep_1.csv"
             iv.export_csv(iv.load_pgm(sep_images / "sep_1.pgm"), path)
@@ -1050,6 +1064,27 @@ class TestOutOfDomainOptions:
         rc = cli.main(["generate", "--dgp", "1", "--per-class", "2", "--T", "8",
                        "--out", str(tmp_path / "g.csv")])
         assert (rc, capsys.readouterr().err) == (4, "numeric error: no good\n")
+
+    @pytest.mark.parametrize("error,code,kind", [
+        (ValueError, 4, "numeric"), (iv.NonFinite, 4, "numeric"),
+        (iv.NegativeSquaredDistance, 4, "numeric"), (iv.LengthMismatch, 3, "data"),
+        (iv.SeriesTooShort, 3, "data"), (iv.DimensionMismatch, 3, "data"),
+        (iv.BlockGridInvalid, 3, "data"), (iv.EmptyInput, 3, "data"), (OSError, 3, "data"),
+        (csv.Error, 3, "data"),
+    ])
+    def test_exception_type_picks_exit_code(self, tmp_path, monkeypatch, capsys, error, code,
+                                            kind):
+        """The exception's type alone picks the exit code of an error that
+        reaches main."""
+        from ivtskit import cli, dgp
+
+        def fail(ds, path):
+            raise error("no good")
+
+        monkeypatch.setattr(dgp, "save_dataset_csv", fail)
+        rc = cli.main(["generate", "--dgp", "1", "--per-class", "2", "--T", "8",
+                       "--out", str(tmp_path / "g.csv")])
+        assert (rc, capsys.readouterr().err) == (code, f"{kind} error: no good\n")
 
 
 def _report(lines):

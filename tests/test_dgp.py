@@ -194,6 +194,8 @@ class TestDatasetBuilders:
     def test_invalid_dgp_id(self):
         with pytest.raises(ValueError):
             iv.build_univariate_dataset(4, per_class_n=1, T=5)
+        with pytest.raises(ValueError, match="^rho_grid must be nonempty$"):
+            iv.build_univariate_dataset(1, rho_grid=())
 
     def test_c1_shape(self):
         ds = iv.build_multivariate_c1(per_class_n=1, T=8, seed=0)
@@ -347,6 +349,11 @@ class TestLabeledDataset:
                 iv.LabeledDataset(bounds, [label])
         with pytest.raises(ValueError):
             iv.LabeledDataset(bounds[:0], [])
+        two = np.concatenate([bounds, bounds])
+        with pytest.raises(iv.LengthMismatch, match=r"^\(1,\) labels for 2 items$"):
+            iv.LabeledDataset(two, [1])  # n - 1 labels
+        with pytest.raises(iv.NonFinite, match="bounds must be finite"):
+            iv.LabeledDataset(np.where(two == 1.0, np.nan, two), [1, 2])
 
     def test_writable_input_is_copied(self):
         """Writes through the caller's handle never reach the checked dataset."""

@@ -1241,7 +1241,7 @@ def ref_ingest(eff):
     window = eff["window"]
     stride = eff["stride"] if eff["stride"] is not None else window
     if window < 1 or stride < 1:
-        raise cli.NumericError("window and stride must be >= 1")
+        raise ValueError("window and stride must be >= 1")
 
     readings = defaultdict(lambda: defaultdict(lambda: defaultdict(list)))
     labels = {}
@@ -1674,19 +1674,16 @@ def ref_classify(eff):
     cli._require(eff, "outdir")
     seed = cli._check_seed(eff["seed"])
     if eff["runs"] < 1:
-        raise cli.NumericError("runs must be >= 1")
+        raise ValueError("runs must be >= 1")
     if not 0.0 < eff["train_fraction"] < 1.0:
-        raise cli.NumericError("train-fraction must lie in (0, 1)")
+        raise ValueError("train-fraction must lie in (0, 1)")
     cli._check_threads(eff["threads"])
     kernel_text = str(eff["kernel"])
     kernel = cli._parse_kernel_opt(kernel_text)
     tag = eff["tag"] or Path(eff["data"] or eff["images"]).stem
     outdir = Path(eff["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        fc = classify.FeatureConfig(eff["feature_mode"], eff["blocks"], eff["cap"])
-    except (ValueError, BlockGridInvalid) as e:
-        raise cli.NumericError(str(e)) from e
+    fc = classify.FeatureConfig(eff["feature_mode"], eff["blocks"], eff["cap"])
     if eff["data"] is not None:
         ds = cli._load_dataset(eff["data"])
         cli._check_labels(ds.labels(), eff["data"], linear=True)
@@ -1707,12 +1704,9 @@ def ref_classify(eff):
                                                            run_seed)
             except ValueError as e:
                 raise cli.DataError(str(e)) from e
-        try:
-            model = classify.train(X[train_idx], y[train_idx], kind=eff["loss"],
-                                   steps=eff["steps"], step_size=eff["step_size"],
-                                   c_A=eff["c_a"], c_B=eff["c_b"])
-        except ValueError as e:
-            raise cli.NumericError(str(e)) from e
+        model = classify.train(X[train_idx], y[train_idx], kind=eff["loss"],
+                               steps=eff["steps"], step_size=eff["step_size"],
+                               c_A=eff["c_a"], c_B=eff["c_b"])
         if not (model.weights.any() or model.biases.any()):
             print(f"warning: run {r}: no training step beat the zero model's risk, so the "
                   "model is all zeros and predicts class 1 for every item", file=sys.stderr)

@@ -230,6 +230,8 @@ class TestEmpiricalOffsetRademacher:
                 iv.empirical_offset_rademacher(np.zeros((2, 2)), *caps, 1.0)
         with pytest.raises(ValueError, match="^varrho must be finite"):
             iv.empirical_offset_rademacher(np.zeros((2, 2)), 1.0, 1.0, math.inf)
+        with pytest.raises(ValueError, match="^mc_draws must be >= 1$"):
+            iv.RademacherEstimate(0.1, 0, 1)
 
 
 class TestBoundConsistencyWithClassifier:

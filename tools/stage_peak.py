@@ -4,11 +4,13 @@
 
 A child's wait4 peak counts the RSS it inherits at spawn, so this launcher
 imports no numpy: its own ~13 MB stays below every stage's.  The child's
-stdout is dropped; each launch prints its exit code, wall and peak RSS.
+stdout is dropped; each launch prints its exit code, wall and peak RSS, and
+for K >= 2 a last line prints the median wall and peak of the K launches.
 Exits 1 when any launch fails.
 """
 
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -18,7 +20,7 @@ def main(argv: list[str]) -> int:
     if len(argv) < 2 or not argv[0].isdigit():
         print("usage: stage_peak.py K ARGS...", file=sys.stderr)
         return 2
-    failed = False
+    failed, walls, peaks = False, [], []
     for _ in range(int(argv[0])):
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "ivtskit", *argv[1:]],
@@ -27,7 +29,12 @@ def main(argv: list[str]) -> int:
         wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
         failed = failed or proc.returncode != 0
-        print(f"exit {proc.returncode} wall_s {wall:.3f} peak_mb {usage.ru_maxrss / 1024:.2f}")
+        walls.append(wall)
+        peaks.append(usage.ru_maxrss / 1024)
+        print(f"exit {proc.returncode} wall_s {wall:.3f} peak_mb {peaks[-1]:.2f}")
+    if len(walls) >= 2:
+        print(f"median wall_s {statistics.median(walls):.3f} "
+              f"peak_mb {statistics.median(peaks):.2f}")
     return int(failed)
 
 
