@@ -162,14 +162,14 @@ def feature_matrix(images, n: int, cfg: FeatureConfig) -> FeatureRows:
     iterable `images` yields: row i is the i-th array's.
 
     Each array is featurized straight into its row before the next is taken,
-    so a source may reuse one buffer.  Under ``flatten`` a pixel other than
-    0 or 1 is a ValueError naming the image.  A block grid finer than an
-    image raises BlockGridInvalid at that image.  Features of different
-    lengths (``flatten`` of images of several sizes), or a count other than
-    n, raise LengthMismatch once `images` is exhausted, so an error that the
-    source raises later comes first.
+    so a source may reuse one buffer.  Each fault is raised at the first
+    image that has it: under ``flatten`` a pixel other than 0 or 1 is a
+    ValueError naming the image, a block grid finer than an image raises
+    BlockGridInvalid, and a feature length other than the first image's
+    (``flatten`` of images of several sizes) raises LengthMismatch.  A count
+    other than n raises LengthMismatch once `images` is exhausted.
     """
-    rows = lengths = None
+    rows = None
     factors, p, count, flat = np.empty(n), 0, 0, cfg.mode == "flatten"
     for pixels in images:
         count += 1
@@ -178,19 +178,17 @@ def feature_matrix(images, n: int, cfg: FeatureConfig) -> FeatureRows:
             p = length
             rows = np.empty((n, -(-p // 8)), np.uint8) if flat else np.empty((n, p))
         if length != p:
-            lengths = lengths or sorted({p, length})
-        if not lengths and count <= n:
+            raise LengthMismatch(
+                f"items give features of different lengths {sorted({p, length})}; "
+                "--feature-mode flatten needs images of one size"
+            )
+        if count <= n:
             pixels = np.asarray(pixels)
             bad = pixels[(pixels != 0) & (pixels != 1)] if flat else ()
             if len(bad):
                 raise ValueError(f"image {count - 1} has pixel value {bad[0].item()!r}; "
                                  "flatten features need pixels of 0 or 1")
             rows[count - 1], factors[count - 1] = _featurize_row(pixels, cfg)
-    if lengths:
-        raise LengthMismatch(
-            f"items give features of different lengths {lengths}; "
-            "--feature-mode flatten needs images of one size"
-        )
     if count != n:
         raise LengthMismatch(f"{count} images for a matrix of n = {n} rows")
     return FeatureRows(np.empty((0, 0)) if rows is None else rows, factors, p)
@@ -337,14 +335,11 @@ def train(
     aux = loss_entry(kind)
     # Every step adds coeff.T @ X to the weights and the cap only rescales
     # them, so w = A X: for p > n the loop runs on the (C, n) coefficients A
-    # and the Gram matrix G = X X^T.  G is built in row blocks, which peaks
-    # lower than one X @ X.T; an overflowing G keeps the primal form.
+    # and the Gram matrix G = X X^T; an overflowing G keeps the primal form.
     dual = False
     if p > n:
-        G = np.empty((n, n))
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(0, n, 8):
-                np.matmul(X[i : i + 8], X.T, out=G[i : i + 8])
+            G = X @ X.T
         dual = bool(np.isfinite(G).all())
     K = G if dual else X
     w = np.zeros((n_classes, n if dual else p))

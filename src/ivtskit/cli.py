@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .defaults import DEFAULT_EPSILON, DEFAULT_PER_CLASS, DEFAULT_RHO_GRID, DEFAULT_T, LOSS_NAMES
-from .errors import BlockGridInvalid, IvtsError, NegativeSquaredDistance, NonFinite
+from .errors import IvtsError, NegativeSquaredDistance, NonFinite
 
 if TYPE_CHECKING:  # annotations only
     from .imaging import TrajectoryConfig
@@ -440,12 +440,10 @@ def _check_labels(labels: list[int], where, linear: bool) -> None:
         raise DataError(f"{where}: every item has label 1; the linear model needs two classes")
 
 
-def _index_images(images_dir: Path, labels: list[int]):
-    """The number of images that the directory's index.csv lists, and a
-    generator of their pixels in index order.  The generator appends each
-    image's label to `labels` and checks the labels after the last image."""
-    from . import imaging as img_mod
-
+def _index_images(images_dir: Path) -> tuple[list[Path], list[int]]:
+    """The paths and labels of the images that the directory's index.csv
+    lists, in index order; every line and the labels are checked before any
+    image is opened."""
     index = images_dir / "index.csv"
     try:
         lines = index.read_text(encoding="utf-8").splitlines()
@@ -453,32 +451,32 @@ def _index_images(images_dir: Path, labels: list[int]):
         raise DataError(f"cannot read {index}: {e}") from e
     if not lines or lines[0] != "file,item,label":
         raise DataError(f"{index}: expected header file,item,label")
+    paths, labels = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise DataError(f"{index}:{lineno}: expected 3 fields")
+        name, _, label = parts
+        try:
+            labels.append(int(label))
+        except ValueError:
+            raise DataError(f"{index}:{lineno}: bad label {label!r}") from None
+        paths.append(images_dir / name)
+    if not labels:
+        raise DataError(f"{index}: no images listed")
+    _check_labels(labels, index, linear=True)
+    return paths, labels
 
-    def pixels():
-        for lineno, line in enumerate(lines[1:], start=2):
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataError(f"{index}:{lineno}: expected 3 fields")
-            name, _, label = parts
-            try:
-                labels.append(int(label))
-            except ValueError:
-                raise DataError(f"{index}:{lineno}: bad label {label!r}") from None
-            path = images_dir / name
-            try:
-                img = (
-                    img_mod.load_pgm(path)
-                    if path.suffix == ".pgm"
-                    else img_mod.load_csv_image(path)
-                )
-            except (OSError, ValueError) as e:  # each names the file
-                raise DataError(str(e)) from e
-            yield img.pixels
-        if not labels:
-            raise DataError(f"{index}: no images listed")
-        _check_labels(labels, index, linear=True)
 
-    return len(lines) - 1, pixels()
+def _load_pixels(path: Path):
+    """The pixels of a PGM image file, or of a CSV one by any other suffix."""
+    from . import imaging as img_mod
+
+    try:
+        img = img_mod.load_pgm(path) if path.suffix == ".pgm" else img_mod.load_csv_image(path)
+    except (OSError, ValueError) as e:  # each names the file
+        raise DataError(str(e)) from e
+    return img.pixels
 
 
 def cmd_classify(eff: dict) -> None:
@@ -509,12 +507,11 @@ def cmd_classify(eff: dict) -> None:
     if not knn:
         fc = clf_mod.FeatureConfig(eff["feature_mode"], eff["blocks"], eff["cap"])
     if eff["images"] is not None:
-        labels: list[int] = []
-        n, pixels = _index_images(Path(eff["images"]), labels)
-        features = clf_mod.feature_matrix(pixels, n, fc)
-        y = np.array(labels)
+        paths, labels = _index_images(Path(eff["images"]))
         # the images were rendered by the image command, not with --kernel
         kernel_text = _images_kernel(Path(eff["images"]))
+        features = clf_mod.feature_matrix(map(_load_pixels, paths), len(paths), fc)
+        y = np.array(labels)
     else:
         ds = _load_dataset(eff["data"])
         _check_labels(ds.labels(), eff["data"], linear=not knn)
@@ -525,13 +522,7 @@ def cmd_classify(eff: dict) -> None:
             from . import imaging as img_mod
 
             images = img_mod.image_grids(ds.bounds, _trajectory_config(eff), kernel)
-            try:
-                features = clf_mod.feature_matrix(images, len(ds), fc)
-            except BlockGridInvalid:
-                for _ in images:  # every item is imaged before a bad grid is reported
-                    pass
-                raise
-            del images  # it holds the bounds
+            features = clf_mod.feature_matrix(images, len(ds), fc)
         del ds  # the run loop reads only the features or bounds, and y
 
     report_rows = []

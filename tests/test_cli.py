@@ -230,6 +230,33 @@ class TestStagePeak:
         peaks = sorted(float(fields[5]) for fields in launches)
         assert last == ["median", "wall_s", f"{walls[1]:.3f}", "peak_mb", f"{peaks[1]:.2f}"]
 
+    def test_paired_launches(self):
+        """--against ROOT alternates this tree (A) and ROOT's src (B) in A B B A
+        order, then prints each side's median and the pairs B won."""
+        root = Path(__file__).resolve().parents[1]
+        probe = ("import runpy, sys\n"
+                 "sys.argv = sys.argv[1:]\n"
+                 "try:\n"
+                 "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
+                 "except SystemExit as e:\n"
+                 "    print('numpy' in sys.modules, e.code)\n")
+        out = subprocess.run([sys.executable, "-c", probe, str(root / "tools" / "stage_peak.py"),
+                              "2", "--against", str(root), "--help"],
+                             capture_output=True, text=True)
+        assert out.returncode == 0 and out.stderr == ""
+        *launches, median_a, median_b, pairs, tail = [line.split()
+                                                      for line in out.stdout.splitlines()]
+        assert tail == ["False", "0"]
+        assert [fields[:3] for fields in launches] == [[side, "exit", "0"] for side in "ABBA"]
+        walls = {side: [] for side in "AB"}
+        for side, _, _, _, wall, _, peak in launches:
+            walls[side].append(float(wall))
+            assert 1.0 < float(peak) < 1000.0
+        assert median_a[:3] == ["A", "median", "wall_s"] and median_b[:3] == ["B", "median",
+                                                                              "wall_s"]
+        wins = sum(b < a for a, b in zip(walls["A"], walls["B"]))
+        assert pairs == ["B", "faster", "in", str(wins), "of", "2", "pairs"]
+
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -993,6 +1020,38 @@ class TestClassify:
                       "--outdir", tmp_path / "o")
         assert_one_line_error(out, 3, "data error: ")
         assert out.stderr.count(str(path)) == 1
+
+    def test_bad_run_config_before_a_bad_image(self, sep_images, tmp_path):
+        """run_config.txt is read before any image, so its fault is reported
+        and a truncated image after it is never read."""
+        config = sep_images / "run_config.txt"
+        config.write_text(config.read_text() + "m=x\n")
+        path = sep_images / "sep_1.pgm"
+        path.write_bytes(path.read_bytes()[:-3])
+        out = run_cli("classify", "--images", sep_images, "--outdir", tmp_path / "o")
+        assert_one_line_error(out, 3, f"data error: {config}:")
+        assert str(path) not in out.stderr
+
+    def test_index_labels_before_a_missing_image(self, sep_images, tmp_path):
+        relabel_index(sep_images, lambda i, label: "3" if label == "2" else label)
+        (sep_images / "sep_1.pgm").unlink()
+        out = run_cli("classify", "--images", sep_images, "--outdir", tmp_path / "o")
+        assert_one_line_error(out, 3, "no item has class id 2")
+
+    def test_bad_grid_before_a_later_imaging_error(self, tmp_path):
+        """A grid finer than the images is reported at the first item, before
+        the indefinite kernel fails on the last."""
+        upper = np.random.default_rng(4).random((12, 1, 10, 1)) + 0.1
+        bounds = np.concatenate([np.zeros_like(upper), upper], axis=-1)
+        bounds[-1, ..., 0] = upper[-1, ..., 0] - 0.1
+        data = tmp_path / "tail.csv"
+        iv.save_dataset_csv(iv.LabeledDataset(bounds, np.arange(12) % 2 + 1), data)
+        out = run_cli("classify", "--data", data, "--kernel", "1,2,1", "--outdir",
+                      tmp_path / "o")
+        assert_one_line_error(out, 4, "numeric error: item 11: ")
+        out = run_cli("classify", "--data", data, "--kernel", "1,2,1", "--blocks", "11",
+                      "--outdir", tmp_path / "o")
+        assert_one_line_error(out, 3, "data error: block grid 11 exceeds image size 10")
 
     @pytest.mark.parametrize("lines", [["file,label"], ["file,item,label"]],
                              ids=["header", "header-only"])

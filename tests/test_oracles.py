@@ -811,7 +811,10 @@ class TestTrainOracle:
     # risk are pinned within 1e-12 and its predictions exactly
     @pytest.mark.parametrize(
         "n,p,C,steps",
-        [(480, 100, 5, 500), (120, 22500, 3, 60), (60, 60, 3, 200), (60, 61, 3, 200)],
+        [(480, 100, 5, 500), (120, 22500, 3, 60), (60, 60, 3, 200), (60, 61, 3, 200),
+         # n mod 8 of 1 and 7, and p = n + 1 at n = 8: shapes where BLAS may
+         # take another path for the one X @ X.T product
+         (121, 300, 3, 60), (127, 2500, 3, 60), (8, 9, 3, 200)],
     )
     @pytest.mark.parametrize("kind", ["hinge", "squared_hinge", "exponential"])
     def test_benchmark_shapes(self, n, p, C, steps, kind):
@@ -1000,14 +1003,13 @@ def ref_image_series(series, cfg, kernel):
 
 
 def ref_image_dataset(series_list, cfg, kernel):
-    """One `ref_image_series` per item, a failure tagged with the item's index."""
-    images = []
+    """One `ref_image_series` per item, yielded as it is made, a failure
+    tagged with the item's index."""
     for i, series in enumerate(series_list):
         try:
-            images.append(ref_image_series(series, cfg, kernel))
+            yield ref_image_series(series, cfg, kernel)
         except iv.IvtsError as e:
             raise type(e)(f"item {i}: {e}") from e
-    return images
 
 
 def _imaged(fn, *args):
@@ -1635,6 +1637,8 @@ def ref_feature_matrix(features, n):
 
 
 def ref_load_image_features(images_dir, fc):
+    """The labels that the directory's index.csv lists, checked before any
+    image is opened, and a generator of each image's feature vector."""
     index = images_dir / "index.csv"
     try:
         lines = index.read_text(encoding="utf-8").splitlines()
@@ -1642,7 +1646,7 @@ def ref_load_image_features(images_dir, fc):
         raise cli.DataError(f"cannot read {index}: {e}") from e
     if not lines or lines[0] != "file,item,label":
         raise cli.DataError(f"{index}: expected header file,item,label")
-    features, labels = [], []
+    names, labels = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 3:
@@ -1652,22 +1656,28 @@ def ref_load_image_features(images_dir, fc):
             labels.append(int(label))
         except ValueError:
             raise cli.DataError(f"{index}:{lineno}: bad label {label!r}") from None
-        path = images_dir / name
-        try:
-            img = iv.load_pgm(path) if path.suffix == ".pgm" else iv.load_csv_image(path)
-        except (OSError, ValueError) as e:  # each names the file
-            raise cli.DataError(str(e)) from e
-        features.append(ref_featurize(img, fc))
-    if not features:
+        names.append(name)
+    if not labels:
         raise cli.DataError(f"{index}: no images listed")
     cli._check_labels(labels, index, linear=True)
-    return ref_feature_matrix(features, len(features)), np.array(labels)
+
+    def features():
+        for name in names:
+            path = images_dir / name
+            try:
+                img = iv.load_pgm(path) if path.suffix == ".pgm" else iv.load_csv_image(path)
+            except (OSError, ValueError) as e:  # each names the file
+                raise cli.DataError(str(e)) from e
+            yield ref_featurize(img, fc)
+
+    return np.array(labels), features()
 
 
 def ref_classify(eff):
-    """`classify --mode linear` as a per-item path: every image imaged or read
-    first, one feature vector per image in a list, a copy of the training rows
-    per run and one `predict` per test row."""
+    """`classify --mode linear` as a per-item path: the index and its labels,
+    then run_config.txt, read before any image; each image featurized as it is
+    imaged or read, one feature vector per image in a list, a copy of the
+    training rows per run and one `predict` per test row."""
     assert eff["mode"] == "linear"
     if (eff["data"] is None) == (eff["images"] is None):
         raise cli.UsageError("pass exactly one of --data or --images")
@@ -1688,11 +1698,12 @@ def ref_classify(eff):
         ds = cli._load_dataset(eff["data"])
         cli._check_labels(ds.labels(), eff["data"], linear=True)
         images = ref_image_dataset(ds.series(), cli._trajectory_config(eff), kernel)
-        X = ref_feature_matrix((ref_featurize(img, fc) for img in images), len(images))
+        X = ref_feature_matrix((ref_featurize(img, fc) for img in images), len(ds))
         y = ds.label_ids
     else:
-        X, y = ref_load_image_features(Path(eff["images"]), fc)
+        y, features = ref_load_image_features(Path(eff["images"]), fc)
         kernel_text = cli._images_kernel(Path(eff["images"]))
+        X = ref_feature_matrix(features, len(y))
     report_rows = []
     for r in range(eff["runs"]):
         run_seed = seed + r
@@ -1888,7 +1899,7 @@ class TestClassifyOracle:
             ("--images", "mixed", "--blocks", "11"),
             ("--data", "mix.csv", "--blocks", "25"),
             # imaging fails at the last item, in the last block of one; a bad
-            # grid is reported only when every item images
+            # grid is reported at the first item, before that imaging error
             ("--data", "tail.csv", "--kernel", "1,2,1"),
             ("--data", "tail.csv", "--blocks", "11", "--kernel", "1,2,1"),
             ("--data", "tail.csv", "--blocks", "11"),
@@ -2204,20 +2215,20 @@ class TestFeatureMatrix:
                            "flatten features need pixels of 0 or 1$"):
             classify.feature_matrix(iter(images), 4, fc)
 
-    def test_flatten_size_mismatch_after_the_source(self):
-        """Features of different lengths are reported once the source is
-        exhausted, so an error that the source raises later comes first."""
-        def source(late_error):
-            for N in (4, 5, 4):
+    def test_flatten_size_mismatch_raised_at_the_image(self):
+        """Features of different lengths are reported at the first image whose
+        length differs, so an error that the source raises later is never reached."""
+        taken = []
+
+        def source():
+            for N in (4, 4, 5, 4):
+                taken.append(N)
                 yield np.zeros((N, N), dtype=bool)
-            if late_error:
-                raise ValueError("late source error")
-        fc = iv.FeatureConfig("flatten")
-        with pytest.raises(ValueError, match="^late source error$"):
-            classify.feature_matrix(source(True), 3, fc)
+            raise ValueError("late source error")
         with pytest.raises(LengthMismatch, match=r"^items give features of different lengths "
                            r"\[16, 25\]; --feature-mode flatten needs images of one size$"):
-            classify.feature_matrix(source(False), 3, fc)
+            classify.feature_matrix(source(), 4, iv.FeatureConfig("flatten"))
+        assert taken == [4, 4, 5]
 
     @pytest.mark.parametrize("count", [0, 2, 4])
     def test_count_other_than_n(self, count):
