@@ -15,7 +15,10 @@ The weights stay in the row space of the n training features, so when there
 are more features than rows (p > n, as with ``flatten`` features) and the
 n-by-n Gram matrix is finite, training runs on that matrix (its dual form)
 and reads the features only to build it and to return the weights.  The
-model then equals the primal loop's within 1e-12.
+model then equals the primal loop's within 1e-12.  ``flatten`` rows are
+trained from their packed bits: the Gram is built from exact pixel counts
+and the weights from column chunks of the bits, so no float64 training row
+is ever built.
 """
 
 from __future__ import annotations
@@ -37,9 +40,16 @@ if TYPE_CHECKING:  # annotations only: theory -> classify loads neither module
     from .imaging import RecurrenceImage
 
 # Bytes in one block of temporaries (2 MiB), read at call time by the k-NN
-# scan and the draws of theory.empirical_offset_rademacher; a block holds at
-# least one item.
+# scan, the draws of theory.empirical_offset_rademacher and the blocks of
+# test rows that `classify` scores; a block holds at least one item.
 BLOCK_BYTES = 1 << 21
+
+# Columns of packed bits that FeatureRows unpacks at once for the dual form,
+# a multiple of 8 so that a chunk is whole bytes.  On 2000 random rows of
+# 22,500 pixels (1.3% set), one BLAS thread on 2 vCPUs, the bit Gram took
+# 1.65 s in chunks of 256 columns, 1.15 s in 1024 and 0.98 s in 4096, whose
+# chunk holds 4 times the memory (X @ X.T: 1.52 s).
+_BIT_CHUNK = 1024
 
 
 class Loss(NamedTuple):
@@ -155,6 +165,47 @@ class FeatureRows:
             x[:] = np.unpackbits(self.rows[i], count=self.p)
         X *= factors
         return X
+
+    def subset(self, idx) -> FeatureRows:
+        """The FeatureRows of rows `idx` (a list of row indices or a slice),
+        in that order; a slice shares this one's arrays."""
+        return FeatureRows(self.rows[idx], self.factors[idx], self.p)
+
+    def _chunks(self, dtype):
+        # (first column, (n, width) unpacked bits as dtype) per column chunk
+        for start in range(0, self.p, _BIT_CHUNK):
+            bits = np.unpackbits(self.rows[:, start // 8 : (start + _BIT_CHUNK) // 8], axis=1,
+                                 count=min(_BIT_CHUNK, self.p - start))
+            yield start, bits.astype(dtype)
+
+    def gram(self) -> np.ndarray:
+        """``take(slice(None)) @ take(slice(None)).T`` of packed-bit rows,
+        as ``counts * outer(c, c)``: c the cap factors and counts[i, j] the
+        pixels set in both image i and image j.  A count is at most p, and
+        below 2**24 float32 sums of 0/1 products are exact in any order, so
+        the counts are the same at any BLAS path or thread count.  Beside the
+        n x n float32 counts it holds one chunk's n x 1024 float32 bits (8 MB
+        at n = 2000) and their n x n product, then the result."""
+        n = len(self.factors)
+        counts = np.zeros((n, n), np.float32 if self.p < 1 << 24 else np.float64)
+        for _, B in self._chunks(counts.dtype):
+            counts += B @ B.T
+        G = np.outer(self.factors, self.factors)
+        G *= counts
+        return G
+
+    def weights(self, coef: np.ndarray) -> np.ndarray:
+        """``coef @ take(slice(None))`` of (C, n) coefficients on packed-bit
+        rows, one chunk of 1024 columns at a time; a chunk holds n x 1024
+        float64 (16 MB at n = 2000).  A chunk's entries are take's own, so up
+        to 1024 columns this is the array form's product, rounded alike: an
+        exact cancellation of two rows' terms, which can tie two classes'
+        scores, cancels in both."""
+        W = np.empty((len(coef), self.p))
+        for start, B in self._chunks(np.float64):
+            B *= self.factors[:, None]
+            W[:, start : start + B.shape[1]] = coef @ B
+        return W
 
 
 def feature_matrix(images, n: int, cfg: FeatureConfig) -> FeatureRows:
@@ -297,6 +348,7 @@ def train(
 ) -> LinearClassifier:
     """Projected full-batch subgradient descent on the empirical max-loss risk.
 
+    `features` is an (n, p) array or a :class:`FeatureRows` (all of its rows).
     Starts from the zero classifier, uses the step schedule
     ``step_size / sqrt(t)``, and returns the iterate with the lowest recorded
     empirical risk (so the step-0 zero model is returned when nothing
@@ -304,18 +356,24 @@ def train(
 
     With more features than rows (p > n) and a finite Gram matrix X X^T,
     the same loop runs on the (C, n) coefficients of the weights in the rows
-    of X, at O(n^2 C) a step in place of O(n p C).  Its weights and biases
-    match the primal loop's within 1e-12, with the same predictions and a
-    risk within 1e-12 (tests/test_oracles.py asserts this).  For p <= n, or
-    a Gram matrix that overflows, the primal loop runs.  A step size that is
-    not finite and positive, a cap that is not finite, and an iterate whose
-    risk is not finite are ValueErrors.
+    of X, at O(n^2 C) a step in place of O(n p C).  Packed-bit rows build the
+    Gram and the weights from their bits (:meth:`FeatureRows.gram`, always
+    finite), an array builds them as ``X @ X.T`` and ``coef @ X``.  The
+    weights and biases match the primal loop's within 1e-12, with the same
+    predictions and a risk within 1e-12 (tests/test_oracles.py asserts
+    this).  For p <= n, or a Gram matrix that overflows, the primal loop
+    runs.  A step size that is not finite and positive, a cap that is not
+    finite, and an iterate whose risk is not finite are ValueErrors.
     """
-    X = np.asarray(features, dtype=np.float64)
+    bits = isinstance(features, FeatureRows)
+    if bits and (features.rows.dtype != np.uint8 or features.p <= len(features.factors)):
+        features, bits = features.take(slice(None)), False
+    X = features if bits else np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+    shape = (len(X.factors), X.p) if bits else X.shape
+    if len(shape) != 2 or shape[0] != y.shape[0]:
         raise ValueError("features must be (n, p) with one label per row")
-    n, p = X.shape
+    n, p = shape
     if n < 1:
         raise EmptyInput("cannot train on an empty feature set")
     n_classes = int(y.max())
@@ -336,17 +394,21 @@ def train(
     # Every step adds coeff.T @ X to the weights and the cap only rescales
     # them, so w = A X: for p > n the loop runs on the (C, n) coefficients A
     # and the Gram matrix G = X X^T; an overflowing G keeps the primal form.
-    dual = False
-    if p > n:
+    dual = bits
+    if bits:
+        G = X.gram()
+    elif p > n:
         with np.errstate(over="ignore", invalid="ignore"):
             G = X @ X.T
         dual = bool(np.isfinite(G).all())
-    K = G if dual else X
     w = np.zeros((n_classes, n if dual else p))
     b = np.zeros(n_classes)
     # The margins that give an iterate's risk also give the next step's
-    # subgradient, so each step computes the scores once.
-    margins, best_other = _margins(K @ w.T + b, y)
+    # subgradient, so each step computes the scores once.  In the dual form
+    # M = G w^T gives both the scores and, as G is symmetric, the squared
+    # norms w G w^T: one Gram product a step.
+    M = (G if dual else X) @ w.T
+    margins, best_other = _margins(M + b, y)
     best_risk = float(aux.value(margins).mean())
     best_w = w.copy()
     best_b = b.copy()
@@ -361,14 +423,18 @@ def train(
             w -= (step_size / math.sqrt(t)) * (coeff.T if dual else coeff.T @ X) / n
             b -= (step_size / math.sqrt(t)) * coeff.sum(axis=0) / n
             if dual:
-                norms = np.sqrt(np.maximum(((w @ G) * w).sum(axis=1), 0.0))
+                M = G @ w.T
+                norms = np.sqrt(np.maximum((w.T * M).sum(axis=0), 0.0))
             else:
                 norms = np.linalg.norm(w, axis=1)
             over = norms > c_A
             if over.any():
-                w[over] *= (c_A / norms[over])[:, None]
+                scale = c_A / norms[over]
+                w[over] *= scale[:, None]
+                if dual:
+                    M[:, over] *= scale
             np.clip(b, -c_B, c_B, out=b)
-            margins, best_other = _margins(K @ w.T + b, y)
+            margins, best_other = _margins((M if dual else X @ w.T) + b, y)
             r = float(aux.value(margins).mean())
             if not math.isfinite(r):
                 raise ValueError(
@@ -379,7 +445,7 @@ def train(
                 best_risk = r
                 best_w = w.copy()
                 best_b = b.copy()
-    weights = best_w @ X if dual else best_w
+    weights = X.weights(best_w) if bits else best_w @ X if dual else best_w
     for a in (weights, best_b):  # fresh arrays, handed over read-only so they are not copied
         a.setflags(write=False)
     return LinearClassifier(weights, best_b, c_A, c_B)

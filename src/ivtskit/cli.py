@@ -242,12 +242,20 @@ def _echo_config(outdir: Path, command: str, eff: dict) -> None:
     (outdir / "run_config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _check_text(eff: dict) -> None:
-    """Each value is echoed into run_config.txt as UTF-8.  Argv bytes that are
-    not UTF-8 decode to lone surrogates, which UTF-8 cannot encode."""
+def _check_text(eff: dict) -> dict:
+    """`eff` with each value as run_config.txt echoes it, in UTF-8.  Argv bytes
+    that the filesystem encoding cannot decode (any non-ASCII byte, under an
+    ASCII one) arrive as lone surrogates, which UTF-8 cannot encode: such a
+    value is its os.fsencode bytes read as UTF-8, and bytes that are not
+    UTF-8 are a usage error.  Files are opened by the values of `eff`."""
+    text = dict(eff)
     for key, value in eff.items():
         if isinstance(value, str) and value.encode("utf-8", "replace").decode() != value:
-            raise UsageError(f"--{key.replace('_', '-')}: {value!r} is not UTF-8 text")
+            try:
+                text[key] = os.fsencode(value).decode("utf-8")
+            except UnicodeError:
+                raise UsageError(f"--{key.replace('_', '-')}: {value!r} is not UTF-8 text") from None
+    return text
 
 
 def _check_threads(value) -> None:
@@ -389,7 +397,7 @@ def cmd_image(eff: dict) -> None:
     from . import imaging as img_mod
 
     _require(eff, "data", "outdir", "kernel")
-    _check_text(eff)
+    text = _check_text(eff)
     kernel = _parse_kernel_opt(eff["kernel"])
     cfg = _trajectory_config(eff)
     _check_threads(eff["threads"])
@@ -397,6 +405,7 @@ def cmd_image(eff: dict) -> None:
     outdir = Path(eff["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
     stem = eff["stem"] or Path(eff["data"]).stem
+    shown = text["stem"] or Path(text["data"]).stem  # the stem as index.csv's text
     formats = ("pgm", "csv") if eff["format"] == "both" else (eff["format"],)
     index_lines = ["file,item,label"]
     # each image is written as it is made; a failed item leaves the earlier
@@ -404,15 +413,12 @@ def cmd_image(eff: dict) -> None:
     images = img_mod.image_grids(ds.bounds, cfg, kernel)
     for i, (pixels, label) in enumerate(zip(images, ds.labels())):
         img = img_mod.RecurrenceImage(pixels)
-        names = []
         for fmt in formats:
-            name = f"{stem}_{i}.{fmt}"
             writer = img_mod.export_pgm if fmt == "pgm" else img_mod.export_csv
-            writer(img, outdir / name)
-            names.append(name)
-        index_lines.append(f"{names[0]},{i},{label}")
+            writer(img, outdir / f"{stem}_{i}.{fmt}")
+        index_lines.append(f"{shown}_{i}.{formats[0]},{i},{label}")
     (outdir / "index.csv").write_text("\n".join(index_lines) + "\n", encoding="utf-8")
-    _echo_config(outdir, "image", eff)
+    _echo_config(outdir, "image", text)
     print(f"imaged {len(index_lines) - 1} items (N={img.n}) -> {outdir}")
 
 
@@ -461,6 +467,10 @@ def _index_images(images_dir: Path) -> tuple[list[Path], list[int]]:
             labels.append(int(label))
         except ValueError:
             raise DataError(f"{index}:{lineno}: bad label {label!r}") from None
+        try:  # a name the filesystem encoding cannot hold is a UTF-8 file name's text
+            os.fsencode(name)
+        except UnicodeEncodeError:
+            name = os.fsdecode(name.encode("utf-8"))
         paths.append(images_dir / name)
     if not labels:
         raise DataError(f"{index}: no images listed")
@@ -488,7 +498,7 @@ def cmd_classify(eff: dict) -> None:
     if (eff["data"] is None) == (eff["images"] is None):
         raise UsageError("pass exactly one of --data or --images")
     _require(eff, "outdir")
-    _check_text(eff)
+    text = _check_text(eff)
     knn = eff["mode"] == "knn"
     if knn and eff["data"] is None:
         raise UsageError("--mode knn needs --data (series-level distances)")
@@ -500,9 +510,7 @@ def cmd_classify(eff: dict) -> None:
     _check_threads(eff["threads"])
     kernel_text = str(eff["kernel"])
     kernel = _parse_kernel_opt(kernel_text)
-    tag = eff["tag"] or Path(eff["data"] or eff["images"]).stem
-    outdir = Path(eff["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    tag = text["tag"] or Path(text["data"] or text["images"]).stem
 
     if not knn:
         fc = clf_mod.FeatureConfig(eff["feature_mode"], eff["blocks"], eff["cap"])
@@ -525,6 +533,8 @@ def cmd_classify(eff: dict) -> None:
             features = clf_mod.feature_matrix(images, len(ds), fc)
         del ds  # the run loop reads only the features or bounds, and y
 
+    outdir = Path(eff["outdir"])
+    outdir.mkdir(parents=True, exist_ok=True)
     report_rows = []
     for r in range(eff["runs"]):
         run_seed = seed + r
@@ -540,14 +550,23 @@ def cmd_classify(eff: dict) -> None:
                                      bounds[test_idx], eff["k"], kernel)
             truth, model_note = y[test_idx], ""
         else:
-            # the float64 training rows, in split order, live only while train runs
-            model = clf_mod.train(features.take(train_idx), y[train_idx], kind=eff["loss"],
+            # flatten trains from its packed bits, block_mean on its float64 rows,
+            # which live only while train runs
+            rows = features.subset if fc.mode == "flatten" else features.take
+            model = clf_mod.train(rows(train_idx), y[train_idx], kind=eff["loss"],
                                   steps=eff["steps"], step_size=eff["step_size"],
                                   c_A=eff["c_a"], c_B=eff["c_b"])
             if not (model.weights.any() or model.biases.any()):
                 print(f"warning: run {r}: no training step beat the zero model's risk, so the "
                       "model is all zeros and predicts class 1 for every item", file=sys.stderr)
-            preds, truth = clf_mod.predict_rows(model, features.take(test_idx)), y[test_idx]
+            # the test rows as float64 in blocks within BLOCK_BYTES; predict_rows
+            # scores each row alone, so the blocks do not change a prediction
+            test_rows = np.arange(len(y))[test_idx]
+            block = max(1, clf_mod.BLOCK_BYTES // (8 * features.p))
+            preds = np.concatenate([
+                clf_mod.predict_rows(model, features.take(test_rows[i : i + block]))
+                for i in range(0, len(test_rows), block)])
+            truth = y[test_idx]
             model_path = outdir / f"model_run{r}.txt"
             clf_mod.save_model(model, eff["loss"], model_path)
             model_note = f" -> {model_path}"
@@ -560,7 +579,7 @@ def cmd_classify(eff: dict) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["run", "kernel", "dgp", "seed", "accuracy"])
         writer.writerows((r, k, d, s, repr(a)) for r, k, d, s, a in report_rows)
-    _echo_config(outdir, "classify", eff)
+    _echo_config(outdir, "classify", text)
     print(f"wrote {report}")
 
 

@@ -867,6 +867,68 @@ class TestTrainOracle:
             assert not w.any() and not b.any()
 
 
+def bit_rows(n, N, cap, seed):
+    """The flatten FeatureRows of n random N x N images of densities from 0.5%
+    to 30%, under the norm cap `cap`; image 1 is all zero."""
+    rng = np.random.default_rng(seed)
+    images = rng.random((n, N, N)) < rng.uniform(0.005, 0.3, (n, 1, 1))
+    images[1] = False
+    return classify.feature_matrix(images, n, classify.FeatureConfig("flatten", 1, cap))
+
+
+class TestBitOracle:
+    # flatten rows train from their packed bits: the Gram from exact pixel
+    # counts, the weights from column chunks.  p = 1369 spans two chunks of
+    # 1024 columns and, like p = 9, is not a multiple of 8; cap 0.5 scales
+    # every row with a set pixel, cap 5 most rows of p = 1369 and none of p = 9
+    @pytest.mark.parametrize("N", [3, 37])
+    @pytest.mark.parametrize("cap", [0.5, 5.0])
+    def test_gram(self, N, cap):
+        F = bit_rows(40, N, cap, N)
+        assert F.p % 8 and F.p % classify._BIT_CHUNK and not F.rows[1].any()
+        for idx in (slice(None), [5, 1, 0, 17, 5, 39, 2], slice(3, 30, 2)):
+            X = F.take(idx)
+            G = F.subset(idx).gram()
+            assert np.allclose(G, X @ X.T, rtol=1e-14, atol=0)
+            assert np.array_equal(G, G.T)
+
+    @pytest.mark.parametrize("kind", ["hinge", "squared_hinge", "exponential"])
+    def test_train_from_bits(self, kind):
+        F, fresh = bit_rows(60, 37, 5.0, 1), bit_rows(40, 37, 5.0, 2).take(slice(None))
+        y = np.random.default_rng(3).integers(1, 4, 60)
+        idx = np.random.default_rng(4).permutation(60)[:48].tolist()
+        model = iv.train(F.subset(idx), y[idx], kind=kind, steps=200)
+        X = F.take(idx)
+        ref = iv.train(X, y[idx], kind=kind, steps=200)
+        assert model.weights.any()
+        assert np.allclose(model.weights, ref.weights, atol=1e-12, rtol=0)
+        assert np.allclose(model.biases, ref.biases, atol=1e-12, rtol=0)
+        for Z in (X, fresh):
+            assert np.array_equal(classify.predict_rows(model, Z),
+                                  classify.predict_rows(ref, Z))
+
+    @pytest.mark.parametrize("kind", ["hinge", "squared_hinge", "exponential"])
+    def test_identical_rows_give_the_zero_model(self, kind):
+        # TestTrainOracle's case of mv-c1's collapse, from packed bits
+        images = [np.eye(150, dtype=np.uint8)] * 120
+        F = classify.feature_matrix(images, 120, classify.FeatureConfig())
+        model = iv.train(F, np.arange(120) % 3 + 1, kind=kind, steps=500)
+        assert not model.weights.any() and not model.biases.any()
+
+    @pytest.mark.parametrize("mode,N", [("flatten", 6), ("block_mean", 12)])
+    def test_primal_rows_train_as_floats(self, mode, N):
+        # packed bits with p <= n, and block means, train on take's float64 rows
+        rng = np.random.default_rng(N)
+        F = classify.feature_matrix(rng.random((50, N, N)) < 0.3, 50,
+                                    classify.FeatureConfig(mode, 4, 2.0))
+        y = np.arange(50) % 3 + 1
+        model = iv.train(F, y, steps=100)
+        ref = iv.train(F.take(slice(None)), y, steps=100)
+        assert F.p <= 50
+        assert np.array_equal(model.weights, ref.weights)
+        assert np.array_equal(model.biases, ref.biases)
+
+
 class TestMcOracle:
     # the CLI's caps, then caps that bind: a small c_A projects most steps
     @pytest.mark.parametrize("c_A,c_B", [(1.0, 1.0), (0.05, 0.0), (0.2, 0.01)])
@@ -1749,12 +1811,33 @@ def _run_classify(command, argv, outdir):
     return rc, out, err, files
 
 
+def assert_models_close(got, want):
+    """Model files with the same header and row lengths whose values agree
+    within 1e-12 absolute."""
+    got, want = got.decode().splitlines(), want.decode().splitlines()
+    assert got[0] == want[0] and len(got) == len(want)
+    for a, b in zip(got[1:], want[1:]):
+        a, b = np.array(a.split(), dtype=float), np.array(b.split(), dtype=float)
+        assert a.shape == b.shape and np.allclose(a, b, atol=1e-12, rtol=0)
+
+
 def check_classify(tmp, argv):
     """Run the reference and `cmd_classify` on one argv and require the same
-    exit code, stdout, stderr and output files; returns that common result."""
+    exit code, stdout, stderr and output files; returns that common result.
+
+    Under flatten with p > n, `cmd_classify` trains the dual form from packed
+    bits and the reference from float64 rows, so the model files of flatten
+    runs are compared within 1e-12 (those with p <= n run the primal loop on
+    the same float64 rows in both); every other file is compared byte for
+    byte."""
     out = Path(tmp) / "out"
     want = _run_classify(ref_classify, argv, out)
     got = _run_classify(cli.cmd_classify, argv, out)
+    if "flatten" in map(str, argv):
+        assert got[3].keys() == want[3].keys()
+        for name in [name for name in got[3] if name.startswith("model_run")]:
+            assert_models_close(got[3][name], want[3][name])
+            got[3][name] = want[3][name]
     assert got == want
     rc, _, err, _ = got
     assert rc in (0, 2, 3, 4) and "Traceback" not in err
@@ -1859,17 +1942,17 @@ class TestClassifyOracle:
         # some run learns: the reordered rows reach train and the scoring
         assert err.count("warning: ") < out.count("linear accuracy")
 
-    def test_flatten_holds_only_the_training_rows(self, tmp_path):
-        """Under flatten the float64 rows exist only for the run that needs
-        them: the traced peak of a paper-style classify stays below 1.1 times
-        the training rows' float64 bytes plus what `train` allocates beside
-        rows of that shape.  Holding all n rows as floats would be 1.2 times."""
+    def test_flatten_peak_below_a_quarter_of_the_training_rows(self, tmp_path):
+        """Under flatten `classify` trains from the packed bits and scores its
+        test rows in blocks, so no run builds its training rows as float64:
+        the traced peak of a paper-style classify at 120 training rows and p =
+        22,500 stays below a quarter of those rows' float64 bytes."""
         data, out = tmp_path / "dgp2.csv", tmp_path / "out"
         with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["generate", "--dgp", "2", "--per-class", "6", "--T", "150",
+            assert cli.main(["generate", "--dgp", "2", "--per-class", "30", "--T", "150",
                              "--out", str(data)]) == 0
-        labels = np.array(iv.load_dataset_csv(data).labels())
-        train_idx, _ = split.split_indices(labels.tolist(), 0.8, 0)
+        labels = iv.load_dataset_csv(data).labels()
+        train_idx, _ = split.split_indices(labels, 0.8, 0)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -1879,17 +1962,11 @@ class TestClassifyOracle:
                 assert cli.main(["classify", "--data", str(data), "--feature-mode", "flatten",
                                  "--outdir", str(out)]) == 0
             peak = tracemalloc.get_traced_memory()[1] - base
-            p = int((out / "model_run0.txt").read_text().split()[1])
-            X = np.random.default_rng(0).random((len(train_idx), p)) < 0.05
-            X = X / np.linalg.norm(X, axis=1, keepdims=True)
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            classify.train(X, labels[train_idx])
-            beside = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert p == 150 * 150 and len(train_idx) < len(labels)
-        assert peak < 1.1 * X.nbytes + beside
+        p = int((out / "model_run0.txt").read_text().split()[1])
+        assert p == 150 * 150 and len(train_idx) == 120
+        assert peak < len(train_idx) * p * 8 / 4
 
     @pytest.mark.parametrize(
         "argv",

@@ -11,8 +11,9 @@ for K >= 2 a last line prints the median wall and peak of the K launches.
 With `--against ROOT` the launches alternate between the caller's tree (A)
 and the checkout at ROOT (B, its `src` first on PYTHONPATH) in A B B A
 order, K launches per side.  Each launch line is tagged A or B, each side
-gets its median line, and a last line counts the pairs in which B's wall
-was the shorter.  Exits 1 when any launch fails.
+gets its median line, and a last line counts the pairs in which B's printed
+wall was the shorter (a pair of equal printed walls is no win).  Exits 1
+when any launch fails.
 """
 
 import os
@@ -28,7 +29,9 @@ def launch(args: list[str], env: dict | None) -> tuple[int, float, float]:
     proc = subprocess.Popen([sys.executable, "-m", "ivtskit", *args],
                             stdout=subprocess.DEVNULL, env=env)
     _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
+    # the wall as printed, to the ms, so that the medians and the pairs won
+    # are counted on the values the output shows
+    wall = float(f"{time.perf_counter() - start:.3f}")
     return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024
 
 
