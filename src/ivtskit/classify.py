@@ -33,7 +33,7 @@ import numpy as np
 
 from .defaults import LOSS_NAMES
 from .errors import BlockGridInvalid, DimensionMismatch, EmptyInput, LengthMismatch
-from .intervals import Kernel2x2, _read_only, as_grid, pointwise_dk_squared
+from .intervals import Kernel2x2, _read_only, as_grid, grid_dk_squared
 
 if TYPE_CHECKING:  # annotations only: theory -> classify loads neither module
     from .dgp import LabeledDataset
@@ -451,19 +451,6 @@ def train(
     return LinearClassifier(weights, best_b, c_A, c_B)
 
 
-def _scan(Q: np.ndarray, X: np.ndarray, kernel: Kernel2x2) -> np.ndarray:
-    """(m, n) summed squared distances from (m, d, T, 2) queries to (n, d, T, 2)
-    items: each dimension summed over T as series_dk_squared does, then the
-    dimensions added in index order starting from the first.  An overflow
-    gives inf or NaN, no warning; the stable sort puts either last."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        per_dim = pointwise_dk_squared(Q[:, None], X[None], kernel).sum(axis=-1)
-        dists = per_dim[..., 0]
-        for j in range(1, per_dim.shape[-1]):
-            dists = dists + per_dim[..., j]
-    return dists
-
-
 def _vote(dists: np.ndarray, labels: list[int], k: int) -> int:
     order = np.argsort(dists, kind="stable")[:k]
     votes: dict[int, int] = {}
@@ -498,12 +485,13 @@ def knn_rows(X: np.ndarray, labels: list[int], Q, k: int, kernel: Kernel2x2) -> 
     rows = max(1, BLOCK_BYTES // 8 // per_item)
     width = max(1, BLOCK_BYTES // 8 // (per_item * min(rows, n)))
     preds: list[int] = []
-    for start in range(0, len(Q), width):
-        block = Q[start : start + width]
-        dists = np.concatenate(
-            [_scan(block, X[i : i + rows], kernel) for i in range(0, n, rows)], axis=1
-        )
-        preds.extend(_vote(row, labels, k) for row in dists)
+    # An overflow gives inf or NaN, no warning; the stable sort puts either last.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(Q), width):
+            block = Q[start : start + width]
+            dists = np.concatenate([grid_dk_squared(block[:, None], X[None, i : i + rows], kernel)
+                                    for i in range(0, n, rows)], axis=1)
+            preds.extend(_vote(row, labels, k) for row in dists)
     return preds
 
 

@@ -13,7 +13,8 @@ four times the squared range difference, a weighted mix of both, or the sum
 of the squared bound differences.  Indefinite kernels are allowed; a negative
 quadratic form only becomes an error when a square root is actually taken.
 
-Series-level distances sum the per-step quadratic forms.
+Series-level distances sum the per-step quadratic forms over T within each
+dimension, then add the dimensions in index order from the first.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import LengthMismatch, NegativeSquaredDistance, NonFinite
+from .errors import DimensionMismatch, LengthMismatch, NegativeSquaredDistance, NonFinite
 
 #: Absolute tolerance absorbing float rounding before a square root.
 NEGATIVE_TOLERANCE = 1e-12
@@ -146,13 +147,6 @@ def dk_distance(a: Interval, b: Interval, k: Kernel2x2) -> float:
     return distance_from_squared(dk_squared(a, b, k))
 
 
-def pointwise_dk_squared(b1: np.ndarray, b2: np.ndarray, k: Kernel2x2) -> np.ndarray:
-    """Vectorized quadratic form on broadcastable (..., 2) bound arrays."""
-    dl = b1[..., 0] - b2[..., 0]
-    du = b1[..., 1] - b2[..., 1]
-    return k.k_pp * du * du + k.k_mm * dl * dl - 2.0 * k.k_pm * dl * du
-
-
 def _read_only(values, dtype) -> np.ndarray:
     """`values` as a read-only array of `dtype`: kept without a copy when it is
     one already, copied otherwise, so later writes to the input never reach it.
@@ -164,65 +158,16 @@ def _read_only(values, dtype) -> np.ndarray:
     return arr
 
 
-class IntervalSeries:
-    """A length-T sequence of intervals: a read-only (T, 2) array of
-    [lower, upper] bounds, kept without a copy when it is a read-only float64
-    array and copied otherwise."""
-
-    __slots__ = ("_bounds",)
-
-    def __init__(self, bounds: np.ndarray):
-        arr = _read_only(bounds, np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
-            raise ValueError("an interval series needs shape (T, 2) with T >= 1")
-        if not np.all(np.isfinite(arr)):
-            raise NonFinite("interval series bounds must be finite")
-        self._bounds = arr
-
-    @property
-    def bounds(self) -> np.ndarray:
-        """The (T, 2) [lower, upper] array; read-only."""
-        return self._bounds
-
-    def __len__(self) -> int:
-        return self._bounds.shape[0]
-
-    def __getitem__(self, t: int) -> Interval:
-        lo, up = self._bounds[t]
-        return Interval(lo, up)
-
-    def __iter__(self) -> Iterator[Interval]:
-        for lo, up in self._bounds:
-            yield Interval(lo, up)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntervalSeries):
-            return NotImplemented
-        return np.array_equal(self._bounds, other._bounds)
-
-    def __repr__(self) -> str:
-        return f"IntervalSeries(T={len(self)})"
-
-
-class MvIntervalSeries:
-    """A d-dimensional interval series: a read-only (d, T, 2) grid of bounds,
-    kept and copied as :class:`IntervalSeries` keeps and copies its array."""
+class _SeriesCore:
+    """The read-only (d, T, 2) bounds grid both series types hold (d = 1 for an
+    :class:`IntervalSeries`), with one finite check, ``len`` and ``==``."""
 
     __slots__ = ("_grid",)
 
     def __init__(self, grid: np.ndarray):
-        arr = _read_only(grid, np.float64)
-        if arr.ndim != 3 or arr.shape[2] != 2:
-            raise ValueError("a multivariate series needs shape (d, T, 2)")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("a multivariate series needs d >= 1 and T >= 1")
-        if not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(grid)):
             raise NonFinite("interval series bounds must be finite")
-        self._grid = arr
-
-    @property
-    def d(self) -> int:
-        return self._grid.shape[0]
+        self._grid = grid
 
     @property
     def grid(self) -> np.ndarray:
@@ -231,6 +176,60 @@ class MvIntervalSeries:
 
     def __len__(self) -> int:
         return self._grid.shape[1]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return np.array_equal(self._grid, other._grid)
+
+
+class IntervalSeries(_SeriesCore):
+    """A length-T sequence of intervals: a read-only (T, 2) array of
+    [lower, upper] bounds, kept without a copy when it is a read-only float64
+    array and copied otherwise, and held as a (1, T, 2) grid."""
+
+    __slots__ = ()
+
+    def __init__(self, bounds: np.ndarray):
+        arr = _read_only(bounds, np.float64)
+        if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
+            raise ValueError("an interval series needs shape (T, 2) with T >= 1")
+        super().__init__(arr[None])
+
+    @property
+    def bounds(self) -> np.ndarray:
+        """The (T, 2) [lower, upper] array; read-only, a view of the grid."""
+        return self._grid[0]
+
+    def __getitem__(self, t: int) -> Interval:
+        lo, up = self._grid[0, t]
+        return Interval(lo, up)
+
+    def __iter__(self) -> Iterator[Interval]:
+        for lo, up in self._grid[0]:
+            yield Interval(lo, up)
+
+    def __repr__(self) -> str:
+        return f"IntervalSeries(T={len(self)})"
+
+
+class MvIntervalSeries(_SeriesCore):
+    """A d-dimensional interval series: a read-only (d, T, 2) grid of bounds,
+    kept and copied as :class:`IntervalSeries` keeps and copies its array."""
+
+    __slots__ = ()
+
+    def __init__(self, grid: np.ndarray):
+        arr = _read_only(grid, np.float64)
+        if arr.ndim != 3 or arr.shape[2] != 2:
+            raise ValueError("a multivariate series needs shape (d, T, 2)")
+        if arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise ValueError("a multivariate series needs d >= 1 and T >= 1")
+        super().__init__(arr)
+
+    @property
+    def d(self) -> int:
+        return self._grid.shape[0]
 
     def dimension(self, j: int) -> IntervalSeries:
         return IntervalSeries(self._grid[j])
@@ -243,24 +242,36 @@ class MvIntervalSeries:
         lo, up = self._grid[j, t]
         return Interval(lo, up)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MvIntervalSeries):
-            return NotImplemented
-        return np.array_equal(self._grid, other._grid)
-
     def __repr__(self) -> str:
         return f"MvIntervalSeries(d={self.d}, T={len(self)})"
 
 
 def as_grid(series: IntervalSeries | MvIntervalSeries) -> np.ndarray:
     """The (d, T, 2) bounds of a series; a univariate series has d = 1."""
-    if isinstance(series, MvIntervalSeries):
-        return series.grid
-    return series.bounds[None]
+    return series.grid
 
 
-def series_dk_squared(x1: IntervalSeries, x2: IntervalSeries, k: Kernel2x2) -> float:
-    """Summed per-step squared kernel distance between equal-length series."""
-    if len(x1) != len(x2):
-        raise LengthMismatch(f"series lengths differ: {len(x1)} vs {len(x2)}")
-    return float(pointwise_dk_squared(x1.bounds, x2.bounds, k).sum())
+def grid_dk_squared(g1: np.ndarray, g2: np.ndarray, k: Kernel2x2) -> np.ndarray:
+    """Summed squared distances between broadcastable (..., d, T, 2) bound
+    grids, of the broadcast shape (...): the quadratic form at each step, each
+    dimension summed over T, then the dimensions added in index order starting
+    from the first.  An overflow gives inf or NaN with numpy's warning."""
+    dl = g1[..., 0] - g2[..., 0]
+    du = g1[..., 1] - g2[..., 1]
+    per_dim = (k.k_pp * du * du + k.k_mm * dl * dl - 2.0 * k.k_pm * dl * du).sum(axis=-1)
+    dists = per_dim[..., 0]
+    for j in range(1, per_dim.shape[-1]):
+        dists = dists + per_dim[..., j]
+    return dists
+
+
+def series_dk_squared(x1: _SeriesCore, x2: _SeriesCore, k: Kernel2x2) -> float:
+    """Squared kernel distance between two series of one d and one T, each an
+    :class:`IntervalSeries` or an :class:`MvIntervalSeries`: the per-step forms
+    summed over T, then over the dimensions in index order (:func:`grid_dk_squared`)."""
+    (d1, t1, _), (d2, t2, _) = x1.grid.shape, x2.grid.shape
+    if d1 != d2:
+        raise DimensionMismatch(f"series dimensions differ: {d1} vs {d2}")
+    if t1 != t2:
+        raise LengthMismatch(f"series lengths differ: {t1} vs {t2}")
+    return float(grid_dk_squared(x1.grid, x2.grid, k))

@@ -29,7 +29,7 @@ from ivtskit.classify import LOSSES, _margins
 from ivtskit.errors import (BlockGridInvalid, DimensionMismatch, LengthMismatch,
                             NegativeSquaredDistance, NonFinite)
 from ivtskit.imaging import squared_threshold
-from ivtskit.intervals import NEGATIVE_TOLERANCE, as_grid, series_dk_squared
+from ivtskit.intervals import NEGATIVE_TOLERANCE, as_grid, grid_dk_squared, series_dk_squared
 
 KERNELS = ("K1", "K4", "K5")
 CFG = iv.TrajectoryConfig(m=1, kappa=1, epsilon=0.5)
@@ -49,13 +49,21 @@ def ref_block_mean(img, fc):
     return z
 
 
+def ref_series_dk_squared(x1, x2, k):
+    """The per-step quadratic form on two IntervalSeries' (T, 2) bounds, summed over T."""
+    b1, b2 = x1.bounds, x2.bounds
+    dl = b1[:, 0] - b2[:, 0]
+    du = b1[:, 1] - b2[:, 1]
+    return float((k.k_pp * du * du + k.k_mm * dl * dl - 2.0 * k.k_pm * dl * du).sum())
+
+
 def ref_pair_distance(query, item, kernel):
     """Per-dimension series distances summed; an IntervalSeries is one dimension."""
     def dims(series):
         return series.dimensions() if isinstance(series, iv.MvIntervalSeries) else (series,)
 
     pairs = zip(dims(query), dims(item), strict=True)
-    return sum(series_dk_squared(a, b, kernel) for a, b in pairs)
+    return sum(ref_series_dk_squared(a, b, kernel) for a, b in pairs)
 
 
 def ref_knn(train, query, k, kernel):
@@ -506,8 +514,7 @@ def _check_knn(train, queries, k, kernel):
         want, dists = ref_knn(train, q, k, kernel)
         assert pred == want
         assert classify.knn_classify(train, q, k, kernel) == want
-        got = classify._scan(iv.intervals.as_grid(q)[None], X, kernel)[0]
-        assert np.array_equal(got, dists)
+        assert np.array_equal(grid_dk_squared(as_grid(q)[None, None], X[None], kernel)[0], dists)
 
 
 class TestKnnScan:
@@ -598,6 +605,81 @@ class TestKnnScan:
                      for q in test.series()]
             want.append(f"{r},K5,ds,{seed + r},{classify.accuracy(preds, test.labels())!r}")
         assert (tmp_path / "out" / "report.csv").read_text().splitlines() == want
+
+
+# ---------------------------------------------------------------------------
+# series distance
+
+
+ALL_KERNELS = ("K1", "K2", "K3", "K4", "K5")
+
+
+def _scanned(monkeypatch, x1, x2, kernel):
+    """The distance `knn_rows` votes on for query x1 against the one item x2."""
+    seen = []
+    monkeypatch.setattr(classify, "_vote", lambda dists, labels, k: seen.append(dists) or 1)
+    classify.knn_rows(as_grid(x2)[None], [1], as_grid(x1)[None], 1, kernel)
+    (dists,) = seen
+    return float(dists[0])
+
+
+class TestSeriesDistance:
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    @pytest.mark.parametrize("d,T", [(5, 1), (5, 150), (3, 1), (3, 150)])
+    def test_multivariate(self, monkeypatch, kernel, d, T):
+        """On multivariate series the distance is the k-NN scan's, and the
+        per-dimension distances added in index order."""
+        rng = np.random.default_rng(d * T)
+        k = iv.kernel_preset(kernel)
+        for _ in range(3):
+            x1, x2 = (iv.MvIntervalSeries(rng.normal(size=(d, T, 2))) for _ in range(2))
+            got = series_dk_squared(x1, x2, k)
+            assert got == _scanned(monkeypatch, x1, x2, k)
+            want = 0.0
+            for a, b in zip(x1.dimensions(), x2.dimensions(), strict=True):
+                want += series_dk_squared(a, b, k)
+            assert got == want
+
+    def test_univariate_against_one_dimension(self):
+        rng = np.random.default_rng(0)
+        bounds = rng.normal(size=(12, 2))
+        uni, mv = iv.IntervalSeries(bounds), iv.MvIntervalSeries(rng.normal(size=(1, 12, 2)))
+        k = iv.kernel_preset("K5")
+        assert series_dk_squared(uni, mv, k) == ref_series_dk_squared(uni, mv.dimension(0), k)
+        assert series_dk_squared(uni, iv.MvIntervalSeries(bounds[None]), k) == 0.0
+
+    @pytest.mark.parametrize("error,shapes", [
+        (DimensionMismatch, ((3, 10, 2), (5, 10, 2))),
+        (LengthMismatch, ((3, 10, 2), (3, 12, 2))),
+    ], ids=["d", "T"])
+    def test_shape_mismatch_messages(self, error, shapes):
+        """A pair of another d or T raises what `knn_rows` raises for the same shapes."""
+        x1, x2 = (iv.MvIntervalSeries(np.zeros(shape)) for shape in shapes)
+        k = iv.kernel_preset("K4")
+        with pytest.raises(error) as got:
+            series_dk_squared(x1, x2, k)
+        with pytest.raises(error) as want:
+            classify.knn_rows(as_grid(x2)[None], [1], as_grid(x1)[None], 1, k)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    @pytest.mark.parametrize("T", [1, 7, 150])
+    def test_univariate_bytes(self, kernel, T):
+        """On univariate series the distance is the per-step form summed over T."""
+        k = iv.kernel_preset(kernel)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            x1, x2 = (iv.IntervalSeries(rng.normal(size=(T, 2)) * 3) for _ in range(2))
+            assert series_dk_squared(x1, x2, k) == ref_series_dk_squared(x1, x2, k)
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    def test_overflow_warns(self, kernel):
+        x1, x2 = iv.IntervalSeries([[0.0, 1e200]]), iv.IntervalSeries([[0.0, -1e200]])
+        k = iv.kernel_preset(kernel)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            got = series_dk_squared(x1, x2, k)
+        with np.errstate(over="ignore"):
+            assert got == ref_series_dk_squared(x1, x2, k) == math.inf
 
 
 # ---------------------------------------------------------------------------
