@@ -33,7 +33,7 @@ import numpy as np
 
 from .defaults import LOSS_NAMES
 from .errors import BlockGridInvalid, DimensionMismatch, EmptyInput, LengthMismatch
-from .intervals import Kernel2x2, _read_only, as_grid, grid_dk_squared
+from .intervals import Kernel2x2, _read_only, grid_dk_squared
 
 if TYPE_CHECKING:  # annotations only: theory -> classify loads neither module
     from .dgp import LabeledDataset
@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # annotations only: theory -> classify loads neither module
 
 # Bytes in one block of temporaries (2 MiB), read at call time by the k-NN
 # scan, the draws of theory.empirical_offset_rademacher and the blocks of
-# test rows that `classify` scores; a block holds at least one item.
+# float64 rows that predict_rows scores; a block holds at least one item.
 BLOCK_BYTES = 1 << 21
 
 # Columns of packed bits that FeatureRows unpacks at once for the dual form,
@@ -152,23 +152,18 @@ class FeatureRows:
     factors: np.ndarray  # (n,) float64
     p: int
 
-    def take(self, idx) -> np.ndarray:
-        """The (m, p) float64 feature rows `idx` (a list of row indices or a
-        slice), in that order.  Each entry is the product of its pixel or
-        cell mean and its row's factor, the same bits as scaling the row in
-        place, and x * 1.0 = x for a row within the cap."""
-        factors = self.factors[idx, None]
-        if self.rows.dtype != np.uint8:
-            return self.rows[idx] * factors
-        X = np.empty((len(factors), self.p))
-        for x, i in zip(X, np.arange(len(self.rows))[idx]):
-            x[:] = np.unpackbits(self.rows[i], count=self.p)
-        X *= factors
-        return X
+    def take(self) -> np.ndarray:
+        """All n rows as one (n, p) float64 array.  Each entry is the product
+        of its pixel or cell mean and its row's factor, the same bits as
+        scaling the row in place, and x * 1.0 = x for a row within the cap."""
+        rows = self.rows
+        if rows.dtype == np.uint8:
+            rows = np.unpackbits(rows, axis=1, count=self.p)
+        return rows * self.factors[:, None]
 
     def subset(self, idx) -> FeatureRows:
         """The FeatureRows of rows `idx` (a list of row indices or a slice),
-        in that order; a slice shares this one's arrays."""
+        in that order, still compact; a slice shares this one's arrays."""
         return FeatureRows(self.rows[idx], self.factors[idx], self.p)
 
     def _chunks(self, dtype):
@@ -179,13 +174,13 @@ class FeatureRows:
             yield start, bits.astype(dtype)
 
     def gram(self) -> np.ndarray:
-        """``take(slice(None)) @ take(slice(None)).T`` of packed-bit rows,
-        as ``counts * outer(c, c)``: c the cap factors and counts[i, j] the
-        pixels set in both image i and image j.  A count is at most p, and
-        below 2**24 float32 sums of 0/1 products are exact in any order, so
-        the counts are the same at any BLAS path or thread count.  Beside the
-        n x n float32 counts it holds one chunk's n x 1024 float32 bits (8 MB
-        at n = 2000) and their n x n product, then the result."""
+        """``take() @ take().T`` of packed-bit rows, as ``counts * outer(c, c)``:
+        c the cap factors and counts[i, j] the pixels set in both image i and
+        image j.  A count is at most p, and below 2**24 float32 sums of 0/1
+        products are exact in any order, so the counts are the same at any
+        BLAS path or thread count.  Beside the n x n float32 counts it holds
+        one chunk's n x 1024 float32 bits (8 MB at n = 2000) and their n x n
+        product, then the result."""
         n = len(self.factors)
         counts = np.zeros((n, n), np.float32 if self.p < 1 << 24 else np.float64)
         for _, B in self._chunks(counts.dtype):
@@ -195,12 +190,12 @@ class FeatureRows:
         return G
 
     def weights(self, coef: np.ndarray) -> np.ndarray:
-        """``coef @ take(slice(None))`` of (C, n) coefficients on packed-bit
-        rows, one chunk of 1024 columns at a time; a chunk holds n x 1024
-        float64 (16 MB at n = 2000).  A chunk's entries are take's own, so up
-        to 1024 columns this is the array form's product, rounded alike: an
-        exact cancellation of two rows' terms, which can tie two classes'
-        scores, cancels in both."""
+        """``coef @ take()`` of (C, n) coefficients on packed-bit rows, one
+        chunk of 1024 columns at a time; a chunk holds n x 1024 float64 (16 MB
+        at n = 2000).  A chunk's entries are take's own, so up to 1024 columns
+        this is the array form's product, rounded alike: an exact cancellation
+        of two rows' terms, which can tie two classes' scores, cancels in
+        both."""
         W = np.empty((len(coef), self.p))
         for start, B in self._chunks(np.float64):
             B *= self.factors[:, None]
@@ -247,7 +242,7 @@ def feature_matrix(images, n: int, cfg: FeatureConfig) -> FeatureRows:
 
 def featurize(img: RecurrenceImage, cfg: FeatureConfig) -> np.ndarray:
     """Turn an image into a norm-capped feature vector of dim N^2 or q^2."""
-    return feature_matrix([img.pixels], 1, cfg).take([0])[0]
+    return feature_matrix([img.pixels], 1, cfg).take()[0]
 
 
 @dataclass(frozen=True)
@@ -307,9 +302,18 @@ def _rows(clf: LinearClassifier, features: np.ndarray) -> np.ndarray:
     return features
 
 
-def predict_rows(clf: LinearClassifier, features: np.ndarray) -> np.ndarray:
-    """:func:`predict` of every row of an (m, p) matrix, with the same scores:
-    one stacked matrix-vector product runs the kernel of ``W @ z`` per row."""
+def predict_rows(clf: LinearClassifier, features) -> np.ndarray:
+    """:func:`predict` of every row of an (m, p) matrix or a :class:`FeatureRows`,
+    with the same scores: one stacked matrix-vector product runs the kernel of
+    ``W @ z`` per row.  A FeatureRows is scored in blocks of its float64 rows
+    within ``BLOCK_BYTES`` (at least one row a block); each row is scored
+    alone, so the blocks change no prediction."""
+    if isinstance(features, FeatureRows):
+        n, p = len(features.factors), features.p
+        block = max(1, BLOCK_BYTES // (8 * max(p, 1)))
+        # one block even when n = 0, so an empty input is checked as a (0, p) array
+        return np.concatenate([predict_rows(clf, features.subset(slice(i, i + block)).take())
+                               for i in range(0, max(n, 1), block)])
     scores = np.matmul(clf.weights[None], _rows(clf, features)[..., None])[..., 0] + clf.biases
     return scores.argmax(axis=1) + 1
 
@@ -348,11 +352,12 @@ def train(
 ) -> LinearClassifier:
     """Projected full-batch subgradient descent on the empirical max-loss risk.
 
-    `features` is an (n, p) array or a :class:`FeatureRows` (all of its rows).
-    Starts from the zero classifier, uses the step schedule
-    ``step_size / sqrt(t)``, and returns the iterate with the lowest recorded
-    empirical risk (so the step-0 zero model is returned when nothing
-    improves on it).  The optimizer is deterministic.
+    `features` is an (n, p) array or a :class:`FeatureRows` (all of its rows);
+    a FeatureRows of cell means, or of packed bits with p <= n, trains on its
+    :meth:`FeatureRows.take` rows.  Starts from the zero classifier, uses the
+    step schedule ``step_size / sqrt(t)``, and returns the iterate with the
+    lowest recorded empirical risk (so the step-0 zero model is returned when
+    nothing improves on it).  The optimizer is deterministic.
 
     With more features than rows (p > n) and a finite Gram matrix X X^T,
     the same loop runs on the (C, n) coefficients of the weights in the rows
@@ -367,7 +372,7 @@ def train(
     """
     bits = isinstance(features, FeatureRows)
     if bits and (features.rows.dtype != np.uint8 or features.p <= len(features.factors)):
-        features, bits = features.take(slice(None)), False
+        features, bits = features.take(), False
     X = features if bits else np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     shape = (len(X.factors), X.p) if bits else X.shape
@@ -504,7 +509,7 @@ def knn_classify(
     Vote ties break to the class with the smallest total distance among its
     voting neighbors, then to the lowest class id.
     """
-    return knn_rows(train.bounds, train.labels(), as_grid(query)[None], k, kernel)[0]
+    return knn_rows(train.bounds, train.labels(), query.grid[None], k, kernel)[0]
 
 
 def accuracy(predictions, labels) -> float:

@@ -545,28 +545,19 @@ def cmd_classify(eff: dict) -> None:
                 train_idx, test_idx = split_indices(y.tolist(), eff["train_fraction"], run_seed)
             except ValueError as e:
                 raise DataError(str(e)) from e
+        truth = y[test_idx]
         if knn:
             preds = clf_mod.knn_rows(bounds[train_idx], y[train_idx].tolist(),
                                      bounds[test_idx], eff["k"], kernel)
-            truth, model_note = y[test_idx], ""
+            model_note = ""
         else:
-            # flatten trains from its packed bits, block_mean on its float64 rows,
-            # which live only while train runs
-            rows = features.subset if fc.mode == "flatten" else features.take
-            model = clf_mod.train(rows(train_idx), y[train_idx], kind=eff["loss"],
+            model = clf_mod.train(features.subset(train_idx), y[train_idx], kind=eff["loss"],
                                   steps=eff["steps"], step_size=eff["step_size"],
                                   c_A=eff["c_a"], c_B=eff["c_b"])
             if not (model.weights.any() or model.biases.any()):
                 print(f"warning: run {r}: no training step beat the zero model's risk, so the "
                       "model is all zeros and predicts class 1 for every item", file=sys.stderr)
-            # the test rows as float64 in blocks within BLOCK_BYTES; predict_rows
-            # scores each row alone, so the blocks do not change a prediction
-            test_rows = np.arange(len(y))[test_idx]
-            block = max(1, clf_mod.BLOCK_BYTES // (8 * features.p))
-            preds = np.concatenate([
-                clf_mod.predict_rows(model, features.take(test_rows[i : i + block]))
-                for i in range(0, len(test_rows), block)])
-            truth = y[test_idx]
+            preds = clf_mod.predict_rows(model, features.subset(test_idx))
             model_path = outdir / f"model_run{r}.txt"
             clf_mod.save_model(model, eff["loss"], model_path)
             model_note = f" -> {model_path}"

@@ -24,7 +24,7 @@ import numpy as np
 
 from .defaults import DEFAULT_EPSILON
 from .errors import DimensionMismatch, IvtsError, NegativeSquaredDistance, SeriesTooShort
-from .intervals import NEGATIVE_TOLERANCE, Kernel2x2, _read_only, as_grid
+from .intervals import NEGATIVE_TOLERANCE, Kernel2x2, _read_only
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def image_grids(grids, cfg: TrajectoryConfig, kernel: Kernel2x2, tag: bool = Tru
 def image_series(series, cfg: TrajectoryConfig, kernel: Kernel2x2) -> RecurrenceImage:
     """The IRP of an IntervalSeries, or the IJRP (the AND of the per-dimension
     images) of an MvIntervalSeries; see :func:`image_grids`."""
-    return RecurrenceImage(next(image_grids([as_grid(series)], cfg, kernel, tag=False)))
+    return RecurrenceImage(next(image_grids([series.grid], cfg, kernel, tag=False)))
 
 
 def export_pgm(img: RecurrenceImage, path) -> None:

@@ -246,11 +246,6 @@ class MvIntervalSeries(_SeriesCore):
         return f"MvIntervalSeries(d={self.d}, T={len(self)})"
 
 
-def as_grid(series: IntervalSeries | MvIntervalSeries) -> np.ndarray:
-    """The (d, T, 2) bounds of a series; a univariate series has d = 1."""
-    return series.grid
-
-
 def grid_dk_squared(g1: np.ndarray, g2: np.ndarray, k: Kernel2x2) -> np.ndarray:
     """Summed squared distances between broadcastable (..., d, T, 2) bound
     grids, of the broadcast shape (...): the quadratic form at each step, each

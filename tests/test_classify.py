@@ -14,7 +14,6 @@ from ivtskit.errors import (
     EmptyInput,
     LengthMismatch,
 )
-from ivtskit.intervals import as_grid
 from test_oracles import ref_predict, ref_scores
 
 K4 = iv.kernel_preset("K4")
@@ -325,7 +324,7 @@ class TestLipschitzAndBoundedness:
 
 
 def _one_step_dataset(values, labels):
-    grids = [as_grid(iv.IntervalSeries(np.array([[v, v]]))) for v in values]
+    grids = [iv.IntervalSeries(np.array([[v, v]])).grid for v in values]
     return iv.LabeledDataset(np.stack(grids), labels)
 
 
@@ -363,7 +362,7 @@ class TestKnn:
         def mv(v1, v2):
             return iv.MvIntervalSeries(np.array([[[v1, v1]], [[v2, v2]]], dtype=float))
 
-        grids = np.stack([as_grid(mv(0, 0)), as_grid(mv(3, 3))])
+        grids = np.stack([mv(0, 0).grid, mv(3, 3).grid])
         ds = iv.LabeledDataset(grids, [1, 2])
         # dim 1 favors class 2, dim 2 favors class 1; the sum favors class 1
         query = mv(2.0, 0.5)

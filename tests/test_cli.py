@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 import ivtskit as iv
-from ivtskit.intervals import as_grid
 
 
 def run_cli(*args, env=None):
@@ -232,7 +231,8 @@ class TestStagePeak:
 
     def test_paired_launches(self):
         """--against ROOT alternates this tree (A) and ROOT's src (B) in A B B A
-        order, then prints each side's median and the pairs B won."""
+        order, then prints each side's median, the pairs B won and the pairs
+        whose stdout matched."""
         root = Path(__file__).resolve().parents[1]
         probe = ("import runpy, sys\n"
                  "sys.argv = sys.argv[1:]\n"
@@ -244,7 +244,7 @@ class TestStagePeak:
                               "2", "--against", str(root), "--help"],
                              capture_output=True, text=True)
         assert out.returncode == 0 and out.stderr == ""
-        *launches, median_a, median_b, pairs, tail = [line.split()
+        *launches, median_a, median_b, pairs, same, tail = [line.split()
                                                       for line in out.stdout.splitlines()]
         assert tail == ["False", "0"]
         assert [fields[:3] for fields in launches] == [[side, "exit", "0"] for side in "ABBA"]
@@ -256,6 +256,19 @@ class TestStagePeak:
                                                                               "wall_s"]
         wins = sum(b < a for a, b in zip(walls["A"], walls["B"]))
         assert pairs == ["B", "faster", "in", str(wins), "of", "2", "pairs"]
+        assert same == ["stdout", "identical", "in", "2", "of", "2", "pairs"]
+
+    def test_paired_launches_compare_stdout(self, tmp_path):
+        """A B checkout whose `ivtskit` prints other bytes matches in no pair."""
+        package = tmp_path / "src" / "ivtskit"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "__main__.py").write_text("print('other')\n")
+        root = Path(__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, str(root / "tools" / "stage_peak.py"), "2",
+                              "--against", str(tmp_path), "--help"], capture_output=True, text=True)
+        assert out.returncode == 0 and out.stderr == ""
+        assert out.stdout.splitlines()[-1] == "stdout identical in 0 of 2 pairs"
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -739,7 +752,7 @@ def _write_separable_dataset(path):
         c = 0.001 * i
         jumpy = iv.IntervalSeries(np.array([[c, c + 0.1]] * 6 + [[100 + c, 100.1 + c]] * 6))
         items.append((jumpy, 2))
-    bounds = np.stack([as_grid(series) for series, _ in items])
+    bounds = np.stack([series.grid for series, _ in items])
     iv.save_dataset_csv(iv.LabeledDataset(bounds, [label for _, label in items]), path)
 
 

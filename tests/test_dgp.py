@@ -17,7 +17,6 @@ from ivtskit.dgp import (
     build_dgp_mix_dataset,
     split_indices,
 )
-from ivtskit.intervals import as_grid
 
 
 class TestResiduals:
@@ -343,7 +342,7 @@ class TestCsvRoundTrip:
 
 class TestLabeledDataset:
     def test_label_range_enforced(self):
-        bounds = as_grid(iv.IntervalSeries(np.array([[0.0, 1.0]])))[None]
+        bounds = iv.IntervalSeries(np.array([[0.0, 1.0]])).grid[None]
         for label in (0, -1):
             with pytest.raises(ValueError, match=rf"^label {label} is not a class id"):
                 iv.LabeledDataset(bounds, [label])

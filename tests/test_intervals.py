@@ -7,7 +7,6 @@ import pytest
 
 import ivtskit as iv
 from ivtskit.errors import LengthMismatch, NegativeSquaredDistance, NonFinite
-from ivtskit.intervals import as_grid
 
 A = iv.Interval(0.0, 2.0)
 B = iv.Interval(1.0, 3.0)
@@ -199,7 +198,7 @@ class TestSeriesTypes:
     def test_read_only_float64_kept_without_a_copy(self, shape):
         bounds = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
         bounds.setflags(write=False)
-        stored = as_grid(self.build(shape, bounds))
+        stored = self.build(shape, bounds).grid
         assert np.shares_memory(stored, bounds) and not stored.flags.writeable
 
     @pytest.mark.parametrize("shape", [(4, 2), (3, 4, 2)])
@@ -208,7 +207,7 @@ class TestSeriesTypes:
     def test_writable_or_other_dtype_copied(self, shape, dtype, writeable):
         bounds = np.arange(np.prod(shape), dtype=dtype).reshape(shape)
         bounds.setflags(write=writeable)
-        stored = as_grid(self.build(shape, bounds))
+        stored = self.build(shape, bounds).grid
         assert stored.dtype == np.float64 and not stored.flags.writeable
         assert not np.shares_memory(stored, bounds)
         bounds.setflags(write=True)

@@ -29,7 +29,7 @@ from ivtskit.classify import LOSSES, _margins
 from ivtskit.errors import (BlockGridInvalid, DimensionMismatch, LengthMismatch,
                             NegativeSquaredDistance, NonFinite)
 from ivtskit.imaging import squared_threshold
-from ivtskit.intervals import NEGATIVE_TOLERANCE, as_grid, grid_dk_squared, series_dk_squared
+from ivtskit.intervals import NEGATIVE_TOLERANCE, grid_dk_squared, series_dk_squared
 
 KERNELS = ("K1", "K4", "K5")
 CFG = iv.TrajectoryConfig(m=1, kappa=1, epsilon=0.5)
@@ -130,7 +130,7 @@ def ref_load_csv(path):
 def ref_dataset(items):
     """The dataset of (series, label) pairs; series of different lengths are a
     LengthMismatch."""
-    grids = [as_grid(series) for series, _ in items]
+    grids = [series.grid for series, _ in items]
     lengths = sorted({g.shape[1] for g in grids})
     if len(lengths) > 1:
         raise LengthMismatch(f"series lengths differ: {lengths}")
@@ -509,12 +509,12 @@ class TestBlockMean:
 
 def _check_knn(train, queries, k, kernel):
     X = train.bounds
-    preds = classify.knn_rows(X, train.labels(), [as_grid(q) for q in queries], k, kernel)
+    preds = classify.knn_rows(X, train.labels(), [q.grid for q in queries], k, kernel)
     for q, pred in zip(queries, preds):
         want, dists = ref_knn(train, q, k, kernel)
         assert pred == want
         assert classify.knn_classify(train, q, k, kernel) == want
-        assert np.array_equal(grid_dk_squared(as_grid(q)[None, None], X[None], kernel)[0], dists)
+        assert np.array_equal(grid_dk_squared(q.grid[None, None], X[None], kernel)[0], dists)
 
 
 class TestKnnScan:
@@ -540,7 +540,7 @@ class TestKnnScan:
         kernel = iv.kernel_preset("K5")
         want = [ref_knn(train, q, 3, kernel)[0] for q in queries]
         monkeypatch.setattr(classify, "BLOCK_BYTES", 8 * block)  # block floats
-        grids = [as_grid(q) for q in queries]
+        grids = [q.grid for q in queries]
         assert classify.knn_rows(train.bounds, train.labels(), grids, 3, kernel) == want
 
     @pytest.mark.parametrize("error,reshape", [
@@ -618,7 +618,7 @@ def _scanned(monkeypatch, x1, x2, kernel):
     """The distance `knn_rows` votes on for query x1 against the one item x2."""
     seen = []
     monkeypatch.setattr(classify, "_vote", lambda dists, labels, k: seen.append(dists) or 1)
-    classify.knn_rows(as_grid(x2)[None], [1], as_grid(x1)[None], 1, kernel)
+    classify.knn_rows(x2.grid[None], [1], x1.grid[None], 1, kernel)
     (dists,) = seen
     return float(dists[0])
 
@@ -659,7 +659,7 @@ class TestSeriesDistance:
         with pytest.raises(error) as got:
             series_dk_squared(x1, x2, k)
         with pytest.raises(error) as want:
-            classify.knn_rows(as_grid(x2)[None], [1], as_grid(x1)[None], 1, k)
+            classify.knn_rows(x2.grid[None], [1], x1.grid[None], 1, k)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("kernel", ALL_KERNELS)
@@ -969,18 +969,18 @@ class TestBitOracle:
         F = bit_rows(40, N, cap, N)
         assert F.p % 8 and F.p % classify._BIT_CHUNK and not F.rows[1].any()
         for idx in (slice(None), [5, 1, 0, 17, 5, 39, 2], slice(3, 30, 2)):
-            X = F.take(idx)
+            X = F.subset(idx).take()
             G = F.subset(idx).gram()
             assert np.allclose(G, X @ X.T, rtol=1e-14, atol=0)
             assert np.array_equal(G, G.T)
 
     @pytest.mark.parametrize("kind", ["hinge", "squared_hinge", "exponential"])
     def test_train_from_bits(self, kind):
-        F, fresh = bit_rows(60, 37, 5.0, 1), bit_rows(40, 37, 5.0, 2).take(slice(None))
+        F, fresh = bit_rows(60, 37, 5.0, 1), bit_rows(40, 37, 5.0, 2).take()
         y = np.random.default_rng(3).integers(1, 4, 60)
         idx = np.random.default_rng(4).permutation(60)[:48].tolist()
         model = iv.train(F.subset(idx), y[idx], kind=kind, steps=200)
-        X = F.take(idx)
+        X = F.subset(idx).take()
         ref = iv.train(X, y[idx], kind=kind, steps=200)
         assert model.weights.any()
         assert np.allclose(model.weights, ref.weights, atol=1e-12, rtol=0)
@@ -1005,7 +1005,7 @@ class TestBitOracle:
                                     classify.FeatureConfig(mode, 4, 2.0))
         y = np.arange(50) % 3 + 1
         model = iv.train(F, y, steps=100)
-        ref = iv.train(F.take(slice(None)), y, steps=100)
+        ref = iv.train(F.take(), y, steps=100)
         assert F.p <= 50
         assert np.array_equal(model.weights, ref.weights)
         assert np.array_equal(model.biases, ref.biases)
@@ -1123,7 +1123,7 @@ class TestMcBlocks:
 def ref_image_series(series, cfg, kernel):
     """`image_series` as a fresh broadcast quadratic form per dimension, the
     shifted-block sum, then ``sqrt(max(q, 0)) <= epsilon``."""
-    grids = as_grid(series)
+    grids = series.grid
     out = None
     for bounds, eps in zip(grids, cfg.epsilon_for(grids.shape[0])):
         n = cfg.num_trajectories(len(bounds))
@@ -1253,7 +1253,7 @@ class TestImagingOracle:
         cfg = iv.TrajectoryConfig(m=3, kappa=2, epsilon=0.5)
         for kernel in map(iv.parse_kernel, ("K4", "1,2,1")):
             want = _imaged(ref_image_dataset, batch, cfg, kernel)
-            assert _imaged(imaging.image_grids, map(as_grid, batch), cfg, kernel) == want
+            assert _imaged(imaging.image_grids, (s.grid for s in batch), cfg, kernel) == want
             assert want[0] in (iv.SeriesTooShort, iv.NegativeSquaredDistance)
             assert want[1].startswith(("item 1: ", "item 2: "))
 
@@ -1263,7 +1263,7 @@ class TestImagingOracle:
         k5 = iv.kernel_preset("K5")
         for cfg in (iv.TrajectoryConfig(epsilon=0.8), iv.TrajectoryConfig(m=2, epsilon=0.8)):
             want = _imaged(ref_image_dataset, batch, cfg, k5)
-            assert _imaged(imaging.image_grids, map(as_grid, batch), cfg, k5) == want
+            assert _imaged(imaging.image_grids, (s.grid for s in batch), cfg, k5) == want
 
     @pytest.mark.parametrize("eps", THRESHOLD_EPSILONS)
     def test_squared_threshold(self, eps):
@@ -2250,14 +2250,14 @@ class TestFeaturizeStack:
         for cap, images in ((1.0, stack), (0.3, stack), (1e6, stack), (1.0, stack.astype(bool))):
             fc = iv.FeatureConfig(mode=mode, q=q, normalize_cap=cap)
             features = classify.feature_matrix(iter(images), 40, fc)
-            Z = features.take(slice(None))
+            Z = features.take()
             assert Z.shape == (40, fc.length(N)) and Z.dtype == np.float64
             for pixels, z in zip(images, Z):
                 img = iv.RecurrenceImage(pixels)
                 assert np.array_equal(z, ref_featurize(img, fc))
                 assert np.array_equal(z, iv.featurize(img, fc))
             idx = [39, 3, 3, 0]  # any rows, in the order asked
-            assert np.array_equal(features.take(idx), Z[idx])
+            assert np.array_equal(features.subset(idx).take(), Z[idx])
 
     def test_recurrence_images(self):
         ds = _uni(8, 150)
@@ -2296,7 +2296,7 @@ class TestFeatureRowsTake:
         assert features.factors[0] == 1.0 and (cap < 1e6 or (features.factors == 1.0).all())
         want = np.array([ref_featurize(iv.RecurrenceImage(px), fc) for px in images])
         for idx in ([5, 0, 11, 5], list(range(12)), slice(None), []):
-            X = features.take(idx)
+            X = features.subset(idx).take()
             assert X.dtype == np.float64 and X.flags.c_contiguous
             assert X.shape == (len(want[idx]), fc.length(N))
             assert np.array_equal(X, want[idx])
@@ -2318,7 +2318,7 @@ class TestFeatureMatrix:
         images = rng.random((10, 30, 30)) < rng.random((10, 1, 1))
         fc = iv.FeatureConfig(mode, q, normalize_cap=cap)
         monkeypatch.setattr(classify, "BLOCK_BYTES", block)
-        X = classify.feature_matrix(iter(images), 10, fc).take(slice(None))
+        X = classify.feature_matrix(iter(images), 10, fc).take()
         assert X.dtype == np.float64 and np.array_equal(X, self.rows(images, fc))
 
     @pytest.mark.parametrize("block", [1, 4 * 12 * 12, classify.BLOCK_BYTES])
@@ -2335,7 +2335,7 @@ class TestFeatureMatrix:
                 buf[...] = True
         monkeypatch.setattr(classify, "BLOCK_BYTES", block)
         for fc in (iv.FeatureConfig("block_mean", 5), iv.FeatureConfig("flatten")):
-            X = classify.feature_matrix(reused(), 9, fc).take(slice(None))
+            X = classify.feature_matrix(reused(), 9, fc).take()
             assert np.array_equal(X, self.rows(images, fc))
 
     @pytest.mark.parametrize("block", [1, 2 * 13 * 13, classify.BLOCK_BYTES])
@@ -2344,7 +2344,7 @@ class TestFeatureMatrix:
         images = [rng.random((N, N)) < 0.5 for N in (9, 9, 13, 13, 13, 10, 9, 9, 9, 12)]
         fc = iv.FeatureConfig("block_mean", 4)
         monkeypatch.setattr(classify, "BLOCK_BYTES", block)
-        X = classify.feature_matrix(images, len(images), fc).take(slice(None))
+        X = classify.feature_matrix(images, len(images), fc).take()
         assert np.array_equal(X, self.rows(images, fc))
         assert all(np.array_equal(x, ref_featurize(iv.RecurrenceImage(px), fc))
                    for px, x in zip(images, X))
@@ -2367,7 +2367,7 @@ class TestFeatureMatrix:
         error naming the image, not a silent 1; 0/1 arrays of any dtype pass."""
         images = np.random.default_rng(6).integers(0, 2, (4, 5, 5)).astype(dtype)
         fc = iv.FeatureConfig("flatten", normalize_cap=100.0)
-        X = classify.feature_matrix(iter(images), 4, fc).take(slice(None))
+        X = classify.feature_matrix(iter(images), 4, fc).take()
         assert np.array_equal(X, images.reshape(4, 25))
         images[2, 3, 1] = value
         with pytest.raises(ValueError, match=f"^image 2 has pixel value {dtype(value).item()!r}; "
@@ -2397,7 +2397,7 @@ class TestFeatureMatrix:
 
     def test_no_images(self):
         features = classify.feature_matrix([], 0, iv.FeatureConfig("flatten"))
-        assert features.take(slice(None)).shape == (0, 0)
+        assert features.take().shape == (0, 0)
 
     def test_flatten_writes_straight_into_rows(self):
         """Under flatten each image is packed into its row of bits as it is
@@ -2428,7 +2428,7 @@ class TestFeatureMatrix:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert np.array_equal(features.take(slice(None)), self.rows(images, fc))
+        assert np.array_equal(features.take(), self.rows(images, fc))
         assert peak - features.rows.nbytes < 2 * 8 * 160 * 160
 
 
@@ -2451,6 +2451,32 @@ class TestPredictRows:
                                           np.zeros(3))
         X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
         assert classify.predict_rows(model, X).tolist() == [1, 3, 1, 1]
+
+    # BLOCK_BYTES = 1 gives blocks of one row, rows = 3 blocks of 3 rows (which
+    # divide none of the counts below), None the default's one block
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("mode", ["flatten", "block_mean"])
+    def test_feature_rows_equal_their_float_rows(self, monkeypatch, rows, mode):
+        """A FeatureRows, scored in blocks within BLOCK_BYTES, gets the
+        predictions of its `take()` rows; under flatten p = 1369 spans two bit
+        chunks and is not a multiple of 8."""
+        if mode == "flatten":
+            F = bit_rows(40, 37, 5.0, 7)
+        else:
+            images = np.random.default_rng(8).random((40, 37, 37)) < 0.2
+            F = classify.feature_matrix(images, 40, classify.FeatureConfig("block_mean", 6, 0.5))
+        if rows is not None:
+            monkeypatch.setattr(classify, "BLOCK_BYTES", 1 if rows == 1 else rows * 8 * F.p)
+        rng = np.random.default_rng(9)
+        W = rng.standard_normal((4, F.p))
+        model = classify.LinearClassifier(W / np.linalg.norm(W, axis=1, keepdims=True),
+                                          rng.uniform(-0.1, 0.1, 4))
+        for G in (F, F.subset([39, 2, 2, 17, 0, 31, 8]), F.subset(slice(1, 39, 3)),
+                  F.subset([])):
+            got, want = classify.predict_rows(model, G), classify.predict_rows(model, G.take())
+            assert got.dtype == want.dtype and got.shape == (len(G.factors),)
+            assert np.array_equal(got, want)
+        assert len(set(classify.predict_rows(model, F).tolist())) > 1  # not one class for all
 
 
 # ---------------------------------------------------------------------------
