@@ -15,7 +15,7 @@ import importlib.util
 # Each submodule and the public names it provides.
 _NAMES = {
     "errors": (
-        "BlockGridInvalid", "DimensionMismatch", "EmptyInput", "IvtsError",
+        "BlockGridInvalid", "DataError", "DimensionMismatch", "EmptyInput", "IvtsError",
         "LengthMismatch", "NegativeSquaredDistance", "NonFinite", "SeriesTooShort",
     ),
     "intervals": (

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 
 from .defaults import LOSS_NAMES
-from .errors import BlockGridInvalid, DimensionMismatch, EmptyInput, LengthMismatch
+from .errors import BlockGridInvalid, DataError, DimensionMismatch, EmptyInput, LengthMismatch
 from .intervals import Kernel2x2, _read_only, grid_dk_squared
 
 if TYPE_CHECKING:  # annotations only: theory -> classify loads neither module
@@ -548,7 +548,7 @@ def save_model(clf: LinearClassifier, kind: str, path) -> None:
 
 def load_model(path) -> tuple[LinearClassifier, str]:
     """Read a model written by :func:`save_model`; returns (classifier, kind).
-    Every ValueError names the file."""
+    A malformed file raises DataError naming it."""
     try:
         lines = Path(path).read_text(encoding="ascii").splitlines()
         if not lines:
@@ -572,4 +572,4 @@ def load_model(path) -> tuple[LinearClassifier, str]:
             a.setflags(write=False)
         return LinearClassifier(weights, biases, c_A, c_B), kind
     except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+        raise DataError(f"{path}: {e}") from None

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .defaults import DEFAULT_EPSILON, DEFAULT_PER_CLASS, DEFAULT_RHO_GRID, DEFAULT_T, LOSS_NAMES
-from .errors import IvtsError, NegativeSquaredDistance, NonFinite
+from .errors import DataError, IvtsError, NegativeSquaredDistance, NonFinite
 
 if TYPE_CHECKING:  # annotations only
     from .imaging import TrajectoryConfig
@@ -35,10 +35,6 @@ EXIT_NUMERIC = 4
 
 class UsageError(Exception):
     """Bad flag combinations or missing required options."""
-
-
-class DataError(Exception):
-    """Unreadable, malformed, or structurally impossible input data."""
 
 
 class Opt(NamedTuple):  # a dataclass would load dataclasses and inspect (~15 ms) at launch
@@ -287,15 +283,6 @@ def _trajectory_config(eff: dict) -> TrajectoryConfig:
     return TrajectoryConfig(m=eff["m"], kappa=eff["kappa"], epsilon=tuple(eps))
 
 
-def _load_dataset(path):
-    from . import dgp as dgp_mod
-
-    try:
-        return dgp_mod.load_dataset_csv(path)
-    except (OSError, ValueError) as e:
-        raise DataError(str(e)) from e
-
-
 def _parse_kernel_opt(text: str):
     from .intervals import parse_kernel
 
@@ -355,8 +342,6 @@ def cmd_ingest(eff: dict) -> None:
         series = ingest_mod.daily_intervals(eff["input"])
     except OSError as e:
         raise DataError(f"cannot read {eff['input']}: {e}") from e
-    except ValueError as e:
-        raise DataError(str(e)) from e
 
     grids, window_labels = [], []  # each window's bounds and raw label
     for s in series:
@@ -394,6 +379,7 @@ def cmd_ingest(eff: dict) -> None:
 
 
 def cmd_image(eff: dict) -> None:
+    from . import dgp as dgp_mod
     from . import imaging as img_mod
 
     _require(eff, "data", "outdir", "kernel")
@@ -401,7 +387,7 @@ def cmd_image(eff: dict) -> None:
     kernel = _parse_kernel_opt(eff["kernel"])
     cfg = _trajectory_config(eff)
     _check_threads(eff["threads"])
-    ds = _load_dataset(eff["data"])
+    ds = dgp_mod.load_dataset_csv(eff["data"])
     outdir = Path(eff["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
     stem = eff["stem"] or Path(eff["data"]).stem
@@ -482,10 +468,7 @@ def _load_pixels(path: Path):
     """The pixels of a PGM image file, or of a CSV one by any other suffix."""
     from . import imaging as img_mod
 
-    try:
-        img = img_mod.load_pgm(path) if path.suffix == ".pgm" else img_mod.load_csv_image(path)
-    except (OSError, ValueError) as e:  # each names the file
-        raise DataError(str(e)) from e
+    img = img_mod.load_pgm(path) if path.suffix == ".pgm" else img_mod.load_csv_image(path)
     return img.pixels
 
 
@@ -521,7 +504,9 @@ def cmd_classify(eff: dict) -> None:
         features = clf_mod.feature_matrix(map(_load_pixels, paths), len(paths), fc)
         y = np.array(labels)
     else:
-        ds = _load_dataset(eff["data"])
+        from . import dgp as dgp_mod
+
+        ds = dgp_mod.load_dataset_csv(eff["data"])
         _check_labels(ds.labels(), eff["data"], linear=not knn)
         y = ds.label_ids
         if knn:
@@ -541,10 +526,7 @@ def cmd_classify(eff: dict) -> None:
         if eff["self_test"]:  # every item is trained on and scored
             train_idx = test_idx = slice(None)
         else:
-            try:
-                train_idx, test_idx = split_indices(y.tolist(), eff["train_fraction"], run_seed)
-            except ValueError as e:
-                raise DataError(str(e)) from e
+            train_idx, test_idx = split_indices(y.tolist(), eff["train_fraction"], run_seed)
         truth = y[test_idx]
         if knn:
             preds = clf_mod.knn_rows(bounds[train_idx], y[train_idx].tolist(),
@@ -664,7 +646,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     opts, runner, _ = COMMANDS[args.command]
     # A failed value check is a numeric error unless the code that reads input
-    # data calls it a data error, so a ValueError that reaches here exits 4.
+    # data raises it as a DataError, so any other ValueError that reaches here exits 4.
     try:
         eff = _effective_options(args, opts)
         runner(eff)
@@ -672,13 +654,16 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except DataError as e:  # a ValueError too, so it is caught first
+        print(f"data error: {e}", file=sys.stderr)
+        return EXIT_DATA
     except (ValueError, NegativeSquaredDistance, NonFinite) as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as e:  # a size option asked for more memory than there is
         print(f"numeric error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, IvtsError, OSError, csv.Error) as e:
+    except (IvtsError, OSError, csv.Error) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -27,7 +27,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .defaults import DEFAULT_PER_CLASS, DEFAULT_RHO_GRID, DEFAULT_T
-from .errors import LengthMismatch, NonFinite
+from .errors import DataError, LengthMismatch, NonFinite
 from .intervals import IntervalSeries, MvIntervalSeries, _read_only
 from .split import split_indices
 
@@ -367,11 +367,11 @@ def _read_rows(path, skip: int) -> np.ndarray:
                 line = line.rstrip("\n")
                 parts = line.split(",")
                 if len(parts) != 6:
-                    raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+                    raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
                 try:
                     np.loadtxt([line], **_ROW_ARGS)
                 except ValueError:
-                    raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
+                    raise DataError(f"{path}:{lineno}: malformed row {line!r}") from None
             fh.seek(0)
             return np.loadtxt((line for _, line in _data_lines(fh, skip)), **_ROW_ARGS)
 
@@ -404,16 +404,16 @@ def _load_arrays(path) -> tuple[np.ndarray, np.ndarray]:
         for skip, header in _data_lines(fh, 0):
             break
     if header.rstrip("\n") != DATASET_HEADER:
-        raise ValueError(f"{path}: expected header {DATASET_HEADER!r}")
+        raise DataError(f"{path}: expected header {DATASET_HEADER!r}")
     rows = _read_rows(path, skip)
     if rows.size == 0:
-        raise ValueError(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
 
     nonfinite = ~np.isfinite(rows["lower"])
     nonfinite |= ~np.isfinite(rows["upper"])
     if nonfinite.any():
         lineno = _line_of_row(path, skip, int(nonfinite.argmax()))
-        raise ValueError(f"{path}:{lineno}: non-finite bound")
+        raise DataError(f"{path}:{lineno}: non-finite bound")
 
     # Rows sorted by (item, dim, t).  Files written by save_dataset_csv
     # already are, without repeats, and are used as read; any other file is
@@ -432,7 +432,7 @@ def _load_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     if conflict.size:
         row = int(conflict[0] if order is None else order[conflict].min())
         lineno = _line_of_row(path, skip, row)
-        raise ValueError(f"{path}:{lineno}: item {rows['item'][row]} has conflicting labels")
+        raise DataError(f"{path}:{lineno}: item {rows['item'][row]} has conflicting labels")
 
     if order is not None:  # of repeated keys the last in file order ends the run: keep it
         last = np.append(_run_starts(item, dim, t)[1:], len(item)) - 1
@@ -447,17 +447,17 @@ def _load_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     gap = (t[groups] != 0) | (t[groups + lengths - 1] != lengths - 1)
     if gap.any():
         row = groups[gap.argmax()]
-        raise ValueError(f"{path}: item {item[row]} dim {dim[row]} has gaps in t")
+        raise DataError(f"{path}: item {item[row]} dim {dim[row]} has gaps in t")
     dims_seen = sorted(set(np.diff(np.searchsorted(groups, starts), append=len(groups)).tolist()))
     if len(dims_seen) != 1:
-        raise ValueError(f"{path}: items disagree on dimension count: {dims_seen}")
+        raise DataError(f"{path}: items disagree on dimension count: {dims_seen}")
     lengths_seen = sorted(set(lengths.tolist()))
     if len(lengths_seen) != 1:
-        raise ValueError(f"{path}: items disagree on series length T: {lengths_seen}")
+        raise DataError(f"{path}: items disagree on series length T: {lengths_seen}")
     if labels.min() < 1:  # an item's first row in file order comes before its other rows
         row = int(first[labels < 1].min())
         lineno = _line_of_row(path, skip, row)
-        raise ValueError(f"{path}:{lineno}: label {rows['label'][row]} is not a class id (1, 2, ...)")
+        raise DataError(f"{path}:{lineno}: label {rows['label'][row]} is not a class id (1, 2, ...)")
 
     bounds = np.empty((len(starts), dims_seen[0], lengths_seen[0], 2))
     flat = bounds.reshape(-1, 2)
@@ -471,10 +471,13 @@ def load_dataset_csv(path) -> LabeledDataset:
     """Read a dataset written by :func:`save_dataset_csv`.
 
     Blank lines are skipped.  Rows may come in any order; a repeated
-    (item, dim, t) keeps its last row.  Raises ValueError, naming the file
+    (item, dim, t) keeps its last row.  Raises DataError, naming the file
     and, for a single bad row, its line, on a bad header, a malformed row, a
     non-finite bound, an item with two labels, a gap in t, items that
     disagree on their dimension count or on their length T, or a label
-    below 1.
+    below 1; a byte that is not ASCII raises DataError with the codec's message.
     """
-    return LabeledDataset(*_load_arrays(path))
+    try:
+        return LabeledDataset(*_load_arrays(path))
+    except UnicodeDecodeError as e:
+        raise DataError(str(e)) from None

@@ -5,6 +5,10 @@ class IvtsError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
+class DataError(IvtsError, ValueError):
+    """A fault found in input data: a malformed file, or a class too small to split."""
+
+
 class NonFinite(IvtsError):
     """A value that must be finite is NaN or infinite."""
 

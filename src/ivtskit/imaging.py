@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .defaults import DEFAULT_EPSILON
-from .errors import DimensionMismatch, IvtsError, NegativeSquaredDistance, SeriesTooShort
+from .errors import DataError, DimensionMismatch, IvtsError, NegativeSquaredDistance, SeriesTooShort
 from .intervals import NEGATIVE_TOLERANCE, Kernel2x2, _read_only
 
 
@@ -122,6 +122,7 @@ def image_grids(grids, cfg: TrajectoryConfig, kernel: Kernel2x2, tag: bool = Tru
     The work buffers are made once per T, so each image is overwritten by the
     next.  With `tag`, a failure names the item's index."""
     k, T = kernel, None
+    limit = {eps: squared_threshold(eps) for eps in cfg.epsilon}
     for item, grid in enumerate(grids):
         try:
             for i, eps in enumerate(cfg.epsilon_for(grid.shape[0])):
@@ -156,7 +157,7 @@ def image_grids(grids, cfg: TrajectoryConfig, kernel: Kernel2x2, tag: bool = Tru
                         f"squared trajectory distance {low} is negative beyond tolerance; "
                         "the kernel is indefinite on this series"
                     )
-                np.less_equal(dk2, squared_threshold(eps), out=hit if i else image)
+                np.less_equal(dk2, limit[eps], out=hit if i else image)
                 if i:
                     image &= hit
         except IvtsError as e:
@@ -180,7 +181,7 @@ def export_pgm(img: RecurrenceImage, path) -> None:
 
 
 def load_pgm(path) -> RecurrenceImage:
-    """Read a binary image previously written by :func:`export_pgm`."""
+    """Read an image written by :func:`export_pgm`; a malformed file is a DataError naming it."""
     raw = Path(path).read_bytes()
     try:
         parts = raw.split(b"\n", 3)
@@ -201,7 +202,7 @@ def load_pgm(path) -> RecurrenceImage:
         pixels.setflags(write=False)  # a fresh array, handed over read-only so it is not copied
         return RecurrenceImage(pixels)
     except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+        raise DataError(f"{path}: {e}") from None
 
 
 def export_csv(img: RecurrenceImage, path) -> None:
@@ -215,7 +216,7 @@ def export_csv(img: RecurrenceImage, path) -> None:
 
 
 def load_csv_image(path) -> RecurrenceImage:
-    """Read an image previously written by :func:`export_csv`."""
+    """Read an image written by :func:`export_csv`; a malformed file is a DataError naming it."""
     raw = Path(path).read_bytes()
     n_lines = raw.count(b"\n")
     try:
@@ -240,6 +241,6 @@ def load_csv_image(path) -> RecurrenceImage:
         ]
         return RecurrenceImage(np.array(rows, dtype=np.uint8))
     except OverflowError:
-        raise ValueError(f"{path}: recurrence image entries must be 0 or 1") from None
+        raise DataError(f"{path}: recurrence image entries must be 0 or 1") from None
     except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+        raise DataError(f"{path}: {e}") from None

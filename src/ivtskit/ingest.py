@@ -4,7 +4,7 @@ The input is a UTF-8 csv file with a `series_id,dim,timestamp,value,label`
 header and one reading per record.  It is read in blocks into columns of
 int32 codes and float64 values, so no Python object is kept per reading, and
 the (series, day, dim) cells are grouped with one stable sort.  Errors in
-the input raise ValueError naming `path:record`.
+the input raise DataError naming `path:record`.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from datetime import datetime
 from typing import NamedTuple
 
 import numpy as np
+
+from .errors import DataError
 
 RAW_HEADER = ["series_id", "dim", "timestamp", "value", "label"]
 # Characters of raw text read per block; a block is completed to the end of a
@@ -170,7 +172,7 @@ class _RawReadings:
                 errors.append((keep[i], 3, f"series {sid_t[i].strip()!r} has conflicting labels"))
         if errors:
             i, _, message = min(errors)
-            raise ValueError(f"{self.path}:{first + i}: {message}")
+            raise DataError(f"{self.path}:{first + i}: {message}")
         if keep:
             self.blocks.append((sid, dim, stamp, value))
             if len(self.blocks) == 64:
@@ -254,7 +256,7 @@ def daily_intervals(path) -> list[DailySeries]:
     Series, dims and labels are compared as stripped text, days by the date
     `datetime.fromisoformat` reads in the timestamp; a series keeps the label
     of its first record.  Raises OSError when the file cannot be read and
-    ValueError for anything wrong in it: the first faulty record in file
+    DataError for anything wrong in it: the first faulty record in file
     order is named.
     """
     raw = _RawReadings(path)
@@ -262,13 +264,13 @@ def daily_intervals(path) -> list[DailySeries]:
         with open(path, newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh), None)
             if header is None or [h.strip() for h in header] != RAW_HEADER:
-                raise ValueError(f"{path}: expected header {','.join(RAW_HEADER)}")
+                raise DataError(f"{path}: expected header {','.join(RAW_HEADER)}")
             for block in _raw_blocks(fh):
                 raw.add(*block)
     except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None
+        raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
     if not raw.blocks and not raw.chunks:
-        raise ValueError(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
     sid_names, cell_sid, cell_day, cell_dim, daily = raw.daily_cells()
 
     # a day is full when it has every dimension its series has

@@ -17,6 +17,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterator, Sequence
 
+from .errors import DataError
+
 # Stream tag separating split shuffles from item generation streams.
 _SPLIT_STREAM = 24301
 
@@ -126,7 +128,7 @@ def split_indices(
     for label in sorted(by_class):
         idx = by_class[label]
         if len(idx) < 2:
-            raise ValueError(
+            raise DataError(
                 f"class {label} has {len(idx)} item(s); need at least 2 to split"
             )
         n_train = int(round(train_fraction * len(idx)))

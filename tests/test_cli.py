@@ -1170,7 +1170,7 @@ class TestOutOfDomainOptions:
         (iv.NegativeSquaredDistance, 4, "numeric"), (iv.LengthMismatch, 3, "data"),
         (iv.SeriesTooShort, 3, "data"), (iv.DimensionMismatch, 3, "data"),
         (iv.BlockGridInvalid, 3, "data"), (iv.EmptyInput, 3, "data"), (OSError, 3, "data"),
-        (csv.Error, 3, "data"),
+        (csv.Error, 3, "data"), (iv.DataError, 3, "data"),
     ])
     def test_exception_type_picks_exit_code(self, tmp_path, monkeypatch, capsys, error, code,
                                             kind):
@@ -1185,6 +1185,66 @@ class TestOutOfDomainOptions:
         rc = cli.main(["generate", "--dgp", "1", "--per-class", "2", "--T", "8",
                        "--out", str(tmp_path / "g.csv")])
         assert (rc, capsys.readouterr().err) == (code, f"{kind} error: no good\n")
+
+
+class TestReadersRaiseDataError:
+    """Each reader raises a DataError, which is an IvtsError and a ValueError,
+    with the message that names its file; a command that reads the file exits
+    3 with that message as its one stderr line."""
+
+    @staticmethod
+    def _case(fault, d):
+        """The reader call that meets `fault` in a file written under `d`, its
+        message, and the argv of a command that reads it (or None)."""
+        from ivtskit import ingest, split
+
+        if fault == "dataset-header":
+            path = d / "ds.csv"
+            path.write_text("item,dim,t,lower,upper\n0,0,0,1.0,2.0\n")
+            return (lambda: iv.load_dataset_csv(path),
+                    f"{path}: expected header 'item,dim,t,lower,upper,label'",
+                    ["image", "--data", path, "--outdir", d / "o", "--kernel", "K4"])
+        if fault in ("pgm-short", "csv-image-2"):
+            if fault == "pgm-short":
+                path = d / "a.pgm"
+                path.write_bytes(b"P5\n2 2\n255\n\xff\xff\xff")
+                reader, message = iv.load_pgm, f"{path}: a 2x2 image needs 4 bytes, got 3"
+            else:
+                path = d / "a.csv"
+                path.write_text("1,0\n2,1\n")
+                reader = iv.load_csv_image
+                message = f"{path}: recurrence image entries must be 0 or 1"
+            (d / "index.csv").write_text(f"file,item,label\n{path.name},0,1\nb,1,2\n")
+            return (lambda: reader(path), message,
+                    ["classify", "--images", d, "--outdir", d / "o"])
+        if fault == "raw-value":
+            path = d / "raw.csv"
+            path.write_text("series_id,dim,timestamp,value,label\ns,x,2021-01-01,1.5x,L\n")
+            return (lambda: ingest.daily_intervals(path), f"{path}:2: bad value '1.5x'",
+                    ["ingest", "--input", path, "--out", d / "o.csv", "--window", "1"])
+        if fault == "model-header":
+            path = d / "model.txt"
+            path.write_text("2 3 1.0\n")
+            return lambda: iv.load_model(path), f"{path}: malformed model header '2 3 1.0'", None
+        path = d / "ds.csv"  # one item of class 1
+        iv.save_dataset_csv(iv.LabeledDataset(np.zeros((3, 1, 4, 2)), [1, 2, 2]), path)
+        return (lambda: split.split_indices([1, 2, 2], 0.5),
+                "class 1 has 1 item(s); need at least 2 to split",
+                ["classify", "--data", path, "--mode", "knn", "--outdir", d / "o"])
+
+    @pytest.mark.parametrize("fault", ["dataset-header", "pgm-short", "csv-image-2",
+                                       "raw-value", "model-header", "split-one-item"])
+    def test_reader_raises_data_error(self, tmp_path, capsys, fault):
+        from ivtskit import cli
+
+        read, message, argv = self._case(fault, tmp_path)
+        with pytest.raises(iv.DataError) as info:
+            read()
+        assert isinstance(info.value, iv.IvtsError) and isinstance(info.value, ValueError)
+        assert str(info.value) == message
+        if argv is not None:
+            assert cli.main([str(a) for a in argv]) == 3
+            assert capsys.readouterr() == ("", f"data error: {message}\n")
 
 
 def _report(lines):

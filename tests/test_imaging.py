@@ -315,6 +315,28 @@ class TestBatchImaging:
         w = iv.MvIntervalSeries(np.stack([x.bounds, x.bounds]))
         assert iv.image_series(w, cfg, K4) == iv.image_series(x, cfg, K4)
 
+    @pytest.mark.parametrize("epsilon", [(0.5,), (0.5, 1.0, 2.0)])
+    def test_each_threshold_computed_once_per_run(self, monkeypatch, epsilon):
+        """50 items of 3 dimensions take at most one squared_threshold call per
+        dimension, not one per item and dimension."""
+        from ivtskit import imaging
+
+        calls = []
+
+        def counted(eps):
+            calls.append(eps)
+            return threshold(eps)
+
+        threshold = imaging.squared_threshold
+        monkeypatch.setattr(imaging, "squared_threshold", counted)
+        grids = np.random.default_rng(16).standard_normal((50, 3, 8, 2))
+        cfg = iv.TrajectoryConfig(epsilon=epsilon)
+        images = [image.copy() for image in imaging.image_grids(grids, cfg, K4)]
+        assert len(images) == 50 and len(calls) <= 3
+        monkeypatch.setattr(imaging, "squared_threshold", threshold)
+        assert all(np.array_equal(got, want)
+                   for got, want in zip(images, imaging.image_grids(grids, cfg, K4)))
+
 
 class TestRecurrenceImageType:
     def test_rejects_non_binary(self):

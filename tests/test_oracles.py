@@ -1839,7 +1839,7 @@ def ref_classify(eff):
     outdir.mkdir(parents=True, exist_ok=True)
     fc = classify.FeatureConfig(eff["feature_mode"], eff["blocks"], eff["cap"])
     if eff["data"] is not None:
-        ds = cli._load_dataset(eff["data"])
+        ds = iv.load_dataset_csv(eff["data"])
         cli._check_labels(ds.labels(), eff["data"], linear=True)
         images = ref_image_dataset(ds.series(), cli._trajectory_config(eff), kernel)
         X = ref_feature_matrix((ref_featurize(img, fc) for img in images), len(ds))
