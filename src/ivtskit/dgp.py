@@ -22,6 +22,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -474,10 +475,12 @@ def load_dataset_csv(path) -> LabeledDataset:
     (item, dim, t) keeps its last row.  Raises DataError, naming the file
     and, for a single bad row, its line, on a bad header, a malformed row, a
     non-finite bound, an item with two labels, a gap in t, items that
-    disagree on their dimension count or on their length T, or a label
-    below 1; a byte that is not ASCII raises DataError with the codec's message.
+    disagree on their dimension count or on their length T, a label below
+    1, or a byte that is not ASCII, whose line it names too.
     """
     try:
         return LabeledDataset(*_load_arrays(path))
-    except UnicodeDecodeError as e:
-        raise DataError(str(e)) from None
+    except UnicodeDecodeError:
+        raw = Path(path).read_bytes()
+        lines = raw[: len(raw) - len(raw.lstrip(bytes(range(128)))) + 1].splitlines()
+        raise DataError(f"{path}:{len(lines)}: byte 0x{lines[-1][-1]:02x} is not ASCII") from None

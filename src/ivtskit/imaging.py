@@ -24,7 +24,7 @@ import numpy as np
 
 from .defaults import DEFAULT_EPSILON
 from .errors import DataError, DimensionMismatch, IvtsError, NegativeSquaredDistance, SeriesTooShort
-from .intervals import NEGATIVE_TOLERANCE, Kernel2x2, _read_only
+from .intervals import NEGATIVE_TOLERANCE, Kernel2x2, _read_only, pair_dk_squared
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def image_grids(grids, cfg: TrajectoryConfig, kernel: Kernel2x2, tag: bool = Tru
     AND over dimensions i of H(epsilon_i - d(traj_j, traj_k)) at pixel (j, k).
     The work buffers are made once per T, so each image is overwritten by the
     next.  With `tag`, a failure names the item's index."""
-    k, T = kernel, None
+    T = None
     limit = {eps: squared_threshold(eps) for eps in cfg.epsilon}
     for item, grid in enumerate(grids):
         try:
@@ -130,22 +130,12 @@ def image_grids(grids, cfg: TrajectoryConfig, kernel: Kernel2x2, tag: bool = Tru
                 if len(bounds) != T:
                     n = cfg.num_trajectories(len(bounds))
                     T = len(bounds)
-                    du, dl, term, point = np.empty((4, T, T))
-                    dk2 = point if cfg.m == 1 else np.empty((n, n))
+                    work = np.empty((4, T, T))
+                    dk2 = work[3] if cfg.m == 1 else np.empty((n, n))
                     image, hit = np.empty((2, n, n), dtype=bool)
-                # k_pp*du*du + k_mm*dl*dl - 2*k_pm*dl*du over all pairs of time
-                # steps, in that order; an overflow to inf or NaN is no error
+                # all pairs of time steps; an overflow to inf or NaN is no error
                 with np.errstate(over="ignore", invalid="ignore"):
-                    np.subtract(bounds[:, None, 1], bounds[None, :, 1], out=du)
-                    np.subtract(bounds[:, None, 0], bounds[None, :, 0], out=dl)
-                    np.multiply(k.k_pp, du, out=point)
-                    point *= du
-                    np.multiply(k.k_mm, dl, out=term)
-                    term *= dl
-                    point += term
-                    np.multiply(2.0 * k.k_pm, dl, out=term)
-                    term *= du
-                    point -= term
+                    point = pair_dk_squared(bounds[:, None], bounds[None, :], kernel, work)
                     if cfg.m > 1:  # summed over the m slots of each trajectory pair
                         dk2[...] = point[:n, :n]
                         for s in range(1, cfg.m):

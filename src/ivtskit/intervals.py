@@ -13,8 +13,8 @@ four times the squared range difference, a weighted mix of both, or the sum
 of the squared bound differences.  Indefinite kernels are allowed; a negative
 quadratic form only becomes an error when a square root is actually taken.
 
-Series-level distances sum the per-step quadratic forms over T within each
-dimension, then add the dimensions in index order from the first.
+Array-shaped distances all go through :func:`pair_dk_squared`; a series sums
+its forms over T per dimension, then the dimensions in index order.
 """
 
 from __future__ import annotations
@@ -246,18 +246,34 @@ class MvIntervalSeries(_SeriesCore):
         return f"MvIntervalSeries(d={self.d}, T={len(self)})"
 
 
+def pair_dk_squared(a: np.ndarray, b: np.ndarray, k: Kernel2x2, work=None) -> np.ndarray:
+    """Elementwise D_K^2 of broadcastable (..., 2) [lower, upper] arrays, rounded
+    as :func:`dk_squared` rounds it (an overflow gives inf or NaN, with numpy's
+    warning).  Given `work`, four float64 arrays of the broadcast shape (...), it
+    computes in them and returns the last."""
+    if work is None:
+        shape = np.broadcast_shapes(a.shape, b.shape)[:-1]
+        work = [np.empty(shape) for _ in range(4)]
+    du, dl, term, out = work
+    np.subtract(a[..., 1], b[..., 1], out=du)
+    np.subtract(a[..., 0], b[..., 0], out=dl)
+    np.multiply(k.k_pp, du, out=out)
+    out *= du
+    np.multiply(k.k_mm, dl, out=term)
+    term *= dl
+    out += term
+    np.multiply(2.0 * k.k_pm, dl, out=term)
+    term *= du
+    out -= term
+    return out
+
+
 def grid_dk_squared(g1: np.ndarray, g2: np.ndarray, k: Kernel2x2) -> np.ndarray:
-    """Summed squared distances between broadcastable (..., d, T, 2) bound
-    grids, of the broadcast shape (...): the quadratic form at each step, each
-    dimension summed over T, then the dimensions added in index order starting
-    from the first.  An overflow gives inf or NaN with numpy's warning."""
-    dl = g1[..., 0] - g2[..., 0]
-    du = g1[..., 1] - g2[..., 1]
-    per_dim = (k.k_pp * du * du + k.k_mm * dl * dl - 2.0 * k.k_pm * dl * du).sum(axis=-1)
-    dists = per_dim[..., 0]
-    for j in range(1, per_dim.shape[-1]):
-        dists = dists + per_dim[..., j]
-    return dists
+    """Summed squared distances of broadcastable (..., d, T, 2) bound grids, of
+    the broadcast shape (...): :func:`pair_dk_squared` summed over T in each
+    dimension, then the dimensions added in index order from the first."""
+    per_dim = pair_dk_squared(g1, g2, k).sum(axis=-1)
+    return sum((per_dim[..., j] for j in range(1, per_dim.shape[-1])), per_dim[..., 0])
 
 
 def series_dk_squared(x1: _SeriesCore, x2: _SeriesCore, k: Kernel2x2) -> float:

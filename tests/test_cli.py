@@ -1204,6 +1204,13 @@ class TestReadersRaiseDataError:
             return (lambda: iv.load_dataset_csv(path),
                     f"{path}: expected header 'item,dim,t,lower,upper,label'",
                     ["image", "--data", path, "--outdir", d / "o", "--kernel", "K4"])
+        if fault == "dataset-bytes":  # past the first of loadtxt's chunks, after a lone CR
+            path = d / "ds.csv"
+            rows = "".join(f"{i},0,0,1.0,2.0,1\n" for i in range(3000))
+            path.write_bytes(b"item,dim,t,lower,upper,label\r" + rows.encode()
+                             + b"3000,0,0,1.0,\xe92.0,1\n" + rows.encode())
+            return (lambda: iv.load_dataset_csv(path), f"{path}:3002: byte 0xe9 is not ASCII",
+                    ["image", "--data", path, "--outdir", d / "o", "--kernel", "K4"])
         if fault in ("pgm-short", "csv-image-2"):
             if fault == "pgm-short":
                 path = d / "a.pgm"
@@ -1232,8 +1239,9 @@ class TestReadersRaiseDataError:
                 "class 1 has 1 item(s); need at least 2 to split",
                 ["classify", "--data", path, "--mode", "knn", "--outdir", d / "o"])
 
-    @pytest.mark.parametrize("fault", ["dataset-header", "pgm-short", "csv-image-2",
-                                       "raw-value", "model-header", "split-one-item"])
+    @pytest.mark.parametrize("fault", ["dataset-header", "dataset-bytes", "pgm-short",
+                                       "csv-image-2", "raw-value", "model-header",
+                                       "split-one-item"])
     def test_reader_raises_data_error(self, tmp_path, capsys, fault):
         from ivtskit import cli
 

@@ -29,7 +29,8 @@ from ivtskit.classify import LOSSES, _margins
 from ivtskit.errors import (BlockGridInvalid, DimensionMismatch, LengthMismatch,
                             NegativeSquaredDistance, NonFinite)
 from ivtskit.imaging import squared_threshold
-from ivtskit.intervals import NEGATIVE_TOLERANCE, grid_dk_squared, series_dk_squared
+from ivtskit.intervals import (NEGATIVE_TOLERANCE, grid_dk_squared, pair_dk_squared,
+                               series_dk_squared)
 
 KERNELS = ("K1", "K4", "K5")
 CFG = iv.TrajectoryConfig(m=1, kappa=1, epsilon=0.5)
@@ -680,6 +681,43 @@ class TestSeriesDistance:
             got = series_dk_squared(x1, x2, k)
         with np.errstate(over="ignore"):
             assert got == ref_series_dk_squared(x1, x2, k) == math.inf
+
+
+class TestPairKernel:
+    """`pair_dk_squared`, the one array form imaging and the k-NN scan call, is
+    the scalar `dk_squared` at every pair, bit for bit, overflows included."""
+
+    @staticmethod
+    def _bits(x):
+        return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+    # entries that are not powers of two, or a reassociated product would agree
+    @pytest.mark.parametrize("kernel", ALL_KERNELS + ("1,2,1", "0.3,0.7,1.1"))
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 3e7, 1e150, 1e155, 1e200])
+    def test_equals_scalar_reference(self, kernel, scale):
+        k = iv.parse_kernel(kernel)
+        rng = np.random.default_rng(int(math.log10(scale)) + 10)
+        a, b = rng.normal(size=(9, 1, 2)) * scale, rng.normal(size=(1, 7, 2)) * scale
+        a[0, 0] = b[0, 0]  # one zero distance
+        want = [[iv.dk_squared(iv.Interval(*x), iv.Interval(*y), k) for y in b[0]] for x in a[:, 0]]
+        work = np.empty((4, 9, 7))
+        listed = [np.empty((9, 7)) for _ in range(4)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = pair_dk_squared(a, b, k)
+            into = pair_dk_squared(a, b, k, work)
+            assert pair_dk_squared(a, b, k, listed) is listed[3]
+        assert got.shape == into.shape == (9, 7)
+        for result in (got, into, listed[3]):
+            assert np.array_equal(self._bits(result), self._bits(want))
+        assert np.shares_memory(into, work[3]) and np.array_equal(into, work[3], equal_nan=True)
+        if scale == 1e200:
+            assert not np.isfinite(got).all()
+
+    def test_overflow_warns_without_errstate(self):
+        k = iv.kernel_preset("K4")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            got = pair_dk_squared(np.array([0.0, 1e200]), np.array([0.0, -1e200]), k)
+        assert got == math.inf
 
 
 # ---------------------------------------------------------------------------
