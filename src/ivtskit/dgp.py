@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -327,18 +329,79 @@ _ROW_ARGS = dict(delimiter=",", dtype=_ROW_DTYPE, comments=None, ndmin=1)
 
 
 def save_dataset_csv(ds: LabeledDataset, path) -> None:
-    """Write `item,dim,t,lower,upper,label` rows (0-based indices, 1-based labels)."""
+    """Write `item,dim,t,lower,upper,label` rows (0-based indices, 1-based labels).
+
+    When `path` is a regular file, its sidecar ``<path>.npz`` then holds the
+    dataset's arrays and the SHA-256 of the bytes written, for
+    :func:`load_dataset_csv`.  Any older sidecar is removed first, and a
+    sidecar that cannot be written is left out."""
     # One item at a time, written as it is formatted: every bound as a Python
     # float, or the whole text, at once would set the run's peak memory.  One
     # template holds an item's d * T rows; per item it takes the item id and
     # label, then one `%` call formats the item's bounds.
     _, d, T, _ = ds.bounds.shape
     template = "".join(f"{{item}},{j},{t},%r,%r,{{label}}\n" for j in range(d) for t in range(T))
+    sidecar = _sidecar(path)
+    _remove(sidecar)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(DATASET_HEADER + "\n")
         for item_idx, (grid, label) in enumerate(zip(ds.bounds, ds.labels())):
             rows = template.replace("{item}", str(item_idx)).replace("{label}", str(label))
             fh.write(rows % tuple(grid.reshape(-1).tolist()))
+    try:
+        if stat.S_ISREG(os.stat(path).st_mode):
+            digest = np.frombuffer(_sha256(path), np.uint8)
+            with open(sidecar, "wb") as fh:
+                np.savez(fh, bounds=np.ascontiguousarray(ds.bounds), label_ids=ds.label_ids,
+                         sha256=digest)
+    except OSError:  # the sidecar only saves a parse: the dataset is written
+        _remove(sidecar)
+
+
+def _sidecar(path) -> Path:
+    return Path(os.fsdecode(path) + ".npz")
+
+
+def _remove(path: Path) -> None:
+    try:
+        path.unlink()
+    except OSError:  # none there, or not ours to remove
+        pass
+
+
+def _sha256(path) -> bytes:
+    import hashlib  # here, not at the top: it maps OpenSSL, about 3.6 MB
+
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        # a chunk below glibc's mmap threshold (128 KiB) reuses heap pages:
+        # 1 MiB chunks cost ~800 more page faults a read of a 4.5 MB file
+        while chunk := fh.read(1 << 16):
+            h.update(chunk)
+    return h.digest()
+
+
+def _read_sidecar(path) -> LabeledDataset | None:
+    """The dataset that `path`'s sidecar holds for the file's current bytes,
+    or None when it holds none."""
+    try:
+        with np.load(_sidecar(path), allow_pickle=False) as z:
+            if z["sha256"].tobytes() != _sha256(path):
+                return None
+            bounds, labels = z["bounds"], z["label_ids"]
+        # save_dataset_csv writes C-ordered native float64 bounds and int64
+        # labels; LabeledDataset checks the shapes and values
+        if not (bounds.dtype == np.float64 and bounds.flags.c_contiguous
+                and labels.dtype == np.int64):
+            return None
+        for a in (bounds, labels):  # fresh arrays, handed over read-only so they are not copied
+            a.setflags(write=False)
+        return LabeledDataset(bounds, labels)
+    # no sidecar, or a damaged one: np.load alone raises OSError, ValueError,
+    # KeyError, EOFError, BadZipFile, zlib.error or RuntimeError on a damaged
+    # zip, and LabeledDataset an IvtsError or ValueError on bad arrays
+    except Exception:
+        return None
 
 
 def _data_lines(fh, skip: int):
@@ -477,7 +540,16 @@ def load_dataset_csv(path) -> LabeledDataset:
     non-finite bound, an item with two labels, a gap in t, items that
     disagree on their dimension count or on their length T, a label below
     1, or a byte that is not ASCII, whose line it names too.
+
+    When the file's sidecar ``<path>.npz`` holds the SHA-256 of the file's
+    current bytes, its arrays are returned instead of a parse.  They are the
+    arrays the parse would return, since ``%r`` round-trips every float64.
+    Any other file, or a sidecar that is missing, stale or damaged in any
+    way, is parsed.
     """
+    cached = _read_sidecar(path)
+    if cached is not None:
+        return cached
     try:
         return LabeledDataset(*_load_arrays(path))
     except UnicodeDecodeError:

@@ -13,7 +13,8 @@ import csv
 import io
 import itertools
 import math
-from datetime import datetime
+import re
+from datetime import date, datetime
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +26,12 @@ RAW_HEADER = ["series_id", "dim", "timestamp", "value", "label"]
 # line, so it holds whole csv records (about 1500 on typical sensor rows).
 BLOCK_CHARS = 1 << 16
 _KEY_MAX = np.iinfo(np.int64).max  # largest (series, day, dim) key
+# The timestamps read: YYYY-MM-DD, or that, one separator character and
+# HH[:MM[:SS[.fff|.ffffff]]] with an optional Z or +HH:MM[:SS[.ffffff]] offset.
+# `datetime.fromisoformat` reads these alike on Python 3.10 and 3.11 (once Z
+# is spelled +00:00); 3.11 reads more, such as 20200102, which are refused.
+_STAMP = re.compile(r"\d{4}-\d{2}-\d{2}(.\d{2}(:\d{2}(:\d{2}(\.\d{3}|\.\d{6})?)?)?"
+                    r"(Z|[+-]\d{2}:\d{2}(:\d{2}(\.\d{6})?)?)?)?", re.ASCII | re.DOTALL)
 
 
 def _raw_blocks(fh):
@@ -118,6 +125,14 @@ def _first_bad_value(texts) -> tuple[int, str] | None:
     return None
 
 
+def _stamp_day(text: str) -> date:
+    """The date written in a timestamp of the `_STAMP` forms, not converted
+    to UTC; any other text, or a field out of range, raises ValueError."""
+    if not _STAMP.fullmatch(text):
+        raise ValueError(text)
+    return datetime.fromisoformat(text[:-1] + "+00:00" if text[-1] == "Z" else text).date()
+
+
 class _RawReadings:
     """Raw readings as columns of codes and values, checked and added one
     block of csv records at a time; no Python object is kept per reading."""
@@ -145,7 +160,7 @@ class _RawReadings:
             stamp, label = self.stamps.encode(stamp_t), self.labels.encode(label_t)
             for code, text in enumerate(self.stamps.texts[len(self.days):], start=len(self.days)):
                 try:
-                    self.days.append(datetime.fromisoformat(text).date())
+                    self.days.append(_stamp_day(text))
                 except ValueError:
                     i = int(np.flatnonzero(stamp == code)[0])
                     errors.append((keep[i], 1, f"bad ISO timestamp {text!r}"))
@@ -254,10 +269,10 @@ def daily_intervals(path) -> list[DailySeries]:
     """The series of the raw readings file at `path`, in sorted name order.
 
     Series, dims and labels are compared as stripped text, days by the date
-    `datetime.fromisoformat` reads in the timestamp; a series keeps the label
-    of its first record.  Raises OSError when the file cannot be read and
-    DataError for anything wrong in it: the first faulty record in file
-    order is named.
+    written in the timestamp (`_STAMP` lists the forms read); a series keeps
+    the label of its first record.  Raises OSError when the file cannot be
+    read and DataError for anything wrong in it: the first faulty record in
+    file order is named.
     """
     raw = _RawReadings(path)
     try:

@@ -268,11 +268,12 @@ def pair_dk_squared(a: np.ndarray, b: np.ndarray, k: Kernel2x2, work=None) -> np
     return out
 
 
-def grid_dk_squared(g1: np.ndarray, g2: np.ndarray, k: Kernel2x2) -> np.ndarray:
+def grid_dk_squared(g1: np.ndarray, g2: np.ndarray, k: Kernel2x2, work=None) -> np.ndarray:
     """Summed squared distances of broadcastable (..., d, T, 2) bound grids, of
     the broadcast shape (...): :func:`pair_dk_squared` summed over T in each
-    dimension, then the dimensions added in index order from the first."""
-    per_dim = pair_dk_squared(g1, g2, k).sum(axis=-1)
+    dimension, then the dimensions added in index order from the first.
+    `work` is handed to :func:`pair_dk_squared`."""
+    per_dim = pair_dk_squared(g1, g2, k, work).sum(axis=-1)
     return sum((per_dim[..., j] for j in range(1, per_dim.shape[-1])), per_dim[..., 0])
 
 

@@ -103,6 +103,7 @@ print(json.dumps({
     "numpy": "numpy" in sys.modules,
     "numpy_ma": "numpy.ma" in sys.modules,
     "numpy_random": "numpy.random" in sys.modules,
+    "hashlib": "hashlib" in sys.modules,
     "modules": sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("ivtskit.")),
 }))
 """
@@ -130,7 +131,7 @@ class TestStartup:
         rec = launch(*argv)
         assert rec["code"] == 0
         assert "usage: ivtskit" in rec["stdout"]
-        assert not rec["numpy"]
+        assert not rec["numpy"] and not rec["hashlib"]
         assert rec["modules"] == PARSE_MODULES
 
     @pytest.mark.parametrize("argv", [["classify", "--bogus"], ["generate", "--dgp", "4"],
@@ -180,12 +181,15 @@ class TestStartup:
             "bound", "bound-mc"])
     def test_each_command_loads_only_its_modules(self, inputs, argv, modules, rng):
         """Only the commands that draw from numpy's generators load numpy.random;
-        the split draws from its own copy of the stream."""
+        the split draws from its own copy of the stream.  Only these and the
+        commands that write a dataset, or read one that has its sidecar, load
+        hashlib (numpy.random loads it too)."""
         rec = launch(*(a.format(d=inputs) for a in argv))
         assert rec["code"] == 0, rec["stderr"]
         assert rec["modules"] == sorted(PARSE_MODULES + modules)
         assert not rec["numpy_ma"]  # np.unique without counts or indices imports it
         assert rec["numpy_random"] == rng
+        assert rec["hashlib"] == ("dgp" in modules or rng)
 
     def test_error_exit_loads_only_its_modules(self, inputs):
         """A command that fails in its own checks still exits as before."""
@@ -269,6 +273,41 @@ class TestStagePeak:
                               "--against", str(tmp_path), "--help"], capture_output=True, text=True)
         assert out.returncode == 0 and out.stderr == ""
         assert out.stdout.splitlines()[-1] == "stdout identical in 0 of 2 pairs"
+
+    def test_launches_read_no_bytecode_of_the_trees(self, tmp_path):
+        """Each side runs its package compiled from source, as a fresh
+        checkout does: bytecode in a tree's __pycache__ that still matches the
+        source's time stamp and size, but not its text, is never run, and no
+        launch writes any."""
+        import py_compile
+
+        roots = {}
+        for side in "AB":
+            package = tmp_path / side / "src" / "ivtskit"
+            package.mkdir(parents=True)
+            (package / "__init__.py").write_text("")
+            main = package / "__main__.py"
+            main.write_text(f"print('stal{side}')\n")  # the bytecode's text
+            py_compile.compile(str(main), invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP)
+            stamp = main.stat()
+            main.write_text("print('fresh')\n")  # same size, and the stamp put back
+            os.utime(main, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+            roots[side] = tmp_path / side
+        before = sorted(str(p) for p in tmp_path.rglob("*"))
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(roots["A"] / "src"))
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        out = subprocess.run([sys.executable, str(root / "tools" / "stage_peak.py"), "2",
+                              "--against", str(roots["B"]), "x"], capture_output=True,
+                             text=True, env=env)
+        assert out.returncode == 0 and out.stderr == ""
+        assert out.stdout.splitlines()[-1] == "stdout identical in 2 of 2 pairs"
+        assert sorted(str(p) for p in tmp_path.rglob("*")) == before
+        for side in "AB":  # the stale bytecode would have run, and printed its own text
+            probe = subprocess.run([sys.executable, "-m", "ivtskit"], capture_output=True,
+                                   text=True, cwd=tmp_path,
+                                   env=dict(env, PYTHONPATH=str(roots[side] / "src")))
+            assert probe.stdout == f"stal{side}\n"
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -508,6 +547,20 @@ class TestIngest:
         out = run_cli("ingest", "--input", raw, "--out", tmp_path / "o.csv")
         assert out.returncode == 3
 
+    def test_timestamp_rule(self, tmp_path):
+        """One rule on every supported Python: a trailing Z is UTC, and a date
+        part other than YYYY-MM-DD (which Python 3.11's fromisoformat reads)
+        is a bad timestamp."""
+        raw, out_csv = tmp_path / "raw.csv", tmp_path / "ds.csv"
+        raw.write_text("series_id,dim,timestamp,value,label\n"
+                       "s,x,2020-01-01T23:00:00Z,1.0,a\ns,x,2020-01-02T12:00:00Z,2.0,a\n")
+        out = run_cli("ingest", "--input", raw, "--out", out_csv, "--window", "2")
+        assert out.returncode == 0, out.stderr
+        assert iv.load_dataset_csv(out_csv).bounds.tolist() == [[[[1.0, 1.0], [2.0, 2.0]]]]
+        raw.write_text("series_id,dim,timestamp,value,label\ns,x,20200102,1.0,a\n")
+        out = run_cli("ingest", "--input", raw, "--out", out_csv, "--window", "1")
+        assert_one_line_error(out, 3, f"data error: {raw}:2: bad ISO timestamp '20200102'")
+
 
     @staticmethod
     def _two_series(path, cell_value="0.5"):
@@ -573,6 +626,56 @@ class TestIngest:
         dropped = sum(int(line.split("dropped ")[1].split()[0])
                       for line in out.stderr.splitlines() if "dropped " in line)
         assert dropped == 3
+
+
+class TestDatasetSidecar:
+    """`generate` and `ingest` write `<out>.npz` beside a dataset that is a
+    regular file; `image` and `classify --data` write the same bytes whether
+    it is there, deleted or stale."""
+
+    def test_target_not_a_regular_file(self, tmp_path):
+        null = tmp_path / "null.csv"
+        null.symlink_to(os.devnull)
+        out = run_cli("generate", "--dgp", "1", "--per-class", "2", "--T", "5", "--out", null)
+        assert out.returncode == 0, out.stderr
+        raw = tmp_path / "raw.csv"
+        raw.write_text("series_id,dim,timestamp,value,label\n"
+                       + "".join(f"s,x,2021-03-0{i + 1},{i},a\n" for i in range(4)))
+        out = run_cli("ingest", "--input", raw, "--out", null, "--window", "2")
+        assert out.returncode == 0, out.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["null.csv", "raw.csv"]
+
+    def test_outputs_same_with_sidecar_present_deleted_or_stale(self, tmp_path):
+        from ivtskit import cli
+
+        data, other = tmp_path / "ds.csv", tmp_path / "other.csv"
+        sidecar = tmp_path / "ds.csv.npz"
+        with contextlib.redirect_stdout(io.StringIO()):
+            for path, seed in ((other, "2"), (data, "1")):
+                assert cli.main(["generate", "--dgp", "2", "--per-class", "4", "--T", "20",
+                                 "--seed", seed, "--out", str(path)]) == 0
+        commands = {
+            "image": ["image", "--data", str(data), "--kernel", "K4", "--format", "both"],
+            "linear": ["classify", "--data", str(data), "--blocks", "2", "--steps", "20"],
+            "knn": ["classify", "--data", str(data), "--mode", "knn", "--k", "3"],
+        }
+        cached = sidecar.read_bytes()
+        outputs = {}
+        for state in ("present", "deleted", "stale"):
+            if state == "deleted":
+                sidecar.unlink()
+            elif state == "stale":  # another dataset's arrays and digest
+                shutil.copy(tmp_path / "other.csv.npz", sidecar)
+            for name, argv in commands.items():
+                outdir = tmp_path / name
+                with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                    assert cli.main(argv + ["--outdir", str(outdir)]) == 0
+                files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+                outputs.setdefault(name, []).append((stdout.getvalue(), files))
+                shutil.rmtree(outdir)
+        for name, runs in outputs.items():
+            assert runs[1] == runs[0] and runs[2] == runs[0], name
+        assert cached != sidecar.read_bytes()
 
 
 class TestImage:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -268,6 +269,25 @@ class TestSplit:
             split_indices([1, 1, 2, 2], 1.0, seed=0)
 
 
+def _traced_load_peak(tmp_path, bounds, sidecar: bool) -> int:
+    """The traced peak of `load_dataset_csv` on a saved dataset of `bounds`,
+    read from its sidecar or, with the sidecar deleted, parsed."""
+    path = tmp_path / "ds.csv"
+    iv.save_dataset_csv(iv.LabeledDataset(bounds, np.arange(len(bounds)) % 3 + 1), path)
+    if not sidecar:
+        (tmp_path / "ds.csv.npz").unlink()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loaded = iv.load_dataset_csv(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.bounds, bounds)
+    return peak
+
+
 class TestCsvRoundTrip:
     def test_univariate(self, tmp_path):
         ds = iv.build_univariate_dataset(2, per_class_n=2, T=7, rho_grid=(0.0, 0.3), seed=12)
@@ -318,18 +338,7 @@ class TestCsvRoundTrip:
         """A file in (item, dim, t) order is parsed once into its rows, and
         the bounds are filled from them: no sort, no stacked copy."""
         bounds = np.random.default_rng(4).standard_normal((150, 5, 150, 2))  # mv-c1's shape
-        path = tmp_path / "ds.csv"
-        iv.save_dataset_csv(iv.LabeledDataset(bounds, np.arange(150) // 50 + 1), path)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            loaded = iv.load_dataset_csv(path)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(loaded.bounds, bounds)
-        assert peak <= 4.5 * bounds.nbytes
+        assert _traced_load_peak(tmp_path, bounds, sidecar=False) <= 4.5 * bounds.nbytes
 
     def test_non_finite_bound_names_its_line(self, tmp_path):
         path = tmp_path / "nan.csv"
@@ -338,6 +347,151 @@ class TestCsvRoundTrip:
         )
         with pytest.raises(ValueError, match=r"nan\.csv:4: non-finite bound"):
             iv.load_dataset_csv(path)
+
+
+def _sidecar_dataset():
+    """A dataset whose bounds include -0.0 and float64's extreme magnitudes."""
+    bounds = np.random.default_rng(8).standard_normal((6, 2, 5, 2))
+    extremes = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 1e-300, 0.1, 1 / 3]
+    bounds.reshape(-1)[: len(extremes)] = extremes
+    return iv.LabeledDataset(bounds, [1, 2, 3, 1, 2, 3])
+
+
+def _parsed(path):
+    """What `load_dataset_csv` returns for `path` with no sidecar: the
+    dataset, or the DataError's message."""
+    try:
+        return iv.dgp.LabeledDataset(*iv.dgp._load_arrays(path))
+    except ValueError as e:
+        return str(e)
+
+
+def _loaded(path):
+    try:
+        return iv.load_dataset_csv(path)
+    except ValueError as e:
+        return str(e)
+
+
+def _same(a, b) -> bool:
+    """Equal messages, or datasets equal bit for bit (so -0.0 is not 0.0)."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return (a.bounds.tobytes() == b.bounds.tobytes() and a.bounds.shape == b.bounds.shape
+            and a.label_ids.tobytes() == b.label_ids.tobytes())
+
+
+class TestSidecar:
+    """save_dataset_csv writes `<path>.npz` beside the CSV; load_dataset_csv
+    returns its arrays only while the CSV's bytes hash to its digest, and
+    otherwise parses, with the parse's arrays and errors."""
+
+    def test_hit_equals_parse_bit_for_bit(self, tmp_path, monkeypatch):
+        ds = _sidecar_dataset()
+        path = tmp_path / "ds.csv"
+        iv.save_dataset_csv(ds, path)
+        assert (tmp_path / "ds.csv.npz").is_file()
+        parsed = _parsed(path)
+        with monkeypatch.context() as mp:  # a hit parses nothing
+            mp.setattr(iv.dgp, "_load_arrays", lambda path: pytest.fail("parsed"))
+            hit = iv.load_dataset_csv(path)
+        assert _same(hit, parsed) and _same(hit, ds)
+        assert np.signbit(hit.bounds.reshape(-1)[0]) and not hit.bounds.flags.writeable
+        assert hit.bounds.dtype == np.float64 and hit.label_ids.dtype == np.int64
+        assert not hit.label_ids.flags.writeable and hit.bounds.flags.c_contiguous
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("0.1,", "0.2,", 1),  # one byte: another bound
+        lambda text: text.replace("0.1,", "0.x,", 1),  # one byte: a malformed row
+        lambda text: text[:-2] + "4\n",  # one byte: the last label
+        lambda text: "\n".join([text.split("\n")[0], *text.split("\n")[1:][::-1]]),
+        lambda text: text + "\n",
+        lambda text: text.replace("\n", "\n\n", 3),
+    ], ids=["bound", "malformed", "label", "reordered", "blank-end", "blank-lines"])
+    def test_edited_csv_is_parsed(self, tmp_path, edit):
+        path = tmp_path / "ds.csv"
+        iv.save_dataset_csv(_sidecar_dataset(), path)
+        text = path.read_text()
+        path.write_text(edit(text))
+        assert path.read_text() != text
+        assert (tmp_path / "ds.csv.npz").is_file()
+        assert _same(_loaded(path), _parsed(path))
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "empty", "not-a-zip", "missing-bounds", "missing-digest", "float32-bounds",
+        "big-endian-bounds", "int32-labels", "bounds-shape", "labels-shape", "object-labels",
+        "fortran-bounds", "zero-label", "nan-bound", "digest-dtype", "directory",
+    ])
+    def test_damaged_sidecar_is_parsed(self, tmp_path, damage):
+        """A sidecar that holds the CSV's digest but is damaged, or holds
+        arrays no saved dataset has, gives the parse."""
+        path = tmp_path / "ds.csv"
+        ds = _sidecar_dataset()
+        iv.save_dataset_csv(ds, path)
+        sidecar = tmp_path / "ds.csv.npz"
+        raw = sidecar.read_bytes()
+        with np.load(sidecar) as z:
+            arrays = {key: z[key] for key in z.files}
+        other = np.full(ds.bounds.shape, 0.5)  # what a wrongly used sidecar would give
+        nan = other.copy()
+        nan[0, 0, 0, 0] = np.nan
+        changes = {
+            "missing-bounds": {"bounds": None},
+            "missing-digest": {"sha256": None},
+            "float32-bounds": {"bounds": other.astype(np.float32)},
+            "big-endian-bounds": {"bounds": other.astype(">f8")},
+            "int32-labels": {"bounds": other, "label_ids": ds.label_ids.astype(np.int32)},
+            "bounds-shape": {"bounds": other[:, :, :, :1]},
+            "labels-shape": {"bounds": other, "label_ids": ds.label_ids[:-1]},
+            "object-labels": {"bounds": other,
+                              "label_ids": np.array(ds.label_ids.tolist(), dtype=object)},
+            "fortran-bounds": {"bounds": np.asfortranarray(other)},
+            "zero-label": {"bounds": other, "label_ids": ds.label_ids - 1},
+            "nan-bound": {"bounds": nan},
+            "digest-dtype": {"sha256": arrays["sha256"].astype(np.int64)},
+        }
+        if damage == "truncated":
+            sidecar.write_bytes(raw[: len(raw) - 100])
+        elif damage == "empty":
+            sidecar.write_bytes(b"")
+        elif damage == "not-a-zip":
+            sidecar.write_bytes(b"\x93NUMPY" + raw[6:])
+        elif damage == "directory":
+            sidecar.unlink()
+            sidecar.mkdir()
+        else:
+            arrays.update(changes[damage])
+            with open(sidecar, "wb") as fh:
+                np.savez(fh, **{k: v for k, v in arrays.items() if v is not None})
+        assert _same(_loaded(path), ds)
+
+    def test_traced_peak_of_a_sidecar_read(self, tmp_path):
+        """A read from the sidecar holds little beside the bounds it returns."""
+        bounds = np.random.default_rng(4).standard_normal((150, 5, 150, 2))  # mv-c1's shape
+        assert _traced_load_peak(tmp_path, bounds, sidecar=True) <= 1.5 * bounds.nbytes
+
+    def test_old_sidecar_removed_before_rewrite(self, tmp_path):
+        """Saving over a dataset removes its sidecar first: a target that is
+        not a regular file gets none, so no stale one is left."""
+        path = tmp_path / "ds.csv"
+        iv.save_dataset_csv(_sidecar_dataset(), path)
+        assert (tmp_path / "ds.csv.npz").is_file()
+        path.unlink()
+        path.symlink_to(os.devnull)
+        iv.save_dataset_csv(_sidecar_dataset(), path)
+        assert not (tmp_path / "ds.csv.npz").exists()
+
+    def test_unwritable_sidecar_is_left_out(self, tmp_path):
+        """A sidecar path that cannot be written (here a non-empty directory)
+        costs only the cache: the CSV is written and parsed."""
+        path = tmp_path / "ds.csv"
+        (tmp_path / "ds.csv.npz").mkdir()
+        (tmp_path / "ds.csv.npz" / "keep").write_text("")
+        ds = _sidecar_dataset()
+        iv.save_dataset_csv(ds, path)
+        assert (tmp_path / "ds.csv.npz" / "keep").is_file()
+        assert _same(_loaded(path), ds)
 
 
 class TestLabeledDataset:
@@ -438,13 +592,17 @@ class TestRoundTripGuard:
             ds = ROUND_TRIP_BUILDS[name]()
         path = tmp_path / "ds.csv"
         iv.save_dataset_csv(ds, path)
-        loaded = iv.load_dataset_csv(path)
-        for field in dataclasses.fields(iv.LabeledDataset):
-            assert np.array_equal(getattr(loaded, field.name), getattr(ds, field.name)), field.name
-        assert (loaded.n_classes, loaded.multivariate) == (ds.n_classes, ds.multivariate)
-        assert [type(s) for s in loaded.series()] == [type(s) for s in ds.series()]
-        for query in loaded.series():
-            iv.knn_classify(ds, query, 1, K4)
+        for sidecar in (True, False):  # read from the sidecar, then parsed
+            if not sidecar:
+                (tmp_path / "ds.csv.npz").unlink()
+            loaded = iv.load_dataset_csv(path)
+            for field in dataclasses.fields(iv.LabeledDataset):
+                assert np.array_equal(getattr(loaded, field.name), getattr(ds, field.name)), \
+                    field.name
+            assert (loaded.n_classes, loaded.multivariate) == (ds.n_classes, ds.multivariate)
+            assert [type(s) for s in loaded.series()] == [type(s) for s in ds.series()]
+            for query in loaded.series():
+                iv.knn_classify(ds, query, 1, K4)
 
     def test_fields_are_the_two_arrays(self):
         assert [f.name for f in dataclasses.fields(iv.LabeledDataset)] == ["bounds", "label_ids"]

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import ivtskit as iv
-from ivtskit import classify, cli, imaging, ingest, split, theory
+from ivtskit import classify, cli, imaging, ingest, intervals, split, theory
 from ivtskit.classify import LOSSES, _margins
 from ivtskit.errors import (BlockGridInvalid, DimensionMismatch, LengthMismatch,
                             NegativeSquaredDistance, NonFinite)
@@ -544,6 +544,40 @@ class TestKnnScan:
         grids = [q.grid for q in queries]
         assert classify.knn_rows(train.bounds, train.labels(), grids, 3, kernel) == want
 
+    @pytest.mark.parametrize("queries,items", [(1, 5), (4, None)],
+                             ids=["ragged-item-blocks", "ragged-query-blocks"])
+    def test_one_work_set_per_call(self, monkeypatch, queries, items):
+        """knn_rows hands pair_dk_squared views of one preallocated work set
+        in every block, and each block's distances are bit for bit those of
+        a block that allocates its own arrays, the last block of items or of
+        queries being smaller than the others (d = 5, k = 3)."""
+        train, test = iv.train_test_split(_c1(9, 7), 0.5, seed=3)
+        X, Q = train.bounds, test.bounds
+        kernel = iv.kernel_preset("K5")
+        per_item = 5 * 7
+        budget = items or len(X) * queries  # floats: `items` items, or all items
+        monkeypatch.setattr(classify, "BLOCK_BYTES", 8 * per_item * budget)
+        calls = []
+        original = intervals.pair_dk_squared
+
+        def spy(a, b, k, work=None):
+            assert work is not None and all(w.flags.c_contiguous for w in work)
+            calls.append((tuple(w.__array_interface__["data"][0] for w in work),
+                          work[0].shape[:2]))
+            out = original(a, b, k, work)
+            assert out.tobytes() == original(a, b, k).tobytes()
+            return out
+
+        monkeypatch.setattr(intervals, "pair_dk_squared", spy)
+        preds = classify.knn_rows(X, train.labels(), Q, 3, kernel)
+        monkeypatch.undo()
+        assert len({addresses for addresses, _ in calls}) == 1
+        shapes = [shape for _, shape in calls]
+        assert shapes[0] == (queries, items or len(X))
+        assert len(set(shapes)) == 2  # the last block is ragged
+        assert len(X) % 5 and len(Q) % 4  # so that it is
+        assert preds == [ref_knn(train, q, 3, kernel)[0] for q in test.series()]
+
     @pytest.mark.parametrize("error,reshape", [
         (LengthMismatch, lambda Q: Q[:, :, :1]),
         (DimensionMismatch, lambda Q: np.concatenate([Q, Q], axis=1)),
@@ -768,6 +802,8 @@ class TestCsvLoader:
     def test_benchmark_shapes(self, tmp_path, make):
         path = tmp_path / "ds.csv"
         iv.save_dataset_csv(make(), path)
+        assert_same_dataset(iv.load_dataset_csv(path), ref_load_csv(path))
+        (tmp_path / "ds.csv.npz").unlink()  # and parsed
         assert_same_dataset(iv.load_dataset_csv(path), ref_load_csv(path))
 
     def test_shuffled_duplicated_and_blank_lines(self, tmp_path):
@@ -1443,8 +1479,9 @@ def ref_ingest(eff):
                 if len(row) != 5:
                     raise cli.DataError(f"{eff['input']}:{lineno}: expected 5 fields")
                 sid, dim, ts, value, label = (f.strip() for f in row)
-                try:
-                    day = datetime.fromisoformat(ts).date()
+                try:  # a trailing Z is UTC on every Python (3.10's fromisoformat refuses it)
+                    day = datetime.fromisoformat(ts[:-1] + "+00:00" if ts.endswith("Z")
+                                                 else ts).date()
                 except ValueError:
                     raise cli.DataError(
                         f"{eff['input']}:{lineno}: bad ISO timestamp {ts!r}"
