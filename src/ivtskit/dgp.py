@@ -25,7 +25,7 @@ import stat
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -42,6 +42,9 @@ GAMMA = np.array([[-0.6, 0.3], [0.3, 0.6]])
 # Chunk size for vectorized draws in gen_dgp1; fixed so that a given
 # (config, seed) always consumes the RNG stream identically.
 _DGP1_CHUNK = 16384
+# Process 1's (step, term) pairs held at once: each of its two work arrays,
+# and its coefficients, stay within 2 MiB of float64 whatever L is.
+_DGP1_BUDGET = 2**17
 
 
 def _check_rho(rho: float) -> None:
@@ -97,23 +100,10 @@ def gen_dgp1(cfg: DgpConfig, rng: np.random.Generator) -> np.ndarray:
 
     The first coefficient multiplies the deterministic vector (1, 1), so the
     process mean is pi_1 * PHI @ (1, 1); all higher terms and the residual
-    are zero-mean Gaussians.
+    are zero-mean Gaussians.  The one-item call of :func:`_generate`, whose
+    memory does not grow with ``truncation_L``.
     """
-    L = cfg.truncation_L
-    pis = np.arange(1, L + 1, dtype=np.float64) ** -2 / math.sqrt(3.0)
-    mean = pis[0] * (PHI @ np.ones(2))
-    chol = _residual_cholesky(cfg.rho)
-    out = np.empty((cfg.T, 2))
-    for start in range(0, cfg.T, _DGP1_CHUNK):
-        stop = min(start + _DGP1_CHUNK, cfg.T)
-        nt = stop - start
-        block = np.broadcast_to(mean, (nt, 2)).copy()
-        if L > 1:
-            z = rng.standard_normal((nt, L - 1, 2)) @ chol.T
-            block += np.einsum("l,tlj->tj", pis[1:], z) @ PHI.T
-        block += rng.standard_normal((nt, 2)) @ chol.T
-        out[start:stop] = block
-    return out
+    return _generate(1, cfg, [rng])[0]
 
 
 def _varma11(eps: np.ndarray) -> np.ndarray:
@@ -148,13 +138,12 @@ def gen_dgp2(cfg: DgpConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def gen_dgp3(cfg: DgpConfig, rng: np.random.Generator) -> np.ndarray:
-    """MA(1) process X_t = eps_t - GAMMA eps_{t-1} with eps_0 = 0."""
-    eps = sample_residuals(cfg.rho, rng, cfg.T)
-    lagged = np.vstack([np.zeros((1, 2)), eps[:-1]])
-    return eps - lagged @ GAMMA.T
+    """MA(1) process X_t = eps_t - GAMMA eps_{t-1} with eps_0 = 0; the
+    one-item call of :func:`_generate`."""
+    return _generate(3, cfg, [rng])[0]
 
 
-_GENERATORS: dict[int, Callable[..., np.ndarray]] = {1: gen_dgp1, 2: gen_dgp2, 3: gen_dgp3}
+_PROCESSES = (1, 2, 3)  # in the scenario builders' class and dimension order
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,14 +202,57 @@ def _item_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), *map(int, key)])
 
 
+def _coefficients(lo: int, hi: int) -> np.ndarray:
+    """Process 1's coefficients pi_l = l^-2 / sqrt(3) for l = lo, ..., hi - 1."""
+    pis = np.arange(lo, hi, dtype=np.float64)
+    pis **= -2
+    pis /= math.sqrt(3.0)
+    return pis
+
+
 def _generate(dgp_id: int, cfg: DgpConfig, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """One (T, 2) (center, range) path of process `dgp_id` per generator in
-    `rngs`, as an (m, T, 2) array; path i is the one the process's generator
-    function draws from ``rngs[i]``."""
-    if dgp_id == 2:
-        eps = np.stack([sample_residuals(cfg.rho, rng, cfg.burn_in + cfg.T) for rng in rngs])
-        return _varma11(eps)[:, cfg.burn_in :]
-    return np.stack([_GENERATORS[dgp_id](cfg, rng) for rng in rngs])
+    `rngs`, as an (m, T, 2) array; path i draws from ``rngs[i]`` alone.
+
+    Process 1 draws each chunk of ``_DGP1_CHUNK`` steps as its L - 1 terms a
+    step, t-major, then its residuals.  Its two work arrays, made once per
+    call, and its coefficients hold at most ``_DGP1_BUDGET`` (step, term)
+    pairs; above that, a step's terms are summed in pieces, which rounds
+    unlike one sum."""
+    if dgp_id != 1:
+        steps = cfg.burn_in + cfg.T if dgp_id == 2 else cfg.T
+        eps = np.stack([sample_residuals(cfg.rho, rng, steps) for rng in rngs])
+        if dgp_id == 2:
+            return _varma11(eps)[:, cfg.burn_in :]
+        lagged = np.zeros_like(eps)
+        lagged[:, 1:] = eps[:, :-1]
+        return eps - lagged @ GAMMA.T
+    out = np.empty((len(rngs), cfg.T, 2))
+    terms = cfg.truncation_L - 1
+    width = min(terms, _DGP1_BUDGET) or 1  # terms a piece
+    rows = min(cfg.T, _DGP1_CHUNK, _DGP1_BUDGET // width)  # steps a piece
+    pis = _coefficients(2, terms + 2) if terms <= width else None
+    z, zc = np.empty((rows, width, 2)), np.empty((rows, width, 2))
+    sums = np.empty((min(cfg.T, _DGP1_CHUNK), 2))
+    mean = (1.0 / math.sqrt(3.0)) * (PHI @ np.ones(2))
+    chol = _residual_cholesky(cfg.rho)
+    for rng, path in zip(rngs, out):
+        for start in range(0, cfg.T, _DGP1_CHUNK):
+            block = path[start : start + _DGP1_CHUNK]
+            nt = len(block)
+            sums[:nt] = 0.0
+            # one (1, 2) product rounds unlike a row of an (nt, 2) one, so
+            # PHI multiplies the whole chunk's sums at once
+            for a, b in itertools.product(range(0, nt, rows), range(0, terms, width)):
+                m, n = min(rows, nt - a), min(width, terms - b)
+                rng.standard_normal(out=z[:m, :n])
+                np.matmul(z[:m, :n], chol.T, out=zc[:m, :n])
+                coef = _coefficients(b + 2, b + 2 + n) if pis is None else pis
+                sums[a : a + m] += np.einsum("l,tlj->tj", coef, zc[:m, :n])
+            block[:] = mean
+            block += sums[:nt] @ PHI.T
+            block += sample_residuals(cfg.rho, rng, nt)
+    return out
 
 
 def _build(classes: Sequence[Sequence[tuple[int, float]]], per_class_n: int, T: int, seed: int,
@@ -263,8 +295,8 @@ def build_univariate_dataset(
     burn_in: int = 100,
 ) -> LabeledDataset:
     """One class per correlation value, all generated by the same process."""
-    if dgp_id not in _GENERATORS:
-        raise ValueError(f"dgp_id must be one of {sorted(_GENERATORS)}, got {dgp_id}")
+    if dgp_id not in _PROCESSES:
+        raise ValueError(f"dgp_id must be one of {sorted(_PROCESSES)}, got {dgp_id}")
     classes = [[(dgp_id, rho)] for rho in rho_grid]
     return _build(classes, per_class_n, T, seed, truncation_L, burn_in, multivariate=False)
 
@@ -278,7 +310,7 @@ def build_multivariate_c1(
     burn_in: int = 100,
 ) -> LabeledDataset:
     """Scenario C1: one class per process, one dimension per correlation."""
-    classes = [[(dgp_id, rho) for rho in rho_grid] for dgp_id in _GENERATORS]
+    classes = [[(dgp_id, rho) for rho in rho_grid] for dgp_id in _PROCESSES]
     return _build(classes, per_class_n, T, seed, truncation_L, burn_in, multivariate=True)
 
 
@@ -291,7 +323,7 @@ def build_multivariate_c2(
     burn_in: int = 100,
 ) -> LabeledDataset:
     """Scenario C2: one class per correlation, one dimension per process."""
-    classes = [[(dgp_id, rho) for dgp_id in _GENERATORS] for rho in rho_grid]
+    classes = [[(dgp_id, rho) for dgp_id in _PROCESSES] for rho in rho_grid]
     return _build(classes, per_class_n, T, seed, truncation_L, burn_in, multivariate=True)
 
 
@@ -304,7 +336,7 @@ def build_dgp_mix_dataset(
     burn_in: int = 100,
 ) -> LabeledDataset:
     """Univariate dataset whose classes are the three processes at a fixed rho."""
-    classes = [[(dgp_id, rho)] for dgp_id in _GENERATORS]
+    classes = [[(dgp_id, rho)] for dgp_id in _PROCESSES]
     return _build(classes, per_class_n, T, seed, truncation_L, burn_in, multivariate=False)
 
 

@@ -7,6 +7,7 @@ import io
 import math
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -202,8 +203,8 @@ class TestStartup:
 
 
 class TestStagePeak:
-    """tools/stage_peak.py launches `python -m ivtskit` and prints its wall and
-    wait4 peak, from a process that imports no numpy."""
+    """tools/stage_peak.py launches `python -m ivtskit` and prints its wall,
+    wait4 peak and minor page faults, from a process that imports no numpy."""
 
     def test_help(self):
         tool = Path(__file__).resolve().parents[1] / "tools" / "stage_peak.py"
@@ -218,9 +219,10 @@ class TestStagePeak:
         assert out.returncode == 0 and out.stderr == ""
         line, tail = out.stdout.splitlines()
         assert tail == "False 0"
-        code, wall, peak = line.split()[1::2]
-        assert line.split()[::2] == ["exit", "wall_s", "peak_mb"]
+        code, wall, peak, faults = line.split()[1::2]
+        assert line.split()[::2] == ["exit", "wall_s", "peak_mb", "minflt"]
         assert code == "0" and float(wall) > 0.0 and 1.0 < float(peak) < 1000.0
+        assert faults.isdigit() and int(faults) > 0
 
     def test_median_of_k_launches(self):
         tool = Path(__file__).resolve().parents[1] / "tools" / "stage_peak.py"
@@ -231,7 +233,9 @@ class TestStagePeak:
         assert len(launches) == 3 and all(fields[:2] == ["exit", "0"] for fields in launches)
         walls = sorted(float(fields[3]) for fields in launches)
         peaks = sorted(float(fields[5]) for fields in launches)
-        assert last == ["median", "wall_s", f"{walls[1]:.3f}", "peak_mb", f"{peaks[1]:.2f}"]
+        faults = sorted(int(fields[7]) for fields in launches)
+        assert last == ["median", "wall_s", f"{walls[1]:.3f}", "peak_mb", f"{peaks[1]:.2f}",
+                        "minflt", str(faults[1])]
 
     def test_paired_launches(self):
         """--against ROOT alternates this tree (A) and ROOT's src (B) in A B B A
@@ -253,11 +257,14 @@ class TestStagePeak:
         assert tail == ["False", "0"]
         assert [fields[:3] for fields in launches] == [[side, "exit", "0"] for side in "ABBA"]
         walls = {side: [] for side in "AB"}
-        for side, _, _, _, wall, _, peak in launches:
+        faults = {side: [] for side in "AB"}
+        for side, _, _, _, wall, _, peak, _, minflt in launches:
             walls[side].append(float(wall))
+            faults[side].append(int(minflt))
             assert 1.0 < float(peak) < 1000.0
-        assert median_a[:3] == ["A", "median", "wall_s"] and median_b[:3] == ["B", "median",
-                                                                              "wall_s"]
+        for side, median in zip("AB", (median_a, median_b)):
+            assert median[:3] == [side, "median", "wall_s"] and median[-2] == "minflt"
+            assert median[-1] == f"{statistics.median(faults[side]):.0f}"
         wins = sum(b < a for a, b in zip(walls["A"], walls["B"]))
         assert pairs == ["B", "faster", "in", str(wins), "of", "2", "pairs"]
         assert same == ["stdout", "identical", "in", "2", "of", "2", "pairs"]

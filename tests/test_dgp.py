@@ -95,6 +95,20 @@ class TestDgp1:
         b = iv.gen_dgp1(cfg, np.random.default_rng(3))
         assert np.array_equal(a, b)
 
+    def test_memory_is_bounded_by_the_output_not_by_L(self):
+        """Two steps of 399,999 terms each: drawn whole, the terms and their
+        product alone take 25.6 MB; in budgeted pieces the call stays within
+        a few MB."""
+        cfg = DgpConfig(rho=0.3, T=2, truncation_L=400_000)
+        tracemalloc.start()
+        try:
+            out = iv.gen_dgp1(cfg, np.random.default_rng(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (2, 2) and np.isfinite(out).all()
+        assert peak < 8_000_000
+
 
 class TestDgp2:
     def test_zero_residuals_give_zero_series(self):

@@ -10,6 +10,7 @@ the primal loop within 1e-12 with equal predictions.
 import contextlib
 import csv
 import io
+import itertools
 import math
 import random
 import shutil
@@ -265,6 +266,44 @@ def ref_gen_dgp2(cfg, eps):
     return out[cfg.burn_in :]
 
 
+def ref_gen_dgp1(cfg, rng):
+    """The per-item truncated-series body: each chunk's terms, then its residuals."""
+    L = cfg.truncation_L
+    pis = np.arange(1, L + 1, dtype=np.float64) ** -2 / math.sqrt(3.0)
+    mean = pis[0] * (iv.dgp.PHI @ np.ones(2))
+    chol = iv.dgp._residual_cholesky(cfg.rho)
+    out = np.empty((cfg.T, 2))
+    for start in range(0, cfg.T, iv.dgp._DGP1_CHUNK):
+        stop = min(start + iv.dgp._DGP1_CHUNK, cfg.T)
+        nt = stop - start
+        block = np.broadcast_to(mean, (nt, 2)).copy()
+        if L > 1:
+            z = rng.standard_normal((nt, L - 1, 2)) @ chol.T
+            block += np.einsum("l,tlj->tj", pis[1:], z) @ iv.dgp.PHI.T
+        block += rng.standard_normal((nt, 2)) @ chol.T
+        out[start:stop] = block
+    return out
+
+
+def ref_gen_dgp3(cfg, rng):
+    """The per-item MA(1) body over one (T, 2) residual path."""
+    eps = iv.dgp.sample_residuals(cfg.rho, rng, cfg.T)
+    lagged = np.vstack([np.zeros((1, 2)), eps[:-1]])
+    return eps - lagged @ iv.dgp.GAMMA.T
+
+
+def ref_gen(dgp_id, cfg, rng):
+    """One (T, 2) path of process `dgp_id`, drawn from `rng` by its per-item body."""
+    if dgp_id == 1:
+        return ref_gen_dgp1(cfg, rng)
+    if dgp_id == 2:
+        return ref_gen_dgp2(cfg, iv.dgp.sample_residuals(cfg.rho, rng, cfg.burn_in + cfg.T))
+    return ref_gen_dgp3(cfg, rng)
+
+
+REF_PROCESSES = (1, 2, 3)
+
+
 def ref_bounds(cr):
     """The [lower, upper] bounds of a (T, 2) (center, range) path."""
     return np.stack([cr[:, 0] - cr[:, 1], cr[:, 0] + cr[:, 1]], axis=-1)
@@ -276,12 +315,11 @@ def _ref_cfg(rho, T, truncation_L, burn_in):
 
 def ref_build_univariate(dgp_id, per_class_n, T, rho_grid, seed=0, truncation_L=100,
                          burn_in=100):
-    gen = iv.dgp._GENERATORS[dgp_id]
     items, item_index = [], 0
     for label, rho in enumerate(rho_grid, start=1):
         cfg = _ref_cfg(rho, T, truncation_L, burn_in)
         for _ in range(per_class_n):
-            cr = gen(cfg, iv.dgp._item_rng(seed, item_index))
+            cr = ref_gen(dgp_id, cfg, iv.dgp._item_rng(seed, item_index))
             items.append((iv.IntervalSeries(ref_bounds(cr)), label))
             item_index += 1
     return ref_dataset(items)
@@ -289,13 +327,12 @@ def ref_build_univariate(dgp_id, per_class_n, T, rho_grid, seed=0, truncation_L=
 
 def ref_build_c1(per_class_n, T, rho_grid, seed=0, truncation_L=100, burn_in=100):
     items, item_index = [], 0
-    for label, dgp_id in enumerate(sorted(iv.dgp._GENERATORS), start=1):
-        gen = iv.dgp._GENERATORS[dgp_id]
+    for label, dgp_id in enumerate(REF_PROCESSES, start=1):
         for _ in range(per_class_n):
             rows = []
             for dim, rho in enumerate(rho_grid):
                 cfg = _ref_cfg(rho, T, truncation_L, burn_in)
-                cr = gen(cfg, iv.dgp._item_rng(seed, item_index, dim))
+                cr = ref_gen(dgp_id, cfg, iv.dgp._item_rng(seed, item_index, dim))
                 rows.append(ref_bounds(cr))
             items.append((iv.MvIntervalSeries(np.stack(rows)), label))
             item_index += 1
@@ -308,9 +345,8 @@ def ref_build_c2(per_class_n, T, rho_grid, seed=0, truncation_L=100, burn_in=100
         cfg = _ref_cfg(rho, T, truncation_L, burn_in)
         for _ in range(per_class_n):
             rows = []
-            for dim, dgp_id in enumerate(sorted(iv.dgp._GENERATORS)):
-                gen = iv.dgp._GENERATORS[dgp_id]
-                cr = gen(cfg, iv.dgp._item_rng(seed, item_index, dim))
+            for dim, dgp_id in enumerate(REF_PROCESSES):
+                cr = ref_gen(dgp_id, cfg, iv.dgp._item_rng(seed, item_index, dim))
                 rows.append(ref_bounds(cr))
             items.append((iv.MvIntervalSeries(np.stack(rows)), label))
             item_index += 1
@@ -319,11 +355,10 @@ def ref_build_c2(per_class_n, T, rho_grid, seed=0, truncation_L=100, burn_in=100
 
 def ref_build_mix(per_class_n, T, rho, seed=0, truncation_L=100, burn_in=100):
     items, item_index = [], 0
-    for label, dgp_id in enumerate(sorted(iv.dgp._GENERATORS), start=1):
-        gen = iv.dgp._GENERATORS[dgp_id]
+    for label, dgp_id in enumerate(REF_PROCESSES, start=1):
         cfg = _ref_cfg(rho, T, truncation_L, burn_in)
         for _ in range(per_class_n):
-            cr = gen(cfg, iv.dgp._item_rng(seed, item_index))
+            cr = ref_gen(dgp_id, cfg, iv.dgp._item_rng(seed, item_index))
             items.append((iv.IntervalSeries(ref_bounds(cr)), label))
             item_index += 1
     return ref_dataset(items)
@@ -1140,6 +1175,87 @@ class TestVarmaOracle:
         cr = np.stack([ref_gen_dgp2(cfg, e) for e in _residual_stack(500, cfg, seed=1)])
         assert np.array_equal(ds.bounds[:, 0, :, 0], cr[..., 0] - cr[..., 1])
         assert np.array_equal(ds.bounds[:, 0, :, 1], cr[..., 0] + cr[..., 1])
+
+
+# ---------------------------------------------------------------------------
+# every process's stack of paths, against its per-item body
+
+
+def _ref_stack(dgp_id, cfg, seeds):
+    return np.stack([ref_gen(dgp_id, cfg, iv.dgp._item_rng(*s)) for s in seeds])
+
+
+def _stack(dgp_id, cfg, seeds):
+    return iv.dgp._generate(dgp_id, cfg, [iv.dgp._item_rng(*s) for s in seeds])
+
+
+class _SpyRng:
+    """A generator that records the `out` array of each standard_normal call."""
+
+    def __init__(self, rng, outs):
+        self.rng, self.outs = rng, outs
+
+    def standard_normal(self, *args, out=None, **kwargs):
+        self.outs.append(out)
+        return self.rng.standard_normal(*args, out=out, **kwargs)
+
+
+class TestGenerateOracle:
+    @pytest.mark.parametrize("T", [1, 17, 150])
+    @pytest.mark.parametrize("dgp_id", REF_PROCESSES)
+    def test_stack_matches_item_bodies(self, dgp_id, T):
+        for m, L, burn_in, rho in itertools.product((1, 50), (1, 2, 100), (0, 100),
+                                                   (-1.0, 0.0, 0.7, 1.0)):
+            cfg = iv.DgpConfig(rho=rho, T=T, truncation_L=L, burn_in=burn_in)
+            seeds = [(m, i) for i in range(m)]
+            got = _stack(dgp_id, cfg, seeds)
+            assert got.shape == (m, T, 2)
+            assert np.array_equal(got, _ref_stack(dgp_id, cfg, seeds)), (m, L, burn_in, rho)
+
+    @pytest.mark.parametrize("dgp_id", REF_PROCESSES)
+    def test_generator_is_the_one_item_stack(self, dgp_id):
+        gen = {1: iv.gen_dgp1, 2: iv.gen_dgp2, 3: iv.gen_dgp3}[dgp_id]
+        cfg = iv.DgpConfig(rho=-0.9, T=17, truncation_L=9, burn_in=5)
+        assert np.array_equal(gen(cfg, iv.dgp._item_rng(6, 1)),
+                              ref_gen(dgp_id, cfg, iv.dgp._item_rng(6, 1)))
+
+    @pytest.mark.parametrize("L", [1, 2, 100])
+    def test_dgp1_past_the_chunk(self, monkeypatch, L):
+        """A short last chunk: 23 steps in chunks of 7."""
+        monkeypatch.setattr(iv.dgp, "_DGP1_CHUNK", 7)
+        cfg = iv.DgpConfig(rho=0.7, T=23, truncation_L=L)
+        seeds = [(2, i) for i in range(3)]
+        assert np.array_equal(_stack(1, cfg, seeds), _ref_stack(1, cfg, seeds))
+
+    def test_dgp1_past_the_real_chunk(self):
+        cfg = iv.DgpConfig(rho=0.3, T=iv.dgp._DGP1_CHUNK + 3, truncation_L=3)
+        assert np.array_equal(_stack(1, cfg, [(1, 0)]), _ref_stack(1, cfg, [(1, 0)]))
+
+    @pytest.mark.parametrize("T", [1, 5, 17])
+    def test_dgp1_budget_keeps_bytes_up_to_it(self, monkeypatch, T):
+        """While L - 1 is within the budget, the steps go in pieces of
+        budget // (L - 1) and every byte is kept; above it, each step's
+        terms are summed in pieces, within 1e-12 of one sum."""
+        monkeypatch.setattr(iv.dgp, "_DGP1_BUDGET", 8)
+        seeds = [(T, i) for i in range(3)]
+        for L in (2, 3, 5, 9, 10, 17, 30, 100):
+            cfg = iv.DgpConfig(rho=-0.5, T=T, truncation_L=L)
+            got, want = _stack(1, cfg, seeds), _ref_stack(1, cfg, seeds)
+            if L - 1 <= 8:
+                assert np.array_equal(got, want), L
+            else:
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), L
+
+    def test_dgp1_draws_every_path_into_one_work_array(self):
+        cfg = iv.DgpConfig(rho=0.7, T=17, truncation_L=100)
+        outs = [[] for _ in range(4)]
+        rngs = [_SpyRng(iv.dgp._item_rng(0, i), o) for i, o in enumerate(outs)]
+        got = iv.dgp._generate(1, cfg, rngs)
+        assert np.array_equal(got, _ref_stack(1, cfg, [(0, i) for i in range(4)]))
+        term_outs = [[a for a in o if a is not None] for o in outs]
+        assert all(term_outs)
+        first = term_outs[0][0]
+        assert all(np.shares_memory(first, a) for o in term_outs for a in o)
 
 
 # ---------------------------------------------------------------------------

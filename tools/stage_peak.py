@@ -1,4 +1,5 @@
-"""Wall time and peak RSS of `python -m ivtskit ARGS...`, launched K times.
+"""Wall time, peak RSS and minor page faults of `python -m ivtskit ARGS...`,
+launched K times.
 
     PYTHONPATH=src python tools/stage_peak.py K classify --data c1.csv --feature-mode flatten ...
     PYTHONPATH=src python tools/stage_peak.py K --against ROOT classify --data c1.csv ...
@@ -6,8 +7,9 @@
 A child's wait4 peak counts the RSS it inherits at spawn, so this launcher
 imports no numpy: its own ~13 MB stays below every stage's.  The child's
 stdout is captured and read to its end before wait4 reaps the child; each
-launch prints its exit code, wall and peak RSS, and for K >= 2 a last line
-prints the median wall and peak of the K launches.
+launch prints its exit code, wall, peak RSS and minor page faults (wait4's
+ru_minflt), and for K >= 2 a last line prints the medians of the three over
+the K launches.
 
 Each side runs a copy of its `ivtskit` package without `__pycache__`, made
 in a temporary directory put first on PYTHONPATH, with
@@ -35,8 +37,9 @@ import tempfile
 import time
 
 
-def launch(args: list[str], env: dict) -> tuple[int, float, float, bytes]:
-    """(exit code, wall s, peak MB, stdout) of one `python -m ivtskit ARGS...`."""
+def launch(args: list[str], env: dict) -> tuple[int, float, float, int, bytes]:
+    """(exit code, wall s, peak MB, minor faults, stdout) of one
+    `python -m ivtskit ARGS...`."""
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "ivtskit", *args],
                             stdout=subprocess.PIPE, env=env)
@@ -46,7 +49,8 @@ def launch(args: list[str], env: dict) -> tuple[int, float, float, bytes]:
     # the wall as printed, to the ms, so that the medians and the pairs won
     # are counted on the values the output shows
     wall = float(f"{time.perf_counter() - start:.3f}")
-    return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024, out
+    return (os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024,
+            usage.ru_minflt, out)
 
 
 def fresh_env(package: str, dest: str) -> dict:
@@ -85,19 +89,20 @@ def run(k: int, args: list[str], sides: dict) -> int:
     failed = False
     for i in range(k):
         for tag in list(sides)[:: 1 if i % 2 == 0 else -1]:
-            code, wall, peak, out = launch(args, sides[tag])
+            code, wall, peak, faults, out = launch(args, sides[tag])
             failed = failed or code != 0
-            runs[tag].append((wall, peak, out))
-            print(f"{tag}exit {code} wall_s {wall:.3f} peak_mb {peak:.2f}")
+            runs[tag].append((wall, peak, faults, out))
+            print(f"{tag}exit {code} wall_s {wall:.3f} peak_mb {peak:.2f} minflt {faults}")
     if k >= 2:
         for tag, rows in runs.items():
-            walls, peaks, _ = zip(*rows)
+            walls, peaks, faults, _ = zip(*rows)
             print(f"{tag}median wall_s {statistics.median(walls):.3f} "
-                  f"peak_mb {statistics.median(peaks):.2f}")
+                  f"peak_mb {statistics.median(peaks):.2f} "
+                  f"minflt {statistics.median(faults):.0f}")
     if "B " in sides:
         wins = sum(b[0] < a[0] for a, b in zip(runs["A "], runs["B "]))
         print(f"B faster in {wins} of {k} pairs")
-        same = sum(a[2] == b[2] for a, b in zip(runs["A "], runs["B "]))
+        same = sum(a[3] == b[3] for a, b in zip(runs["A "], runs["B "]))
         print(f"stdout identical in {same} of {k} pairs")
     return int(failed)
 
