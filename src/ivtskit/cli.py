@@ -177,7 +177,10 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _read_config(path: str | Path, opts: tuple[Opt, ...]) -> dict:
+def _read_config(path: str | Path, opts: tuple[Opt, ...], fault: type) -> dict:
+    """The options a key=value file sets; an unknown key or a value outside
+    its choices raises `fault`: a usage error in a --config file, a data
+    error in a file that a command wrote."""
     known = {o.key: o for o in opts}
     out: dict = {}
     try:
@@ -196,7 +199,7 @@ def _read_config(path: str | Path, opts: tuple[Opt, ...]) -> dict:
         key = key.strip().replace("-", "_")
         value = value.strip().strip('"')
         if key not in known:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise fault(f"{path}:{lineno}: unknown config key {key!r}")
         if "\0" in value:  # open() raises on one, and a --tag would write it into report.csv
             raise DataError(f"{path}:{lineno}: bad value for {key}: {value!r} holds a NUL byte")
         o = known[key]
@@ -205,7 +208,7 @@ def _read_config(path: str | Path, opts: tuple[Opt, ...]) -> dict:
         except ValueError as e:
             raise DataError(f"{path}:{lineno}: bad value for {key}: {e}") from e
         if o.choices is not None and out[key] not in o.choices:
-            raise UsageError(
+            raise fault(
                 f"{path}:{lineno}: invalid choice for {key}: {value!r} "
                 f"(choose from {', '.join(map(str, o.choices))})"
             )
@@ -213,7 +216,7 @@ def _read_config(path: str | Path, opts: tuple[Opt, ...]) -> dict:
 
 
 def _effective_options(args: argparse.Namespace, opts: tuple[Opt, ...]) -> dict:
-    conf = _read_config(args.config, opts) if args.config else {}
+    conf = _read_config(args.config, opts, UsageError) if args.config else {}
     eff = {}
     for o in opts:
         given = getattr(args, o.key)
@@ -330,7 +333,7 @@ def cmd_ingest(eff: dict) -> None:
     import numpy as np
 
     from . import dgp as dgp_mod
-    from . import ingest as ingest_mod
+    from .ingest import daily_intervals
 
     _require(eff, "input", "out")
     window = eff["window"]
@@ -339,34 +342,36 @@ def cmd_ingest(eff: dict) -> None:
         raise ValueError("window and stride must be >= 1")
 
     try:
-        series = ingest_mod.daily_intervals(eff["input"])
+        names, label_names, labels, dropped, dims, days, cells = daily_intervals(eff["input"])
     except OSError as e:
         raise DataError(f"cannot read {eff['input']}: {e}") from e
 
-    grids, window_labels = [], []  # each window's bounds and raw label
-    for s in series:
-        if s.dropped:
-            print(
-                f"warning: series {s.name!r}: dropped {s.dropped} day(s) with missing dimensions",
-                file=sys.stderr,
-            )
-        for start in range(0, s.daily.shape[1] - window + 1, stride):
-            grids.append(s.daily[:, start : start + window])
-            window_labels.append(s.label)
-    dims_per_sid = {s.daily.shape[0] for s in series}
-    if len(dims_per_sid) > 1:
-        raise DataError(f"series disagree on dimension count: {sorted(dims_per_sid)}")
-    if not grids:
+    for s in np.flatnonzero(dropped):
+        print(f"warning: series {names[s]!r}: dropped {dropped[s]} day(s) with missing dimensions",
+              file=sys.stderr)
+    if dims.min() != dims.max():
+        raise DataError(f"series disagree on dimension count: {sorted(set(dims.tolist()))}")
+    top = int(days.max()) + 1  # a window or stride past every series acts as top
+    step = min(stride, top)
+    counts = np.maximum(days - min(window, top) + step, 0) // step  # windows per series
+    if not counts.any():
         raise DataError("no complete windows; input too short for the window length")
 
     # class ids 1..C go to the labels that have a window, so none is skipped
-    label_map = {raw: i for i, raw in enumerate(sorted(set(window_labels)), start=1)}
-    for raw in sorted({s.label for s in series} - label_map.keys()):
-        print(f"warning: label {raw!r}: no series has {window} complete days, so it gets "
-              "no class id", file=sys.stderr)
-    bounds = np.stack(grids)
+    has = np.bincount(labels[counts > 0], minlength=len(label_names)) > 0
+    ids = np.cumsum(has)
+    label_map = {label_names[r]: int(ids[r]) for r in np.flatnonzero(has)}
+    for r in np.flatnonzero(~has):
+        print(f"warning: label {label_names[r]!r}: no series has {window} complete days, so it "
+              "gets no class id", file=sys.stderr)
+    # window j, the k-th of series s, starts k * stride days after s's first full day
+    start = np.repeat(np.cumsum(days) - days - (np.cumsum(counts) - counts) * step, counts)
+    start += step * np.arange(len(start))
+    d = int(dims[0])  # one gather, straight into the (n, d, T, 2) layout
+    bounds = cells.reshape(-1, d, 2)[(start[:, None] + np.arange(window))[:, None],
+                                     np.arange(d)[:, None]]
     bounds.setflags(write=False)  # handed over, so the dataset keeps it without a copy
-    ds = dgp_mod.LabeledDataset(bounds, [label_map[raw] for raw in window_labels])
+    ds = dgp_mod.LabeledDataset(bounds, np.repeat(ids[labels], counts))
     out = Path(eff["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     dgp_mod.save_dataset_csv(ds, out)
@@ -414,9 +419,10 @@ def cmd_image(eff: dict) -> None:
 
 def _images_kernel(images_dir: Path) -> str:
     """The kernel the image command recorded in the directory's run_config.txt,
-    read as --config reads a file, or "" when the directory has none."""
+    read as --config reads a file but with every fault a data error, or ""
+    when the directory has none."""
     path = images_dir / "run_config.txt"
-    return _read_config(path, IMAGE_OPTS).get("kernel", "") if path.exists() else ""
+    return _read_config(path, IMAGE_OPTS, DataError).get("kernel", "") if path.exists() else ""
 
 
 def _check_labels(labels: list[int], where, linear: bool) -> None:

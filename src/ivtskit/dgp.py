@@ -449,27 +449,32 @@ def _line_of_row(path, skip: int, row: int) -> int:
 
 
 def _read_rows(path, skip: int) -> np.ndarray:
-    """The data rows after the first `skip` lines, parsed in one C-level pass."""
+    """The data rows after the first `skip` lines, parsed in one C-level pass,
+    or two when a line is blank or whitespace-only."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
             return np.loadtxt(path, skiprows=skip, encoding="ascii", **_ROW_ARGS)
         except ValueError:
             pass
-        # Either a bad row, or a whitespace-only line, which the C parser does
-        # not skip: name the first bad row, or else parse the non-blank lines.
+        # Either a whitespace-only line, which the C parser does not skip, or a
+        # bad row: parse the non-blank lines, or else name the first bad row.
         with open(path, encoding="ascii") as fh:
-            for lineno, line in _data_lines(fh, skip):
-                line = line.rstrip("\n")
-                parts = line.split(",")
-                if len(parts) != 6:
-                    raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-                try:
-                    np.loadtxt([line], **_ROW_ARGS)
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: malformed row {line!r}") from None
-            fh.seek(0)
-            return np.loadtxt((line for _, line in _data_lines(fh, skip)), **_ROW_ARGS)
+            try:
+                return np.loadtxt((line for _, line in _data_lines(fh, skip)), **_ROW_ARGS)
+            except ValueError:
+                fh.seek(0)
+                for lineno, line in _data_lines(fh, skip):
+                    line = line.rstrip("\n")
+                    parts = line.split(",")
+                    if len(parts) != 6:
+                        raise DataError(
+                            f"{path}:{lineno}: expected 6 fields, got {len(parts)}") from None
+                    try:
+                        np.loadtxt([line], **_ROW_ARGS)
+                    except ValueError:
+                        raise DataError(f"{path}:{lineno}: malformed row {line!r}") from None
+                raise
 
 
 def _run_starts(*keys: np.ndarray) -> np.ndarray:

@@ -229,8 +229,8 @@ def load_csv_image(path) -> RecurrenceImage:
             for line in raw.decode("ascii").splitlines()
             if line
         ]
-        return RecurrenceImage(np.array(rows, dtype=np.uint8))
-    except OverflowError:
-        raise DataError(f"{path}: recurrence image entries must be 0 or 1") from None
+        # no dtype: numpy 1.24 would wrap 256 into a uint8 0; RecurrenceImage
+        # rejects every entry other than 0 or 1
+        return RecurrenceImage(np.array(rows))
     except ValueError as e:
         raise DataError(f"{path}: {e}") from None

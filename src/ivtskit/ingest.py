@@ -15,7 +15,6 @@ import itertools
 import math
 import re
 from datetime import date, datetime
-from typing import NamedTuple
 
 import numpy as np
 
@@ -255,18 +254,12 @@ class _RawReadings:
         return sid_names, cell_sid, cell_day, cell_dim, bounds
 
 
-class DailySeries(NamedTuple):
-    """One series: its name and label, the days dropped because they lack a
-    dimension the series has, and the (d, full days, 2) daily [min, max]."""
-
-    name: str
-    label: str
-    dropped: int
-    daily: np.ndarray
-
-
-def daily_intervals(path) -> list[DailySeries]:
-    """The series of the raw readings file at `path`, in sorted name order.
+def daily_intervals(path):
+    """The full days of the raw readings file at `path`, as arrays: the sorted
+    series names; the sorted label texts and each series' label as an index
+    into them; each series' dropped days (those lacking a dimension the series
+    has), dimension count d and full days; and the full days' [min, max] as
+    one (cells, 2) array in (series, day, dimension) order.
 
     Series, dims and labels are compared as stripped text, days by the date
     written in the timestamp (`_STAMP` lists the forms read); a series keeps
@@ -289,26 +282,18 @@ def daily_intervals(path) -> list[DailySeries]:
     sid_names, cell_sid, cell_day, cell_dim, daily = raw.daily_cells()
 
     # a day is full when it has every dimension its series has
-    n_dim = len(raw.dims.texts)
+    n_sid, n_dim = len(sid_names), len(raw.dims.texts)
     day_start = np.flatnonzero(np.concatenate(
         ([True], (cell_sid[1:] != cell_sid[:-1]) | (cell_day[1:] != cell_day[:-1]))))
     day_dims = np.diff(np.append(day_start, len(cell_sid)))
     # distinct (series, dimension) codes; np.unique would import numpy.ma here
     pairs = np.sort(cell_sid * n_dim + cell_dim)
     pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]
-    sid_dims = np.bincount(pairs // n_dim, minlength=len(sid_names))
-    full = day_dims == sid_dims[cell_sid[day_start]]
-    full_cell = np.repeat(full, day_dims)
-    sid_day = np.searchsorted(cell_sid[day_start], np.arange(len(sid_names) + 1))
-    sid_cell = np.append(day_start, len(cell_sid))[sid_day]
-
-    series = []
-    for s, name in enumerate(sid_names):
-        cells = slice(sid_cell[s], sid_cell[s + 1])
-        series.append(DailySeries(
-            name,
-            raw.labels.texts[raw.sid_label[raw.sids.codes[name]]],
-            int(sid_day[s + 1] - sid_day[s] - full[sid_day[s]:sid_day[s + 1]].sum()),
-            daily[cells][full_cell[cells]].reshape(-1, int(sid_dims[s]), 2).transpose(1, 0, 2),
-        ))
-    return series
+    sid_dims = np.bincount(pairs // n_dim, minlength=n_sid)
+    day_sid = cell_sid[day_start]
+    full = day_dims == sid_dims[day_sid]
+    full_days = np.bincount(day_sid[full], minlength=n_sid)
+    label_names, label_codes = raw.labels.sorted_codes()
+    sid_label = _ranks(label_codes)[raw.sid_label[raw.sids.sorted_codes()[1]]]
+    return (sid_names, label_names, sid_label, np.bincount(day_sid, minlength=n_sid) - full_days,
+            sid_dims, full_days, daily[np.repeat(full, day_dims)])

@@ -111,6 +111,11 @@ class TestScorePredict:
             assert ref_scores(clf, z) == pytest.approx(want, abs=1e-12)
             assert iv.predict(clf, z) == ref_predict(clf, z)
 
+    @pytest.mark.parametrize("caps", [{"c_A": 0.0}, {"c_B": -1.0}])
+    def test_caps_must_be_positive(self, caps):
+        with pytest.raises(ValueError, match="norm caps c_A and c_B must be positive"):
+            LinearClassifier(np.zeros((2, 3)), np.zeros(2), **caps)
+
     def test_dim_mismatch(self):
         clf = LinearClassifier(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(DimensionMismatch):

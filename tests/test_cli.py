@@ -1106,6 +1106,20 @@ class TestClassify:
                       "--steps", "5", "--outdir", tmp_path / "o")
         assert_one_line_error(out, 3, f"{sep_images / 'run_config.txt'}: not UTF-8 text")
 
+    @pytest.mark.parametrize("line, text", [
+        ("foo=1", "unknown config key 'foo'"),
+        ("format=tiff", "invalid choice for format: 'tiff'"),
+    ])
+    def test_run_config_key_or_choice_fault_is_data_error(self, sep_images, tmp_path, line, text):
+        """The file is input data, not the user's flags: exit 3, as --config's
+        same faults exit 2."""
+        config = sep_images / "run_config.txt"
+        config.write_text(config.read_text() + line + "\n")
+        out = run_cli("classify", "--images", sep_images, "--mode", "linear",
+                      "--steps", "5", "--outdir", tmp_path / "o")
+        assert_one_line_error(out, 3, f"data error: {config}:")
+        assert text in out.stderr
+
     @pytest.mark.parametrize(
         "mode,labels,text",
         [
@@ -1242,6 +1256,12 @@ class TestOutOfDomainOptions:
         out = run_cli(command, "--data", mix_csv, "--kernel", "K4", *option,
                       "--outdir", tmp_path / "o")
         assert_one_line_error(out, 4, "numeric error: ")
+
+    def test_epsilon_not_a_number(self, mix_csv, tmp_path):
+        out = run_cli("image", "--data", mix_csv, "--kernel", "K4", "--epsilon", "abc",
+                      "--outdir", tmp_path / "o")
+        assert_one_line_error(
+            out, 4, "numeric error: epsilon 'abc' is not a number or comma list")
 
     @pytest.mark.parametrize("blocks", ["0", "-1"])
     def test_block_grid_below_one(self, mix_csv, tmp_path, blocks):

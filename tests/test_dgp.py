@@ -347,6 +347,20 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             iv.load_dataset_csv(path)
 
+    def test_whitespace_line_costs_one_more_parse(self, tmp_path, monkeypatch):
+        """A whitespace-only line fails the one-pass parse; the non-blank lines
+        are then parsed in one more call, not one call per line."""
+        ds = iv.build_univariate_dataset(2, per_class_n=2, T=7, rho_grid=(0.0, 0.3), seed=12)
+        path = tmp_path / "ws.csv"
+        iv.save_dataset_csv(ds, path)
+        with open(path, "a") as fh:
+            fh.write("   \n")
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        bounds, labels = iv.dgp._load_arrays(path)
+        assert len(calls) <= 2
+        assert np.array_equal(bounds, ds.bounds) and labels.tolist() == ds.labels()
 
     def test_traced_peak_of_a_sorted_file(self, tmp_path):
         """A file in (item, dim, t) order is parsed once into its rows, and

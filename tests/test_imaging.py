@@ -305,6 +305,15 @@ class TestExport:
         first_line = path.read_text().splitlines()[0]
         assert set(first_line) <= {"0", "1", ","}
 
+    @pytest.mark.parametrize("entry", ["256", "-1", "9" * 30])
+    def test_csv_entry_out_of_uint8_range_is_rejected(self, tmp_path, entry):
+        """An entry that a uint8 cannot hold is not wrapped into range."""
+        path = tmp_path / "img.csv"
+        path.write_text(f"0,{entry}\n1,0\n")
+        message = f"{path}: recurrence image entries must be 0 or 1"
+        with pytest.raises(iv.DataError, match=rf"^{re.escape(message)}$"):
+            iv.load_csv_image(path)
+
 
 class TestBatchImaging:
     def test_image_series_dispatch(self):

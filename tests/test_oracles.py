@@ -1934,6 +1934,15 @@ class TestIngestOracle:
         check()
 
 
+@pytest.mark.parametrize("opts", [("--window", str(2**70)),
+                                  ("--window", "2", "--stride", str(2**70)),
+                                  ("--window", "5", "--stride", str(2**70))])
+def test_ingest_window_or_stride_past_int64(tmp_path, opts):
+    """The windows are counted on int64 day counts; a --window or --stride
+    that no int64 holds counts as the reference counts it."""
+    check_ingest(tmp_path, RAW_HEAD + "\n".join(_raw_rows(days=5)) + "\n", opts)
+
+
 # ---------------------------------------------------------------------------
 # classify --mode linear
 
