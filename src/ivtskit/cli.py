@@ -246,14 +246,23 @@ def _check_text(eff: dict) -> dict:
     that the filesystem encoding cannot decode (any non-ASCII byte, under an
     ASCII one) arrive as lone surrogates, which UTF-8 cannot encode: such a
     value is its os.fsencode bytes read as UTF-8, and bytes that are not
-    UTF-8 are a usage error.  Files are opened by the values of `eff`."""
+    UTF-8 are a usage error.  So is a value that `_read_config` would not
+    read back as written.  Files are opened by the values of `eff`."""
     text = dict(eff)
     for key, value in eff.items():
-        if isinstance(value, str) and value.encode("utf-8", "replace").decode() != value:
+        if not isinstance(value, str):
+            continue
+        flag = f"--{key.replace('_', '-')}"
+        if value.encode("utf-8", "replace").decode() != value:
             try:
-                text[key] = os.fsencode(value).decode("utf-8")
+                value = text[key] = os.fsencode(value).decode("utf-8")
             except UnicodeError:
-                raise UsageError(f"--{key.replace('_', '-')}: {value!r} is not UTF-8 text") from None
+                raise UsageError(f"{flag}: {value!r} is not UTF-8 text") from None
+        # _read_config splits the file at line breaks, strips whitespace and
+        # '"' from each value, and refuses a NUL byte
+        if value.strip().strip('"') != value or len(value.splitlines()) > 1 or "\0" in value:
+            raise UsageError(f"{flag}: {value!r} would not read back from run_config.txt "
+                             "(a leading or trailing space or '\"', a line break, or a NUL byte)")
     return text
 
 
@@ -398,7 +407,7 @@ def cmd_image(eff: dict) -> None:
     stem = eff["stem"] or Path(eff["data"]).stem
     shown = text["stem"] or Path(text["data"]).stem  # the stem as index.csv's text
     formats = ("pgm", "csv") if eff["format"] == "both" else (eff["format"],)
-    index_lines = ["file,item,label"]
+    index_rows = [("file", "item", "label")]
     # each image is written as it is made; a failed item leaves the earlier
     # images but no index.csv or run_config.txt
     images = img_mod.image_grids(ds.bounds, cfg, kernel)
@@ -407,10 +416,11 @@ def cmd_image(eff: dict) -> None:
         for fmt in formats:
             writer = img_mod.export_pgm if fmt == "pgm" else img_mod.export_csv
             writer(img, outdir / f"{stem}_{i}.{fmt}")
-        index_lines.append(f"{shown}_{i}.{formats[0]},{i},{label}")
-    (outdir / "index.csv").write_text("\n".join(index_lines) + "\n", encoding="utf-8")
+        index_rows.append((f"{shown}_{i}.{formats[0]}", i, label))
+    with open(outdir / "index.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(index_rows)
     _echo_config(outdir, "image", text)
-    print(f"imaged {len(index_lines) - 1} items (N={img.n}) -> {outdir}")
+    print(f"imaged {len(index_rows) - 1} items (N={img.n}) -> {outdir}")
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +454,15 @@ def _index_images(images_dir: Path) -> tuple[list[Path], list[int]]:
     image is opened."""
     index = images_dir / "index.csv"
     try:
-        lines = index.read_text(encoding="utf-8").splitlines()
-    except (OSError, ValueError) as e:
+        with open(index, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader]
+    except (OSError, ValueError, csv.Error) as e:
         raise DataError(f"cannot read {index}: {e}") from e
-    if not lines or lines[0] != "file,item,label":
+    if not rows or rows[0][1] != ["file", "item", "label"]:
         raise DataError(f"{index}: expected header file,item,label")
     paths, labels = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
+    for lineno, parts in rows[1:]:
         if len(parts) != 3:
             raise DataError(f"{index}:{lineno}: expected 3 fields")
         name, _, label = parts

@@ -364,7 +364,7 @@ def save_dataset_csv(ds: LabeledDataset, path) -> None:
     """Write `item,dim,t,lower,upper,label` rows (0-based indices, 1-based labels).
 
     When `path` is a regular file, its sidecar ``<path>.npz`` then holds the
-    dataset's arrays and the SHA-256 of the bytes written, for
+    dataset's arrays and the BLAKE2b-256 digest of the bytes written, for
     :func:`load_dataset_csv`.  Any older sidecar is removed first, and a
     sidecar that cannot be written is left out."""
     # One item at a time, written as it is formatted: every bound as a Python
@@ -382,11 +382,11 @@ def save_dataset_csv(ds: LabeledDataset, path) -> None:
             fh.write(rows % tuple(grid.reshape(-1).tolist()))
     try:
         if stat.S_ISREG(os.stat(path).st_mode):
-            digest = np.frombuffer(_sha256(path), np.uint8)
+            digest = np.frombuffer(_digest(path), np.uint8)
             with open(sidecar, "wb") as fh:
                 np.savez(fh, bounds=np.ascontiguousarray(ds.bounds), label_ids=ds.label_ids,
-                         sha256=digest)
-    except OSError:  # the sidecar only saves a parse: the dataset is written
+                         blake2b=digest)
+    except (OSError, ImportError):  # the sidecar only saves a parse: the dataset is written
         _remove(sidecar)
 
 
@@ -401,10 +401,14 @@ def _remove(path: Path) -> None:
         pass
 
 
-def _sha256(path) -> bytes:
-    import hashlib  # here, not at the top: it maps OpenSSL, about 3.6 MB
+def _digest(path) -> bytes:
+    """The BLAKE2b-256 digest of the file's bytes."""
+    # Not hashlib, which maps OpenSSL (about 3.6 MB) on import.  hashlib's
+    # blake2b is this module's in every CPython, so it is no fallback: a
+    # build without _blake2 raises ImportError here, and keeps no sidecar.
+    from _blake2 import blake2b
 
-    h = hashlib.sha256()
+    h = blake2b(digest_size=32)
     with open(path, "rb") as fh:
         # a chunk below glibc's mmap threshold (128 KiB) reuses heap pages:
         # 1 MiB chunks cost ~800 more page faults a read of a 4.5 MB file
@@ -418,7 +422,7 @@ def _read_sidecar(path) -> LabeledDataset | None:
     or None when it holds none."""
     try:
         with np.load(_sidecar(path), allow_pickle=False) as z:
-            if z["sha256"].tobytes() != _sha256(path):
+            if z["blake2b"].tobytes() != _digest(path):
                 return None
             bounds, labels = z["bounds"], z["label_ids"]
         # save_dataset_csv writes C-ordered native float64 bounds and int64
@@ -443,38 +447,31 @@ def _data_lines(fh, skip: int):
             yield lineno, line
 
 
-def _line_of_row(path, skip: int, row: int) -> int:
-    with open(path, encoding="ascii") as fh:
-        return next(itertools.islice(_data_lines(fh, skip), row, None))[0]
+def _line_of_row(fh, skip: int, row: int) -> int:
+    fh.seek(0)
+    return next(itertools.islice(_data_lines(fh, skip), row, None))[0]
 
 
-def _read_rows(path, skip: int) -> np.ndarray:
-    """The data rows after the first `skip` lines, parsed in one C-level pass,
-    or two when a line is blank or whitespace-only."""
+def _read_rows(fh, path, skip: int) -> np.ndarray:
+    """The rows of the non-blank lines that `fh` has left, parsed in one
+    C-level pass; when that fails, the first bad row after line `skip` is named."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            return np.loadtxt(path, skiprows=skip, encoding="ascii", **_ROW_ARGS)
+            return np.loadtxt(filter(str.strip, fh), **_ROW_ARGS)
         except ValueError:
-            pass
-        # Either a whitespace-only line, which the C parser does not skip, or a
-        # bad row: parse the non-blank lines, or else name the first bad row.
-        with open(path, encoding="ascii") as fh:
-            try:
-                return np.loadtxt((line for _, line in _data_lines(fh, skip)), **_ROW_ARGS)
-            except ValueError:
-                fh.seek(0)
-                for lineno, line in _data_lines(fh, skip):
-                    line = line.rstrip("\n")
-                    parts = line.split(",")
-                    if len(parts) != 6:
-                        raise DataError(
-                            f"{path}:{lineno}: expected 6 fields, got {len(parts)}") from None
-                    try:
-                        np.loadtxt([line], **_ROW_ARGS)
-                    except ValueError:
-                        raise DataError(f"{path}:{lineno}: malformed row {line!r}") from None
-                raise
+            fh.seek(0)
+            for lineno, line in _data_lines(fh, skip):
+                line = line.rstrip("\n")
+                parts = line.split(",")
+                if len(parts) != 6:
+                    raise DataError(
+                        f"{path}:{lineno}: expected 6 fields, got {len(parts)}") from None
+                try:
+                    np.loadtxt([line], **_ROW_ARGS)
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: malformed row {line!r}") from None
+            raise
 
 
 def _run_starts(*keys: np.ndarray) -> np.ndarray:
@@ -499,73 +496,74 @@ def _ascending(item: np.ndarray, dim: np.ndarray, t: np.ndarray) -> bool:
 def _load_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     """The (n, d, T, 2) bounds and (n,) labels of a dataset CSV; see
     :func:`load_dataset_csv`.  Every temporary, the parsed rows among them,
-    is freed when this returns."""
-    skip, header = 0, ""
+    is freed when this returns.  The file is opened once: its header is the
+    first non-blank line, and a bad row's line is found by rewinding."""
     with open(path, encoding="ascii") as fh:
-        for skip, header in _data_lines(fh, 0):
-            break
-    if header.rstrip("\n") != DATASET_HEADER:
-        raise DataError(f"{path}: expected header {DATASET_HEADER!r}")
-    rows = _read_rows(path, skip)
-    if rows.size == 0:
-        raise DataError(f"{path}: no data rows")
+        skip, header = next(_data_lines(fh, 0), (0, ""))
+        if header.rstrip("\n") != DATASET_HEADER:
+            raise DataError(f"{path}: expected header {DATASET_HEADER!r}")
+        rows = _read_rows(fh, path, skip)
+        if rows.size == 0:
+            raise DataError(f"{path}: no data rows")
 
-    nonfinite = ~np.isfinite(rows["lower"])
-    nonfinite |= ~np.isfinite(rows["upper"])
-    if nonfinite.any():
-        lineno = _line_of_row(path, skip, int(nonfinite.argmax()))
-        raise DataError(f"{path}:{lineno}: non-finite bound")
+        nonfinite = ~np.isfinite(rows["lower"])
+        nonfinite |= ~np.isfinite(rows["upper"])
+        if nonfinite.any():
+            lineno = _line_of_row(fh, skip, int(nonfinite.argmax()))
+            raise DataError(f"{path}:{lineno}: non-finite bound")
 
-    # Rows sorted by (item, dim, t).  Files written by save_dataset_csv
-    # already are, without repeats, and are used as read; any other file is
-    # sorted stably, so `order` maps each sorted row to its row in the file.
-    item, dim, t, label = rows["item"], rows["dim"], rows["t"], rows["label"]
-    order = None
-    if not _ascending(item, dim, t):
-        order = np.lexsort((t, dim, item))
-        item, dim, t, label = item[order], dim[order], t[order], label[order]
+        # Rows sorted by (item, dim, t).  Files written by save_dataset_csv
+        # already are, without repeats, and are used as read; any other file is
+        # sorted stably, so `order` maps each sorted row to its row in the file.
+        item, dim, t, label = rows["item"], rows["dim"], rows["t"], rows["label"]
+        order = None
+        if not _ascending(item, dim, t):
+            order = np.lexsort((t, dim, item))
+            item, dim, t, label = item[order], dim[order], t[order], label[order]
 
-    # Each row's label must be that of its item's first row in file order.
-    starts = _run_starts(item)
-    first = starts if order is None else np.minimum.reduceat(order, starts)
-    labels = rows["label"][first]
-    conflict = np.flatnonzero(label != np.repeat(labels, np.diff(starts, append=len(item))))
-    if conflict.size:
-        row = int(conflict[0] if order is None else order[conflict].min())
-        lineno = _line_of_row(path, skip, row)
-        raise DataError(f"{path}:{lineno}: item {rows['item'][row]} has conflicting labels")
+        # Each row's label must be that of its item's first row in file order.
+        starts = _run_starts(item)
+        first = starts if order is None else np.minimum.reduceat(order, starts)
+        labels = rows["label"][first]
+        conflict = np.flatnonzero(label != np.repeat(labels, np.diff(starts, append=len(item))))
+        if conflict.size:
+            row = int(conflict[0] if order is None else order[conflict].min())
+            lineno = _line_of_row(fh, skip, row)
+            raise DataError(f"{path}:{lineno}: item {rows['item'][row]} has conflicting labels")
 
-    if order is not None:  # of repeated keys the last in file order ends the run: keep it
-        last = np.append(_run_starts(item, dim, t)[1:], len(item)) - 1
-        if len(last) < len(item):
-            order, item, dim, t = order[last], item[last], dim[last], t[last]
-            starts = _run_starts(item)
+        if order is not None:  # of repeated keys the last in file order ends the run: keep it
+            last = np.append(_run_starts(item, dim, t)[1:], len(item)) - 1
+            if len(last) < len(item):
+                order, item, dim, t = order[last], item[last], dim[last], t[last]
+                starts = _run_starts(item)
 
-    # One group per (item, dim).  Its t values rise, so they run 0, 1, ...,
-    # length - 1 exactly when the first is 0 and the last is length - 1.
-    groups = _run_starts(item, dim)
-    lengths = np.diff(groups, append=len(item))
-    gap = (t[groups] != 0) | (t[groups + lengths - 1] != lengths - 1)
-    if gap.any():
-        row = groups[gap.argmax()]
-        raise DataError(f"{path}: item {item[row]} dim {dim[row]} has gaps in t")
-    dims_seen = sorted(set(np.diff(np.searchsorted(groups, starts), append=len(groups)).tolist()))
-    if len(dims_seen) != 1:
-        raise DataError(f"{path}: items disagree on dimension count: {dims_seen}")
-    lengths_seen = sorted(set(lengths.tolist()))
-    if len(lengths_seen) != 1:
-        raise DataError(f"{path}: items disagree on series length T: {lengths_seen}")
-    if labels.min() < 1:  # an item's first row in file order comes before its other rows
-        row = int(first[labels < 1].min())
-        lineno = _line_of_row(path, skip, row)
-        raise DataError(f"{path}:{lineno}: label {rows['label'][row]} is not a class id (1, 2, ...)")
+        # One group per (item, dim).  Its t values rise, so they run 0, 1, ...,
+        # length - 1 exactly when the first is 0 and the last is length - 1.
+        groups = _run_starts(item, dim)
+        lengths = np.diff(groups, append=len(item))
+        gap = (t[groups] != 0) | (t[groups + lengths - 1] != lengths - 1)
+        if gap.any():
+            row = groups[gap.argmax()]
+            raise DataError(f"{path}: item {item[row]} dim {dim[row]} has gaps in t")
+        dims = np.diff(np.searchsorted(groups, starts), append=len(groups))
+        dims_seen = sorted(set(dims.tolist()))
+        if len(dims_seen) != 1:
+            raise DataError(f"{path}: items disagree on dimension count: {dims_seen}")
+        lengths_seen = sorted(set(lengths.tolist()))
+        if len(lengths_seen) != 1:
+            raise DataError(f"{path}: items disagree on series length T: {lengths_seen}")
+        if labels.min() < 1:  # an item's first row in file order comes before its other rows
+            row = int(first[labels < 1].min())
+            lineno = _line_of_row(fh, skip, row)
+            raise DataError(
+                f"{path}:{lineno}: label {rows['label'][row]} is not a class id (1, 2, ...)")
 
-    bounds = np.empty((len(starts), dims_seen[0], lengths_seen[0], 2))
-    flat = bounds.reshape(-1, 2)
-    for j, column in enumerate(("lower", "upper")):
-        flat[:, j] = rows[column] if order is None else rows[column][order]
-    bounds.setflags(write=False)
-    return bounds, labels
+        bounds = np.empty((len(starts), dims_seen[0], lengths_seen[0], 2))
+        flat = bounds.reshape(-1, 2)
+        for j, column in enumerate(("lower", "upper")):
+            flat[:, j] = rows[column] if order is None else rows[column][order]
+        bounds.setflags(write=False)
+        return bounds, labels
 
 
 def load_dataset_csv(path) -> LabeledDataset:
@@ -578,8 +576,8 @@ def load_dataset_csv(path) -> LabeledDataset:
     disagree on their dimension count or on their length T, a label below
     1, or a byte that is not ASCII, whose line it names too.
 
-    When the file's sidecar ``<path>.npz`` holds the SHA-256 of the file's
-    current bytes, its arrays are returned instead of a parse.  They are the
+    When the file's sidecar ``<path>.npz`` holds the BLAKE2b-256 digest of
+    the file's current bytes, its arrays are returned instead of a parse.  They are the
     arrays the parse would return, since ``%r`` round-trips every float64.
     Any other file, or a sidecar that is missing, stale or damaged in any
     way, is parsed.

@@ -182,15 +182,14 @@ class TestStartup:
             "bound", "bound-mc"])
     def test_each_command_loads_only_its_modules(self, inputs, argv, modules, rng):
         """Only the commands that draw from numpy's generators load numpy.random;
-        the split draws from its own copy of the stream.  Only these and the
-        commands that write a dataset, or read one that has its sidecar, load
-        hashlib (numpy.random loads it too)."""
+        the split draws from its own copy of the stream.  Only these load
+        hashlib, through numpy.random: the dataset sidecar's digest does not."""
         rec = launch(*(a.format(d=inputs) for a in argv))
         assert rec["code"] == 0, rec["stderr"]
         assert rec["modules"] == sorted(PARSE_MODULES + modules)
         assert not rec["numpy_ma"]  # np.unique without counts or indices imports it
         assert rec["numpy_random"] == rng
-        assert rec["hashlib"] == ("dgp" in modules or rng)
+        assert rec["hashlib"] == rng
 
     def test_error_exit_loads_only_its_modules(self, inputs):
         """A command that fails in its own checks still exits as before."""
@@ -268,6 +267,18 @@ class TestStagePeak:
         wins = sum(b < a for a, b in zip(walls["A"], walls["B"]))
         assert pairs == ["B", "faster", "in", str(wins), "of", "2", "pairs"]
         assert same == ["stdout", "identical", "in", "2", "of", "2", "pairs"]
+
+    def test_documented_paired_command(self):
+        """The paired form as the module docstring writes it, run from the
+        repository root: PYTHONPATH=src python tools/stage_peak.py 2 --against ROOT."""
+        root = Path(__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "tools/stage_peak.py", "2", "--against", str(root),
+                              "--help"], capture_output=True, text=True, cwd=root,
+                             env=dict(os.environ, PYTHONPATH="src"))
+        assert out.returncode == 0 and out.stderr == ""
+        lines = out.stdout.splitlines()
+        assert [line.split()[:3] for line in lines[:4]] == [[side, "exit", "0"] for side in "ABBA"]
+        assert lines[-1] == "stdout identical in 2 of 2 pairs"
 
     def test_paired_launches_compare_stdout(self, tmp_path):
         """A B checkout whose `ivtskit` prints other bytes matches in no pair."""
@@ -686,6 +697,23 @@ class TestDatasetSidecar:
 
 
 class TestImage:
+    @pytest.mark.parametrize("name", ["a,b.csv", 'a"b.csv'], ids=["comma", "quote"])
+    def test_index_lists_a_stem_with_csv_syntax(self, tmp_path, name):
+        """index.csv is CSV-quoted, so `classify --images` reads the file names
+        of a dataset whose stem holds a comma or a quote."""
+        from ivtskit import cli
+
+        data, imgdir = tmp_path / name, tmp_path / "img"
+        iv.save_dataset_csv(iv.build_dgp_mix_dataset(4, T=12, seed=1), data)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["image", "--data", str(data), "--outdir", str(imgdir),
+                             "--kernel", "K4"]) == 0
+            assert cli.main(["classify", "--images", str(imgdir), "--outdir",
+                             str(tmp_path / "o"), "--blocks", "2", "--steps", "5"]) == 0
+        with open(imgdir / "index.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[:2] == [["file", "item", "label"], [f"{data.stem}_0.pgm", "0", "1"]]
+
     def test_outputs_and_index(self, mix_csv, tmp_path):
         outdir = tmp_path / "imgs"
         out = run_cli(
@@ -1317,6 +1345,28 @@ class TestOutOfDomainOptions:
         assert (rc, capsys.readouterr().err) == (code, f"{kind} error: no good\n")
 
 
+class TestKernelOption:
+    """A --kernel that is neither a preset nor a k_pp,k_pm,k_mm triple of
+    numbers is a usage error; a triple with a NaN entry is NonFinite, a
+    numeric error.  Either is one line, before any output is written."""
+
+    @pytest.mark.parametrize("command,kernel,code", [
+        ("image", "K9", 2), ("image", "1,2", 2), ("classify", "a,b,c", 2),
+        ("image", "nan,0,1", 4), ("classify", "nan,0,1", 4),
+    ])
+    def test_exit_code(self, tmp_path, capsys, command, kernel, code):
+        from ivtskit import cli
+
+        data = tmp_path / "ds.csv"
+        iv.save_dataset_csv(iv.build_dgp_mix_dataset(4, T=12, seed=1), data)
+        rc = cli.main([command, "--data", str(data), "--outdir", str(tmp_path / "o"),
+                       "--kernel", kernel])
+        err = capsys.readouterr().err
+        assert rc == code and len(err.splitlines()) == 1
+        assert err.startswith("usage error: " if code == 2 else "numeric error: ")
+        assert not (tmp_path / "o").exists()
+
+
 class TestReadersRaiseDataError:
     """Each reader raises a DataError, which is an IvtsError and a ValueError,
     with the message that names its file; a command that reads the file exits
@@ -1665,6 +1715,40 @@ class TestConfigFile:
         out = run_cli(command, *argv, "--config", cfg)
         assert_one_line_error(out, 3, f"data error: {cfg}:2: bad value for {key}: ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("tag", [" x ", "p\nq", '"x"', "x\u2028y", "x\0y"],
+                             ids=["spaces", "line-break", "quotes", "line-separator", "nul"])
+    def test_value_that_would_not_read_back_is_usage_error(self, tmp_path, capsys, tag):
+        """run_config.txt must read back as written, so a value that `--config`
+        would read otherwise is a usage error naming the option, raised
+        before any output is written."""
+        from ivtskit import cli
+
+        data = tmp_path / "ds.csv"
+        iv.save_dataset_csv(iv.build_dgp_mix_dataset(4, T=12, seed=1), data)
+        rc = cli.main(["classify", "--data", str(data), "--outdir", str(tmp_path / "o"),
+                       "--blocks", "2", "--steps", "5", "--tag", tag])
+        err = capsys.readouterr().err
+        assert rc == 2 and len(err.splitlines()) == 1
+        assert err.startswith(f"usage error: --tag: {tag!r} would not read back")
+        assert not (tmp_path / "o").exists()
+
+    def test_echoed_value_reads_back(self, tmp_path):
+        """A tag with inner spaces, quotes and '=' comes back from
+        run_config.txt as written, so the second run's report is the first's."""
+        from ivtskit import cli
+
+        data = tmp_path / "ds.csv"
+        iv.save_dataset_csv(iv.build_dgp_mix_dataset(4, T=12, seed=1), data)
+        tag = 'a "b" = c'
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["classify", "--data", str(data), "--outdir", str(tmp_path / "1"),
+                             "--blocks", "2", "--steps", "5", "--tag", tag]) == 0
+            assert cli.main(["classify", "--config", str(tmp_path / "1" / "run_config.txt"),
+                             "--outdir", str(tmp_path / "2")]) == 0
+        reports = [(tmp_path / run / "report.csv").read_bytes() for run in "12"]
+        assert reports[0] == reports[1]
+        assert next(csv.reader(reports[0].decode().splitlines()[1:]))[2] == tag
 
     def test_config_bad_bool_is_data_error(self, mix_csv, tmp_path):
         cfg = tmp_path / "c.cfg"

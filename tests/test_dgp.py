@@ -1,8 +1,11 @@
 """Tests for the simulation generators and dataset builders."""
 
 import dataclasses
+import hashlib
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -362,6 +365,43 @@ class TestCsvRoundTrip:
         assert len(calls) <= 2
         assert np.array_equal(bounds, ds.bounds) and labels.tolist() == ds.labels()
 
+    @pytest.mark.parametrize("tail", ["", "   \n"], ids=["clean", "whitespace-line"])
+    def test_one_open_and_one_bulk_parse(self, tmp_path, monkeypatch, tail):
+        """Without a sidecar the file is opened once, and its non-blank lines
+        are parsed by one np.loadtxt call over that handle, not over the path."""
+        ds = iv.build_univariate_dataset(2, per_class_n=2, T=7, rho_grid=(0.0, 0.3), seed=12)
+        path = tmp_path / "ds.csv"
+        iv.save_dataset_csv(ds, path)
+        with open(path, "a") as fh:
+            fh.write(tail)
+        opened, parsed = [], []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parsed.append(a[0]) or loadtxt(*a, **k))
+        monkeypatch.setattr(iv.dgp, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
+                            raising=False)
+        bounds, labels = iv.dgp._load_arrays(path)
+        assert opened == [path] and len(parsed) == 1
+        assert not isinstance(parsed[0], (str, bytes, os.PathLike))
+        assert np.array_equal(bounds, ds.bounds) and labels.tolist() == ds.labels()
+
+    @pytest.mark.parametrize("row,message", [
+        ("0,0,1,0.x,1.0,1", "malformed row '0,0,1,0.x,1.0,1'"),
+        ("0,0,1,nan,1.0,1", "non-finite bound"),
+        ("0,0,1,0.0,1.0,2", "item 0 has conflicting labels"),
+        ("1,0,0,0.0,1.0,0", "label 0 is not a class id (1, 2, ...)"),
+    ], ids=["malformed", "non-finite", "conflict", "label-0"])
+    def test_bad_row_found_through_the_one_handle(self, tmp_path, monkeypatch, row, message):
+        """The header is the first non-blank line, and a bad row's line is
+        found by rewinding the open file, not by opening it again."""
+        path = tmp_path / "bad.csv"
+        path.write_text(f"\nitem,dim,t,lower,upper,label\n0,0,0,0.0,1.0,1\n \n{row}\n")
+        opened = []
+        monkeypatch.setattr(iv.dgp, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
+                            raising=False)
+        with pytest.raises(iv.DataError) as err:
+            iv.dgp._load_arrays(path)
+        assert str(err.value) == f"{path}:5: {message}" and opened == [path]
+
     def test_traced_peak_of_a_sorted_file(self, tmp_path):
         """A file in (item, dim, t) order is parsed once into its rows, and
         the bounds are filled from them: no sort, no stacked copy."""
@@ -449,7 +489,7 @@ class TestSidecar:
     @pytest.mark.parametrize("damage", [
         "truncated", "empty", "not-a-zip", "missing-bounds", "missing-digest", "float32-bounds",
         "big-endian-bounds", "int32-labels", "bounds-shape", "labels-shape", "object-labels",
-        "fortran-bounds", "zero-label", "nan-bound", "digest-dtype", "directory",
+        "fortran-bounds", "zero-label", "nan-bound", "digest-dtype", "directory", "sha256-only",
     ])
     def test_damaged_sidecar_is_parsed(self, tmp_path, damage):
         """A sidecar that holds the CSV's digest but is damaged, or holds
@@ -466,7 +506,7 @@ class TestSidecar:
         nan[0, 0, 0, 0] = np.nan
         changes = {
             "missing-bounds": {"bounds": None},
-            "missing-digest": {"sha256": None},
+            "missing-digest": {"blake2b": None},
             "float32-bounds": {"bounds": other.astype(np.float32)},
             "big-endian-bounds": {"bounds": other.astype(">f8")},
             "int32-labels": {"bounds": other, "label_ids": ds.label_ids.astype(np.int32)},
@@ -477,7 +517,11 @@ class TestSidecar:
             "fortran-bounds": {"bounds": np.asfortranarray(other)},
             "zero-label": {"bounds": other, "label_ids": ds.label_ids - 1},
             "nan-bound": {"bounds": nan},
-            "digest-dtype": {"sha256": arrays["sha256"].astype(np.int64)},
+            "digest-dtype": {"blake2b": arrays["blake2b"].astype(np.int64)},
+            # the earlier format, which held the CSV's SHA-256
+            "sha256-only": {"bounds": other, "blake2b": None,
+                            "sha256": np.frombuffer(hashlib.sha256(path.read_bytes()).digest(),
+                                                    np.uint8)},
         }
         if damage == "truncated":
             sidecar.write_bytes(raw[: len(raw) - 100])
@@ -492,6 +536,31 @@ class TestSidecar:
             arrays.update(changes[damage])
             with open(sidecar, "wb") as fh:
                 np.savez(fh, **{k: v for k, v in arrays.items() if v is not None})
+        assert _same(_loaded(path), ds)
+
+    def test_sidecar_maps_no_openssl(self, tmp_path):
+        """In a fresh interpreter, writing a dataset and reading it back from
+        its sidecar import neither hashlib nor its OpenSSL module _hashlib."""
+        probe = ("import sys\n"
+                 "import numpy as np\n"
+                 "from ivtskit import dgp\n"
+                 "dgp.save_dataset_csv(dgp.LabeledDataset(np.zeros((2, 1, 3, 2)), [1, 2]), "
+                 "sys.argv[1])\n"
+                 "dgp._load_arrays = None  # a parse would fail: only a hit returns\n"
+                 "dgp.load_dataset_csv(sys.argv[1])\n"
+                 "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n")
+        out = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "ds.csv")],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"
+
+    def test_no_blake2_no_sidecar(self, tmp_path, monkeypatch):
+        """A Python built without _blake2 writes no sidecar and parses."""
+        monkeypatch.setitem(sys.modules, "_blake2", None)  # its import raises ImportError
+        path = tmp_path / "ds.csv"
+        ds = _sidecar_dataset()
+        iv.save_dataset_csv(ds, path)
+        assert not (tmp_path / "ds.csv.npz").exists()
         assert _same(_loaded(path), ds)
 
     def test_traced_peak_of_a_sidecar_read(self, tmp_path):
