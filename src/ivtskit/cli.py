@@ -470,6 +470,8 @@ def _index_images(images_dir: Path) -> tuple[list[Path], list[int]]:
             labels.append(int(label))
         except ValueError:
             raise DataError(f"{index}:{lineno}: bad label {label!r}") from None
+        if "\0" in name:
+            raise DataError(f"{index}:{lineno}: file name {name!r} holds a NUL byte")
         try:  # a name the filesystem encoding cannot hold is a UTF-8 file name's text
             os.fsencode(name)
         except UnicodeEncodeError:
@@ -499,6 +501,8 @@ def cmd_classify(eff: dict) -> None:
         raise UsageError("pass exactly one of --data or --images")
     _require(eff, "outdir")
     text = _check_text(eff)
+    if (Path(eff["outdir"]) / "index.csv").exists():  # an image directory: keep its run_config.txt
+        raise UsageError(f"--outdir: {text['outdir']!r} holds an image directory's index.csv")
     knn = eff["mode"] == "knn"
     if knn and eff["data"] is None:
         raise UsageError("--mode knn needs --data (series-level distances)")

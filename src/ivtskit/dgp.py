@@ -18,6 +18,7 @@ and generation parallelizable.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import os
@@ -496,13 +497,24 @@ def _ascending(item: np.ndarray, dim: np.ndarray, t: np.ndarray) -> bool:
 def _load_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     """The (n, d, T, 2) bounds and (n,) labels of a dataset CSV; see
     :func:`load_dataset_csv`.  Every temporary, the parsed rows among them,
-    is freed when this returns.  The file is opened once: its header is the
-    first non-blank line, and a bad row's line is found by rewinding."""
-    with open(path, encoding="ascii") as fh:
-        skip, header = next(_data_lines(fh, 0), (0, ""))
-        if header.rstrip("\n") != DATASET_HEADER:
-            raise DataError(f"{path}: expected header {DATASET_HEADER!r}")
-        rows = _read_rows(fh, path, skip)
+    is freed when this returns.  The file is opened once, in binary, and read
+    as ASCII text: its header is the first non-blank line, and the line of a
+    bad row or of a byte that is not ASCII is found by rewinding.  A file
+    that cannot be rewound, such as a pipe, is read into memory first."""
+    with open(path, "rb") as fb:
+        buf = fb if fb.seekable() else io.BytesIO(fb.read())
+        fh = io.TextIOWrapper(buf, encoding="ascii")
+        try:
+            skip, header = next(_data_lines(fh, 0), (0, ""))
+            if header.rstrip("\n") != DATASET_HEADER:
+                raise DataError(f"{path}: expected header {DATASET_HEADER!r}")
+            rows = _read_rows(fh, path, skip)
+        except UnicodeDecodeError:
+            buf.seek(0)
+            raw = buf.read()
+            lines = raw[: len(raw) - len(raw.lstrip(bytes(range(128)))) + 1].splitlines()
+            raise DataError(
+                f"{path}:{len(lines)}: byte 0x{lines[-1][-1]:02x} is not ASCII") from None
         if rows.size == 0:
             raise DataError(f"{path}: no data rows")
 
@@ -585,9 +597,4 @@ def load_dataset_csv(path) -> LabeledDataset:
     cached = _read_sidecar(path)
     if cached is not None:
         return cached
-    try:
-        return LabeledDataset(*_load_arrays(path))
-    except UnicodeDecodeError:
-        raw = Path(path).read_bytes()
-        lines = raw[: len(raw) - len(raw.lstrip(bytes(range(128)))) + 1].splitlines()
-        raise DataError(f"{path}:{len(lines)}: byte 0x{lines[-1][-1]:02x} is not ASCII") from None
+    return LabeledDataset(*_load_arrays(path))

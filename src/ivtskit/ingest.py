@@ -197,24 +197,24 @@ class _RawReadings:
             self.chunks.append(tuple(np.concatenate(c) for c in zip(*self.blocks)))
             self.blocks.clear()
 
-    def daily_cells(self):
-        """Group the readings by (series, day, dim) with one stable sort.
-
-        Returns the sorted series names and, per (series, day, dim) cell in
-        that order, the series, day and dim ranks and the [min, max] as an
-        (n_cells, 2) array.  Days are ranked by date, series and dims by
-        their stripped text.  Of equal values the first in file order is
-        kept, as Python's min and max do; numpy's reductions may keep the
-        other of -0.0 and 0.0.
+    def full_days(self):
+        """`daily_intervals`' arrays, from one stable sort of the readings by
+        their (series, day, dim) key.  Days are ranked by date, series, dims
+        and labels by their stripped text.  A (series, day) key's run of
+        cells is one day, and the day is full when it has every dim its
+        series has.  Of equal values the first in file order is kept, as
+        Python's min and max do; numpy's reductions may keep the other of
+        -0.0 and 0.0.
         """
         self._merge_blocks()
         sid_names, sid_codes = self.sids.sorted_codes()
+        label_names, label_codes = self.labels.sorted_codes()
         _, dim_codes = self.dims.sorted_codes()
         dates = sorted(set(self.days))
         date_rank = {d: i for i, d in enumerate(dates)}
         sid_rank, dim_rank = _ranks(sid_codes), _ranks(dim_codes)
         day_rank = np.array([date_rank[d] for d in self.days], dtype=np.int64)
-        n_day, n_dim = len(dates), len(dim_codes)
+        n_sid, n_day, n_dim = len(sid_names), len(dates), len(dim_codes)
 
         n = sum(len(c[3]) for c in self.chunks)
         key, dim, value = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n)
@@ -227,7 +227,7 @@ class _RawReadings:
             value[rows] = c_value
             end = rows.start
         sd_values = None
-        if len(sid_names) * n_day * n_dim > _KEY_MAX:
+        if n_sid * n_day * n_dim > _KEY_MAX:
             sd_values, key = np.unique(key, return_inverse=True)  # dense (series, day) ranks
         key *= n_dim
         key += dim
@@ -247,11 +247,23 @@ class _RawReadings:
             for col in bounds.T:
                 tied = col[cells] == 0
                 col[cells[tied]] = value[zeros[at[tied]]]
-        sd, cell_dim = np.divmod(key[starts], n_dim)
-        if sd_values is not None:
-            sd = sd_values[sd]
-        cell_sid, cell_day = np.divmod(sd, n_day)
-        return sid_names, cell_sid, cell_day, cell_dim, bounds
+        sd, dim = np.divmod(key[starts], n_dim)  # each cell's (series, day) key and dim
+        del key, value, starts, zeros
+
+        day_start = np.flatnonzero(np.concatenate(([True], sd[1:] != sd[:-1])))
+        day_dims = np.diff(np.append(day_start, len(sd)))
+        day_sid = (sd[day_start] if sd_values is None else sd_values[sd[day_start]]) // n_day
+        del sd
+        # distinct (series, dimension) ranks; np.unique would import numpy.ma here
+        pairs = np.sort(np.repeat(day_sid, day_dims) * n_dim + dim)
+        pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]
+        sid_dims = np.bincount(pairs // n_dim, minlength=n_sid)
+        full = day_dims == sid_dims[day_sid]
+        full_days = np.bincount(day_sid[full], minlength=n_sid)
+        sid_label = _ranks(label_codes)[self.sid_label[sid_codes]]
+        return (sid_names, label_names, sid_label,
+                np.bincount(day_sid, minlength=n_sid) - full_days, sid_dims, full_days,
+                bounds[np.repeat(full, day_dims)])
 
 
 def daily_intervals(path):
@@ -279,21 +291,4 @@ def daily_intervals(path):
         raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
     if not raw.blocks and not raw.chunks:
         raise DataError(f"{path}: no data rows")
-    sid_names, cell_sid, cell_day, cell_dim, daily = raw.daily_cells()
-
-    # a day is full when it has every dimension its series has
-    n_sid, n_dim = len(sid_names), len(raw.dims.texts)
-    day_start = np.flatnonzero(np.concatenate(
-        ([True], (cell_sid[1:] != cell_sid[:-1]) | (cell_day[1:] != cell_day[:-1]))))
-    day_dims = np.diff(np.append(day_start, len(cell_sid)))
-    # distinct (series, dimension) codes; np.unique would import numpy.ma here
-    pairs = np.sort(cell_sid * n_dim + cell_dim)
-    pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]
-    sid_dims = np.bincount(pairs // n_dim, minlength=n_sid)
-    day_sid = cell_sid[day_start]
-    full = day_dims == sid_dims[day_sid]
-    full_days = np.bincount(day_sid[full], minlength=n_sid)
-    label_names, label_codes = raw.labels.sorted_codes()
-    sid_label = _ranks(label_codes)[raw.sid_label[raw.sids.sorted_codes()[1]]]
-    return (sid_names, label_names, sid_label, np.bincount(day_sid, minlength=n_sid) - full_days,
-            sid_dims, full_days, daily[np.repeat(full, day_dims)])
+    return raw.full_days()

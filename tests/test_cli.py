@@ -1128,6 +1128,27 @@ class TestClassify:
                       "--steps", "5", "--outdir", tmp_path / "o")
         assert_one_line_error(out, 3, "index.csv")
 
+    def test_nul_in_index_file_name_is_data_error(self, sep_images, tmp_path):
+        """Refused before any image is opened (Python 3.10's csv.reader
+        already refuses the line)."""
+        index = sep_images / "index.csv"
+        lines = index.read_text().splitlines()
+        index.write_text("\n".join([lines[0], "a\0" + lines[1], *lines[2:]]) + "\n")
+        out = run_cli("classify", "--images", sep_images, "--outdir", tmp_path / "o")
+        assert_one_line_error(out, 3, f"data error: {index}")
+        if sys.version_info >= (3, 11):
+            assert f"{index}:2: file name 'a\\x00" in out.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_outdir_holding_images_is_usage_error(self, sep_images, mix_csv):
+        """classify would replace the image directory's run_config.txt with
+        its own, and later `classify --images` runs could not read it."""
+        before = {p.name: p.read_bytes() for p in sep_images.iterdir()}
+        for source in (("--images", sep_images), ("--data", mix_csv)):
+            out = run_cli("classify", *source, "--outdir", sep_images)
+            assert_one_line_error(out, 2, f"usage error: --outdir: {str(sep_images)!r} holds")
+        assert {p.name: p.read_bytes() for p in sep_images.iterdir()} == before
+
     def test_non_utf8_run_config_is_data_error(self, sep_images, tmp_path):
         (sep_images / "run_config.txt").write_bytes(b"kernel=\xff\n")
         out = run_cli("classify", "--images", sep_images, "--mode", "linear",
@@ -1433,6 +1454,79 @@ class TestReadersRaiseDataError:
         if argv is not None:
             assert cli.main([str(a) for a in argv]) == 3
             assert capsys.readouterr() == ("", f"data error: {message}\n")
+
+
+def run_piped(data: bytes, *args):
+    """`run_cli` with `data` piped to the command's stdin, which the command
+    opens as /dev/stdin: a pipe, which cannot be rewound."""
+    out = subprocess.run([sys.executable, "-m", "ivtskit", *map(str, args)], input=data,
+                         capture_output=True)
+    return subprocess.CompletedProcess(out.args, out.returncode, out.stdout.decode(),
+                                       out.stderr.decode())
+
+
+def _same_files(a: Path, b: Path, skip=()) -> bool:
+    """Whether directories `a` and `b` hold the same names and, but for
+    `skip`, the same bytes."""
+    names = sorted(p.name for p in a.iterdir())
+    return names == sorted(p.name for p in b.iterdir()) and all(
+        (a / n).read_bytes() == (b / n).read_bytes() for n in names if n not in skip)
+
+
+class TestPipedInput:
+    """Every reader reads a pipe once: a clean input gives the bytes that the
+    same regular file gives, and a faulty one is one data error naming its
+    line or record."""
+
+    _ROWS = b"item,dim,t,lower,upper,label\n" + b"".join(
+        b"%d,0,0,1.0,2.0,1\n" % i for i in range(3000))  # past loadtxt's first chunk
+
+    def test_clean_dataset(self, tmp_path):
+        data = tmp_path / "file" / "stdin.csv"  # the stem that /dev/stdin gives
+        data.parent.mkdir()
+        iv.save_dataset_csv(iv.build_univariate_dataset(2, per_class_n=3, T=8, seed=3), data)
+        out = run_piped(data.read_bytes(), "image", "--data", "/dev/stdin",
+                        "--outdir", tmp_path / "piped", "--kernel", "K4")
+        assert out.returncode == 0, out.stderr
+        out = run_cli("image", "--data", data, "--outdir", tmp_path / "read", "--kernel", "K4")
+        assert out.returncode == 0, out.stderr
+        assert _same_files(tmp_path / "piped", tmp_path / "read", skip=["run_config.txt"])
+
+    @pytest.mark.parametrize("row,message", [
+        (b"3000,0,0,nan,2.0,1", "non-finite bound"),
+        (b"3000,0,0,0.x,2.0,1", "malformed row '3000,0,0,0.x,2.0,1'"),
+        (b"3000,0,0,1.0,\xe92.0,1", "byte 0xe9 is not ASCII"),
+    ], ids=["non-finite", "malformed", "non-ascii"])
+    def test_faulty_dataset(self, tmp_path, row, message):
+        out = run_piped(self._ROWS + row + b"\n", "image", "--data", "/dev/stdin",
+                        "--outdir", tmp_path / "o", "--kernel", "K4")
+        assert_one_line_error(out, 3, f"data error: /dev/stdin:3002: {message}")
+
+    def test_clean_and_faulty_raw_readings(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        TestIngest()._write_raw(raw, n_days=6, dims=("a", "b"))
+        out = run_piped(raw.read_bytes(), "ingest", "--input", "/dev/stdin",
+                        "--out", tmp_path / "piped.csv", "--window", "3")
+        assert out.returncode == 0, out.stderr
+        out = run_cli("ingest", "--input", raw, "--out", tmp_path / "read.csv", "--window", "3")
+        assert out.returncode == 0, out.stderr
+        assert (tmp_path / "piped.csv").read_bytes() == (tmp_path / "read.csv").read_bytes()
+        bad = raw.read_bytes().replace(b",2.5,", b",2.5x,", 1)
+        out = run_piped(bad, "ingest", "--input", "/dev/stdin", "--out", tmp_path / "bad.csv",
+                        "--window", "3")
+        assert_one_line_error(out, 3, "data error: /dev/stdin:3: bad value '2.5x'")
+
+    def test_clean_and_faulty_config(self, mix_csv, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"mode=knn\nruns=2\n")
+        args = ("classify", "--data", mix_csv, "--config")
+        out = run_piped(config.read_bytes(), *args, "/dev/stdin", "--outdir", tmp_path / "piped")
+        assert out.returncode == 0, out.stderr
+        out = run_cli(*args, config, "--outdir", tmp_path / "read")
+        assert out.returncode == 0, out.stderr
+        assert _same_files(tmp_path / "piped", tmp_path / "read", skip=["run_config.txt"])
+        out = run_piped(b"mode=knn\nruns\n", *args, "/dev/stdin", "--outdir", tmp_path / "o")
+        assert_one_line_error(out, 3, "data error: /dev/stdin:2: expected key=value, got 'runs'")
 
 
 def _report(lines):
